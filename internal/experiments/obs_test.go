@@ -19,12 +19,12 @@ import (
 // rows. Observability claims to be a pure observer — metrics are
 // scrape-time reads and journal writes happen outside the simulated
 // machine — and this asserts that claim over the full evaluation surface,
-// reusing the superblock differential's reduced grids.
+// reusing the scenario goldens' reduced grids.
 func TestObservabilityDifferential(t *testing.T) {
 	for _, sc := range scenario.Scenarios() {
-		spec, ok := superblockDiffSpecs[sc.Name]
+		spec, ok := scenarioTestSpecs[sc.Name]
 		if !ok {
-			t.Errorf("scenario %q has no differential spec; add one to superblockDiffSpecs", sc.Name)
+			t.Errorf("scenario %q has no differential spec; add one to scenarioTestSpecs", sc.Name)
 			continue
 		}
 		t.Run(sc.Name, func(t *testing.T) {

@@ -28,9 +28,9 @@ import (
 func TestSpecTraceDifferential(t *testing.T) {
 	var events atomic.Uint64
 	for _, sc := range scenario.Scenarios() {
-		spec, ok := superblockDiffSpecs[sc.Name]
+		spec, ok := scenarioTestSpecs[sc.Name]
 		if !ok {
-			t.Errorf("scenario %q has no differential spec; add one to superblockDiffSpecs", sc.Name)
+			t.Errorf("scenario %q has no differential spec; add one to scenarioTestSpecs", sc.Name)
 			continue
 		}
 		t.Run(sc.Name, func(t *testing.T) {

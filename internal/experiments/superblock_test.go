@@ -9,37 +9,15 @@ import (
 	"repro/internal/scenario"
 )
 
-// superblockDiffSpecs maps every registered scenario to a reduced grid fast
-// enough to simulate twice. TestSuperblockDifferential fails if a scenario
-// registers without an entry here, so new evaluations cannot silently skip
-// differential coverage.
-var superblockDiffSpecs = map[string]scenario.Spec{
-	"table2": {},
-	"fig8":   {Params: map[string]string{"sizes": "tiny:8"}},
-	"fig9":   {Params: map[string]string{"sizes": "tiny:8"}},
-	"fig10a": {Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}},
-	"fig10b": {Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}},
-	"table1": {Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}},
-	"ablation": {Params: map[string]string{
-		"kind": "ones", "w": "2", "iters": "1", "slots": "2,30", "bws": "64"}},
-	"spectre": {Quick: true, Params: map[string]string{"trials": "6"}},
-	"tvla":    {Quick: true, Params: map[string]string{"trials": "6"}},
-	"keyextract": {Quick: true, Params: map[string]string{
-		"trials": "4", "attackers": "bp", "victims": "keyloop", "widths": "2", "gaps": "0", "archs": "baseline,sempe"}},
-	"noise": {Params: map[string]string{
-		"trials": "4", "attackers": "cache", "victims": "keyloop", "widths": "2", "gaps": "0,64", "archs": "baseline"}},
-	"leakmatrix": {Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2", "secrets": "2"}},
-}
-
 // diffScenarios runs every registered scenario twice — once as-is, once
 // with toggle applied — and asserts byte-identical stable JSON and
 // identical typed rows.
 func diffScenarios(t *testing.T, toggle func() (restore func())) {
 	t.Helper()
 	for _, sc := range scenario.Scenarios() {
-		spec, ok := superblockDiffSpecs[sc.Name]
+		spec, ok := scenarioTestSpecs[sc.Name]
 		if !ok {
-			t.Errorf("scenario %q has no differential spec; add one to superblockDiffSpecs", sc.Name)
+			t.Errorf("scenario %q has no differential spec; add one to scenarioTestSpecs", sc.Name)
 			continue
 		}
 		t.Run(sc.Name, func(t *testing.T) {
