@@ -2,10 +2,10 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-record sweep serve smoke-cluster smoke-attack smoke-keyextract obs-smoke clean
+.PHONY: check vet build test bench-module race bench bench-smoke sweep serve smoke-cluster smoke-attack smoke-keyextract obs-smoke clean
 
-# check is the tier-1 gate plus a benchmark smoke run.
-check: vet build test bench-smoke
+# check is the tier-1 gate plus the benchmark module and a benchmark smoke run.
+check: vet build test bench-module bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -16,28 +16,33 @@ build:
 test:
 	$(GO) test ./...
 
+# bench-module vets and tests the nested benchmark module (bench/, run with
+# `bash bench/run.sh`). `go test ./...` skips it, yet it compiles against
+# internal/pipeline and internal/attack, so a removed field it reads would
+# otherwise break it silently.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # bench-smoke proves the perf-critical benchmarks still run and that the
 # steady-state pipeline loop is allocation-free, in seconds. The attack-trial
 # benchmark runs one iteration per config; its allocation gate is the
 # TestTrialLoopZeroAlloc test (a 1x bench can't see the steady state).
-# The wrong-path replay gates pin the speculative-fetch fast path: prototype
-# clones cycle-identical to New, 0 allocs/op with replay enabled, and every
-# scenario bit-identical with replay force-disabled.
+# The replay gates pin the superblock fetch path: prototype clones
+# cycle-identical to New, 0 allocs/op through wrong-path replay, an armed
+# spec watch staying on replay with the reference walk's exact event
+# stream, and every scenario byte-identical to its golden file and
+# delivering the walk's recorded spec-event stream.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
 	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed'
-	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc'
-	$(GO) test ./internal/experiments/ -run 'TestWrongPathReplayDifferential'
+	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk'
+	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:
 	$(GO) test -bench=. -benchmem
-
-# bench-record appends a {date, commit, minst_per_s, allocs_per_op, ipc}
-# entry to the committed BENCH_sim.json trajectory. Pass LABEL=<tag>.
-bench-record:
-	./scripts/bench_record.sh $(LABEL)
 
 # race runs the suite under the race detector (CI runs this too; the
 # sweep engine and sempe-serve are the concurrent pieces).

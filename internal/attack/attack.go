@@ -40,10 +40,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/compile"
 	"repro/internal/lang"
-	"repro/internal/leak"
-	"repro/internal/pipeline"
 	"repro/internal/victim"
 )
 
@@ -392,23 +389,6 @@ func runCalibPairs(p Params) ([]calib, error) {
 	return pairs, nil
 }
 
-// calibPair runs trial t's two calibration programs — replays of the
-// trial's exact environment (same draw, so the same program layout and
-// noise) with each known value of the attacked bit. Code placement and
-// fetch effects cancel exactly between them, leaving only the
-// microarchitectural signal — or, under SeMPE, nothing, in which case the
-// classifier degenerates to a secret-independent tie.
-func calibPair(p Params, t int) (c0, c1 []float64, err error) {
-	d := newDraw(trialRNG(p.effSeed(), t), p)
-	if c0, err = runTrial(p, d, d.gapCal, p.KeyPrefix); err != nil {
-		return nil, nil, fmt.Errorf("attack %s/%s trial %d calib0: %w", p.Kind, ArchName(p.Secure), t, err)
-	}
-	if c1, err = runTrial(p, d, d.gapCal, p.KeyPrefix|1<<uint(p.Bit)); err != nil {
-		return nil, nil, fmt.Errorf("attack %s/%s trial %d calib1: %w", p.Kind, ArchName(p.Secure), t, err)
-	}
-	return c0, c1, nil
-}
-
 // makeTrial assembles one trial from its calibration pair. The
 // measurement run is the same deterministic program as the matching
 // calibration (same draw, same secret), so its observation is that
@@ -492,67 +472,6 @@ func recoveryColumn(k Kind) int {
 // signColumn indexes the decoded-sign column (always last) — the
 // mutual-information estimate runs over it.
 func signColumn(k Kind) int { return len(columns(k)) - 1 }
-
-// runTrial builds, compiles, and runs one attacker program — the victim's
-// fragment for (key, width, bit) wrapped in the attacker's measurement
-// scaffold, with gap activity seeded by gapSeed — and extracts the
-// observation vector from its marker timestamps.
-func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
-	v, err := p.victimImpl()
-	if err != nil {
-		return nil, err
-	}
-	frag := v.Fragment(key, p.width(), p.Bit)
-	var prog *lang.Program
-	wantStamps := 0
-	switch p.Kind {
-	case BPProbe:
-		prog = bpProgram(frag, d, gapSeed, p.Gap)
-		wantStamps = 4
-	case PrimeProbe:
-		prog = cacheProgram(frag, d, gapSeed, p.Gap)
-		wantStamps = 3
-	default:
-		return nil, fmt.Errorf("unknown attacker kind %d", int(p.Kind))
-	}
-	mode, cfg := compile.Plain, pipeline.DefaultConfig()
-	if p.Secure {
-		mode, cfg = compile.SeMPE, pipeline.SecureConfig()
-	}
-	out, err := compile.Compile(prog, mode)
-	if err != nil {
-		return nil, err
-	}
-	mrk, ok := out.ArrayAddrs[markerArray]
-	if !ok {
-		return nil, fmt.Errorf("program has no %q marker array", markerArray)
-	}
-	var stamps []uint64
-	obs, _, err := leak.ObserveWith(cfg, out.Prog, func(c *pipeline.Core) {
-		c.MemWatch = func(addr uint64, write bool, cycle uint64) {
-			if write && addr == mrk {
-				stamps = append(stamps, cycle)
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(stamps) != wantStamps {
-		return nil, fmt.Errorf("got %d marker stamps, want %d", len(stamps), wantStamps)
-	}
-	total := float64(obs.Cycles)
-	switch p.Kind {
-	case BPProbe:
-		// stamps = [victim start, victim end, probe start, probe end].
-		return []float64{float64(stamps[3] - stamps[2]), total}, nil
-	default: // PrimeProbe
-		// stamps = [probe start, after set-A reload, after set-B reload].
-		tA := float64(stamps[1] - stamps[0])
-		tB := float64(stamps[2] - stamps[1])
-		return []float64{tA, tB, tA - tB, total}, nil
-	}
-}
 
 // markerArray names the one-line array whose committed stores timestamp
 // the measured segments. Declared first so it owns the first data line and

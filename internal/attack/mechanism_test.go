@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/compile"
+	"repro/internal/isa"
 	"repro/internal/leak"
 	"repro/internal/pipeline"
 	"repro/internal/victim"
@@ -19,6 +20,14 @@ func bitFrag(t *testing.T, secret uint64) victim.Fragment {
 		t.Fatal(err)
 	}
 	return v.Fragment(secret&1, 1, 0)
+}
+
+// isCondBranch reports whether the instruction at pc in prog is a
+// conditional branch: the spec watch's SpecBPUpdate events cover JALR
+// target updates too, and the mechanism tests want only direction updates.
+func isCondBranch(prog *isa.Program, pc uint64) bool {
+	inst, _, err := isa.Decode(prog.Code, int(pc-prog.CodeBase))
+	return err == nil && inst.Op.IsBranch()
 }
 
 // TestBPProbeMechanism pins the microarchitectural story behind the bp
@@ -40,9 +49,11 @@ func TestBPProbeMechanism(t *testing.T) {
 			type commit struct{ taken, misp bool }
 			byPC := map[uint64][]commit{}
 			_, core, err := leak.ObserveWith(pipeline.DefaultConfig(), out.Prog, func(c *pipeline.Core) {
-				c.BranchWatch = func(pc uint64, taken, misp bool, cycle uint64) {
-					byPC[pc] = append(byPC[pc], commit{taken, misp})
-				}
+				c.SetSpecWatch(func(ev pipeline.SpecEvent) {
+					if ev.Kind == pipeline.SpecBPUpdate && isCondBranch(out.Prog, ev.PC) {
+						byPC[ev.PC] = append(byPC[ev.PC], commit{ev.Taken, ev.Mispredict})
+					}
+				})
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -44,14 +44,14 @@ func init() {
 		"Operations executed via memoized superblock fast paths.",
 		u64(&perfCounters.sbReplays))
 	reg.CounterFunc("sempe_superblock_legacy_ops_total",
-		"Operations executed via the legacy per-op decode path.",
+		"Operations fetched via the per-instruction reference walk (0 outside pipeline tests).",
 		u64(&perfCounters.sbLegacy))
 	reg.CounterFunc("sempe_sb_wrongpath_builds_total",
 		"Superblock builds attributed to squashed (wrong-path) fetch regions.",
 		u64(&perfCounters.sbWPBuilds))
 	reg.CounterFunc("sempe_sb_wrongpath_replays_total",
 		"Replayed micro-ops later squashed by a flush: wrong-path work the "+
-			"engine ran at superblock speed instead of the legacy walk.",
+			"replay engine ran on mispredicted paths.",
 		u64(&perfCounters.sbWPReplay))
 	reg.CounterFunc("sempe_attack_trials_total",
 		"Attack trials completed across all batches.",

@@ -14,11 +14,12 @@ import (
 	"repro/internal/victim"
 )
 
-// This file is the trial-throughput engine. The naive trial path (runTrial)
-// rebuilds the attacker program's AST, recompiles it, constructs a fresh
-// pipeline core, and computes every leak-channel digest per run — all of
-// which is pure overhead for the attack drivers, which consume only the
-// cycle count and the marker stamps. A runner removes all three costs:
+// This file is the trial-throughput engine. The naive trial path (the
+// runTrial reference the tests keep) rebuilds the attacker program's AST,
+// recompiles it, constructs a fresh pipeline core, and computes every
+// leak-channel digest per run — all of which is pure overhead for the
+// attack drivers, which consume only the cycle count and the marker
+// stamps. A runner removes all three costs:
 //
 //   - one pooled core per runner, Reset (not reallocated) between runs, with
 //     the marker watch hook installed once — Core.Reset preserves hooks and
@@ -32,7 +33,7 @@ import (
 //
 // Every random stream (trial draws, secrets) is reproduced exactly — the
 // runner reseeds one owned rand.Rand per trial instead of allocating a new
-// one — so batches are bit-identical to the legacy path at any worker
+// one — so batches are bit-identical to the naive path at any worker
 // count; TestRunnerMatchesLegacy and TestParallelMatchesSerial pin this.
 
 // tmplKey captures everything the attacker program's SHAPE depends on. Two
@@ -72,11 +73,12 @@ type Perf struct {
 	CoreResets        uint64 `json:"core_resets"`
 	SBBuilds          uint64 `json:"sb_builds"`
 	SBReplays         uint64 `json:"sb_replays"`
-	SBLegacyOps       uint64 `json:"sb_legacy_ops"`
+	// SBLegacyOps counts operations fetched by the per-instruction
+	// reference walk; attack cores always replay, so it stays 0.
+	SBLegacyOps uint64 `json:"sb_legacy_ops"`
 	// SBWrongPathBuilds/SBWrongPathReplays are the slices of the above that
 	// the flush logic attributed to squashed (never-committed) paths: work
-	// the wrong-path replay engine ran at superblock speed instead of
-	// diverting to the legacy walk.
+	// the replay engine ran on mispredicted paths.
 	SBWrongPathBuilds  uint64 `json:"sb_wrongpath_builds"`
 	SBWrongPathReplays uint64 `json:"sb_wrongpath_replays"`
 	// Trials and TrialSeconds measure batch throughput: trials completed
@@ -142,6 +144,9 @@ type runner struct {
 	rng    *rand.Rand
 	mrk    uint64
 	stamps []uint64
+	// watch, when non-nil, is armed as the core's spec watch when the core
+	// is built (TraceTrial); batch runners never set it.
+	watch func(pipeline.SpecEvent)
 
 	c0buf, c1buf, mbuf []float64
 }
@@ -181,9 +186,13 @@ func (r *runner) trialDraw(t int) draw {
 	return newDraw(r.rng, r.p)
 }
 
-// calibPair is runner's version of the package-level calibPair: trial t's
-// two calibration runs. The returned slices alias runner-owned buffers and
-// are valid until the next runner call.
+// calibPair runs trial t's two calibration programs — replays of the
+// trial's exact environment (same draw, so the same program layout and
+// noise) with each known value of the attacked bit. Code placement and
+// fetch effects cancel exactly between them, leaving only the
+// microarchitectural signal — or, under SeMPE, nothing, in which case the
+// classifier degenerates to a secret-independent tie. The returned slices
+// alias runner-owned buffers and are valid until the next runner call.
 func (r *runner) calibPair(t int) (d draw, c0, c1 []float64, err error) {
 	d = r.trialDraw(t)
 	if c0, err = r.run(d, d.gapCal, r.p.KeyPrefix, &r.c0buf); err != nil {
@@ -219,6 +228,9 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 			if write && addr == r.mrk && len(r.stamps) < cap(r.stamps) {
 				r.stamps = append(r.stamps, cycle)
 			}
+		}
+		if r.watch != nil {
+			r.core.SetSpecWatch(r.watch)
 		}
 		perfCounters.coreBuilds.Add(1)
 	} else {
@@ -349,7 +361,7 @@ func (r *runner) templateUsable(t *compile.Template) bool {
 }
 
 // buildProgram builds the trial's lang program, the shared source of the
-// template and fallback paths (and of the legacy runTrial oracle).
+// template and fallback paths.
 func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program, error) {
 	frag := r.v.Fragment(key, r.p.width(), r.p.Bit)
 	switch r.p.Kind {

@@ -6,8 +6,74 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/compile"
+	"repro/internal/lang"
+	"repro/internal/leak"
+	"repro/internal/pipeline"
 	"repro/internal/victim"
 )
+
+// runTrial builds, compiles, and runs one attacker program — the victim's
+// fragment for (key, width, bit) wrapped in the attacker's measurement
+// scaffold, with gap activity seeded by gapSeed — and extracts the
+// observation vector from its marker timestamps. It is the naive reference
+// the runner and TraceTrial must match.
+func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
+	v, err := p.victimImpl()
+	if err != nil {
+		return nil, err
+	}
+	frag := v.Fragment(key, p.width(), p.Bit)
+	var prog *lang.Program
+	wantStamps := 0
+	switch p.Kind {
+	case BPProbe:
+		prog = bpProgram(frag, d, gapSeed, p.Gap)
+		wantStamps = 4
+	case PrimeProbe:
+		prog = cacheProgram(frag, d, gapSeed, p.Gap)
+		wantStamps = 3
+	default:
+		return nil, fmt.Errorf("unknown attacker kind %d", int(p.Kind))
+	}
+	mode, cfg := compile.Plain, pipeline.DefaultConfig()
+	if p.Secure {
+		mode, cfg = compile.SeMPE, pipeline.SecureConfig()
+	}
+	out, err := compile.Compile(prog, mode)
+	if err != nil {
+		return nil, err
+	}
+	mrk, ok := out.ArrayAddrs[markerArray]
+	if !ok {
+		return nil, fmt.Errorf("program has no %q marker array", markerArray)
+	}
+	var stamps []uint64
+	obs, _, err := leak.ObserveWith(cfg, out.Prog, func(c *pipeline.Core) {
+		c.MemWatch = func(addr uint64, write bool, cycle uint64) {
+			if write && addr == mrk {
+				stamps = append(stamps, cycle)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(stamps) != wantStamps {
+		return nil, fmt.Errorf("got %d marker stamps, want %d", len(stamps), wantStamps)
+	}
+	total := float64(obs.Cycles)
+	switch p.Kind {
+	case BPProbe:
+		// stamps = [victim start, victim end, probe start, probe end].
+		return []float64{float64(stamps[3] - stamps[2]), total}, nil
+	default: // PrimeProbe
+		// stamps = [probe start, after set-A reload, after set-B reload].
+		tA := float64(stamps[1] - stamps[0])
+		tB := float64(stamps[2] - stamps[1])
+		return []float64{tA, tB, tA - tB, total}, nil
+	}
+}
 
 // TestRunnerMatchesLegacy: the runner's pooled-core, template-patched run
 // must produce exactly the observation vector the legacy path (fresh build,

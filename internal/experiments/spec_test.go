@@ -18,13 +18,12 @@ import (
 // TestSpecTraceDifferential is the spec-window observability inertness gate:
 // every registered scenario, run with a process-wide spec watch armed and
 // without, must produce byte-identical stable JSON (cycle counts included)
-// and identical typed rows. Arming the watch diverts every core — pooled
-// trial cores included — onto the legacy fetch walk and fires an event
-// callback on all in-flight work, so this asserts both halves of the design
-// claim at once: the legacy walk is cycle-identical to the superblock replay
-// path, and the emission points are pure observers. The sink only counts
-// (atomically: the trial engines run cores on parallel workers); the count
-// also proves the hooks actually fired across the grid.
+// and identical typed rows. The watch reaches every core — pooled trial
+// cores included — and fires an event callback on all in-flight work while
+// fetch stays on the superblock replay engine, so this asserts that the
+// emission points are pure observers. The sink only counts (atomically: the
+// trial engines run cores on parallel workers); the count also proves the
+// hooks actually fired across the grid.
 func TestSpecTraceDifferential(t *testing.T) {
 	var events atomic.Uint64
 	for _, sc := range scenario.Scenarios() {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/attack"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
 )
@@ -96,7 +97,9 @@ func recordSpecStream(t *testing.T, sc *scenario.Scenario, spec scenario.Spec) s
 // diffSpecStreams records every registered scenario's spec stream at its
 // reduced grid from scenarioTestSpecs and hands it to check together with
 // the stream pinned in testdata/specstreams/<name>.json. It returns the
-// recorded streams for grid-wide vacuity guards. -update rewrites the files.
+// recorded streams for grid-wide vacuity guards. -update rewrites the files
+// from the replay engine, so it is only for a deliberate simulator change
+// that TestSpecStreamReplayMatchesWalk still passes.
 func diffSpecStreams(t *testing.T, check func(t *testing.T, got, want specStream)) []specStream {
 	t.Helper()
 	var all []specStream
@@ -147,8 +150,12 @@ func diffSpecStreams(t *testing.T, check func(t *testing.T, got, want specStream
 // while an armed watch still diverted fetch onto it, so this compares the
 // replay engine's stream with the walk's over the full evaluation surface.
 // TestSpecStreamReplayMatchesWalk makes the same comparison live, event by
-// event, on the pipeline's own test programs.
+// event, on the pipeline's own test programs. The attack runner harvests its
+// cores' superblock counters, so the test also checks that those armed cores
+// fetched nothing through the walk: otherwise it would compare the walk with
+// itself.
 func TestSuperblockDifferential(t *testing.T) {
+	before := attack.PerfSnapshot()
 	streams := diffSpecStreams(t, func(t *testing.T, got, want specStream) {
 		kinds := map[string]bool{}
 		for k := range got.Kinds {
@@ -171,6 +178,10 @@ func TestSuperblockDifferential(t *testing.T) {
 	}
 	if fetches == 0 {
 		t.Error("spec watch armed across all scenarios but no fetch events fired")
+	}
+	after := attack.PerfSnapshot()
+	if legacy, replays := after.SBLegacyOps-before.SBLegacyOps, after.SBReplays-before.SBReplays; legacy != 0 || replays == 0 {
+		t.Errorf("armed attack cores fetched %d ops through the reference walk and replayed %d; an armed watch must stay on the replay engine", legacy, replays)
 	}
 }
 

@@ -40,8 +40,8 @@ func Observe(cfg pipeline.Config, prog *isa.Program) (Observation, *pipeline.Cor
 
 // ObserveWith is Observe with a pre-run configuration callback: setup (when
 // non-nil) receives the fresh core before the run starts, which is where
-// the attack lab installs its commit-time watch hooks (Core.MemWatch,
-// Core.BranchWatch) to turn one run into per-segment timings.
+// the attack lab installs its watch hooks (Core.MemWatch, or a spec watch
+// via Core.SetSpecWatch) to turn one run into per-segment timings.
 func ObserveWith(cfg pipeline.Config, prog *isa.Program, setup func(*pipeline.Core)) (Observation, *pipeline.Core, error) {
 	core := pipeline.New(cfg, prog)
 	if setup != nil {

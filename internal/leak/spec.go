@@ -51,7 +51,8 @@ const specTraceCap = 1 << 16
 // tracer armed and returns the wrong-path footprint alongside the core
 // (commit-trace capture is enabled, so core.CommitPCs/MemTrace hold the
 // architectural streams for contrast). Arming the tracer does not perturb
-// the run: the spec hooks are cycle-inert by construction, which
+// the run, and fetch stays on the superblock replay engine every sweep
+// uses: the spec hooks are cycle-inert by construction, which
 // TestSpecTraceDifferential pins across every registered scenario.
 func ObserveSpec(cfg pipeline.Config, prog *isa.Program) (SpecObservation, *pipeline.Core, error) {
 	tr := pipeline.NewTracer(specTraceCap)

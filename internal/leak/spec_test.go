@@ -61,7 +61,7 @@ func committedAddrs(core *pipeline.Core) map[uint64]bool {
 //  1. Baseline: the wrong-path touch set depends on the secret, the
 //     secret-revealing access address is one of the two array slots, and
 //     that address is invisible to the commit-time stream (what
-//     MemWatch/BranchWatch observe) of the same run.
+//     MemWatch observes) of the same run.
 //  2. SeMPE: no wrong-path memory access touches either secret-selected
 //     array in any run, and the entire wrong-path footprint is
 //     bit-identical across secrets.

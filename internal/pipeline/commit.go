@@ -83,9 +83,6 @@ func (c *Core) retire() error {
 				c.emitSpec(SpecEvent{Kind: SpecBPUpdate, Seq: u.seq, PC: u.pc, Addr: u.actualTarget,
 					Disp: DispCommitted, Taken: u.actualTaken, Mispredict: u.mispredict})
 			}
-			if c.BranchWatch != nil {
-				c.BranchWatch(u.pc, u.actualTaken, u.mispredict, c.cycle)
-			}
 		case u.inst.Op == isa.OpJalr:
 			c.Stats.IndirectJumps++
 			if !(u.inst.Rd == isa.RZ && u.inst.Ra == isa.LR) {
@@ -95,10 +92,6 @@ func (c *Core) retire() error {
 						Disp: DispCommitted, Taken: true, Mispredict: u.mispredict})
 				}
 			}
-		}
-
-		if c.wpOff && (u.cl == isa.ClassBranch || u.cl == isa.ClassJump) {
-			c.specCtl-- // resolved: this control op is no longer speculative
 		}
 
 		// Pop from the ROB before any controller action so that the

@@ -74,22 +74,6 @@ type Config struct {
 	StreamWindow         int
 	StreamDepth          int
 
-	// DisableSuperblock forces this core onto the legacy per-instruction
-	// fetch walk instead of the cached-trace replay path (superblock.go).
-	// The two are cycle-identical by construction; the switch exists for
-	// differential testing and as an escape hatch. The process-wide default
-	// can also be flipped with SetSuperblockDefault.
-	DisableSuperblock bool
-
-	// DisableWrongPathReplay keeps the superblock engine but forbids it
-	// from fetching while any control-flow op is in flight (renamed and not
-	// yet resolved): potentially wrong-path fetch then runs on the legacy
-	// walk. Replay and walk are cycle-identical, so this changes no
-	// observable; the switch exists for differential testing of the
-	// wrong-path replay machinery. The process-wide default can also be
-	// flipped with SetWrongPathReplayDefault.
-	DisableWrongPathReplay bool
-
 	// MaxCycles aborts runaway simulations (0 = no limit).
 	MaxCycles uint64
 	// WatchdogCycles aborts when no instruction commits for this many

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -12,32 +11,6 @@ import (
 	"repro/internal/prefetch"
 	"repro/internal/sempe"
 )
-
-// superblockDefaultOn is the process-wide default for the superblock engine,
-// captured by New into each core. It exists for differential testing (run
-// the same grid with the engine force-disabled and diff the artifacts) and
-// is not meant to be toggled mid-run: cores read it once at construction.
-var superblockDefaultOn atomic.Bool
-
-func init() { superblockDefaultOn.Store(true) }
-
-// SetSuperblockDefault flips the process-wide superblock default and returns
-// the previous value. Tests use it to run entire scenario grids with the
-// cached-trace front end off; per-core control is Config.DisableSuperblock.
-func SetSuperblockDefault(on bool) bool { return superblockDefaultOn.Swap(on) }
-
-// wrongPathReplayDefaultOn is the process-wide default for superblock
-// replay through speculative (potentially wrong-path) fetch, captured by
-// New into each core like superblockDefaultOn.
-var wrongPathReplayDefaultOn atomic.Bool
-
-func init() { wrongPathReplayDefaultOn.Store(true) }
-
-// SetWrongPathReplayDefault flips the process-wide wrong-path replay
-// default and returns the previous value. With it off, cores divert to the
-// legacy fetch walk whenever a control-flow op is in flight; per-core
-// control is Config.DisableWrongPathReplay.
-func SetWrongPathReplayDefault(on bool) bool { return wrongPathReplayDefaultOn.Swap(on) }
 
 // Core is one simulated processor instance. A Core runs a single program to
 // completion; construct a fresh Core per run.
@@ -129,16 +102,10 @@ type Core struct {
 	sharedDecoded *isa.Program
 
 	// Superblock engine (see superblock.go): cached decoded straight-line
-	// traces replayed by fetch, plus the replay cursor.
-	sbOff bool // engine disabled for this core (config or process default)
-	// Wrong-path replay control (differential testing): with wpOff set,
-	// fetch diverts to the legacy walk whenever specCtl — the number of
-	// renamed, unresolved control-flow ops — is nonzero, so the replay path
-	// never fetches down a potentially mispredicted path. specCtl is
-	// maintained only when wpOff (rename increments; retire and squash
-	// decrement), keeping the default path free of the bookkeeping.
-	wpOff    bool
-	specCtl  int
+	// traces replayed by fetch, plus the replay cursor. sbOff selects the
+	// per-instruction reference walk (fetchLegacy) instead; only this
+	// package's tests set it, to compare replay against the walk.
+	sbOff    bool
 	sbIndex  []int32
 	sbBlocks []superblock
 	sbCur    int32 // block being replayed, -1 when none
@@ -175,24 +142,18 @@ type Core struct {
 	CommitPCs    []uint64
 	MemTrace     []uint64
 
-	// Commit-time observability hooks for the attack lab (internal/attack).
+	// Commit-time observability hook for the attack lab (internal/attack).
 	// MemWatch, when non-nil, is invoked for every committed load and store
 	// with the access address, kind, and commit cycle — the harness installs
 	// it to timestamp marker stores, turning the committed-access stream
-	// into per-segment timings an attacker program "measures". BranchWatch,
-	// when non-nil, sees every committed conditional branch with its outcome
-	// and whether it mispredicted. Both are nil in normal runs and cost one
-	// nil check per committed op. Both hooks fire at retire, independent of
-	// which fetch path produced the micro-op, so arming them composes with
-	// the superblock replay front end (whose cycle-level equivalence the
-	// differential scenario suite pins).
-	MemWatch    func(addr uint64, write bool, cycle uint64)
-	BranchWatch func(pc uint64, taken, mispredicted bool, cycle uint64)
+	// into per-segment timings an attacker program "measures". It is nil in
+	// normal runs and costs one nil check per committed op.
+	MemWatch func(addr uint64, write bool, cycle uint64)
 
 	// Speculative-window observability (spec.go). specWatch, when armed,
-	// receives execute-time SpecEvents for all in-flight work — wrong-path
-	// included — and forces fetch onto the legacy walk (the emission points
-	// live there). specFromDefault records that the hook came from the
+	// receives SpecEvents for all in-flight work — wrong-path included —
+	// from fetch, execute and retire; arming it never changes which fetch
+	// path runs. specFromDefault records that the hook came from the
 	// process default so Reset can re-read it; an explicitly armed hook is
 	// caller-owned and preserved like MemWatch. specPC/specSeq stamp the
 	// access context cache-fill events are attributed to; specEmitted and
@@ -209,14 +170,16 @@ type Core struct {
 }
 
 // SuperblockStats counts superblock-engine activity. It lives outside Stats
-// so artifact rows never serialize it: replay counts differ between
-// superblock-enabled and force-disabled runs of the same program even though
+// so artifact rows never serialize it: replay counts differ between the
+// replay engine and the reference walk on the same program even though
 // every architectural and cycle-level observable is identical.
 type SuperblockStats struct {
-	Builds     uint64 // superblocks constructed
-	Replays    uint64 // instructions fetched via cached traces
-	LegacyOps  uint64 // instructions fetched via the per-instruction walk
-	FastTAGE   uint64 // (reserved) predictor fast-path hits, see bpred
+	Builds  uint64 // superblocks constructed
+	Replays uint64 // instructions fetched via cached traces
+	// LegacyOps counts instructions fetched via the per-instruction
+	// reference walk, which only this package's tests select: it is 0 on
+	// every production core.
+	LegacyOps  uint64
 	Invalidate uint64 // cursor drops from redirects into uncached targets
 	ReKeys     uint64 // cursor re-keys onto a cached block at the redirect target
 	// Wrong-path replay accounting: work the engine performed on paths that
@@ -279,15 +242,11 @@ func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 		fe:           newFERing(cfg.DecodeQSize, cfg.FetchBufSize),
 		decoded:      make([]predec, len(prog.Code)),
 		fetchPC:      prog.Entry,
+		sbIndex:      make([]int32, len(prog.Code)),
 		sbCur:        -1,
 	}
-	c.sbOff = cfg.DisableSuperblock || !superblockDefaultOn.Load()
-	c.wpOff = cfg.DisableWrongPathReplay || !wrongPathReplayDefaultOn.Load()
-	if !c.sbOff {
-		c.sbIndex = make([]int32, len(prog.Code))
-		for i := range c.sbIndex {
-			c.sbIndex[i] = -1
-		}
+	for i := range c.sbIndex {
+		c.sbIndex[i] = -1
 	}
 	if cfg.StridePrefetchTable > 0 {
 		c.stridePF = prefetch.NewStride(c.Hier.DL1, cfg.StridePrefetchTable, cfg.StridePrefetchDegree)

@@ -83,14 +83,11 @@ func (c *Core) predecAt(off int) *predec {
 // not-taken path, so the fetch stream carries no information about the
 // secret (and the predictor state is never updated by it).
 //
-// Two implementations produce identical cycle-level behavior: the legacy
-// per-instruction walk (decode, classify, and predecode each pc on every
-// dynamic fetch) and the superblock replay path (superblock.go), which
-// copies prototype micro-ops out of cached straight-line traces. The replay
-// path is used whenever the engine is enabled; the MemWatch/BranchWatch
-// hooks fire at retire and observe identical streams on either path (the
-// differential scenario suite pins the equivalence), so arming them no
-// longer forces the legacy walk.
+// Every core fetches through the superblock replay path (superblock.go),
+// which copies prototype micro-ops out of cached straight-line traces and
+// emits the per-fetch spec events itself, so arming a watch never changes
+// which front end runs. fetchLegacy, the per-instruction walk, is kept only
+// as the reference this package's tests compare replay against (sbOff).
 func (c *Core) fetch() {
 	if c.fetchHalted || c.fetchBroken {
 		return
@@ -99,22 +96,17 @@ func (c *Core) fetch() {
 		c.Stats.FetchStallCycles++
 		return
 	}
-	if c.sbOff || c.specWatch != nil || c.specCtl > 0 {
-		// A live spec watch diverts to the legacy walk: the per-fetch
-		// emission points live there, and the superblock replay path is
-		// cycle-identical by construction (the differential suite pins it),
-		// so the diversion observes without perturbing. specCtl > 0 is the
-		// wrong-path-replay-off divert: unresolved control flow is in
-		// flight, so fetch may be on a mispredicted path (the counter is
-		// only ever raised when Config.DisableWrongPathReplay is set).
+	if c.sbOff {
 		c.fetchLegacy()
 		return
 	}
 	c.fetchSuperblock()
 }
 
-// fetchLegacy is the per-instruction fetch walk (the pre-superblock code
-// path, kept as the fallback and differential-testing reference).
+// fetchLegacy is the per-instruction reference walk: decode, classify, and
+// predecode each pc on every dynamic fetch. Production cores never run it;
+// tests select it with sbOff and require replay to match it cycle for cycle
+// and spec event for spec event.
 func (c *Core) fetchLegacy() {
 	var lastLine uint64 = ^uint64(0)
 	for n := 0; n < c.cfg.FetchWidth && !c.fe.fetchFull(); n++ {
@@ -367,13 +359,6 @@ func (c *Core) renameOne(i uref, u *uop) bool {
 		c.lq = append(c.lq, i)
 	case isa.ClassStore:
 		c.sq = append(c.sq, i)
-	case isa.ClassBranch, isa.ClassJump:
-		if c.wpOff {
-			// Wrong-path replay disabled: track unresolved control flow so
-			// fetch diverts to the legacy walk until this op retires or is
-			// squashed (the matching decrements).
-			c.specCtl++
-		}
 	}
 	c.iqCount++
 
@@ -448,9 +433,6 @@ func (c *Core) flushAfter(u *uop, target uint64, cause FlushCause) {
 		nsq++
 		if y.fromReplay {
 			c.SBStats.WrongPathReplays++
-		}
-		if c.wpOff && (y.cl == isa.ClassBranch || y.cl == isa.ClassJump) {
-			c.specCtl--
 		}
 		if y.issued && !y.completed {
 			c.squashTmp = append(c.squashTmp, yi)
@@ -583,7 +565,7 @@ func (c *Core) redirectFrontEnd(target uint64) uint64 {
 	c.fetchStallUntil = c.cycle + uint64(c.cfg.RedirectPenalty)
 	if c.sbCur >= 0 {
 		c.sbCur = -1
-		if !c.sbOff && target >= c.prog.CodeBase && target < c.prog.CodeEnd() {
+		if target >= c.prog.CodeBase && target < c.prog.CodeEnd() {
 			if bi := c.sbIndex[target-c.prog.CodeBase]; bi >= 0 {
 				c.sbCur, c.sbCurIdx = bi, 0
 				c.SBStats.ReKeys++

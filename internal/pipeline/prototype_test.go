@@ -107,7 +107,7 @@ func TestPrototypeRecycleStripsHooks(t *testing.T) {
 	if c2 != c {
 		t.Fatal("expected the recycled core back from the pool")
 	}
-	if c2.MemWatch != nil || c2.BranchWatch != nil || c2.TraceCommits {
+	if c2.MemWatch != nil || c2.SpecWatchArmed() || c2.TraceCommits {
 		t.Error("recycled core still carries the previous borrower's hooks or trace capture")
 	}
 }

@@ -14,9 +14,10 @@ import (
 // cost of high-trial sweeps) from the hot loop; TestCoreResetDifferential
 // pins cycle- and event-stream equality against a fresh core.
 //
-// Caller-owned observability state (MemWatch/BranchWatch hooks and the
-// TraceCommits flag) is preserved; captured traces are truncated. SBStats
-// is zeroed — harvest it before Reset when accumulating across runs.
+// Caller-owned observability state (the MemWatch hook, an explicitly armed
+// spec watch, and the TraceCommits flag) is preserved; captured traces are
+// truncated. SBStats is zeroed — harvest it before Reset when accumulating
+// across runs.
 func (c *Core) Reset(prog *isa.Program) {
 	// Memory image: zero in place and reload, exactly New's Load on a fresh
 	// image (zeroed pages are indistinguishable from absent ones).
@@ -99,22 +100,14 @@ func (c *Core) Reset(prog *isa.Program) {
 	}
 
 	// Superblock cache: recycle every block's entry slice through the build
-	// pool so steady-state rebuilds stay allocation-free. sbOff re-reads the
-	// process default, matching what New would capture right now.
-	c.sbOff = c.cfg.DisableSuperblock || !superblockDefaultOn.Load()
-	c.wpOff = c.cfg.DisableWrongPathReplay || !wrongPathReplayDefaultOn.Load()
-	c.specCtl = 0
+	// pool so steady-state rebuilds stay allocation-free.
 	for i := range c.sbBlocks {
 		c.sbEntryPool = append(c.sbEntryPool, c.sbBlocks[i].entries[:0])
 	}
 	c.sbBlocks = c.sbBlocks[:0]
-	if c.sbOff {
-		c.sbIndex = nil
-	} else {
-		c.sbIndex = resizeCleared(c.sbIndex, len(prog.Code))
-		for i := range c.sbIndex {
-			c.sbIndex[i] = -1
-		}
+	c.sbIndex = resizeCleared(c.sbIndex, len(prog.Code))
+	for i := range c.sbIndex {
+		c.sbIndex[i] = -1
 	}
 	c.sbCur, c.sbCurIdx = -1, 0
 	c.sbBuildSeqs = c.sbBuildSeqs[:0]

@@ -13,8 +13,10 @@ import (
 // resetSnap is the complete observable surface of a finished run: final
 // architectural registers, cycle count, every pipeline statistic, the
 // commit/memory digests, predictor state, per-level cache statistics,
-// superblock engine statistics, and the full watch-hook event streams.
-// A Reset core and a fresh core must produce DeepEqual snapshots.
+// superblock engine statistics, and the full watch-hook event streams:
+// committed memory accesses (MemWatch) and committed conditional branches
+// (the spec watch's predictor updates). A Reset core and a fresh core must
+// produce DeepEqual snapshots.
 type resetSnap struct {
 	regs     [isa.NumArchRegs]uint64
 	cycles   uint64
@@ -41,15 +43,28 @@ func (rec *recorder) clear() {
 	rec.mems, rec.branches = rec.mems[:0], rec.branches[:0]
 }
 
+// armRecorder installs a MemWatch and an explicit spec watch filtered to
+// the predictor updates of committed conditional branches (JALR updates
+// emit the same event kind). The branch observation is the update's pc,
+// commit cycle, direction, and mispredict flag.
 func armRecorder(c *Core) *recorder {
 	rec := &recorder{}
 	c.MemWatch = func(addr uint64, write bool, cycle uint64) {
 		rec.mems = append(rec.mems, obs{a: addr, b: cycle, flag1: write})
 	}
-	c.BranchWatch = func(pc uint64, taken, mispredicted bool, cycle uint64) {
-		rec.branches = append(rec.branches, obs{a: pc, b: cycle, flag1: taken, flag2: mispredicted})
-	}
+	c.SetSpecWatch(func(ev SpecEvent) {
+		if ev.Kind == SpecBPUpdate && isCondBranch(c.prog, ev.PC) {
+			rec.branches = append(rec.branches, obs{a: ev.PC, b: ev.Cycle, flag1: ev.Taken, flag2: ev.Mispredict})
+		}
+	})
 	return rec
+}
+
+// isCondBranch reports whether the instruction at pc in prog is a
+// conditional branch.
+func isCondBranch(prog *isa.Program, pc uint64) bool {
+	inst, _, err := isa.Decode(prog.Code, int(pc-prog.CodeBase))
+	return err == nil && inst.Op.IsBranch()
 }
 
 func snapshot(c *Core, rec *recorder) resetSnap {

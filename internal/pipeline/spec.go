@@ -6,10 +6,10 @@ import (
 	"repro/internal/isa"
 )
 
-// Speculative-window observability. The PR-4 MemWatch/BranchWatch hooks fire
-// at retirement, so by construction they can never see transient work — the
-// wrong-path fetches, executions, and cache fills that Spectre-style attacks
-// exploit and that SeMPE exists to neutralize. SpecWatch is the execute-time
+// Speculative-window observability. The MemWatch hook fires at retirement,
+// so by construction it can never see transient work — the wrong-path
+// fetches, executions, and cache fills that Spectre-style attacks exploit
+// and that SeMPE exists to neutralize. SpecWatch is the speculative
 // counterpart: when armed, the core reports every microarchitecturally
 // visible action of every in-flight micro-op, wrong-path included, as a
 // stream of SpecEvents. Each per-uop event is emitted speculatively (the core
@@ -17,13 +17,13 @@ import (
 // later by the SpecCommit/SpecFlush events covering its sequence number; the
 // Tracer performs that back-patching for recorded streams.
 //
-// Arming a spec watch diverts fetch onto the legacy per-instruction walk
-// (the superblock replay path copies prototype micro-ops out of cached
-// traces and would bypass the per-fetch emission points). The two paths are
-// cycle-identical by construction — the same guarantee the superblock
-// differential suite pins — so arming the hook observes the run without
-// perturbing it; TestSpecTraceDifferential asserts exactly that over every
-// registered scenario.
+// The per-fetch events (SpecFetch, SpecBPLookup, and the IL1 fills a fetch
+// triggers) are emitted by the superblock replay engine itself, at the same
+// points and in the same order as the per-instruction reference walk, so
+// arming a watch never changes which front end runs. The emission points
+// are pure observers: TestSpecStreamReplayMatchesWalk pins replay's stream
+// against the walk's, and TestSpecTraceDifferential pins that arming the
+// hook perturbs no result over every registered scenario.
 
 // SpecKind identifies what a SpecEvent describes.
 type SpecKind uint8
@@ -183,11 +183,11 @@ type SpecEvent struct {
 }
 
 // specDefault is the process-wide default spec watch, captured by New into
-// each core and re-read at Reset — the same pattern as the superblock
-// default. It exists for differential testing (arm a sink across entire
-// scenario grids, including pooled cores, and diff the artifacts); a default
-// sink must be safe for concurrent calls because the trial engines run cores
-// on parallel workers.
+// each core and re-read at Reset. It exists for differential testing (arm a
+// sink across entire scenario grids, including pooled cores, and diff the
+// artifacts); production code arms single cores with SetSpecWatch instead.
+// A default sink must be safe for concurrent calls because the trial
+// engines run cores on parallel workers.
 var specDefault atomic.Value // of specWatchBox
 
 type specWatchBox struct{ fn func(SpecEvent) }

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -254,6 +255,143 @@ func TestTracerRingWrap(t *testing.T) {
 	for _, ev := range tr.Events() {
 		if ev.Kind == SpecFetch && ev.Seq >= 6 && ev.Disp != DispSquashed {
 			t.Errorf("seq %d not squashed after covering flush", ev.Seq)
+		}
+	}
+}
+
+// TestSpecWatchStaysOnReplay: arming a spec watch — explicitly before the
+// run, explicitly mid-run, or through the process default — must leave a
+// production core on the superblock replay engine for the whole run.
+func TestSpecWatchStaysOnReplay(t *testing.T) {
+	prog := mispredictStormProg()
+	arms := []struct {
+		name string
+		run  func(t *testing.T) *Core
+	}{
+		{"explicit", func(t *testing.T) *Core {
+			_, c := collectSpec(t, DefaultConfig(), prog)
+			return c
+		}},
+		{"mid-run", func(t *testing.T) *Core {
+			c := New(DefaultConfig(), prog)
+			for !c.Halted() {
+				if !c.SpecWatchArmed() && c.Cycles() >= 150 {
+					c.SetSpecWatch(func(SpecEvent) {})
+				}
+				if err := c.StepCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !c.SpecWatchArmed() {
+				t.Fatal("program halted before the watch was armed")
+			}
+			return c
+		}},
+		{"default", func(t *testing.T) *Core {
+			prev := SetSpecWatchDefault(func(SpecEvent) {})
+			defer SetSpecWatchDefault(prev)
+			c := New(DefaultConfig(), prog)
+			if !c.SpecWatchArmed() {
+				t.Fatal("New did not pick up the process default spec watch")
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			return c
+		}},
+	}
+	for _, arm := range arms {
+		t.Run(arm.name, func(t *testing.T) {
+			c := arm.run(t)
+			if c.SBStats.LegacyOps != 0 || c.SBStats.Replays == 0 {
+				t.Errorf("armed core left the replay engine: LegacyOps=%d Replays=%d, want 0 and > 0",
+					c.SBStats.LegacyOps, c.SBStats.Replays)
+			}
+		})
+	}
+}
+
+// TestSpecStreamReplayMatchesWalk: the spec event stream the replay engine
+// emits — fetches, predictor lookups, and the IL1 fills its fetches stamp,
+// alongside every execute- and retire-time event — must equal the
+// reference walk's event for event (kinds, cycles, seqs, addresses,
+// dispositions), with the watch armed at cycle 0 and mid-run.
+func TestSpecStreamReplayMatchesWalk(t *testing.T) {
+	progs := []struct {
+		name string
+		prog *isa.Program
+	}{
+		{"nested", wrongPathNestedProg()},
+		{"coldtarget", wrongPathColdTargetProg()},
+		{"storm", mispredictStormProg()},
+		{"callret", callRetProg()},
+		{"mispredict", mispredictHeavyProg()},
+		{"storeload", storeLoadProg()},
+		{"secure0", secureBranchProg(0)},
+		{"secure1", secureBranchProg(1)},
+	}
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", DefaultConfig()},
+		{"secure", SecureConfig()},
+	}
+	type result struct {
+		events []SpecEvent
+		stats  Stats
+		sb     SuperblockStats
+		digest uint64
+	}
+	run := func(t *testing.T, cfg Config, prog *isa.Program, armAt uint64, reference bool) result {
+		c := New(cfg, prog)
+		c.sbOff = reference
+		var r result
+		armed := false
+		for !c.Halted() {
+			if !armed && c.Cycles() >= armAt {
+				armed = true
+				c.SetSpecWatch(func(ev SpecEvent) { r.events = append(r.events, ev) })
+			}
+			if err := c.StepCycle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.stats, r.sb, r.digest = c.Stats, c.SBStats, c.CommitDigest()
+		return r
+	}
+	for _, cfg := range cfgs {
+		for _, p := range progs {
+			for _, armAt := range []uint64{0, 150} {
+				t.Run(fmt.Sprintf("%s/%s/arm%d", cfg.name, p.name, armAt), func(t *testing.T) {
+					replay := run(t, cfg.cfg, p.prog, armAt, false)
+					ref := run(t, cfg.cfg, p.prog, armAt, true)
+					if replay.sb.LegacyOps != 0 || replay.sb.Replays == 0 {
+						t.Fatalf("replay core: LegacyOps=%d Replays=%d", replay.sb.LegacyOps, replay.sb.Replays)
+					}
+					if ref.sb.Replays != 0 || ref.sb.LegacyOps == 0 {
+						t.Fatalf("reference core: LegacyOps=%d Replays=%d", ref.sb.LegacyOps, ref.sb.Replays)
+					}
+					if replay.stats != ref.stats {
+						t.Errorf("stats differ:\nreplay: %+v\nwalk:   %+v", replay.stats, ref.stats)
+					}
+					if replay.digest != ref.digest {
+						t.Error("commit digests differ")
+					}
+					if len(replay.events) == 0 {
+						t.Fatalf("spec watch armed at cycle %d observed nothing", armAt)
+					}
+					n := min(len(replay.events), len(ref.events))
+					for i := 0; i < n; i++ {
+						if replay.events[i] != ref.events[i] {
+							t.Fatalf("spec event %d differs:\nreplay: %+v\nwalk:   %+v", i, replay.events[i], ref.events[i])
+						}
+					}
+					if len(replay.events) != len(ref.events) {
+						t.Fatalf("spec event streams differ in length: replay=%d walk=%d", len(replay.events), len(ref.events))
+					}
+				})
+			}
 		}
 	}
 }

@@ -26,9 +26,10 @@ import (
 // sequence number, charges the IL1 exactly like the legacy walk (same
 // last-line dedup, same miss-retry recharging), and runs predecode only for
 // entries whose front-end behavior is dynamic. Prediction state, cache
-// state, stall cycles, and the fetch group shape are therefore identical to
-// the legacy path by construction; the differential scenario test
-// (superblock_test.go) asserts this end to end.
+// state, stall cycles, the fetch group shape, and the per-fetch spec events
+// are therefore identical to the legacy walk by construction; runPair and
+// TestSpecStreamReplayMatchesWalk compare the two directly, and the scenario
+// goldens pin every artifact the replay engine produces.
 //
 // The replay cursor (sbCur/sbCurIdx) is self-validating: it is only resumed
 // when the entry it points at matches fetchPC, so redirects, IL1-miss
@@ -98,12 +99,17 @@ type superblock struct {
 // last-line IL1 dedup across the whole group (including across block
 // boundaries within the group), stall-and-retry on IL1 miss with the
 // current entry re-charged after the fill, group end on predicted-taken
-// transfers, and the halt/broken latches at the same instruction positions.
+// transfers, the halt/broken latches at the same instruction positions, and
+// the same spec events (fill stamp, SpecBPLookup, SpecFetch) in the same
+// order when a watch is armed.
 func (c *Core) fetchSuperblock() {
 	// Reserve pool slots for the whole group up front so the arena cannot
 	// move mid-loop and its pointer can be hoisted.
 	c.pool.reserve(c.cfg.FetchWidth)
 	arena := c.pool.arena
+	// A spec watch is armed or disarmed between cycles, never inside a
+	// fetch group, so one read of it serves the whole group.
+	traced := c.specWatch != nil
 	var lastLine uint64 = ^uint64(0)
 	n := 0
 	for n < c.cfg.FetchWidth && !c.fe.fetchFull() {
@@ -118,6 +124,11 @@ func (c *Core) fetchSuperblock() {
 		blk := &c.sbBlocks[c.sbCur]
 		for n < c.cfg.FetchWidth && !c.fe.fetchFull() && int(c.sbCurIdx) < len(blk.entries) {
 			e := &blk.entries[c.sbCurIdx]
+			if traced {
+				// Attribute IL1 fills (and any prefetches they trigger) to
+				// this fetch, exactly where the legacy walk stamps them.
+				c.specPC, c.specSeq = e.proto.pc, c.seq
+			}
 			// Charge IL1 for each distinct line, exactly like the legacy
 			// walk: lastLine is updated even on a miss, and a miss retries
 			// the whole instruction after the stall (recharging its lines).
@@ -152,18 +163,26 @@ func (c *Core) fetchSuperblock() {
 			n++
 
 			// Direct dispatch on the build-time kind; every arm mirrors the
-			// corresponding predecode case exactly.
+			// corresponding predecode case exactly, spec events included.
+			// end marks the last instruction of the fetch group: a
+			// (predicted-)taken transfer or HALT. On a redirect the cursor
+			// is left as-is; the pc check above re-validates or drops it.
+			end := false
 			switch e.kind {
 			case sbSeq:
 				c.fetchPC = u.npc
 			case sbBranch:
 				u.predTaken = c.BP.PredictBranch(u.pc)
 				u.predTarget = e.target
+				if traced {
+					c.emitSpec(SpecEvent{Kind: SpecBPLookup, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
+				}
 				if u.predTaken {
 					c.fetchPC = e.target
-					return // one taken control transfer per fetch group
+					end = true
+				} else {
+					c.fetchPC = u.npc
 				}
-				c.fetchPC = u.npc
 			case sbJmp, sbJal:
 				u.predTaken = true
 				u.predTarget = e.target
@@ -171,17 +190,19 @@ func (c *Core) fetchSuperblock() {
 					c.BP.PushReturn(u.npc)
 				}
 				c.fetchPC = e.target
-				return
+				end = true
 			case sbHalt:
 				c.fetchPC = u.npc
 				c.fetchHalted = true
-				return
+				end = true
 			default: // sbPredecode: JALR or SeMPE marker
-				if c.predecode(u) {
-					// The cursor is left as-is; the pc check above
-					// re-validates or drops it.
-					return
-				}
+				end = c.predecode(u)
+			}
+			if traced && specWatched(u) {
+				c.emitSpec(SpecEvent{Kind: SpecFetch, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
+			}
+			if end {
+				return
 			}
 		}
 		// Block exhausted mid-group: the outer loop re-establishes a cursor
@@ -229,9 +250,8 @@ func (c *Core) sbBuild(off int) int32 {
 	}
 	pos := off
 	for len(entries) < sbMaxEntries && pos < len(c.prog.Code) {
-		// Goes through the shared predecode cache, so a run that mixes
-		// replay and legacy fetches (e.g. a hook armed mid-run) sees one
-		// decode and identical static metadata on both paths.
+		// Goes through the shared predecode cache, so replay and the
+		// reference walk see one decode and identical static metadata.
 		d := c.predecAt(pos)
 		if d == nil {
 			break

@@ -14,20 +14,26 @@ type obs struct {
 	flag2 bool
 }
 
-// runPair executes prog on two fresh cores — superblock engine on and
-// force-disabled — and requires the complete observable surface to match:
-// final registers, cycle counts, every pipeline statistic, the commit and
-// memory digests, predictor state, and per-level cache statistics. It
-// returns the superblock-enabled core for engagement assertions.
+// newReference builds a core that fetches through the per-instruction
+// reference walk (fetchLegacy) instead of the superblock replay engine.
+func newReference(cfg Config, prog *isa.Program) *Core {
+	c := New(cfg, prog)
+	c.sbOff = true
+	return c
+}
+
+// runPair executes prog on two fresh cores — the superblock replay engine
+// and the reference walk — and requires the complete observable surface to
+// match: final registers, cycle counts, every pipeline statistic, the
+// commit and memory digests, predictor state, and per-level cache
+// statistics. It returns the replay core for engagement assertions.
 func runPair(t *testing.T, cfg Config, prog *isa.Program) *Core {
 	t.Helper()
 	on := New(cfg, prog)
 	if err := on.Run(); err != nil {
 		t.Fatalf("superblock core: %v", err)
 	}
-	offCfg := cfg
-	offCfg.DisableSuperblock = true
-	off := New(offCfg, prog)
+	off := newReference(cfg, prog)
 	if err := off.Run(); err != nil {
 		t.Fatalf("legacy core: %v", err)
 	}
@@ -110,7 +116,7 @@ func TestSuperblockMispredictHeavy(t *testing.T) {
 // instructions occupy the same addresses run back to back on fresh cores.
 // Each pipeline.New starts with an empty superblock cache, so no trace from
 // the first program can replay into the second; both runs must match their
-// own legacy-path executions exactly.
+// own reference-walk executions exactly.
 func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	progA := asm.MustAssemble(`
 		main:
@@ -137,10 +143,11 @@ func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSuperblockWatchHooksMidRun: watch hooks fire at retire, independent of
-// whether the uop arrived via replay or the legacy decode walk, so arming a
-// hook mid-run must produce the exact event stream — addresses AND cycle
-// stamps — a never-superblocked core produces.
+// TestSuperblockWatchHooksMidRun: the commit-time observations — MemWatch
+// and the spec watch's conditional-branch predictor updates — are
+// independent of whether the uop arrived via replay or the reference walk,
+// so arming them mid-run must produce the exact event stream — addresses
+// AND cycle stamps — a never-superblocked core produces.
 func TestSuperblockWatchHooksMidRun(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
@@ -156,27 +163,22 @@ func TestSuperblockWatchHooksMidRun(t *testing.T) {
 			halt
 	`)
 	const armAt = 100
-	run := func(disable bool) (Stats, []obs, []obs, uint64) {
-		cfg := DefaultConfig()
-		cfg.DisableSuperblock = disable
-		c := New(cfg, prog)
-		var mems, branches []obs
-		armed := false
+	run := func(reference bool) (Stats, []obs, []obs, uint64) {
+		c := New(DefaultConfig(), prog)
+		c.sbOff = reference
+		var rec *recorder
 		for !c.Halted() {
-			if !armed && c.Cycles() >= armAt {
-				armed = true
-				c.MemWatch = func(addr uint64, write bool, cycle uint64) {
-					mems = append(mems, obs{a: addr, b: cycle, flag1: write})
-				}
-				c.BranchWatch = func(pc uint64, taken, mispredicted bool, cycle uint64) {
-					branches = append(branches, obs{a: pc, b: cycle, flag1: taken, flag2: mispredicted})
-				}
+			if rec == nil && c.Cycles() >= armAt {
+				rec = armRecorder(c)
 			}
 			if err := c.StepCycle(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return c.Stats, mems, branches, c.CommitDigest()
+		if rec == nil {
+			t.Fatalf("program halted before cycle %d", armAt)
+		}
+		return c.Stats, rec.mems, rec.branches, c.CommitDigest()
 	}
 	sOn, memOn, brOn, digOn := run(false)
 	sOff, memOff, brOff, digOff := run(true)

@@ -1,41 +1,11 @@
 package pipeline
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 )
-
-// runWrongPathTriple executes prog three ways — superblock replay with
-// wrong-path replay allowed, with wrong-path replay force-disabled, and on
-// the legacy walk — and requires the full observable surface to agree
-// pairwise (runPair covers replay vs legacy; this adds the knob'd run).
-// Returns the replay-enabled core for counter assertions.
-func runWrongPathTriple(t *testing.T, cfg Config, prog *isa.Program) *Core {
-	t.Helper()
-	on := runPair(t, cfg, prog)
-	wpCfg := cfg
-	wpCfg.DisableWrongPathReplay = true
-	wp := New(wpCfg, prog)
-	if err := wp.Run(); err != nil {
-		t.Fatalf("wrong-path-replay-off core: %v", err)
-	}
-	if on.ArchRegs() != wp.ArchRegs() {
-		t.Errorf("architectural registers differ with wrong-path replay off")
-	}
-	if on.Stats != wp.Stats {
-		t.Errorf("pipeline stats differ with wrong-path replay off:\non:  %+v\noff: %+v", on.Stats, wp.Stats)
-	}
-	if on.CommitDigest() != wp.CommitDigest() || on.MemDigest() != wp.MemDigest() {
-		t.Errorf("digests differ with wrong-path replay off")
-	}
-	if on.BP.Digest() != wp.BP.Digest() {
-		t.Errorf("predictor digests differ with wrong-path replay off")
-	}
-	return on
-}
 
 // wrongPathNestedProg: the outer branch depends on a load (resolves late),
 // the inner one on register arithmetic (resolves early), so a mispredicted
@@ -68,12 +38,11 @@ func wrongPathNestedProg() *isa.Program {
 }
 
 // TestWrongPathNestedMispredict: replay through nested wrong-path regions
-// must stay cycle- and event-identical to both the legacy walk and the
-// knob'd (no wrong-path replay) run, while actually exercising the
-// machinery: squashed replayed micro-ops and cursor re-keys onto cached
-// redirect targets must both occur.
+// must stay cycle- and event-identical to the reference walk, while
+// actually exercising the machinery: squashed replayed micro-ops and cursor
+// re-keys onto cached redirect targets must both occur.
 func TestWrongPathNestedMispredict(t *testing.T) {
-	on := runWrongPathTriple(t, DefaultConfig(), wrongPathNestedProg())
+	on := runPair(t, DefaultConfig(), wrongPathNestedProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -87,12 +56,12 @@ func TestWrongPathNestedMispredict(t *testing.T) {
 
 // TestWrongPathSecureRedirectMidSuperblock: under SeMPE the commit-time
 // eosJMP controller redirects fetch while the replay cursor is mid-block.
-// The redirect must re-key (or drop) the cursor exactly like the legacy
+// The redirect must re-key (or drop) the cursor exactly like the reference
 // walk's pc tracking — for both secret values — and the secure redirects
 // must actually land on a live cursor.
 func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runWrongPathTriple(t, SecureConfig(), secureBranchProg(secret))
+		on := runPair(t, SecureConfig(), secureBranchProg(secret))
 		if on.Stats.EOSJmps == 0 {
 			t.Fatalf("secret=%d: no secure redirects; test needs a SeMPE program", secret)
 		}
@@ -134,7 +103,7 @@ func wrongPathColdTargetProg() *isa.Program {
 // WrongPathBuilds without perturbing any observable, and later correct-path
 // fetch must replay the (path-independent) cached blocks.
 func TestWrongPathFlushDuringBuild(t *testing.T) {
-	on := runWrongPathTriple(t, DefaultConfig(), wrongPathColdTargetProg())
+	on := runPair(t, DefaultConfig(), wrongPathColdTargetProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -146,8 +115,8 @@ func TestWrongPathFlushDuringBuild(t *testing.T) {
 	}
 }
 
-// TestWrongPathReplayZeroAlloc: with wrong-path replay explicitly enabled
-// and a mispredict-heavy workload keeping speculative fetch hot, the
+// TestWrongPathReplayZeroAlloc: with a mispredict-heavy workload keeping
+// speculative fetch hot, the
 // steady-state cycle loop must stay at 0 allocs/op — cursor re-keying,
 // build-stamp truncation, and the bulk squash may not allocate. The core
 // comes from a prototype clone, the spin-up path the benchmark and cluster
@@ -176,9 +145,6 @@ func TestWrongPathReplayZeroAlloc(t *testing.T) {
 	`)
 	proto := NewPrototype(DefaultConfig(), prog)
 	core := NewFromPrototype(proto)
-	if core.wpOff {
-		t.Fatal("wrong-path replay disabled; another test leaked a default")
-	}
 	for i := 0; i < 20_000 && !core.Halted(); i++ {
 		if err := core.StepCycle(); err != nil {
 			t.Fatal(err)
@@ -208,56 +174,6 @@ func TestWrongPathReplayZeroAlloc(t *testing.T) {
 		t.Fatal("workload halted inside the allocation window")
 	}
 	if allocs != 0 {
-		t.Errorf("steady-state StepCycle with wrong-path replay enabled: %.1f allocs/op, want 0", allocs)
-	}
-}
-
-// TestWrongPathSpecWatchDivert: arming a spec watch mid-run diverts fetch
-// from replay to the legacy walk (the emission points live there). The
-// event stream recorded from the diverted core must be byte-identical —
-// kinds, seqs, addresses, dispositions — to one recorded on a core that
-// never used the replay path at all.
-func TestWrongPathSpecWatchDivert(t *testing.T) {
-	prog := wrongPathNestedProg()
-	const armAt = 150
-	run := func(disableSB bool) ([]SpecEvent, Stats, uint64) {
-		cfg := DefaultConfig()
-		cfg.DisableSuperblock = disableSB
-		c := New(cfg, prog)
-		var events []SpecEvent
-		armed := false
-		for !c.Halted() {
-			if !armed && c.Cycles() >= armAt {
-				armed = true
-				c.SetSpecWatch(func(e SpecEvent) { events = append(events, e) })
-			}
-			if err := c.StepCycle(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return events, c.Stats, c.CommitDigest()
-	}
-	evOn, sOn, digOn := run(false)
-	evOff, sOff, digOff := run(true)
-	if sOn != sOff {
-		t.Errorf("stats differ:\nreplay: %+v\nlegacy: %+v", sOn, sOff)
-	}
-	if digOn != digOff {
-		t.Error("commit digests differ")
-	}
-	if len(evOn) == 0 {
-		t.Fatal("spec watch observed nothing after arming")
-	}
-	if !reflect.DeepEqual(evOn, evOff) {
-		n := len(evOn)
-		if len(evOff) < n {
-			n = len(evOff)
-		}
-		for i := 0; i < n; i++ {
-			if evOn[i] != evOff[i] {
-				t.Fatalf("spec event %d differs:\nreplay: %+v\nlegacy: %+v", i, evOn[i], evOff[i])
-			}
-		}
-		t.Fatalf("spec event streams differ in length: replay=%d legacy=%d", len(evOn), len(evOff))
+		t.Errorf("steady-state StepCycle with wrong-path replay: %.1f allocs/op, want 0", allocs)
 	}
 }

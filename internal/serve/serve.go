@@ -344,7 +344,6 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		s.mu.Unlock()
 		return
 	}
-	defer func() { <-s.sem }()
 
 	s.mu.Lock()
 	rn.status = "running"
@@ -426,8 +425,8 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		s.cache.put(key, res)
 	}
 	status := rn.status
-	close(rn.finished)
 	s.mu.Unlock()
+	<-s.sem
 	s.metrics.runsFinished.With(status).Inc()
 	specAfter := pipeline.GlobalSpecCounters()
 	rn.journal.Event("spec_summary", obs.Fields{
@@ -438,6 +437,9 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		"flushes_overflow":        specAfter.FlushOverflows - specBefore.FlushOverflows,
 	})
 	rn.journal.Event(status, nil)
+	// Wake waiters last: a wait:true client must see the run's slot
+	// released, its finished count, and its terminal journal events.
+	close(rn.finished)
 	switch status {
 	case "error":
 		s.log.Warn("run failed", "run", rn.id, "scenario", rn.scenario, "reason", err.Error())

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -36,6 +37,7 @@ func postRun(t *testing.T, ts *httptest.Server, body string) (runView, int) {
 			t.Fatal(err)
 		}
 	}
+	io.Copy(io.Discard, resp.Body) // see getJSON
 	return view, resp.StatusCode
 }
 
@@ -51,6 +53,11 @@ func getJSON(t *testing.T, url string, out any) int {
 			t.Fatal(err)
 		}
 	}
+	// Read to EOF: the server ends a chunked response, and its route
+	// middleware counts the request, only after the handler returns, so a
+	// client that stops at the end of the JSON value could otherwise scrape
+	// the metrics before its own request is counted.
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode
 }
 
