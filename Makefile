@@ -2,10 +2,15 @@
 
 GO ?= go
 
-.PHONY: check vet build test bench-module race bench bench-smoke sweep serve smoke-cluster smoke-attack smoke-keyextract obs-smoke clean
+.PHONY: check fmt vet build test bench-module race bench bench-smoke sweep serve smoke-cluster smoke-attack smoke-keyextract obs-smoke clean
 
-# check is the tier-1 gate plus the benchmark module and a benchmark smoke run.
-check: vet build test bench-module bench-smoke
+# check is the tier-1 gate plus formatting, the benchmark module and a
+# benchmark smoke run.
+check: fmt vet build test bench-module bench-smoke
+
+# fmt fails when any tracked Go file, bench/ included, is not gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 vet:
 	$(GO) vet ./...

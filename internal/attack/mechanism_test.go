@@ -6,7 +6,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/compile"
 	"repro/internal/isa"
-	"repro/internal/leak"
 	"repro/internal/pipeline"
 	"repro/internal/victim"
 )
@@ -48,14 +47,13 @@ func TestBPProbeMechanism(t *testing.T) {
 			}
 			type commit struct{ taken, misp bool }
 			byPC := map[uint64][]commit{}
-			_, core, err := leak.ObserveWith(pipeline.DefaultConfig(), out.Prog, func(c *pipeline.Core) {
-				c.SetSpecWatch(func(ev pipeline.SpecEvent) {
-					if ev.Kind == pipeline.SpecBPUpdate && isCondBranch(out.Prog, ev.PC) {
-						byPC[ev.PC] = append(byPC[ev.PC], commit{ev.Taken, ev.Mispredict})
-					}
-				})
+			core := pipeline.New(pipeline.DefaultConfig(), out.Prog)
+			core.SetSpecWatch(func(ev pipeline.SpecEvent) {
+				if ev.Kind == pipeline.SpecBPUpdate && isCondBranch(out.Prog, ev.PC) {
+					byPC[ev.PC] = append(byPC[ev.PC], commit{ev.Taken, ev.Mispredict})
+				}
 			})
-			if err != nil {
+			if err := core.Run(); err != nil {
 				t.Fatal(err)
 			}
 			var target uint64

@@ -67,7 +67,7 @@ type Perf struct {
 	TemplateEvictions uint64 `json:"template_evictions"`
 	// TemplateFallbacks counts full recompilations forced by a shape the
 	// patcher could not prove data-only (non-patchable prologue, missing
-	// slot, immediate overflow, or a victim without the KeyInits contract).
+	// slot, or immediate overflow).
 	TemplateFallbacks uint64 `json:"template_fallbacks"`
 	CoreBuilds        uint64 `json:"core_builds"`
 	CoreResets        uint64 `json:"core_resets"`
@@ -127,7 +127,6 @@ func PerfSnapshot() Perf {
 type runner struct {
 	p    Params
 	v    victim.Victim
-	ki   victim.KeyInits // nil: victim lacks the patch contract, always fall back
 	mode compile.Mode
 	cfg  pipeline.Config
 
@@ -166,7 +165,6 @@ func newRunner(p Params) (*runner, error) {
 	if p.Secure {
 		r.mode, r.cfg = compile.SeMPE, pipeline.SecureConfig()
 	}
-	r.ki, _ = v.(victim.KeyInits)
 	r.stamps = make([]uint64, 0, 8)
 	// putVal is allocated once so the per-trial KeyInits callback does not
 	// allocate a closure in the hot loop.
@@ -279,12 +277,6 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		noiseWin: d.noiseWin,
 		gap:      r.p.Gap,
 	}
-	if r.ki == nil {
-		// No patch contract: full rebuild per trial, and no point caching.
-		perfCounters.fallbacks.Add(1)
-		out, err := r.compileFull(d, gapSeed, key)
-		return out, wantStamps, err
-	}
 	tmpl := tmplMemo.Get(k)
 	if tmpl == nil {
 		prog, err := r.buildProgram(d, gapSeed, key)
@@ -309,7 +301,7 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 	// Fast path: gather this trial's scalar values and patch them in.
 	r.curTmpl = tmpl
 	r.vals = append(r.vals[:0], tmpl.BaseInits()...)
-	r.ki.KeyInits(key, r.p.width(), r.p.Bit, r.putVal)
+	r.v.KeyInits(key, r.p.width(), r.p.Bit, r.putVal)
 	r.putVal("nv", d.seed0)
 	if r.p.Kind == PrimeProbe {
 		idxVals := cacheIdxVals(d.la, d.lb)
@@ -347,7 +339,7 @@ func (r *runner) templateUsable(t *compile.Template) bool {
 			ok = false
 		}
 	}
-	r.ki.KeyInits(0, r.p.width(), r.p.Bit, func(name string, _ int64) { need(name) })
+	r.v.KeyInits(0, r.p.width(), r.p.Bit, func(name string, _ int64) { need(name) })
 	need("nv")
 	if r.p.Kind == PrimeProbe {
 		for _, name := range cacheIdxNames {

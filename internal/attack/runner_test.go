@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/lang"
-	"repro/internal/leak"
 	"repro/internal/pipeline"
 	"repro/internal/victim"
 )
@@ -49,20 +48,19 @@ func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
 		return nil, fmt.Errorf("program has no %q marker array", markerArray)
 	}
 	var stamps []uint64
-	obs, _, err := leak.ObserveWith(cfg, out.Prog, func(c *pipeline.Core) {
-		c.MemWatch = func(addr uint64, write bool, cycle uint64) {
-			if write && addr == mrk {
-				stamps = append(stamps, cycle)
-			}
+	core := pipeline.New(cfg, out.Prog)
+	core.MemWatch = func(addr uint64, write bool, cycle uint64) {
+		if write && addr == mrk {
+			stamps = append(stamps, cycle)
 		}
-	})
-	if err != nil {
+	}
+	if err := core.Run(); err != nil {
 		return nil, err
 	}
 	if len(stamps) != wantStamps {
 		return nil, fmt.Errorf("got %d marker stamps, want %d", len(stamps), wantStamps)
 	}
-	total := float64(obs.Cycles)
+	total := float64(core.Cycles())
 	switch p.Kind {
 	case BPProbe:
 		// stamps = [victim start, victim end, probe start, probe end].
@@ -77,7 +75,7 @@ func runTrial(p Params, d draw, gapSeed int64, key uint64) ([]float64, error) {
 
 // TestRunnerMatchesLegacy: the runner's pooled-core, template-patched run
 // must produce exactly the observation vector the legacy path (fresh build,
-// fresh compile, fresh core, digest-bearing leak.ObserveWith run) produces,
+// fresh compile, fresh core) produces,
 // for every attacker kind, architecture, victim contract, and gap setting —
 // the runner is a pure throughput optimization, never a semantic change.
 func TestRunnerMatchesLegacy(t *testing.T) {
@@ -143,7 +141,7 @@ func orBit(v string) string {
 	return v
 }
 
-// TestTemplatePatchMatchesFreshCompile pins the victim.KeyInits contract:
+// TestTemplatePatchMatchesFreshCompile pins the Victim.KeyInits contract:
 // for every registered victim, a cached template patched for a different key
 // must be byte-identical — code, data segments, entry, symbols — to a fresh
 // compilation for that key. A victim whose program STRUCTURE depends on the
@@ -166,9 +164,6 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 						ref, err := newRunner(p) // reference: always full compile
 						if err != nil {
 							t.Fatal(err)
-						}
-						if prod.ki == nil {
-							t.Fatalf("victim %s does not implement victim.KeyInits", v.Name())
 						}
 						for trial := 0; trial < 2; trial++ {
 							d := prod.trialDraw(trial)

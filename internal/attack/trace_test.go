@@ -14,7 +14,8 @@ import (
 // stream of the naive runTrial reference traced through the process-wide
 // default, for both attackers, both architectures, with and without gap
 // activity, and for both values of the attacked bit. The traced core must
-// also stay on the superblock replay engine.
+// also stay on the superblock replay engine, and a Tracer replaying the
+// stream must resolve every event the trial settled.
 func TestTraceTrialMatchesRunTrial(t *testing.T) {
 	const trial = 1
 	for _, kind := range AllKinds() {
@@ -57,9 +58,40 @@ func TestTraceTrialMatchesRunTrial(t *testing.T) {
 						if len(got) != len(want) {
 							t.Fatalf("spec event streams differ in length: TraceTrial=%d runTrial=%d", len(got), len(want))
 						}
+
+						tr := pipeline.NewTracer(len(got))
+						for _, ev := range got {
+							tr.Record(ev)
+						}
+						if n := strandedEvents(tr.Events()); n != 0 {
+							t.Errorf("%d events at or below the last committed seq left speculative", n)
+						}
 					})
 				}
 			}
 		}
 	}
+}
+
+// strandedEvents counts the per-uop events of a resolved stream that are
+// still speculative although their seq is at or below the highest seq any
+// SpecCommit retired: work the trial settled that the tracer did not.
+func strandedEvents(events []pipeline.SpecEvent) int {
+	var lastCommit uint64
+	for _, ev := range events {
+		if ev.Kind == pipeline.SpecCommit {
+			lastCommit = max(lastCommit, ev.Seq)
+		}
+	}
+	n := 0
+	for _, ev := range events {
+		switch ev.Kind {
+		case pipeline.SpecBPUpdate, pipeline.SpecCommit, pipeline.SpecFlush:
+		default:
+			if ev.Disp == pipeline.DispSpeculative && ev.Seq <= lastCommit {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/scenario"
@@ -25,7 +24,6 @@ type AttackSpec struct {
 	Trials    int
 	Seed      int64
 	Noise     int
-	Workers   int
 }
 
 // DefaultAttackSpec runs both attackers against both architectures with
@@ -95,8 +93,8 @@ func attackSpecOf(spec scenario.Spec) (AttackSpec, error) {
 }
 
 // attackerNames and archNames are the single axis-value mapping shared by
-// the sweep's Axes and AttackSpec.engineSpec, so the two can never
-// desynchronize.
+// the attack and keyextract sweeps' Axes and KeyExtractSpec.engineSpec, so
+// they can never desynchronize.
 func attackerNames(kinds []attack.Kind) []string {
 	out := make([]string, len(kinds))
 	for i, k := range kinds {
@@ -149,29 +147,6 @@ func attackRows(rows []any) []attack.Assessment {
 		out[i] = r.(attack.Assessment)
 	}
 	return out
-}
-
-func (f AttackSpec) engineSpec() scenario.Spec {
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"attackers": strings.Join(attackerNames(f.Attackers), ","),
-			"archs":     strings.Join(archNames(f.Archs), ","),
-			"trials":    strconv.Itoa(f.Trials),
-			"seed":      strconv.FormatInt(f.Seed, 10),
-			"noise":     strconv.Itoa(f.Noise),
-		},
-	}
-}
-
-// AttackMatrix runs the attack sweep through the engine — the typed entry
-// point for Go callers.
-func AttackMatrix(spec AttackSpec) ([]attack.Assessment, error) {
-	rows, err := scenario.SweepRows(attackSweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return attackRows(rows), nil
 }
 
 // RenderSpectre renders the secret-recovery view of the attack sweep.

@@ -32,21 +32,10 @@ type Observation struct {
 	L2MissRate   float64
 }
 
-// Observe runs prog to completion on a core with the given configuration
-// and collects the observation.
+// Observe runs prog to completion on a fresh core with the given
+// configuration and collects the observation.
 func Observe(cfg pipeline.Config, prog *isa.Program) (Observation, *pipeline.Core, error) {
-	return ObserveWith(cfg, prog, nil)
-}
-
-// ObserveWith is Observe with a pre-run configuration callback: setup (when
-// non-nil) receives the fresh core before the run starts, which is where
-// the attack lab installs its watch hooks (Core.MemWatch, or a spec watch
-// via Core.SetSpecWatch) to turn one run into per-segment timings.
-func ObserveWith(cfg pipeline.Config, prog *isa.Program, setup func(*pipeline.Core)) (Observation, *pipeline.Core, error) {
 	core := pipeline.New(cfg, prog)
-	if setup != nil {
-		setup(core)
-	}
 	if err := core.Run(); err != nil {
 		return Observation{}, nil, err
 	}
@@ -92,9 +81,9 @@ func ObservePooled(cfg pipeline.Config, prog *isa.Program) (Observation, error) 
 		return Observation{}, err
 	}
 	o := observationOf(core)
-	// Recycle strips caller-armed hooks (and trace capture) before the core
-	// becomes visible to unrelated callers; Reset deliberately preserves
-	// them, so stripping happens at the pool boundary.
+	// Recycle strips caller-armed hooks before the core becomes visible to
+	// unrelated callers; Reset deliberately preserves them, so stripping
+	// happens at the pool boundary.
 	proto.Recycle(core)
 	return o, nil
 }
@@ -106,7 +95,7 @@ type Channel string
 const (
 	ChannelTiming    Channel = "timing"           // total cycles
 	ChannelPCTrace   Channel = "pc-trace"         // committed instruction addresses
-	ChannelMemTrace  Channel = "mem-trace"        // memory access addresses
+	ChannelMemAddrs  Channel = "mem-trace"        // memory access addresses
 	ChannelPredictor Channel = "branch-predictor" // predictor state
 	ChannelIL1       Channel = "il1-state"
 	ChannelDL1       Channel = "dl1-state"
@@ -115,7 +104,7 @@ const (
 
 // AllChannels returns every observable channel, in report order.
 func AllChannels() []Channel {
-	return []Channel{ChannelTiming, ChannelPCTrace, ChannelMemTrace,
+	return []Channel{ChannelTiming, ChannelPCTrace, ChannelMemAddrs,
 		ChannelPredictor, ChannelIL1, ChannelDL1, ChannelL2}
 }
 
@@ -154,7 +143,7 @@ func Compare(a, b Observation) Report {
 	}
 	add(a.Cycles != b.Cycles, ChannelTiming)
 	add(a.CommitDigest != b.CommitDigest, ChannelPCTrace)
-	add(a.MemDigest != b.MemDigest, ChannelMemTrace)
+	add(a.MemDigest != b.MemDigest, ChannelMemAddrs)
 	add(a.BPDigest != b.BPDigest, ChannelPredictor)
 	add(a.IL1Digest != b.IL1Digest, ChannelIL1)
 	add(a.DL1Digest != b.DL1Digest, ChannelDL1)
@@ -163,25 +152,10 @@ func Compare(a, b Observation) Report {
 }
 
 // Distinguish builds the program for each secret, runs both on the given
-// core configuration, and reports which channels tell the secrets apart.
+// core configuration, and reports which channels tell the secrets apart:
+// DistinguishMany over the two secrets.
 func Distinguish(cfg pipeline.Config, build func(secret uint64) (*isa.Program, error), s1, s2 uint64) (Report, error) {
-	p1, err := build(s1)
-	if err != nil {
-		return Report{}, err
-	}
-	p2, err := build(s2)
-	if err != nil {
-		return Report{}, err
-	}
-	o1, err := ObservePooled(cfg, p1)
-	if err != nil {
-		return Report{}, fmt.Errorf("leak: run secret=%d: %w", s1, err)
-	}
-	o2, err := ObservePooled(cfg, p2)
-	if err != nil {
-		return Report{}, fmt.Errorf("leak: run secret=%d: %w", s2, err)
-	}
-	return Compare(o1, o2), nil
+	return DistinguishMany(cfg, build, []uint64{s1, s2})
 }
 
 // DistinguishMany generalizes Distinguish to a whole family of secrets: it
@@ -231,40 +205,4 @@ func DistinguishMany(cfg pipeline.Config, build func(secret uint64) (*isa.Progra
 		}
 	}
 	return out, nil
-}
-
-// FirstDivergence runs both programs with full commit-trace capture and
-// returns the index and PCs of the first differing committed instruction,
-// for diagnosing an unexpected leak. ok is false when the traces agree
-// (any leak must then be in another channel).
-func FirstDivergence(cfg pipeline.Config, p1, p2 *isa.Program) (idx int, pc1, pc2 uint64, ok bool, err error) {
-	run := func(p *isa.Program) (*pipeline.Core, error) {
-		c := pipeline.New(cfg, p)
-		c.TraceCommits = true
-		if err := c.Run(); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c1, err := run(p1)
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	c2, err := run(p2)
-	if err != nil {
-		return 0, 0, 0, false, err
-	}
-	n := len(c1.CommitPCs)
-	if len(c2.CommitPCs) < n {
-		n = len(c2.CommitPCs)
-	}
-	for i := 0; i < n; i++ {
-		if c1.CommitPCs[i] != c2.CommitPCs[i] {
-			return i, c1.CommitPCs[i], c2.CommitPCs[i], true, nil
-		}
-	}
-	if len(c1.CommitPCs) != len(c2.CommitPCs) {
-		return n, 0, 0, true, nil
-	}
-	return 0, 0, 0, false, nil
 }

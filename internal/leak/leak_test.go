@@ -145,37 +145,6 @@ func TestSeMPEBinaryOnLegacyCoreStillLeaks(t *testing.T) {
 	}
 }
 
-func TestFirstDivergenceDiagnostics(t *testing.T) {
-	b := buildHarness(workloads.Fibonacci, 2, compile.Plain)
-	p1, err := b(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := b(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, pc1, pc2, ok, err := FirstDivergence(pipeline.DefaultConfig(), p1, p2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("baseline traces agree; expected divergence")
-	}
-	if pc1 == pc2 && pc1 != 0 {
-		t.Errorf("divergence at %d reports equal PCs %#x", idx, pc1)
-	}
-	// And the SeMPE traces must NOT diverge.
-	sb := buildHarness(workloads.Fibonacci, 2, compile.SeMPE)
-	s1, _ := sb(0)
-	s2, _ := sb(3)
-	if _, _, _, ok, err := FirstDivergence(pipeline.SecureConfig(), s1, s2); err != nil {
-		t.Fatal(err)
-	} else if ok {
-		t.Error("SeMPE commit traces diverge")
-	}
-}
-
 func TestCompareReportsChannels(t *testing.T) {
 	a := Observation{Cycles: 100, CommitDigest: 1, MemDigest: 2, BPDigest: 3}
 	b := a

@@ -48,16 +48,16 @@ type SpecObservation struct {
 const specTraceCap = 1 << 16
 
 // ObserveSpec runs prog to completion on a fresh core with a spec-window
-// tracer armed and returns the wrong-path footprint alongside the core
-// (commit-trace capture is enabled, so core.CommitPCs/MemTrace hold the
-// architectural streams for contrast). Arming the tracer does not perturb
-// the run, and fetch stays on the superblock replay engine every sweep
-// uses: the spec hooks are cycle-inert by construction, which
-// TestSpecTraceDifferential pins across every registered scenario.
+// tracer armed and returns the wrong-path footprint alongside the core.
+// The tracer resolves each event's disposition when the footprint is read
+// out of it, so squashed means a later flush discarded the op. Arming the
+// tracer does not perturb the run, and fetch stays on the superblock
+// replay engine every sweep uses: the spec hooks are cycle-inert by
+// construction, which TestSpecTraceDifferential pins across every
+// registered scenario.
 func ObserveSpec(cfg pipeline.Config, prog *isa.Program) (SpecObservation, *pipeline.Core, error) {
 	tr := pipeline.NewTracer(specTraceCap)
 	core := pipeline.New(cfg, prog)
-	core.TraceCommits = true
 	core.SetSpecWatch(tr.Record)
 	if err := core.Run(); err != nil {
 		return SpecObservation{}, nil, err

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/pipeline"
 )
@@ -33,25 +34,29 @@ func specLeakProgram(secret uint64) *lang.Program {
 	}
 }
 
-func observeSpecLeak(t *testing.T, mode compile.Mode, cfg pipeline.Config, secret uint64) (SpecObservation, *pipeline.Core, map[string]uint64) {
+func observeSpecLeak(t *testing.T, mode compile.Mode, cfg pipeline.Config, secret uint64) (SpecObservation, *isa.Program, map[string]uint64) {
 	t.Helper()
 	out, err := compile.Compile(specLeakProgram(secret), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, core, err := ObserveSpec(cfg, out.Prog)
+	so, _, err := ObserveSpec(cfg, out.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return so, core, out.ArrayAddrs
+	return so, out.Prog, out.ArrayAddrs
 }
 
-// committedAddrs decodes the commit-time memory trace (addr<<1|isWrite) into
-// the set of committed access addresses — what MemWatch sees.
-func committedAddrs(core *pipeline.Core) map[uint64]bool {
-	m := make(map[uint64]bool, len(core.MemTrace))
-	for _, rec := range core.MemTrace {
-		m[rec>>1] = true
+// committedAddrs reruns prog with a MemWatch armed and returns the set of
+// committed load and store addresses — everything MemWatch ever reports.
+// Runs are deterministic, so the rerun commits what the traced run did.
+func committedAddrs(t *testing.T, cfg pipeline.Config, prog *isa.Program) map[uint64]bool {
+	t.Helper()
+	m := map[uint64]bool{}
+	core := pipeline.New(cfg, prog)
+	core.MemWatch = func(addr uint64, _ bool, _ uint64) { m[addr] = true }
+	if err := core.Run(); err != nil {
+		t.Fatal(err)
 	}
 	return m
 }
@@ -60,19 +65,19 @@ func committedAddrs(core *pipeline.Core) map[uint64]bool {
 //
 //  1. Baseline: the wrong-path touch set depends on the secret, the
 //     secret-revealing access address is one of the two array slots, and
-//     that address is invisible to the commit-time stream (what
-//     MemWatch observes) of the same run.
+//     that address is invisible to the commit-time stream MemWatch
+//     observes when the same program runs again.
 //  2. SeMPE: no wrong-path memory access touches either secret-selected
 //     array in any run, and the entire wrong-path footprint is
 //     bit-identical across secrets.
 func TestSpecWindowHeadlineDemo(t *testing.T) {
 	// --- Baseline ---
 	base := map[uint64]SpecObservation{}
-	cores := map[uint64]*pipeline.Core{}
+	progs := map[uint64]*isa.Program{}
 	var addrs map[string]uint64
 	for _, secret := range []uint64{0, 1} {
-		so, core, aa := observeSpecLeak(t, compile.Plain, pipeline.DefaultConfig(), secret)
-		base[secret], cores[secret], addrs = so, core, aa
+		so, prog, aa := observeSpecLeak(t, compile.Plain, pipeline.DefaultConfig(), secret)
+		base[secret], progs[secret], addrs = so, prog, aa
 	}
 	taAddr, tbAddr := addrs["ta"], addrs["tb"]
 	if taAddr == 0 || tbAddr == 0 {
@@ -101,10 +106,10 @@ func TestSpecWindowHeadlineDemo(t *testing.T) {
 			taAddr, tbAddr, base[0], base[1])
 	}
 
-	// The transient access is invisible at commit time: the same run's
+	// The transient access is invisible at commit time: the program's
 	// committed memory stream — the only thing MemWatch can ever report —
 	// does not contain the wrong-path address.
-	if committedAddrs(cores[leaked])[wrongAddr] {
+	if committedAddrs(t, pipeline.DefaultConfig(), progs[leaked])[wrongAddr] {
 		t.Errorf("wrong-path address %#x also appears in the committed stream; demo does not isolate the transient window", wrongAddr)
 	}
 	// And the squashed load polluted the cache: the transient Spectre channel.

@@ -25,9 +25,6 @@ func (c *Core) retire() error {
 
 		// Observable commit trace.
 		c.commitDigest = fnvMix(c.commitDigest, u.pc)
-		if c.TraceCommits {
-			c.CommitPCs = append(c.CommitPCs, u.pc)
-		}
 
 		// Architectural register update.
 		if u.hasDest {
@@ -52,9 +49,6 @@ func (c *Core) retire() error {
 			}
 			c.Hier.DL1.AccessPC(u.pc, u.memAddr, true)
 			c.memDigest = fnvMix(c.memDigest, u.memAddr<<1|1)
-			if c.TraceCommits {
-				c.MemTrace = append(c.MemTrace, u.memAddr<<1|1)
-			}
 			if c.MemWatch != nil {
 				c.MemWatch(u.memAddr, true, c.cycle)
 			}
@@ -62,9 +56,6 @@ func (c *Core) retire() error {
 		}
 		if u.isLoad {
 			c.memDigest = fnvMix(c.memDigest, u.memAddr<<1)
-			if c.TraceCommits {
-				c.MemTrace = append(c.MemTrace, u.memAddr<<1)
-			}
 			if c.MemWatch != nil {
 				c.MemWatch(u.memAddr, false, c.cycle)
 			}

@@ -137,17 +137,15 @@ type Core struct {
 	commitDigest uint64
 	memDigest    uint64
 
-	// Optional full-trace capture (leak diffing in tests).
-	TraceCommits bool
-	CommitPCs    []uint64
-	MemTrace     []uint64
-
-	// Commit-time observability hook for the attack lab (internal/attack).
+	// The core has two observer hooks: MemWatch for committed loads and
+	// stores, and the spec watch below for everything in flight.
 	// MemWatch, when non-nil, is invoked for every committed load and store
-	// with the access address, kind, and commit cycle — the harness installs
-	// it to timestamp marker stores, turning the committed-access stream
-	// into per-segment timings an attacker program "measures". It is nil in
-	// normal runs and costs one nil check per committed op.
+	// with the access address, kind, and commit cycle — the attack lab
+	// (internal/attack) installs it to timestamp marker stores, turning the
+	// committed-access stream into per-segment timings an attacker program
+	// "measures". It is nil in normal runs and costs one nil check per
+	// committed op. DESIGN.md gives the measured reason the markers are
+	// not a filter over the spec stream instead.
 	MemWatch func(addr uint64, write bool, cycle uint64)
 
 	// Speculative-window observability (spec.go). specWatch, when armed,

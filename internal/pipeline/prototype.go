@@ -89,12 +89,11 @@ func (p *Prototype) NewCoreFor(prog *isa.Program) *Core {
 }
 
 // Recycle returns a core to the prototype's free list. Caller-armed
-// observability (the MemWatch hook, trace capture, an explicit spec watch)
-// is stripped first, since Reset deliberately preserves it and
-// the next borrower is unrelated. The core must not be used after Recycle.
+// observability (the MemWatch hook, an explicit spec watch) is stripped
+// first, since Reset deliberately preserves it and the next borrower is
+// unrelated. The core must not be used after Recycle.
 func (p *Prototype) Recycle(c *Core) {
 	c.MemWatch = nil
-	c.TraceCommits = false
 	c.SetSpecWatch(nil)
 	p.mu.Lock()
 	p.free = append(p.free, c)

@@ -95,19 +95,18 @@ func TestPrototypeForeignProgramDetaches(t *testing.T) {
 
 // TestPrototypeRecycleStripsHooks: Reset preserves caller-armed hooks by
 // design, so the pool boundary (Recycle) must strip them — a borrower must
-// never observe another caller's watch hooks or trace capture.
+// never observe another caller's watch hooks.
 func TestPrototypeRecycleStripsHooks(t *testing.T) {
 	proto := NewPrototype(DefaultConfig(), storeLoadProg())
 	c := NewFromPrototype(proto)
 	armRecorder(c)
-	c.TraceCommits = true
 	mustRun(t, c)
 	proto.Recycle(c)
 	c2 := NewFromPrototype(proto)
 	if c2 != c {
 		t.Fatal("expected the recycled core back from the pool")
 	}
-	if c2.MemWatch != nil || c2.SpecWatchArmed() || c2.TraceCommits {
-		t.Error("recycled core still carries the previous borrower's hooks or trace capture")
+	if c2.MemWatch != nil || c2.SpecWatchArmed() {
+		t.Error("recycled core still carries the previous borrower's hooks")
 	}
 }

@@ -14,10 +14,9 @@ import (
 // cost of high-trial sweeps) from the hot loop; TestCoreResetDifferential
 // pins cycle- and event-stream equality against a fresh core.
 //
-// Caller-owned observability state (the MemWatch hook, an explicitly armed
-// spec watch, and the TraceCommits flag) is preserved; captured traces are
-// truncated. SBStats is zeroed — harvest it before Reset when accumulating
-// across runs.
+// Caller-owned observability state (the MemWatch hook and an explicitly
+// armed spec watch) is preserved. SBStats is zeroed — harvest it before
+// Reset when accumulating across runs.
 func (c *Core) Reset(prog *isa.Program) {
 	// Memory image: zero in place and reload, exactly New's Load on a fresh
 	// image (zeroed pages are indistinguishable from absent ones).
@@ -125,8 +124,6 @@ func (c *Core) Reset(prog *isa.Program) {
 
 	c.commitDigest = fnvOffset
 	c.memDigest = fnvOffset
-	c.CommitPCs = c.CommitPCs[:0]
-	c.MemTrace = c.MemTrace[:0]
 	c.lastCommitCycle = 0
 	c.Stats = Stats{}
 

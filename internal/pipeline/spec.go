@@ -14,8 +14,8 @@ import (
 // visible action of every in-flight micro-op, wrong-path included, as a
 // stream of SpecEvents. Each per-uop event is emitted speculatively (the core
 // cannot yet know whether the op will commit) and its disposition is settled
-// later by the SpecCommit/SpecFlush events covering its sequence number; the
-// Tracer performs that back-patching for recorded streams.
+// by the SpecCommit/SpecFlush events that follow it; the Tracer resolves a
+// recorded stream in one backward pass when it is read.
 //
 // The per-fetch events (SpecFetch, SpecBPLookup, and the IL1 fills a fetch
 // triggers) are emitted by the superblock replay engine itself, at the same
@@ -58,13 +58,15 @@ const (
 	// indirect target). Always carries DispCommitted: only retiring ops
 	// train the predictor.
 	SpecBPUpdate
-	// SpecCommit: the op retired. Resolves every earlier per-uop event with
-	// the same Seq to DispCommitted.
+	// SpecCommit: the op retired. Retirement is in program order, so it
+	// resolves every earlier per-uop event with the same or a lower Seq that
+	// no flush squashed to DispCommitted — ALU ops, which emit no SpecCommit
+	// of their own, included.
 	SpecCommit
 	// SpecFlush: the pipeline squashed everything younger than Seq. Cause
 	// says why; SquashedROB and DroppedFE count the discarded micro-ops
-	// (renamed window vs fetched-but-not-renamed). Resolves every per-uop
-	// event with a greater Seq to DispSquashed.
+	// (renamed window vs fetched-but-not-renamed). Resolves every earlier
+	// per-uop event with a greater Seq to DispSquashed.
 	SpecFlush
 
 	specKindCount

@@ -3,121 +3,73 @@ package pipeline
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 )
 
 // Tracer is a bounded ring-buffer recorder for SpecEvents. Arm it with
 // Core.SetSpecWatch(t.Record): every speculative-window event is stored in a
-// preallocated ring (oldest events drop when the ring wraps), and the
-// committed/squashed disposition of each per-uop event is stamped in place
-// when the covering SpecCommit or SpecFlush arrives — so a finished trace
-// reads like a post-mortem: every retained event knows how it resolved.
+// preallocated ring (oldest events drop when the ring wraps). Dispositions
+// are resolved when the events are read (Events, SquashedCounts and the
+// renderers), in one backward pass over the retained events, so a finished
+// trace reads like a post-mortem: every retained event knows how it
+// resolved.
 //
-// Record is allocation-free: the ring and the pending-resolution window are
-// sized at construction and never grow. A Tracer serves one core; it is not
-// safe for concurrent use (the parallel trial engines need a shared sink,
-// not a shared ring — see SetSpecWatchDefault).
+// Record is allocation-free: the ring is sized at construction and never
+// grows. A Tracer serves one core; it is not safe for concurrent use (the
+// parallel trial engines need a shared sink, not a shared ring — see
+// SetSpecWatchDefault).
 type Tracer struct {
 	ring  []SpecEvent
 	total uint64 // absolute count of events recorded
 
-	byKind  [specKindCount]uint64
-	squashK [specKindCount]uint64 // retained-at-resolution squashed events, by kind
-
-	// Disposition back-patching. Per-uop events register in a window of
-	// pending slots keyed by seq; SpecCommit resolves its own seq and
-	// SpecFlush resolves every registered seq above its own. The window is
-	// sized past the maximum number of in-flight sequence numbers (ROB +
-	// front-end buffers), so a slot is never reused before its op resolves.
-	pend   []pendSlot
-	maxSeq uint64 // highest seq registered so far
+	byKind [specKindCount]uint64
 }
-
-type pendSlot struct {
-	seq uint64
-	n   uint8
-	idx [8]uint64 // absolute ring indices of this seq's events
-}
-
-// specPendWindow bounds in-flight sequence numbers: ROB (192) + fetch/decode
-// buffers (32) with generous slack. Power of two for cheap modulo.
-const specPendWindow = 512
 
 // NewTracer builds a tracer retaining the most recent capacity events.
 func NewTracer(capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{
-		ring: make([]SpecEvent, capacity),
-		pend: make([]pendSlot, specPendWindow),
-	}
+	return &Tracer{ring: make([]SpecEvent, capacity)}
 }
 
-// Record stores one event and performs disposition resolution. Pass it to
-// Core.SetSpecWatch.
+// Record stores one event. Pass it to Core.SetSpecWatch.
 func (t *Tracer) Record(ev SpecEvent) {
-	switch ev.Kind {
-	case SpecCommit:
-		t.resolve(ev.Seq, DispCommitted)
-	case SpecFlush:
-		ev.Disp = DispCommitted // the flush itself is an architectural fact
-		// Everything younger than the flushing op is squashed. Seq numbers
-		// are dense and machine-ordered, so the scan is bounded by the
-		// in-flight window.
-		for s := ev.Seq + 1; s <= t.maxSeq; s++ {
-			t.resolve(s, DispSquashed)
-		}
-	}
-	pos := t.total % uint64(len(t.ring))
-	t.ring[pos] = ev
+	t.ring[t.total%uint64(len(t.ring))] = ev
 	t.byKind[ev.Kind]++
-	abs := t.total
 	t.total++
-	if ev.Disp == DispSpeculative && perUopKind(ev.Kind) {
-		slot := &t.pend[ev.Seq%specPendWindow]
-		if slot.seq != ev.Seq || slot.n == 0 {
-			slot.seq, slot.n = ev.Seq, 0
-		}
-		if int(slot.n) < len(slot.idx) {
-			slot.idx[slot.n] = abs
-			slot.n++
-		}
-		if ev.Seq > t.maxSeq {
-			t.maxSeq = ev.Seq
-		}
-	}
 }
 
-// perUopKind reports whether a kind's events are emitted speculatively and
-// resolved later (as opposed to SpecBPUpdate/SpecCommit, which are commit
-// facts, and SpecFlush, a machine-level event).
-func perUopKind(k SpecKind) bool {
-	switch k {
-	case SpecFetch, SpecBPLookup, SpecIssue, SpecBranchExec, SpecMemExec,
-		SpecCacheFill, SpecCacheEvict:
-		return true
-	}
-	return false
-}
-
-func (t *Tracer) resolve(seq uint64, disp SpecDisp) {
-	slot := &t.pend[seq%specPendWindow]
-	if slot.seq != seq || slot.n == 0 {
-		return
-	}
-	capR := uint64(len(t.ring))
-	for i := 0; i < int(slot.n); i++ {
-		abs := slot.idx[i]
-		if t.total-abs <= capR { // still retained in the ring
-			ev := &t.ring[abs%capR]
-			ev.Disp = disp
-			if disp == DispSquashed {
-				t.squashK[ev.Kind]++
-			}
+// resolve settles the disposition of every still-speculative event in
+// events, a recording-ordered stream, in one backward pass. Sequence
+// numbers are never reused and retirement is in program order, so an event
+// is squashed when a later SpecFlush squashed everything above a lower seq,
+// and committed when a later SpecCommit retired its seq or a younger one.
+// That covers ops the core emits no SpecCommit for (the IL1 fills charged
+// to an unwatched ALU op's fetch). An event neither rule reaches was still
+// in flight when the run ended. A SpecFlush is itself an architectural
+// fact, so it resolves to committed.
+func resolve(events []SpecEvent) {
+	flushFloor := uint64(math.MaxUint64) // lowest seq a later flush kept
+	commitEnd := uint64(0)               // 1 + highest seq a later commit retired
+	for i := len(events) - 1; i >= 0; i-- {
+		ev := &events[i]
+		switch ev.Kind {
+		case SpecFlush:
+			ev.Disp = DispCommitted
+			flushFloor = min(flushFloor, ev.Seq)
+		case SpecCommit:
+			commitEnd = max(commitEnd, ev.Seq+1)
+		}
+		switch {
+		case ev.Disp != DispSpeculative:
+		case ev.Seq > flushFloor:
+			ev.Disp = DispSquashed
+		case ev.Seq < commitEnd:
+			ev.Disp = DispCommitted
 		}
 	}
-	slot.n = 0
 }
 
 // Total returns how many events were recorded (including dropped ones).
@@ -131,7 +83,8 @@ func (t *Tracer) Dropped() uint64 {
 	return 0
 }
 
-// Events returns the retained events in recording order (a copy).
+// Events returns the retained events in recording order (a copy), with
+// their dispositions resolved.
 func (t *Tracer) Events() []SpecEvent {
 	n := t.total
 	capR := uint64(len(t.ring))
@@ -143,6 +96,7 @@ func (t *Tracer) Events() []SpecEvent {
 	for abs := start; abs < t.total; abs++ {
 		out = append(out, t.ring[abs%capR])
 	}
+	resolve(out)
 	return out
 }
 
@@ -161,9 +115,9 @@ func (t *Tracer) KindCounts() map[string]uint64 {
 // DispSquashed — the wrong-path activity profile of the run.
 func (t *Tracer) SquashedCounts() map[string]uint64 {
 	m := make(map[string]uint64)
-	for k := SpecKind(0); k < specKindCount; k++ {
-		if t.squashK[k] > 0 {
-			m[k.String()] = t.squashK[k]
+	for _, ev := range t.Events() {
+		if ev.Disp == DispSquashed {
+			m[ev.Kind.String()]++
 		}
 	}
 	return m

@@ -81,21 +81,17 @@ type Victim interface {
 	// (0-based, LSB first) of the w-bit key. Callers guarantee
 	// 0 <= bit < w <= MaxWidth and key < 1<<w.
 	Fragment(key uint64, w, bit int) Fragment
-}
-
-// KeyInits is the optional capability contract behind the attack lab's
-// compile-memoization fast path. A victim implementing it guarantees that
-// for fixed (w, bit) its Fragment is STRUCTURALLY identical for every key —
-// same declarations in the same order, same statements, same condition —
-// with the key reaching the program only through the Init values of the
-// scalars reported here. KeyInits reports those (name, value) pairs for a
-// given key via put; every scalar it does not report has a key-independent
-// Init. The attack drivers compile one template per (victim, w, bit, ...)
-// shape and patch only these slots per trial; victims that do not implement
-// the interface (or violate the contract, which the patched-vs-fresh
-// byte-equality test in internal/attack pins) take the full per-trial
-// compilation path instead.
-type KeyInits interface {
+	// KeyInits is the contract behind the attack lab's compile-memoization
+	// fast path. For fixed (w, bit) the victim's Fragment must be
+	// STRUCTURALLY identical for every key — same declarations in the same
+	// order, same statements, same condition — with the key reaching the
+	// program only through the Init values of the scalars reported here.
+	// KeyInits reports those (name, value) pairs for a given key via put;
+	// every scalar it does not report has a key-independent Init. The
+	// attack drivers compile one template per (victim, w, bit, ...) shape
+	// and patch only these slots per trial; the patched-vs-fresh
+	// byte-equality test in internal/attack catches a victim that breaks
+	// the contract.
 	KeyInits(key uint64, w, bit int, put func(name string, val int64))
 }
 
