@@ -37,13 +37,18 @@ bench-module:
 # cycle-identical to New, 0 allocs/op through wrong-path replay, an armed
 # spec watch staying on replay with the reference walk's exact event
 # stream, and every scenario byte-identical to its golden file and
-# delivering the walk's recorded spec-event stream.
+# delivering the walk's recorded spec-event stream. The data-footprint gates
+# pin zero-filled program data as a reservation: attack templates carry no
+# data bytes, symbol addresses match the recorded layouts, and a .data range
+# past the data region is a named error.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
 	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed'
 	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk'
 	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
+	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
+	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

@@ -3,7 +3,7 @@
 // line-oriented:
 //
 //	; comment
-//	.data buf 256          ; reserve 256 bytes, symbol "buf"
+//	.data buf 256          ; reserve 256 zero bytes, symbol "buf"
 //	.word tbl 1 2 3        ; initialized 64-bit words, symbol "tbl"
 //	main:                  ; label
 //	    li   r8, 10
@@ -13,9 +13,17 @@
 //	    sbne r8, rz, loop  ; an "s"-prefixed branch assembles as sJMP
 //	    eosjmp             ; assembles as SecPrefix+NOP
 //	    halt
+//
+// Data lives between isa.DefaultDataBase and isa.DefaultHeapBase; a
+// reservation past that bound fails with ErrDataRegion. .data reserves zero
+// bytes without adding a segment to the program image, since memory nothing
+// was loaded into reads as zero; .word emits a segment up to its last
+// non-zero word.
 package asm
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -135,14 +143,51 @@ func (b *Builder) EmitRef(in isa.Inst, symbol string) {
 	b.labels = append(b.labels, symbol)
 }
 
-// Data reserves size zero bytes and returns the symbol's address.
+// ErrDataRegion reports a data reservation that would run the data region
+// past isa.DefaultHeapBase, the next region of the default layout.
+var ErrDataRegion = errors.New("data region overflows into the heap")
+
+// Data reserves size zero bytes and returns the symbol's address. The range
+// is an address reservation only: it adds no segment to the program image,
+// because memory that nothing was loaded into reads as zero.
 func (b *Builder) Data(name string, size int) uint64 {
-	return b.DataBytes(name, make([]byte, size))
+	return b.reserve(name, size, 1)
 }
 
-// DataBytes places initialized bytes and returns the symbol's address.
-func (b *Builder) DataBytes(name string, bytes []byte) uint64 {
+// DataWords reserves n 64-bit words initialized from init (zero past its
+// end) and returns the symbol's address. Only init up to its last non-zero
+// word becomes a segment; the zeros after it are left to the reservation.
+func (b *Builder) DataWords(name string, n int, init []uint64) uint64 {
+	if len(init) > n {
+		b.fail("data %q: %d initial words for %d reserved", name, len(init), n)
+		return 0
+	}
+	addr := b.reserve(name, n, 8)
+	for len(init) > 0 && init[len(init)-1] == 0 {
+		init = init[:len(init)-1]
+	}
+	if b.err != nil || len(init) == 0 {
+		return addr
+	}
+	bytes := make([]byte, 8*len(init))
+	for i, w := range init {
+		binary.LittleEndian.PutUint64(bytes[8*i:], w)
+	}
+	b.data = append(b.data, isa.Segment{Base: addr, Bytes: bytes})
+	return addr
+}
+
+// reserve claims n elements of elem bytes at the next data address for
+// symbol name (anonymous when empty) and returns that address. Ranges stay
+// 64-byte aligned so distinct arrays never share a cache line, which keeps
+// shadow-copy locality effects interpretable. A range that would end past
+// isa.DefaultHeapBase fails with ErrDataRegion.
+func (b *Builder) reserve(name string, n int, elem uint64) uint64 {
 	addr := b.dataNext
+	if n < 0 || uint64(n) > (isa.DefaultHeapBase-addr)/elem {
+		b.fail("data %q: %d*%d bytes at %#x: %w", name, n, elem, addr, ErrDataRegion)
+		return 0
+	}
 	if name != "" {
 		if _, dup := b.symbols[name]; dup {
 			b.fail("duplicate data symbol %q", name)
@@ -150,23 +195,8 @@ func (b *Builder) DataBytes(name string, bytes []byte) uint64 {
 		}
 		b.symbols[name] = addr
 	}
-	b.data = append(b.data, isa.Segment{Base: addr, Bytes: bytes})
-	// Keep segments 64-byte aligned so distinct arrays never share a cache
-	// line; this keeps shadow-copy locality effects interpretable.
-	sz := uint64(len(bytes))
-	b.dataNext = (addr + sz + 63) &^ 63
+	b.dataNext = (addr + uint64(n)*elem + 63) &^ 63
 	return addr
-}
-
-// DataWords places initialized 64-bit words and returns the symbol address.
-func (b *Builder) DataWords(name string, words []uint64) uint64 {
-	bytes := make([]byte, 8*len(words))
-	for i, w := range words {
-		for j := 0; j < 8; j++ {
-			bytes[8*i+j] = byte(w >> (8 * j))
-		}
-	}
-	return b.DataBytes(name, bytes)
 }
 
 // SymbolAddr returns the address of a data symbol defined so far.
@@ -302,7 +332,7 @@ func (b *Builder) parseDirective(line string) error {
 			}
 			words = append(words, uint64(v))
 		}
-		b.DataWords(fields[1], words)
+		b.DataWords(fields[1], len(words), words)
 		return b.err
 	default:
 		return fmt.Errorf("unknown directive %q", fields[0])

@@ -1,6 +1,8 @@
 package asm
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -170,6 +172,76 @@ func TestBuilderDataAlignment(t *testing.T) {
 	}
 	if a2 <= a1 {
 		t.Errorf("segments overlap: %#x %#x", a1, a2)
+	}
+}
+
+// TestDataRegionBound: a reservation that would run the data region past
+// isa.DefaultHeapBase, or overflow computing its end, is a named error, not
+// a panic or a silently wrapped address. The data region is 15 MiB, so a
+// 16 MiB buffer can never fit.
+func TestDataRegionBound(t *testing.T) {
+	region := int(isa.DefaultHeapBase - isa.DefaultDataBase)
+	for _, src := range []string{
+		".data buf 9223372036854775807\nmain:\n halt\n",
+		".data buf 16777216\nmain:\n halt\n",
+		fmt.Sprintf(".data buf %d\nmain:\n halt\n", region+1),
+		fmt.Sprintf(".word w 1\n.data buf %d\nmain:\n halt\n", region-63),
+		fmt.Sprintf(".data buf %d\n.data one 1\nmain:\n halt\n", region),
+	} {
+		if _, err := Assemble(src); !errors.Is(err, ErrDataRegion) {
+			t.Errorf("Assemble(%.40q) = %v, want ErrDataRegion", src, err)
+		}
+	}
+
+	// The whole region fits, ending exactly at the heap base.
+	prog, err := Assemble(fmt.Sprintf(".word w 1\n.data buf %d\nmain:\n halt\n", region-64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prog.Sym("buf"), isa.DefaultDataBase+64; got != want {
+		t.Errorf("buf at %#x, want %#x", got, want)
+	}
+
+	b := NewBuilder()
+	b.Data("neg", -1)
+	if !errors.Is(b.Err(), ErrDataRegion) {
+		t.Errorf("Data(-1) error = %v, want ErrDataRegion", b.Err())
+	}
+	b = NewBuilder()
+	b.DataWords("words", region/8+1, []uint64{1})
+	if !errors.Is(b.Err(), ErrDataRegion) {
+		t.Errorf("DataWords past the region: error = %v, want ErrDataRegion", b.Err())
+	}
+}
+
+// TestDataReservesWithoutSegment: .data and zero words add address space
+// but no image bytes, and .word stops its segment at the last non-zero word.
+// The layout is unchanged: every range still starts 64-byte aligned right
+// after the previous one's full size.
+func TestDataReservesWithoutSegment(t *testing.T) {
+	prog := MustAssemble(`
+		.data buf 100
+		.word tbl 5 0 7 0 0
+		.word zeros 0 0
+		.data tail 8
+		main:
+			halt
+	`)
+	base := isa.DefaultDataBase
+	for name, want := range map[string]uint64{
+		"buf": base, "tbl": base + 128, "zeros": base + 192, "tail": base + 256,
+	} {
+		if got := prog.Sym(name); got != want {
+			t.Errorf("%s at %#x, want %#x", name, got, want)
+		}
+	}
+	if len(prog.Data) != 1 {
+		t.Fatalf("%d segments, want 1 (tbl)", len(prog.Data))
+	}
+	seg := prog.Data[0]
+	want := []byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0}
+	if seg.Base != prog.Sym("tbl") || string(seg.Bytes) != string(want) {
+		t.Errorf("segment %#x % x, want %#x % x", seg.Base, seg.Bytes, prog.Sym("tbl"), want)
 	}
 }
 

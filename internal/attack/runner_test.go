@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/pipeline"
 	"repro/internal/victim"
@@ -168,8 +169,17 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 						for trial := 0; trial < 2; trial++ {
 							d := prod.trialDraw(trial)
 							for _, key := range []uint64{p.KeyPrefix, p.KeyPrefix | 4, 7, 0} {
-								if _, _, err := prod.prepare(d, d.gapCal, key); err != nil {
+								out, _, err := prod.prepare(d, d.gapCal, key)
+								if err != nil {
 									t.Fatal(err)
+								}
+								// Footprint: the registered victims declare no
+								// initialized arrays, so a template's image is
+								// code alone. Its zero data (the prime+probe
+								// conflict array, the result and condition
+								// blocks, shadow copies) is reserved, not stored.
+								if n := imageDataBytes(out.Prog); n != 0 {
+									t.Errorf("template image holds %d data bytes, want 0", n)
 								}
 								if _, err := ref.compileFull(d, d.gapCal, key); err != nil {
 									t.Fatal(err)
@@ -222,6 +232,16 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 			t.Errorf("template evictions changed (%d -> %d)", e0, e1)
 		}
 	})
+}
+
+// imageDataBytes is the number of initialized data bytes a program image
+// carries.
+func imageDataBytes(p *isa.Program) int {
+	n := 0
+	for _, seg := range p.Data {
+		n += len(seg.Bytes)
+	}
+	return n
 }
 
 // TestParallelMatchesSerial: batch and key-extraction output must be

@@ -151,9 +151,8 @@ type maskLevel struct {
 func (c *compiler) compile() (*Output, error) {
 	// Declarations.
 	for _, a := range c.prog.Arrays {
-		addr := c.b.DataWords(a.Name, paddedInit(a))
 		c.arrays[a.Name] = a
-		c.arrAddr[a.Name] = addr
+		c.arrAddr[a.Name] = c.b.DataWords(a.Name, a.Len, a.Init)
 	}
 	if len(c.prog.Vars) > lastVarReg-firstVarReg+1 {
 		return nil, fmt.Errorf("too many scalars (%d, max %d)",
@@ -168,7 +167,7 @@ func (c *compiler) compile() (*Output, error) {
 	c.condSlotBase = c.b.Data("__sempe_cond", 8*MaxSecretNesting)
 
 	// Shadow planning must happen before code generation so shadow arrays
-	// exist as data segments.
+	// have data addresses.
 	if c.mode == SeMPE {
 		if err := c.planShadows(); err != nil {
 			return nil, err
@@ -207,12 +206,6 @@ func (c *compiler) compile() (*Output, error) {
 		ArrayAddrs: c.arrAddr,
 		ImmSlots:   c.b.ImmSlotOffsets(),
 	}, nil
-}
-
-func paddedInit(a *lang.ArrayDecl) []uint64 {
-	words := make([]uint64, a.Len)
-	copy(words, a.Init)
-	return words
 }
 
 func (c *compiler) emit(in isa.Inst) { c.b.Emit(in) }

@@ -6,7 +6,9 @@ import (
 	"strings"
 )
 
-// Segment is a contiguous range of initialized memory.
+// Segment is a contiguous range of initialized memory. A program image
+// carries only initialized bytes: zero-filled data is an address range with
+// no segment, because memory the image does not cover reads as zero.
 type Segment struct {
 	Base  uint64
 	Bytes []byte
@@ -23,7 +25,8 @@ type Program struct {
 
 // Default memory layout used by the assembler and compiler. The layout keeps
 // code, data, shadow copies, and the stack in disjoint regions of a 4 GiB
-// window so that cache index bits exercise realistic distributions.
+// window so that cache index bits exercise realistic distributions. The
+// assembler keeps data in [DefaultDataBase, DefaultHeapBase).
 const (
 	DefaultCodeBase  uint64 = 0x0000_1000
 	DefaultDataBase  uint64 = 0x0010_0000 // 1 MiB

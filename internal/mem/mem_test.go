@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -69,6 +70,49 @@ func TestMemoryCloneAndEqual(t *testing.T) {
 	if !z.Equal(empty) {
 		t.Error("zero page != absent page")
 	}
+}
+
+// TestReservedDataReadsZero: a .data reservation puts no bytes in the
+// program image, so Load backs no page for it. Reads of the range, cross-page
+// ones included, return zero through every width; a write after such a read
+// lands; Reset makes the range read zero again.
+func TestReservedDataReadsZero(t *testing.T) {
+	prog := asm.MustAssemble(".data buf 40000\nmain:\n halt\n")
+	buf := prog.Sym("buf")
+	m := NewMemory()
+	m.Load(prog)
+	if len(m.pages) != 1 {
+		t.Errorf("Load backed %d pages, want 1 (the code page)", len(m.pages))
+	}
+	offs := []uint64{0, 8, pageSize - 2, pageSize - 5, 2*pageSize + 3, 39992}
+	readsZero := func(when string) {
+		t.Helper()
+		for _, off := range offs {
+			a := buf + off
+			if m.Read8(a) != 0 || m.Read32(a) != 0 || m.Read64(a) != 0 {
+				t.Errorf("%s: buf+%#x reads %#x/%#x/%#x, want 0", when, off, m.Read8(a), m.Read32(a), m.Read64(a))
+			}
+		}
+	}
+	readsZero("after Load")
+
+	const v = 0x1122334455667788
+	for _, off := range offs {
+		m.Write64(buf+off, v)
+		if got := m.Read64(buf + off); got != v {
+			t.Errorf("buf+%#x: Read64 after write = %#x, want %#x", off, got, v)
+		}
+		if got := m.Read32(buf + off); got != 0x55667788 {
+			t.Errorf("buf+%#x: Read32 after write = %#x", off, got)
+		}
+		if got := m.Read8(buf + off + 7); got != 0x11 {
+			t.Errorf("buf+%#x: Read8 of the top byte = %#x", off+7, got)
+		}
+	}
+
+	m.Reset()
+	m.Load(prog)
+	readsZero("after Reset")
 }
 
 func TestSPMSnapshotLifecycle(t *testing.T) {
