@@ -394,61 +394,45 @@ func TestSpecWatchStaysOnReplay(t *testing.T) {
 // emits — fetches, predictor lookups, and the IL1 fills its fetches stamp,
 // alongside every execute- and retire-time event — must equal the
 // reference walk's event for event (kinds, cycles, seqs, addresses,
-// dispositions), with the watch armed at cycle 0 and mid-run.
+// dispositions), with the watch armed at cycle 0 and mid-run. Both engines
+// are held to testdata/specstreams/<cfg>_<prog>_arm<cycle>.json: event
+// count, per-kind counts, an ordered hash over every field of every event,
+// the run's statistics and its commit digest.
 func TestSpecStreamReplayMatchesWalk(t *testing.T) {
-	type result struct {
-		events []SpecEvent
-		stats  Stats
-		sb     SuperblockStats
-		digest uint64
-	}
-	run := func(t *testing.T, cfg Config, prog *isa.Program, armAt uint64, reference bool) result {
+	run := func(t *testing.T, cfg Config, prog *isa.Program, armAt uint64, reference bool) ([]SpecEvent, *Core) {
 		c := New(cfg, prog)
 		c.sbOff = reference
-		var r result
+		var events []SpecEvent
 		armed := false
 		for !c.Halted() {
 			if !armed && c.Cycles() >= armAt {
 				armed = true
-				c.SetSpecWatch(func(ev SpecEvent) { r.events = append(r.events, ev) })
+				c.SetSpecWatch(func(ev SpecEvent) { events = append(events, ev) })
 			}
 			if err := c.StepCycle(); err != nil {
 				t.Fatal(err)
 			}
 		}
-		r.stats, r.sb, r.digest = c.Stats, c.SBStats, c.CommitDigest()
-		return r
+		if len(events) == 0 {
+			t.Fatalf("spec watch armed at cycle %d observed nothing", armAt)
+		}
+		return events, c
 	}
 	for _, cfg := range specStreamCfgs() {
 		for _, p := range specStreamProgs() {
 			for _, armAt := range []uint64{0, 150} {
-				t.Run(fmt.Sprintf("%s/%s/arm%d", cfg.name, p.name, armAt), func(t *testing.T) {
-					replay := run(t, cfg.cfg, p.prog, armAt, false)
-					ref := run(t, cfg.cfg, p.prog, armAt, true)
-					if replay.sb.LegacyOps != 0 || replay.sb.Replays == 0 {
-						t.Fatalf("replay core: LegacyOps=%d Replays=%d", replay.sb.LegacyOps, replay.sb.Replays)
+				name := fmt.Sprintf("%s_%s_arm%d", cfg.name, p.name, armAt)
+				t.Run(name, func(t *testing.T) {
+					replay, rc := run(t, cfg.cfg, p.prog, armAt, false)
+					if rc.SBStats.LegacyOps != 0 || rc.SBStats.Replays == 0 {
+						t.Fatalf("replay core: LegacyOps=%d Replays=%d", rc.SBStats.LegacyOps, rc.SBStats.Replays)
 					}
-					if ref.sb.Replays != 0 || ref.sb.LegacyOps == 0 {
-						t.Fatalf("reference core: LegacyOps=%d Replays=%d", ref.sb.LegacyOps, ref.sb.Replays)
+					checkGolden(t, "specstreams/"+name, specSurfaceOf(replay, rc))
+					ref, wc := run(t, cfg.cfg, p.prog, armAt, true)
+					if wc.SBStats.Replays != 0 || wc.SBStats.LegacyOps == 0 {
+						t.Fatalf("reference core: LegacyOps=%d Replays=%d", wc.SBStats.LegacyOps, wc.SBStats.Replays)
 					}
-					if replay.stats != ref.stats {
-						t.Errorf("stats differ:\nreplay: %+v\nwalk:   %+v", replay.stats, ref.stats)
-					}
-					if replay.digest != ref.digest {
-						t.Error("commit digests differ")
-					}
-					if len(replay.events) == 0 {
-						t.Fatalf("spec watch armed at cycle %d observed nothing", armAt)
-					}
-					n := min(len(replay.events), len(ref.events))
-					for i := 0; i < n; i++ {
-						if replay.events[i] != ref.events[i] {
-							t.Fatalf("spec event %d differs:\nreplay: %+v\nwalk:   %+v", i, replay.events[i], ref.events[i])
-						}
-					}
-					if len(replay.events) != len(ref.events) {
-						t.Fatalf("spec event streams differ in length: replay=%d walk=%d", len(replay.events), len(ref.events))
-					}
+					checkGolden(t, "specstreams/"+name, specSurfaceOf(ref, wc)) // last, so -update keeps the walk's
 				})
 			}
 		}

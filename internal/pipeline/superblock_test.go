@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -23,47 +24,23 @@ func newReference(cfg Config, prog *isa.Program) *Core {
 }
 
 // runPair executes prog on two fresh cores — the superblock replay engine
-// and the reference walk — and requires the complete observable surface to
-// match: final registers, cycle counts, every pipeline statistic, the
-// commit and memory digests, predictor state, and per-level cache
-// statistics. It returns the replay core for engagement assertions.
-func runPair(t *testing.T, cfg Config, prog *isa.Program) *Core {
+// and the reference walk — and requires each one's complete observable
+// surface (final registers, every pipeline statistic, the commit, memory and
+// predictor digests, per-level cache statistics) to equal the golden file
+// testdata/runs/<name>.json, which -update records from the walk. It returns
+// the replay core for engagement assertions.
+func runPair(t *testing.T, name string, cfg Config, prog *isa.Program) *Core {
 	t.Helper()
 	on := New(cfg, prog)
 	if err := on.Run(); err != nil {
 		t.Fatalf("superblock core: %v", err)
 	}
+	checkGolden(t, "runs/"+name, surfaceOf(on))
 	off := newReference(cfg, prog)
 	if err := off.Run(); err != nil {
 		t.Fatalf("legacy core: %v", err)
 	}
-	if on.ArchRegs() != off.ArchRegs() {
-		t.Errorf("architectural registers differ")
-	}
-	if on.Stats != off.Stats {
-		t.Errorf("pipeline stats differ:\non:  %+v\noff: %+v", on.Stats, off.Stats)
-	}
-	if on.CommitDigest() != off.CommitDigest() {
-		t.Errorf("commit digests differ")
-	}
-	if on.MemDigest() != off.MemDigest() {
-		t.Errorf("memory digests differ")
-	}
-	if on.BP.Digest() != off.BP.Digest() {
-		t.Errorf("predictor digests differ")
-	}
-	for _, pair := range []struct {
-		name      string
-		con, coff interface{ MissRate() float64 }
-	}{
-		{"IL1", on.Hier.IL1.Stats, off.Hier.IL1.Stats},
-		{"DL1", on.Hier.DL1.Stats, off.Hier.DL1.Stats},
-		{"L2", on.Hier.L2.Stats, off.Hier.L2.Stats},
-	} {
-		if pair.con != pair.coff {
-			t.Errorf("%s stats differ: %+v vs %+v", pair.name, pair.con, pair.coff)
-		}
-	}
+	checkGolden(t, "runs/"+name, surfaceOf(off)) // last, so -update keeps the walk's
 	return on
 }
 
@@ -73,7 +50,7 @@ func runPair(t *testing.T, cfg Config, prog *isa.Program) *Core {
 // the register restores exactly — for both secret values.
 func TestSuperblockSecBlockBoundaryMidTrace(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runPair(t, SecureConfig(), secureBranchProg(secret))
+		on := runPair(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
 		if on.SBStats.Replays == 0 {
 			t.Errorf("secret=%d: engine never engaged (0 replays)", secret)
 		}
@@ -103,7 +80,7 @@ func TestSuperblockMispredictHeavy(t *testing.T) {
 			bne  r9, rz, loop
 			halt
 	`)
-	on := runPair(t, DefaultConfig(), prog)
+	on := runPair(t, "default_mispredict", DefaultConfig(), prog)
 	if on.SBStats.Replays == 0 {
 		t.Error("engine never engaged")
 	}
@@ -135,8 +112,8 @@ func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	if progA.CodeBase != progB.CodeBase {
 		t.Fatal("programs must share a code base for the test to bite")
 	}
-	a := runPair(t, DefaultConfig(), progA)
-	b := runPair(t, DefaultConfig(), progB)
+	a := runPair(t, "default_progA", DefaultConfig(), progA)
+	b := runPair(t, "default_progB", DefaultConfig(), progB)
 	if a.ArchRegs()[10] != 30 || b.ArchRegs()[10] != 200 {
 		t.Errorf("r10: progA=%d progB=%d, want 30, 200 — a stale trace replayed",
 			a.ArchRegs()[10], b.ArchRegs()[10])
@@ -146,8 +123,8 @@ func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 // TestSuperblockWatchHooksMidRun: the commit-time observations — MemWatch
 // and the spec watch's conditional-branch predictor updates — are
 // independent of whether the uop arrived via replay or the reference walk,
-// so arming them mid-run must produce the exact event stream — addresses
-// AND cycle stamps — a never-superblocked core produces.
+// so arming them mid-run must produce the exact event streams — addresses
+// AND cycle stamps — pinned in testdata/watchhooks_midrun.json.
 func TestSuperblockWatchHooksMidRun(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
@@ -163,7 +140,13 @@ func TestSuperblockWatchHooksMidRun(t *testing.T) {
 			halt
 	`)
 	const armAt = 100
-	run := func(reference bool) (Stats, []obs, []obs, uint64) {
+	type hookSurface struct {
+		Stats        Stats
+		CommitDigest string
+		Mems         obsStream
+		Branches     obsStream
+	}
+	for _, reference := range []bool{false, true} { // walk last, so -update keeps its
 		c := New(DefaultConfig(), prog)
 		c.sbOff = reference
 		var rec *recorder
@@ -178,28 +161,15 @@ func TestSuperblockWatchHooksMidRun(t *testing.T) {
 		if rec == nil {
 			t.Fatalf("program halted before cycle %d", armAt)
 		}
-		return c.Stats, rec.mems, rec.branches, c.CommitDigest()
-	}
-	sOn, memOn, brOn, digOn := run(false)
-	sOff, memOff, brOff, digOff := run(true)
-	if sOn != sOff {
-		t.Errorf("stats differ:\non:  %+v\noff: %+v", sOn, sOff)
-	}
-	if digOn != digOff {
-		t.Error("commit digests differ")
-	}
-	if len(memOn) == 0 || len(brOn) == 0 {
-		t.Fatalf("hooks observed nothing after arming (mem=%d, branch=%d)", len(memOn), len(brOn))
-	}
-	for i := range memOn {
-		if i >= len(memOff) || memOn[i] != memOff[i] {
-			t.Fatalf("memory observation %d differs", i)
+		if len(rec.mems) == 0 || len(rec.branches) == 0 {
+			t.Fatalf("hooks observed nothing after arming (mem=%d, branch=%d)", len(rec.mems), len(rec.branches))
 		}
-	}
-	for i := range brOn {
-		if i >= len(brOff) || brOn[i] != brOff[i] {
-			t.Fatalf("branch observation %d differs", i)
-		}
+		checkGolden(t, "watchhooks_midrun", hookSurface{
+			Stats:        c.Stats,
+			CommitDigest: hex64(c.CommitDigest()),
+			Mems:         obsStreamOf(rec.mems),
+			Branches:     obsStreamOf(rec.branches),
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -42,7 +43,7 @@ func wrongPathNestedProg() *isa.Program {
 // actually exercising the machinery: squashed replayed micro-ops and cursor
 // re-keys onto cached redirect targets must both occur.
 func TestWrongPathNestedMispredict(t *testing.T) {
-	on := runPair(t, DefaultConfig(), wrongPathNestedProg())
+	on := runPair(t, "default_nested", DefaultConfig(), wrongPathNestedProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -61,7 +62,7 @@ func TestWrongPathNestedMispredict(t *testing.T) {
 // must actually land on a live cursor.
 func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runPair(t, SecureConfig(), secureBranchProg(secret))
+		on := runPair(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
 		if on.Stats.EOSJmps == 0 {
 			t.Fatalf("secret=%d: no secure redirects; test needs a SeMPE program", secret)
 		}
@@ -103,7 +104,7 @@ func wrongPathColdTargetProg() *isa.Program {
 // WrongPathBuilds without perturbing any observable, and later correct-path
 // fetch must replay the (path-independent) cached blocks.
 func TestWrongPathFlushDuringBuild(t *testing.T) {
-	on := runPair(t, DefaultConfig(), wrongPathColdTargetProg())
+	on := runPair(t, "default_coldtarget", DefaultConfig(), wrongPathColdTargetProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
