@@ -52,7 +52,7 @@ func main() {
 		keyF      = flag.Int64("key", -1, "extraction mode: pin the true key (-1 = derive from seed)")
 		listVics  = flag.Bool("list-victims", false, "list the registered victims and exit")
 		workers   = flag.Int("workers", 1, "trial worker pool size (results are bit-identical at any value)")
-		sbstats   = flag.Bool("sbstats", false, "report throughput-engine counters (template cache, core pool, superblock builds/replays/legacy ops)")
+		sbstats   = flag.Bool("sbstats", false, "report throughput-engine counters (template cache, core pool, superblock builds/replays)")
 		metricsF  = flag.String("metrics", "", "after the run, write the Prometheus text exposition of the process metric families to this file (- for stderr)")
 		format    = flag.String("format", "text", "output encoding: text|json")
 		check     = flag.Bool("check", false, "exit 1 unless every baseline attack leaks (leaky victims: full key) and every SeMPE attack is secure")
@@ -240,11 +240,10 @@ func printPerf(sbstats bool) {
 		return
 	}
 	p := attack.PerfSnapshot()
-	fmt.Printf("perf: template cache %d hits / %d misses / %d fallbacks / %d evictions\n",
-		p.TemplateHits, p.TemplateMisses, p.TemplateFallbacks, p.TemplateEvictions)
+	fmt.Printf("perf: template cache %d hits / %d misses / %d evictions\n",
+		p.TemplateHits, p.TemplateMisses, p.TemplateEvictions)
 	fmt.Printf("perf: core pool %d built / %d reset\n", p.CoreBuilds, p.CoreResets)
-	fmt.Printf("perf: superblocks %d built, %d replayed ops, %d legacy ops\n",
-		p.SBBuilds, p.SBReplays, p.SBLegacyOps)
+	fmt.Printf("perf: superblocks %d built, %d replayed ops\n", p.SBBuilds, p.SBReplays)
 	fmt.Printf("perf: wrong path %d builds, %d replayed ops squashed\n",
 		p.SBWrongPathBuilds, p.SBWrongPathReplays)
 	if p.TrialSeconds > 0 {

@@ -28,9 +28,6 @@ func init() {
 	reg.CounterFunc("sempe_attack_template_evictions_total",
 		"Compiled templates evicted from the memo.",
 		func() float64 { _, _, e := tmplMemo.Counters(); return float64(e) })
-	reg.CounterFunc("sempe_attack_template_fallbacks_total",
-		"Trials that fell back to uncached compilation.",
-		u64(&perfCounters.fallbacks))
 	reg.CounterFunc("sempe_attack_core_builds_total",
 		"Simulator cores built from scratch (core-pool misses).",
 		u64(&perfCounters.coreBuilds))
@@ -43,9 +40,6 @@ func init() {
 	reg.CounterFunc("sempe_superblock_replayed_ops_total",
 		"Operations executed via memoized superblock fast paths.",
 		u64(&perfCounters.sbReplays))
-	reg.CounterFunc("sempe_superblock_legacy_ops_total",
-		"Operations fetched via the per-instruction reference walk (0 outside pipeline tests).",
-		u64(&perfCounters.sbLegacy))
 	reg.CounterFunc("sempe_sb_wrongpath_builds_total",
 		"Superblock builds attributed to squashed (wrong-path) fetch regions.",
 		u64(&perfCounters.sbWPBuilds))

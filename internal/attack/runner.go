@@ -25,9 +25,9 @@ import (
 //     the marker watch hook installed once — Core.Reset preserves hooks and
 //     TestCoreResetDifferential pins reset==fresh equality;
 //   - one compiled template per trial-invariant program shape, patched per
-//     trial by rewriting only the prologue's load-immediate operands (see
-//     compile.Template); any shape the patcher cannot prove data-only falls
-//     back to a full recompilation;
+//     trial by rewriting only its load-immediate operands (see
+//     compile.Template); a shape the patcher cannot prove data-only, or a
+//     trial value with no patch slot, is a compile.ErrNotPatchable error;
 //   - no digest computation: the runner reads Core.Cycles() directly, which
 //     is exactly Observation.Cycles.
 //
@@ -59,23 +59,22 @@ var tmplMemo = compile.NewMemo[tmplKey]()
 
 // Perf is a snapshot of the throughput engine's cumulative counters, the
 // observability surface behind sempe-attack's perf block: template-cache
-// effectiveness, core recycling, fallbacks to full recompilation, and the
-// superblock engine's build/replay/legacy mix across all attack runs.
+// effectiveness, core recycling, and the superblock engine's build/replay
+// mix across all attack runs.
 type Perf struct {
 	TemplateHits      uint64 `json:"template_hits"`
 	TemplateMisses    uint64 `json:"template_misses"`
 	TemplateEvictions uint64 `json:"template_evictions"`
-	// TemplateFallbacks counts full recompilations forced by a shape the
-	// patcher could not prove data-only (non-patchable prologue, missing
-	// slot, or immediate overflow).
+	// TemplateFallbacks and SBLegacyOps are always 0: every trial runs a
+	// patched template and every fetch replays. They are kept so the
+	// benchmark's attack.template_fallbacks and pipeline.sb_legacy_ops
+	// columns keep their schema.
 	TemplateFallbacks uint64 `json:"template_fallbacks"`
 	CoreBuilds        uint64 `json:"core_builds"`
 	CoreResets        uint64 `json:"core_resets"`
 	SBBuilds          uint64 `json:"sb_builds"`
 	SBReplays         uint64 `json:"sb_replays"`
-	// SBLegacyOps counts operations fetched by the per-instruction
-	// reference walk; attack cores always replay, so it stays 0.
-	SBLegacyOps uint64 `json:"sb_legacy_ops"`
+	SBLegacyOps       uint64 `json:"sb_legacy_ops"`
 	// SBWrongPathBuilds/SBWrongPathReplays are the slices of the above that
 	// the flush logic attributed to squashed (never-committed) paths: work
 	// the replay engine ran on mispredicted paths.
@@ -90,12 +89,10 @@ type Perf struct {
 }
 
 var perfCounters struct {
-	fallbacks  atomic.Uint64
 	coreBuilds atomic.Uint64
 	coreResets atomic.Uint64
 	sbBuilds   atomic.Uint64
 	sbReplays  atomic.Uint64
-	sbLegacy   atomic.Uint64
 	sbWPBuilds atomic.Uint64
 	sbWPReplay atomic.Uint64
 	trials     atomic.Uint64
@@ -109,12 +106,10 @@ func PerfSnapshot() Perf {
 		TemplateHits:       h,
 		TemplateMisses:     m,
 		TemplateEvictions:  e,
-		TemplateFallbacks:  perfCounters.fallbacks.Load(),
 		CoreBuilds:         perfCounters.coreBuilds.Load(),
 		CoreResets:         perfCounters.coreResets.Load(),
 		SBBuilds:           perfCounters.sbBuilds.Load(),
 		SBReplays:          perfCounters.sbReplays.Load(),
-		SBLegacyOps:        perfCounters.sbLegacy.Load(),
 		SBWrongPathBuilds:  perfCounters.sbWPBuilds.Load(),
 		SBWrongPathReplays: perfCounters.sbWPReplay.Load(),
 		Trials:             perfCounters.trials.Load(),
@@ -139,6 +134,7 @@ type runner struct {
 	vals    []int64
 	curTmpl *compile.Template
 	putVal  func(name string, val int64)
+	missing string // a value putVal found no slot for, "" when none
 
 	rng    *rand.Rand
 	mrk    uint64
@@ -171,6 +167,8 @@ func newRunner(p Params) (*runner, error) {
 	r.putVal = func(name string, val int64) {
 		if i, ok := r.curTmpl.SlotIndex(name); ok {
 			r.vals[i] = val
+		} else {
+			r.missing = name
 		}
 	}
 	return r, nil
@@ -208,8 +206,7 @@ func (r *runner) measure(d draw, key uint64) ([]float64, error) {
 }
 
 // run executes one attacker program and fills *buf with the observation
-// vector (reusing its backing array). The program comes from the template
-// fast path when possible, from a full rebuild+recompile otherwise.
+// vector (reusing its backing array).
 func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float64, error) {
 	out, wantStamps, err := r.prepare(d, gapSeed, key)
 	if err != nil {
@@ -242,7 +239,6 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 	sb := r.core.SBStats
 	perfCounters.sbBuilds.Add(sb.Builds)
 	perfCounters.sbReplays.Add(sb.Replays)
-	perfCounters.sbLegacy.Add(sb.LegacyOps)
 	perfCounters.sbWPBuilds.Add(sb.WrongPathBuilds)
 	perfCounters.sbWPReplay.Add(sb.WrongPathReplays)
 	if len(r.stamps) != wantStamps {
@@ -260,8 +256,10 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 	return *buf, nil
 }
 
-// prepare points r.prog at the trial's program: a patched template copy on
-// the fast path, a freshly compiled program otherwise.
+// prepare points r.prog at the trial's program: the template for the
+// trial's shape, compiled on a memo miss, with this trial's values patched
+// in. A freshly compiled template already holds them, so patching it
+// rewrites every slot with its own value, and every trial takes one path.
 func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, int, error) {
 	wantStamps := 4
 	if r.p.Kind == PrimeProbe {
@@ -283,23 +281,13 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		if err != nil {
 			return nil, 0, err
 		}
-		tmpl, err = compile.NewTemplate(prog, r.mode)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !r.templateUsable(tmpl) {
-			perfCounters.fallbacks.Add(1)
-			r.prog = *tmpl.Out.Prog
-			return tmpl.Out, wantStamps, nil
+		if tmpl, err = compile.NewTemplate(prog, r.mode); err != nil {
+			return nil, 0, fmt.Errorf("attack: %s template: %w", r.v.Name(), err)
 		}
 		tmplMemo.Put(k, tmpl)
-		// The template was compiled with exactly this trial's values, so it
-		// runs unpatched.
-		r.prog = *tmpl.Out.Prog
-		return tmpl.Out, wantStamps, nil
 	}
-	// Fast path: gather this trial's scalar values and patch them in.
 	r.curTmpl = tmpl
+	r.missing = ""
 	r.vals = append(r.vals[:0], tmpl.BaseInits()...)
 	r.v.KeyInits(key, r.p.width(), r.p.Bit, r.putVal)
 	r.putVal("nv", d.seed0)
@@ -312,11 +300,13 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 	if r.p.Gap > 0 {
 		r.putVal("gv", gapSeed)
 	}
-	code, ok := tmpl.Specialize(r.vals, r.codeBuf)
-	if !ok {
-		perfCounters.fallbacks.Add(1)
-		out, err := r.compileFull(d, gapSeed, key)
-		return out, wantStamps, err
+	if r.missing != "" {
+		return nil, 0, fmt.Errorf("attack: %s template: %w: no patch slot for %q",
+			r.v.Name(), compile.ErrNotPatchable, r.missing)
+	}
+	code, err := tmpl.Specialize(r.vals, r.codeBuf)
+	if err != nil {
+		return nil, 0, fmt.Errorf("attack: %s template: %w", r.v.Name(), err)
 	}
 	r.codeBuf = code
 	r.prog = *tmpl.Out.Prog
@@ -324,36 +314,8 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 	return tmpl.Out, wantStamps, nil
 }
 
-// templateUsable verifies the one-time conditions the patch fast path needs
-// beyond raw prologue patchability: every value KeyInits reports, the
-// noise-chain seed, and (when active) the gap seed must each have a patch
-// slot. A template failing this is used once and never cached, so the batch
-// degrades to full per-trial compilation instead of silently mispatching.
-func (r *runner) templateUsable(t *compile.Template) bool {
-	if !t.Patchable() {
-		return false
-	}
-	ok := true
-	need := func(name string) {
-		if _, found := t.SlotIndex(name); !found {
-			ok = false
-		}
-	}
-	r.v.KeyInits(0, r.p.width(), r.p.Bit, func(name string, _ int64) { need(name) })
-	need("nv")
-	if r.p.Kind == PrimeProbe {
-		for _, name := range cacheIdxNames {
-			need(name)
-		}
-	}
-	if r.p.Gap > 0 {
-		need("gv")
-	}
-	return ok
-}
-
-// buildProgram builds the trial's lang program, the shared source of the
-// template and fallback paths.
+// buildProgram builds the trial's lang program, the source its template is
+// compiled from.
 func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program, error) {
 	frag := r.v.Fragment(key, r.p.width(), r.p.Bit)
 	switch r.p.Kind {
@@ -363,19 +325,6 @@ func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program,
 		return cacheProgram(frag, d, gapSeed, r.p.Gap), nil
 	}
 	return nil, fmt.Errorf("unknown attacker kind %d", int(r.p.Kind))
-}
-
-func (r *runner) compileFull(d draw, gapSeed int64, key uint64) (*compile.Output, error) {
-	prog, err := r.buildProgram(d, gapSeed, key)
-	if err != nil {
-		return nil, err
-	}
-	out, err := compile.Compile(prog, r.mode)
-	if err != nil {
-		return nil, err
-	}
-	r.prog = *out.Prog
-	return out, nil
 }
 
 // runTrials drives trial indices [0, n) through fn on a pool of workers,

@@ -2,6 +2,7 @@ package attack
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -158,11 +159,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 					t.Run(name, func(t *testing.T) {
 						p := DefaultParams(kind, secure)
 						p.Victim, p.Width, p.Bit, p.KeyPrefix, p.Gap = v.Name(), 4, 2, 2, gap
-						prod, err := newRunner(p) // production path: template + patch
-						if err != nil {
-							t.Fatal(err)
-						}
-						ref, err := newRunner(p) // reference: always full compile
+						prod, err := newRunner(p)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -181,10 +178,11 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 								if n := imageDataBytes(out.Prog); n != 0 {
 									t.Errorf("template image holds %d data bytes, want 0", n)
 								}
-								if _, err := ref.compileFull(d, d.gapCal, key); err != nil {
+								want, err := compileFresh(prod, d, d.gapCal, key)
+								if err != nil {
 									t.Fatal(err)
 								}
-								if !reflect.DeepEqual(prod.prog, ref.prog) {
+								if !reflect.DeepEqual(prod.prog, *want) {
 									t.Errorf("trial %d key %#x: patched program != fresh compilation", trial, key)
 								}
 							}
@@ -232,6 +230,49 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 			t.Errorf("template evictions changed (%d -> %d)", e0, e1)
 		}
 	})
+}
+
+// compileFresh builds and compiles r's trial program from source, bypassing
+// the template memo: the reference a patched template must equal.
+func compileFresh(r *runner, d draw, gapSeed int64, key uint64) (*isa.Program, error) {
+	prog, err := r.buildProgram(d, gapSeed, key)
+	if err != nil {
+		return nil, err
+	}
+	out, err := compile.Compile(prog, r.mode)
+	if err != nil {
+		return nil, err
+	}
+	return out.Prog, nil
+}
+
+// noSlotVictim reports one KeyInits value its fragment never declares, so no
+// template of its programs has a slot for it.
+type noSlotVictim struct{ victim.Victim }
+
+func (v noSlotVictim) Name() string { return v.Victim.Name() + "-noslot" }
+
+func (v noSlotVictim) KeyInits(key uint64, w, bit int, put func(name string, val int64)) {
+	v.Victim.KeyInits(key, w, bit, put)
+	put("noslot", 1)
+}
+
+// TestRunnerMissingSlotFailsFirstTrial: a victim whose KeyInits names a value
+// with no patch slot breaks the template contract, and the runner reports
+// that on its first trial as compile.ErrNotPatchable instead of running a
+// program that ignores the value.
+func TestRunnerMissingSlotFailsFirstTrial(t *testing.T) {
+	for _, kind := range AllKinds() {
+		p := DefaultParams(kind, false)
+		r, err := newRunner(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.v = noSlotVictim{r.v}
+		if _, _, _, err := r.calibPair(0); !errors.Is(err, compile.ErrNotPatchable) {
+			t.Errorf("%s: first trial err = %v, want ErrNotPatchable", kind, err)
+		}
+	}
 }
 
 // imageDataBytes is the number of initialized data bytes a program image

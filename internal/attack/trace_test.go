@@ -14,8 +14,8 @@ import (
 // stream of the naive runTrial reference traced through the process-wide
 // default, for both attackers, both architectures, with and without gap
 // activity, and for both values of the attacked bit. The traced core must
-// also stay on the superblock replay engine, and a Tracer replaying the
-// stream must resolve every event the trial settled.
+// also fetch through the superblock replay engine, and a Tracer replaying
+// the stream must resolve every event the trial settled.
 func TestTraceTrialMatchesRunTrial(t *testing.T) {
 	const trial = 1
 	for _, kind := range AllKinds() {
@@ -27,13 +27,13 @@ func TestTraceTrialMatchesRunTrial(t *testing.T) {
 						p.Gap = gap
 
 						var got, want []pipeline.SpecEvent
-						legacyBefore := PerfSnapshot().SBLegacyOps
+						replaysBefore := PerfSnapshot().SBReplays
 						gotObs, err := TraceTrial(p, trial, key, func(ev pipeline.SpecEvent) { got = append(got, ev) })
 						if err != nil {
 							t.Fatal(err)
 						}
-						if n := PerfSnapshot().SBLegacyOps - legacyBefore; n != 0 {
-							t.Errorf("traced trial fetched %d ops on the reference walk, want 0", n)
+						if PerfSnapshot().SBReplays == replaysBefore {
+							t.Error("traced trial replayed nothing")
 						}
 
 						d := newDraw(trialRNG(p.effSeed(), trial), p)

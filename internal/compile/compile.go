@@ -18,6 +18,7 @@
 package compile
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/asm"
@@ -46,6 +47,15 @@ func (m Mode) String() string {
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }
+
+// ErrExprTooDeep reports an expression that needs more temporary registers
+// than the compiler has (numTempRegs). Splitting it across assignments to
+// intermediate variables compiles.
+var ErrExprTooDeep = errors.New("compile: expression too deep (out of temporaries)")
+
+// outOfTemps is the panic value mustTemp raises on exhaustion; Compile
+// recovers it into ErrExprTooDeep, so no lowering path needs its own check.
+type outOfTemps struct{}
 
 // Register plan. Temporaries serve expression evaluation; scratch registers
 // serve CTE selects and shadow merges; mask registers hold the CTE mask
@@ -93,10 +103,18 @@ func (o *Output) ResultAddr(name string) (uint64, error) {
 }
 
 // Compile lowers p with the selected backend.
-func Compile(p *lang.Program, mode Mode) (*Output, error) {
+func Compile(p *lang.Program, mode Mode) (out *Output, err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(outOfTemps); !ok {
+				panic(r)
+			}
+			out, err = nil, fmt.Errorf("compile(%v): %w", mode, ErrExprTooDeep)
+		}
+	}()
 	c := &compiler{
 		mode:    mode,
 		b:       asm.NewBuilder(),
@@ -105,8 +123,7 @@ func Compile(p *lang.Program, mode Mode) (*Output, error) {
 		arrays:  make(map[string]*lang.ArrayDecl),
 		arrAddr: make(map[string]uint64),
 	}
-	out, err := c.compile()
-	if err != nil {
+	if out, err = c.compile(); err != nil {
 		return nil, fmt.Errorf("compile(%v): %w", mode, err)
 	}
 	return out, nil
@@ -221,7 +238,7 @@ func (c *compiler) mustTemp() isa.Reg {
 			return isa.Reg(firstTempReg + i)
 		}
 	}
-	panic("compile: expression too deep (out of temporaries)")
+	panic(outOfTemps{})
 }
 
 func (c *compiler) release(r isa.Reg) {

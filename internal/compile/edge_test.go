@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -249,6 +250,37 @@ func TestCTEDivergentValuesStillMerge(t *testing.T) {
 		}
 		if res["x"] != want {
 			t.Errorf("secret=%d: x=%#x want %#x", secret, res["x"], want)
+		}
+	}
+}
+
+// TestExprTooDeepIsAnError: an expression needing more temporaries than the
+// compiler has is a named error in every backend, not a panic. A balanced
+// Add tree over one variable needs one more temporary per level; depth 4
+// fits the register plan and depth 5 does not.
+func TestExprTooDeepIsAnError(t *testing.T) {
+	tree := func(depth int) lang.Expr {
+		var build func(d int) lang.Expr
+		build = func(d int) lang.Expr {
+			if d == 0 {
+				return lang.V("x")
+			}
+			return lang.B(lang.Add, build(d-1), build(d-1))
+		}
+		return build(depth)
+	}
+	prog := func(depth int) *lang.Program {
+		return &lang.Program{
+			Vars: []*lang.VarDecl{{Name: "x", Init: 1}, {Name: "y"}},
+			Body: []lang.Stmt{lang.Set("y", tree(depth))},
+		}
+	}
+	for _, mode := range []Mode{Plain, SeMPE, CTE} {
+		if _, err := Compile(prog(4), mode); err != nil {
+			t.Errorf("%v: depth 4: %v", mode, err)
+		}
+		if _, err := Compile(prog(5), mode); !errors.Is(err, ErrExprTooDeep) {
+			t.Errorf("%v: depth 5: err = %v, want ErrExprTooDeep", mode, err)
 		}
 	}
 }

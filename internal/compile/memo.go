@@ -2,6 +2,8 @@ package compile
 
 import (
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"sort"
 	"sync"
 
@@ -29,15 +31,13 @@ import (
 // the variable's assigned register, and that every named-slot site is a plain
 // OpLi whose immediate matches the slot's base value. Any mismatch — a
 // compiler change, an unexpected prefix, a variable whose value reaches the
-// program some other way — marks the template non-patchable and callers fall
-// back to a full recompilation, so the fast path can never silently produce
-// a program that differs from what Compile would emit.
+// program some other way — is an ErrNotPatchable error, so a template can
+// never silently produce a program that differs from what Compile would emit.
 type Template struct {
 	Out *Output
 
 	// immOffs[i] is the byte offset inside Out.Prog.Code of the 4-byte
 	// little-endian immediate of the prologue OpLi initializing VarOrder[i].
-	// nil when the prologue could not be proven patchable.
 	immOffs []int
 
 	// namedOffs[j] lists the immediate byte offsets of every code site
@@ -54,14 +54,22 @@ type Template struct {
 	slotIdx map[string]int
 }
 
-// NewTemplate compiles p and analyzes the result for patchability.
+// ErrNotPatchable reports a template whose per-trial values cannot all be
+// patched into its code image: NewTemplate could not prove a slot, a caller
+// needs a value with no slot, or a value does not fit its immediate.
+var ErrNotPatchable = errors.New("compile: template not patchable")
+
+// NewTemplate compiles p and proves the result patchable, returning an
+// ErrNotPatchable error when it is not.
 func NewTemplate(p *lang.Program, mode Mode) (*Template, error) {
 	out, err := Compile(p, mode)
 	if err != nil {
 		return nil, err
 	}
 	t := &Template{Out: out}
-	t.analyze()
+	if err := t.analyze(); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -69,8 +77,8 @@ func NewTemplate(p *lang.Program, mode Mode) (*Template, error) {
 // body slots. The prologue starts at the entry point (code emission begins at
 // Label("main")) and consists of one OpLi per scalar in declaration order;
 // each named-slot site must decode as a plain OpLi carrying the slot's base
-// value. Anything else leaves the template non-patchable.
-func (t *Template) analyze() {
+// value.
+func (t *Template) analyze() error {
 	prog := t.Out.Prog
 	off := int(prog.Entry - prog.CodeBase)
 	offs := make([]int, 0, len(t.Out.VarOrder))
@@ -79,7 +87,7 @@ func (t *Template) analyze() {
 	for i, name := range t.Out.VarOrder {
 		in, size, err := isa.Decode(prog.Code, off)
 		if err != nil || in.Op != isa.OpLi || in.Secure || in.Rd != t.Out.VarRegs[name] {
-			return
+			return fmt.Errorf("%w: prologue does not initialize %q with a load-immediate", ErrNotPatchable, name)
 		}
 		// The immediate is the last 4 bytes of a non-short encoding:
 		// opcode, Rd, Ra, Rb, imm32 (little endian).
@@ -97,19 +105,19 @@ func (t *Template) analyze() {
 	named := make([][]int, 0, len(names))
 	for _, name := range names {
 		if _, dup := idx[name]; dup {
-			return // a named slot shadowing a scalar is ambiguous
+			return fmt.Errorf("%w: named slot %q shadows a scalar", ErrNotPatchable, name)
 		}
 		sites := make([]int, 0, len(t.Out.ImmSlots[name]))
 		var base int64
 		for k, start := range t.Out.ImmSlots[name] {
 			in, size, err := isa.Decode(prog.Code, start)
 			if err != nil || in.Op != isa.OpLi || in.Secure {
-				return
+				return fmt.Errorf("%w: a site of named slot %q is not a load-immediate", ErrNotPatchable, name)
 			}
 			if k == 0 {
 				base = in.Imm
 			} else if in.Imm != base {
-				return // sites disagree; one patch value cannot serve both
+				return fmt.Errorf("%w: sites of named slot %q disagree (%d vs %d)", ErrNotPatchable, name, base, in.Imm)
 			}
 			sites = append(sites, start+size-4)
 		}
@@ -122,10 +130,8 @@ func (t *Template) analyze() {
 	t.namedOffs = named
 	t.baseInits = inits
 	t.slotIdx = idx
+	return nil
 }
-
-// Patchable reports whether Specialize can rewrite this template.
-func (t *Template) Patchable() bool { return t.immOffs != nil }
 
 // NumSlots returns the number of patchable value slots: the prologue
 // scalars followed by the named literal slots.
@@ -143,21 +149,21 @@ func (t *Template) SlotIndex(name string) (int, bool) {
 }
 
 // Specialize appends a copy of the template's code with vals patched into
-// the prologue and named-slot immediates to buf[:0] and returns it. It fails
-// (ok=false) when the template is not patchable or a value does not fit the
-// 4-byte immediate encoding; callers then recompile from source. Data
-// segments and all other Output metadata are shared with the template:
-// nothing but the patched immediates varies per trial.
-func (t *Template) Specialize(vals []int64, buf []byte) (code []byte, ok bool) {
-	if t.immOffs == nil || len(vals) != t.NumSlots() {
-		return nil, false
+// the prologue and named-slot immediates to buf[:0] and returns it. It
+// returns an ErrNotPatchable error when vals does not hold one value per
+// slot or a value does not fit the 4-byte immediate encoding. Data segments
+// and all other Output metadata are shared with the template: nothing but
+// the patched immediates varies per trial.
+func (t *Template) Specialize(vals []int64, buf []byte) ([]byte, error) {
+	if len(vals) != t.NumSlots() {
+		return nil, fmt.Errorf("%w: %d values for %d slots", ErrNotPatchable, len(vals), t.NumSlots())
 	}
-	for _, v := range vals {
+	for i, v := range vals {
 		if int64(int32(v)) != v {
-			return nil, false
+			return nil, fmt.Errorf("%w: slot %d value %d does not fit a 32-bit immediate", ErrNotPatchable, i, v)
 		}
 	}
-	code = append(buf[:0], t.Out.Prog.Code...)
+	code := append(buf[:0], t.Out.Prog.Code...)
 	for i, off := range t.immOffs {
 		binary.LittleEndian.PutUint32(code[off:], uint32(int32(vals[i])))
 	}
@@ -167,7 +173,7 @@ func (t *Template) Specialize(vals []int64, buf []byte) (code []byte, ok bool) {
 			binary.LittleEndian.PutUint32(code[off:], v)
 		}
 	}
-	return code, true
+	return code, nil
 }
 
 // memoCap bounds a Memo's size. Attack sweeps can draw more distinct

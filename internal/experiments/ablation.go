@@ -99,15 +99,17 @@ func ablationSpecOf(spec scenario.Spec) (AblationSpec, error) {
 			return AblationSpec{}, fmt.Errorf("bws: %w", err)
 		}
 	}
-	for _, s := range f.Slots {
-		if s <= 0 {
-			return AblationSpec{}, fmt.Errorf("slots: %d is not positive", s)
-		}
+	if err := positive("w", f.W); err != nil {
+		return AblationSpec{}, err
 	}
-	for _, b := range f.Bws {
-		if b <= 0 {
-			return AblationSpec{}, fmt.Errorf("bws: %d is not positive", b)
-		}
+	if err := positive("iters", f.Iters); err != nil {
+		return AblationSpec{}, err
+	}
+	if err := positive("slots", f.Slots...); err != nil {
+		return AblationSpec{}, err
+	}
+	if err := positive("bws", f.Bws...); err != nil {
+		return AblationSpec{}, err
 	}
 	f.Workers = spec.Workers
 	return f, nil

@@ -111,6 +111,17 @@ func splitCSV(s string) []string {
 	return strings.Split(s, ",")
 }
 
+// positive rejects a value below 1 for param, naming both: a harness of
+// width 0 panics and a run of no iterations measures nothing.
+func positive(param string, vs ...int) error {
+	for _, v := range vs {
+		if v < 1 {
+			return fmt.Errorf("%s: %d is not positive", param, v)
+		}
+	}
+	return nil
+}
+
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitCSV(s) {

@@ -88,6 +88,12 @@ func fig10SpecOf(spec scenario.Spec) (Fig10Spec, error) {
 			return Fig10Spec{}, fmt.Errorf("secret: %w", err)
 		}
 	}
+	if err := positive("ws", f.Ws...); err != nil {
+		return Fig10Spec{}, err
+	}
+	if err := positive("iters", f.Iters); err != nil {
+		return Fig10Spec{}, err
+	}
 	f.Workers = spec.Workers
 	return f, nil
 }

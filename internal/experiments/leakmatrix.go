@@ -79,6 +79,12 @@ func leakSpecOf(spec scenario.Spec) (LeakMatrixSpec, error) {
 			return LeakMatrixSpec{}, fmt.Errorf("secrets: %w", err)
 		}
 	}
+	if err := positive("ws", f.Ws...); err != nil {
+		return LeakMatrixSpec{}, err
+	}
+	if err := positive("iters", f.Iters); err != nil {
+		return LeakMatrixSpec{}, err
+	}
 	f.Workers = spec.Workers
 	return f, nil
 }

@@ -99,3 +99,44 @@ func TestParamFlagMalformed(t *testing.T) {
 		t.Errorf("ParamFlag contents wrong: %v", p)
 	}
 }
+
+// TestScenarioParamBelowRange: a harness width (ws, w) or iteration count
+// below 1 is rejected before any point runs, by every scenario that takes
+// it, with an error naming the scenario, the parameter and the value. At
+// ws=0 the harness builder panicked inside a grid worker; at iters=0 the
+// sweep rendered rows from harnesses that ran nothing.
+func TestScenarioParamBelowRange(t *testing.T) {
+	params := map[string][]string{
+		"fig10a":     {"ws", "iters"},
+		"fig10b":     {"ws", "iters"},
+		"table1":     {"ws", "iters"},
+		"leakmatrix": {"ws", "iters"},
+		"ablation":   {"w", "iters"},
+	}
+	for name, keys := range params {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		for _, key := range keys {
+			for _, val := range []string{"0", "-1"} {
+				spec := scenario.Spec{Quick: true, Params: map[string]string{key: val}}
+				_, err := scenario.Run(sc, spec, scenario.RunOptions{})
+				if err == nil {
+					t.Errorf("%s %s=%s: no error", name, key, val)
+					continue
+				}
+				for _, want := range []string{name + ":", key + ": " + val + " "} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s %s=%s: error %q does not contain %q", name, key, val, err, want)
+					}
+				}
+			}
+		}
+	}
+	// A list axis fails on any bad entry, not only the first.
+	if _, err := fig10SpecOf(scenario.Spec{Params: map[string]string{"ws": "1,4,0"}}); err == nil ||
+		!strings.Contains(err.Error(), "ws: 0 ") {
+		t.Errorf("ws=1,4,0: error = %v, want one naming ws and 0", err)
+	}
+}

@@ -12,8 +12,8 @@ import (
 	"repro/internal/sempe"
 )
 
-// Core is one simulated processor instance. A Core runs a single program to
-// completion; construct a fresh Core per run.
+// Core is one simulated processor instance. A Core runs one program to
+// completion; Reset readies it for the next run without reallocating.
 type Core struct {
 	cfg  Config
 	prog *isa.Program
@@ -94,18 +94,11 @@ type Core struct {
 	fe              feRing // fused fetch buffer + decode queue
 
 	// Pre-decode cache, indexed by pc-CodeBase: each static instruction is
-	// decoded once, not on every fetch of the same pc. When sharedDecoded is
-	// non-nil the table belongs to a Prototype for that program: it is fully
-	// resolved (so predecAt's lazy fill never writes) and shared with other
-	// cores, and Reset must detach rather than clear it in place.
-	decoded       []predec
-	sharedDecoded *isa.Program
+	// decoded once, when the first superblock covering it is built.
+	decoded []predec
 
 	// Superblock engine (see superblock.go): cached decoded straight-line
-	// traces replayed by fetch, plus the replay cursor. sbOff selects the
-	// per-instruction reference walk (fetchLegacy) instead; only this
-	// package's tests set it, to compare replay against the walk.
-	sbOff    bool
+	// traces replayed by fetch, plus the replay cursor.
 	sbIndex  []int32
 	sbBlocks []superblock
 	sbCur    int32 // block being replayed, -1 when none
@@ -168,22 +161,21 @@ type Core struct {
 }
 
 // SuperblockStats counts superblock-engine activity. It lives outside Stats
-// so artifact rows never serialize it: replay counts differ between the
-// replay engine and the reference walk on the same program even though
-// every architectural and cycle-level observable is identical.
+// so artifact rows never serialize it: it describes how the front end
+// worked, not what the machine did.
 type SuperblockStats struct {
 	Builds  uint64 // superblocks constructed
 	Replays uint64 // instructions fetched via cached traces
-	// LegacyOps counts instructions fetched via the per-instruction
-	// reference walk, which only this package's tests select: it is 0 on
-	// every production core.
+	// LegacyOps is always 0: every instruction is fetched by replay. It is
+	// kept so the benchmark's pipeline.sb_legacy_ops column keeps its schema.
 	LegacyOps  uint64
 	Invalidate uint64 // cursor drops from redirects into uncached targets
 	ReKeys     uint64 // cursor re-keys onto a cached block at the redirect target
 	// Wrong-path replay accounting: work the engine performed on paths that
 	// a later flush or secure redirect discarded. Replays counts replayed
-	// micro-ops squashed in the ROB or dropped from the front-end buffers;
-	// Builds counts trace builds triggered by such fetches (the cached block
+	// micro-ops squashed in the ROB or dropped from the front-end buffers
+	// (every fetch is a replay, so it equals Stats.WrongPathFetches); Builds
+	// counts trace builds triggered by such fetches (the cached block
 	// survives — static traces are path-independent).
 	WrongPathBuilds  uint64
 	WrongPathReplays uint64
@@ -208,43 +200,28 @@ var (
 	ErrDeadlock  = errors.New("pipeline: watchdog expired (no commits)")
 )
 
-// New builds a core for the given program. The memory image is created from
-// the program; use NewOnMemory to supply a prepared image.
+// New builds a core for prog: it sizes every structure for cfg and then
+// calls Reset, so a new core and a reset one start from the same state by
+// construction.
 func New(cfg Config, prog *isa.Program) *Core {
-	m := mem.NewMemory()
-	m.Load(prog)
-	return NewOnMemory(cfg, prog, m)
-}
-
-// NewOnMemory builds a core running prog on an existing memory image.
-func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 	c := &Core{
-		cfg:          cfg,
-		prog:         prog,
-		mem:          memory,
-		Hier:         cache.NewHierarchy(cfg.Caches),
-		BP:           bpred.NewUnit(),
-		JB:           sempe.NewJBTable(cfg.SPM.Slots),
-		SPM:          mem.NewSPM(cfg.SPM),
-		physVal:      make([]uint64, cfg.PhysRegs+1),
-		physReady:    make([]bool, cfg.PhysRegs+1),
-		rob:          make([]uref, cfg.ROBSize),
-		readyList:    make([]uref, cfg.IQSize),
-		waitHead:     make([]int32, cfg.PhysRegs+1),
-		waitNodes:    make([]waitNode, 0, 4*cfg.IQSize),
-		waitFreeHead: -1,
-		lq:           make([]uref, 0, cfg.LQSize),
-		sq:           make([]uref, 0, cfg.SQSize),
-		wbScratch:    make([]uref, 0, cfg.ROBSize+8),
-		freeList:     make([]int16, 0, cfg.PhysRegs),
-		fe:           newFERing(cfg.DecodeQSize, cfg.FetchBufSize),
-		decoded:      make([]predec, len(prog.Code)),
-		fetchPC:      prog.Entry,
-		sbIndex:      make([]int32, len(prog.Code)),
-		sbCur:        -1,
-	}
-	for i := range c.sbIndex {
-		c.sbIndex[i] = -1
+		cfg:       cfg,
+		mem:       mem.NewMemory(),
+		Hier:      cache.NewHierarchy(cfg.Caches),
+		BP:        bpred.NewUnit(),
+		JB:        sempe.NewJBTable(cfg.SPM.Slots),
+		SPM:       mem.NewSPM(cfg.SPM),
+		physVal:   make([]uint64, cfg.PhysRegs+1),
+		physReady: make([]bool, cfg.PhysRegs+1),
+		rob:       make([]uref, cfg.ROBSize),
+		readyList: make([]uref, cfg.IQSize),
+		waitHead:  make([]int32, cfg.PhysRegs+1),
+		waitNodes: make([]waitNode, 0, 4*cfg.IQSize),
+		lq:        make([]uref, 0, cfg.LQSize),
+		sq:        make([]uref, 0, cfg.SQSize),
+		wbScratch: make([]uref, 0, cfg.ROBSize+8),
+		freeList:  make([]int16, 0, cfg.PhysRegs),
+		fe:        newFERing(cfg.DecodeQSize, cfg.FetchBufSize),
 	}
 	if cfg.StridePrefetchTable > 0 {
 		c.stridePF = prefetch.NewStride(c.Hier.DL1, cfg.StridePrefetchTable, cfg.StridePrefetchDegree)
@@ -253,9 +230,6 @@ func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 	if cfg.StreamWindow > 0 {
 		c.streamPF = prefetch.NewStream(c.Hier.L2, cfg.StreamWindow, cfg.StreamDepth)
 		c.Hier.L2.SetObserver(c.streamPF)
-	}
-	for p := range c.waitHead {
-		c.waitHead[p] = -1
 	}
 	// Size the completion wheel past the longest latency execute can charge:
 	// a load that misses DL1 and L2 and goes to memory, or the slowest ALU op.
@@ -270,26 +244,8 @@ func NewOnMemory(cfg Config, prog *isa.Program, memory *mem.Memory) *Core {
 		wheel <<= 1
 	}
 	c.calBuckets = make([]int32, wheel)
-	for i := range c.calBuckets {
-		c.calBuckets[i] = -1
-	}
 	c.calMask = uint64(wheel - 1)
-	// Initial rename map: architectural register r lives in physical r.
-	c.archRegs[isa.SP] = isa.DefaultStackTop
-	for r := 0; r < isa.NumArchRegs; r++ {
-		c.rat[r] = int16(r)
-		c.physVal[r] = c.archRegs[r]
-		c.physReady[r] = true
-	}
-	// Sentinel slots for unused source operands (see the rat field comment).
-	c.rat[sraNone] = c.psNone()
-	c.physReady[c.psNone()] = true
-	for p := isa.NumArchRegs; p < cfg.PhysRegs; p++ {
-		c.freeList = append(c.freeList, int16(p))
-	}
-	c.commitDigest = fnvOffset
-	c.memDigest = fnvOffset
-	c.armSpecDefault()
+	c.Reset(prog)
 	return c
 }
 

@@ -1,15 +1,12 @@
 package pipeline
 
-import (
-	"repro/internal/cache"
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // predec is one pre-decode cache entry. size==0 means not yet decoded;
 // size<0 means the bytes at this pc are undecodable (wrong-path fetch).
 // Alongside the decoded instruction it caches every piece of per-op
 // metadata that is a pure function of the instruction bytes, so neither
-// fetch path nor rename re-derives it per dynamic instruction.
+// superblock builds nor rename re-derive it per dynamic instruction.
 type predec struct {
 	inst isa.Inst
 	size int8
@@ -76,18 +73,14 @@ func (c *Core) predecAt(off int) *predec {
 	return d
 }
 
-// fetch reads and predecodes up to FetchWidth instructions per cycle from
-// the program image, consulting the IL1 for every distinct cache line
+// fetch fills the fetch buffer for this cycle through the superblock replay
+// engine (superblock.go), consulting the IL1 for every distinct cache line
 // touched and the branch predictors for control flow. Secure branches are
 // never predicted: under SeMPE an sJMP always falls through into the
 // not-taken path, so the fetch stream carries no information about the
-// secret (and the predictor state is never updated by it).
-//
-// Every core fetches through the superblock replay path (superblock.go),
-// which copies prototype micro-ops out of cached straight-line traces and
-// emits the per-fetch spec events itself, so arming a watch never changes
-// which front end runs. fetchLegacy, the per-instruction walk, is kept only
-// as the reference this package's tests compare replay against (sbOff).
+// secret (and the predictor state is never updated by it). Replay emits the
+// per-fetch spec events itself, so arming a watch never changes how fetch
+// runs.
 func (c *Core) fetch() {
 	if c.fetchHalted || c.fetchBroken {
 		return
@@ -96,89 +89,14 @@ func (c *Core) fetch() {
 		c.Stats.FetchStallCycles++
 		return
 	}
-	if c.sbOff {
-		c.fetchLegacy()
-		return
-	}
 	c.fetchSuperblock()
-}
-
-// fetchLegacy is the per-instruction reference walk: decode, classify, and
-// predecode each pc on every dynamic fetch. Production cores never run it;
-// tests select it with sbOff and require replay to match it cycle for cycle
-// and spec event for spec event.
-func (c *Core) fetchLegacy() {
-	var lastLine uint64 = ^uint64(0)
-	for n := 0; n < c.cfg.FetchWidth && !c.fe.fetchFull(); n++ {
-		pc := c.fetchPC
-		if pc < c.prog.CodeBase || pc >= c.prog.CodeEnd() {
-			// Fetch wandered outside the code image: only possible on a
-			// wrong path. Stall until a flush redirects us.
-			c.fetchBroken = true
-			return
-		}
-		off := int(pc - c.prog.CodeBase)
-		d := c.predecAt(off)
-		if d == nil {
-			c.fetchBroken = true
-			return
-		}
-		size := int(d.size)
-		if c.specWatch != nil {
-			// Attribute IL1 fills (and any prefetches they trigger) to this
-			// fetch. c.seq is the sequence number the micro-op is about to get.
-			c.specPC, c.specSeq = pc, c.seq
-		}
-		// Charge IL1 for each distinct line the instruction bytes touch.
-		for a := pc &^ (cache.LineSize - 1); a < pc+uint64(size); a += cache.LineSize {
-			if a == lastLine {
-				continue
-			}
-			lat := c.Hier.IL1.AccessPC(pc, a, false)
-			lastLine = a
-			if lat > c.cfg.Caches.IL1.HitLatency {
-				// Instruction miss: stall the front end; retry this
-				// instruction when the fill completes.
-				c.fetchStallUntil = c.cycle + uint64(lat)
-				return
-			}
-		}
-
-		i := c.pool.get()
-		u := c.u(i)
-		u.seq = c.seq
-		u.inst = d.inst
-		u.pc = pc
-		u.npc = pc + uint64(size)
-		u.cl = d.cl
-		u.sra1, u.sra2, u.sra3 = d.sra1, d.sra2, d.sra3
-		u.writesRd = d.writesRd
-		u.isLoad, u.isStore = d.isLoad, d.isStore
-		u.memWidth = d.memWidth
-		c.seq++
-		c.SBStats.LegacyOps++
-
-		redirected := c.predecode(u)
-		if c.specWatch != nil && specWatched(u) {
-			c.emitSpec(SpecEvent{Kind: SpecFetch, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
-		}
-		c.fe.pushFetched(i)
-		if u.inst.Op == isa.OpHalt {
-			c.fetchHalted = true
-			return
-		}
-		if redirected {
-			// One taken control transfer per fetch group.
-			return
-		}
-	}
 }
 
 // predecode sets the front-end prediction state of u and advances fetchPC.
 // It reports whether the fetch group must end because of a (predicted-)
-// taken control transfer. Both fetch paths funnel every control-flow or
-// SeMPE-marker instruction through here, so prediction, RAS traffic, and
-// sJMP/eosJMP marking have a single source of truth.
+// taken control transfer. Replay calls it for the entries whose front-end
+// behavior is dynamic (JALR and the SeMPE markers); its remaining arms are
+// the reference the replay engine's direct-dispatch kinds mirror.
 func (c *Core) predecode(u *uop) bool {
 	in := u.inst
 	secureMode := c.cfg.SeMPE
@@ -431,9 +349,6 @@ func (c *Core) flushAfter(u *uop, target uint64, cause FlushCause) {
 		y.squashed = true
 		c.robCount--
 		nsq++
-		if y.fromReplay {
-			c.SBStats.WrongPathReplays++
-		}
 		if y.issued && !y.completed {
 			c.squashTmp = append(c.squashTmp, yi)
 		} else {
@@ -482,6 +397,7 @@ func (c *Core) flushAfter(u *uop, target uint64, cause FlushCause) {
 	dropped := c.redirectFrontEnd(target)
 	c.sbCountWrongPathBuilds(boundary)
 	c.Stats.SquashedUops += nsq
+	c.SBStats.WrongPathReplays += nsq
 	c.Stats.WrongPathFetches += nsq + dropped
 	if c.specWatch != nil {
 		c.emitSpec(SpecEvent{Kind: SpecFlush, Seq: u.seq, PC: u.pc, Addr: target, Cause: cause,
@@ -550,15 +466,11 @@ func (c *Core) calCancelBucket(b uint64) {
 // the per-step pc check in fetchSuperblock remains the only validity rule.
 func (c *Core) redirectFrontEnd(target uint64) uint64 {
 	var dropped uint64
-	arena := c.pool.arena
 	for !c.fe.empty() {
-		i := c.fe.popAny()
-		if arena[i].fromReplay {
-			c.SBStats.WrongPathReplays++
-		}
-		c.pool.put(i)
+		c.pool.put(c.fe.popAny())
 		dropped++
 	}
+	c.SBStats.WrongPathReplays += dropped
 	c.fetchPC = target
 	c.fetchHalted = false
 	c.fetchBroken = false

@@ -6,67 +6,36 @@ import (
 	"repro/internal/isa"
 )
 
-// Prototype is the shared, immutable part of core construction for one
-// (config, program) pair, plus a free list of recycled cores. New spends
-// most of its time sizing per-core state and (lazily, via predecAt) decoding
-// the program; a prototype does the program decode exactly once, eagerly,
-// and hands the resulting table to every core it vends as a read-only
-// shared slice. Spin-up from a warm prototype is then a pooled Reset — no
-// allocation, no decode — which TestCoreResetDifferential and
-// TestPrototypeMatchesNew pin as cycle- and event-identical to a fresh New.
+// Prototype is a per-configuration pool of recycled cores. A core vended
+// from a warm pool is Reset in place instead of reallocated — New is
+// allocation followed by that same Reset, so the two are the same machine,
+// which TestPrototypeMatchesNew pins cycle- and event-identical.
 //
-// prog may be nil: the prototype then acts as a plain per-configuration core
-// pool (NewCoreFor) with no shared decode table, which is what callers
-// running a different program per trial (leak sweeps, experiment points)
-// use. With a non-nil prog, NewFromPrototype vends cores that share the
-// prototype's fully resolved pre-decode table.
-//
-// The shared table is safe across concurrently running cores because it is
-// fully resolved at construction: every offset is either decoded (size>0)
-// or marked undecodable (size<0), so the lazy fill in predecAt — the only
-// writer — never fires.
+// prog is the program NewFromPrototype runs and may be nil for callers that
+// run a different program per core (leak sweeps, experiment points); they
+// vend with NewCoreFor.
 type Prototype struct {
-	cfg     Config
-	prog    *isa.Program
-	decoded []predec // fully resolved, shared read-only; nil when prog is nil
+	cfg  Config
+	prog *isa.Program
 
 	mu   sync.Mutex
 	free []*Core
 }
 
-// NewPrototype builds a prototype for cfg. With a non-nil prog the program
-// is decoded eagerly at every code offset, exactly as predecAt would have
-// lazily (undecodable bytes — wrong-path fetch targets — mark size<0).
+// NewPrototype returns an empty core pool for cfg whose NewFromPrototype
+// runs prog.
 func NewPrototype(cfg Config, prog *isa.Program) *Prototype {
-	p := &Prototype{cfg: cfg, prog: prog}
-	if prog != nil {
-		p.decoded = make([]predec, len(prog.Code))
-		for off := range p.decoded {
-			d := &p.decoded[off]
-			inst, size, err := isa.Decode(prog.Code, off)
-			if err != nil {
-				d.size = -1
-				continue
-			}
-			d.inst, d.size = inst, int8(size)
-			fillStatic(d)
-		}
-	}
-	return p
+	return &Prototype{cfg: cfg, prog: prog}
 }
 
-// NewFromPrototype vends a core running the prototype's program: a recycled
-// core Reset in place when one is free, otherwise a fresh construction.
-// Either way the core shares the prototype's pre-decode table. The caller
+// NewFromPrototype vends a core running the prototype's program. The caller
 // returns the core with Recycle when done.
 func NewFromPrototype(p *Prototype) *Core {
 	return p.NewCoreFor(p.prog)
 }
 
-// NewCoreFor vends a core running prog, recycling a pooled core when one is
-// free. When prog is the prototype's own program the core shares the
-// prototype's pre-decode table; for any other program it keeps a private
-// table (Reset detaches a shared one before clearing).
+// NewCoreFor vends a core running prog: a recycled core Reset in place when
+// one is free, otherwise a new one.
 func (p *Prototype) NewCoreFor(prog *isa.Program) *Core {
 	p.mu.Lock()
 	var c *Core
@@ -76,15 +45,10 @@ func (p *Prototype) NewCoreFor(prog *isa.Program) *Core {
 		p.free = p.free[:n-1]
 	}
 	p.mu.Unlock()
-	if c != nil {
-		c.Reset(prog)
-	} else {
-		c = New(p.cfg, prog)
+	if c == nil {
+		return New(p.cfg, prog)
 	}
-	if prog != nil && prog == p.prog && c.sharedDecoded != prog {
-		c.decoded = p.decoded
-		c.sharedDecoded = prog
-	}
+	c.Reset(prog)
 	return c
 }
 

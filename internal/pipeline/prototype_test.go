@@ -37,9 +37,6 @@ func TestPrototypeMatchesNew(t *testing.T) {
 				proto := NewPrototype(cfg.cfg, p.prog)
 				for round := 0; round < 3; round++ {
 					c := NewFromPrototype(proto)
-					if c.sharedDecoded != p.prog {
-						t.Fatalf("round %d: vended core does not share the prototype decode table", round)
-					}
 					rec := armRecorder(c)
 					mustRun(t, c)
 					if got := snapshot(c, rec); !reflect.DeepEqual(got, want) {
@@ -50,46 +47,6 @@ func TestPrototypeMatchesNew(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPrototypeForeignProgramDetaches: vending a pooled core for a program
-// other than the prototype's must detach the shared decode table (Reset
-// would otherwise clear the prototype's backing array in place), and the
-// prototype must keep vending correct cores for its own program afterwards.
-func TestPrototypeForeignProgramDetaches(t *testing.T) {
-	home := storeLoadProg()
-	foreign := mispredictHeavyProg()
-	cfg := DefaultConfig()
-	proto := NewPrototype(cfg, home)
-
-	// Seed the pool with a core carrying the shared table.
-	proto.Recycle(NewFromPrototype(proto))
-
-	wantForeign := freshSnap(t, cfg, foreign)
-	c := proto.NewCoreFor(foreign)
-	if c.sharedDecoded != nil {
-		t.Fatal("core reset onto a foreign program still marked as sharing the prototype table")
-	}
-	rec := armRecorder(c)
-	mustRun(t, c)
-	if got := snapshot(c, rec); !reflect.DeepEqual(got, wantForeign) {
-		t.Fatalf("foreign-program pooled core diverged from fresh core:\nfresh: %+v\npooled: %+v", wantForeign, got)
-	}
-	proto.Recycle(c)
-
-	// The prototype's table must be intact: its own program still runs
-	// exactly like a fresh core, from both the pooled and the cold path.
-	wantHome := freshSnap(t, cfg, home)
-	for round := 0; round < 2; round++ {
-		c := NewFromPrototype(proto)
-		rec := armRecorder(c)
-		mustRun(t, c)
-		if got := snapshot(c, rec); !reflect.DeepEqual(got, wantHome) {
-			t.Fatalf("round %d: prototype table corrupted by foreign-program reset:\nfresh: %+v\nproto: %+v",
-				round, wantHome, got)
-		}
-		proto.Recycle(c)
 	}
 }
 

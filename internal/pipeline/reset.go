@@ -4,22 +4,23 @@ import (
 	"repro/internal/isa"
 )
 
-// Reset restores the core to the state NewOnMemory would have produced for
-// prog on a zeroed memory image, without reallocating any of the core's
-// structures: pipeline rings, ROB, scheduler, completion calendar, uop
-// arena, pre-decode cache, superblock cache, predictors, caches,
-// prefetchers, SPM/jbTable, and the memory image are all recycled in place.
-// The attack and experiment drivers pool cores per configuration and Reset
-// them per trial, which removes per-run construction (the dominant flat
-// cost of high-trial sweeps) from the hot loop; TestCoreResetDifferential
-// pins cycle- and event-stream equality against a fresh core.
+// Reset puts the core into its power-on state for prog on a zeroed memory
+// image, without reallocating any of the core's structures: pipeline rings,
+// ROB, scheduler, completion calendar, uop arena, pre-decode cache,
+// superblock cache, predictors, caches, prefetchers, SPM/jbTable, and the
+// memory image are all recycled in place. New is allocation followed by
+// Reset, so it is the only initialization path. The attack and experiment
+// drivers pool cores per configuration and Reset them per trial, which
+// removes per-run construction (the dominant flat cost of high-trial
+// sweeps) from the hot loop; TestCoreResetDifferential pins that a core
+// dirtied by any run resets to the state of a new one.
 //
 // Caller-owned observability state (the MemWatch hook and an explicitly
 // armed spec watch) is preserved. SBStats is zeroed — harvest it before
 // Reset when accumulating across runs.
 func (c *Core) Reset(prog *isa.Program) {
-	// Memory image: zero in place and reload, exactly New's Load on a fresh
-	// image (zeroed pages are indistinguishable from absent ones).
+	// Memory image: zero in place and reload (zeroed pages are
+	// indistinguishable from absent ones).
 	c.mem.Reset()
 	c.mem.Load(prog)
 	c.prog = prog
@@ -42,8 +43,9 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.halted = false
 
 	// Rename state: identity map, architectural registers live in physical
-	// r0..r(N-1), everything above is free (pushed in ascending order, the
-	// same order New leaves the free list in).
+	// r0..r(N-1), everything above is free (pushed in ascending order).
+	// rat, physVal, and physReady also pin their sentinel slots (see the
+	// rat field comment).
 	clear(c.physVal)
 	clear(c.physReady)
 	for r := 0; r < isa.NumArchRegs; r++ {
@@ -84,19 +86,7 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.fetchStallUntil = 0
 	c.fetchHalted, c.fetchBroken = false, false
 	c.fe.head, c.fe.nDec, c.fe.nFetch = 0, 0, 0
-	switch {
-	case c.sharedDecoded == prog:
-		// Prototype-shared table for this very program: fully resolved and
-		// immutable, nothing to clear.
-	case c.sharedDecoded != nil:
-		// Shared table for a different program: it belongs to the prototype
-		// and other cores, so detach onto a fresh private table instead of
-		// clearing the shared backing array in place.
-		c.decoded = make([]predec, len(prog.Code))
-		c.sharedDecoded = nil
-	default:
-		c.decoded = resizeCleared(c.decoded, len(prog.Code))
-	}
+	c.decoded = resizeCleared(c.decoded, len(prog.Code))
 
 	// Superblock cache: recycle every block's entry slice through the build
 	// pool so steady-state rebuilds stay allocation-free.
@@ -129,7 +119,7 @@ func (c *Core) Reset(prog *isa.Program) {
 
 	// Spec-watch state. A caller-armed hook is preserved like MemWatch; a
 	// hook picked up from the process default (or no hook at all) re-reads
-	// the default, matching what New would capture right now. The published
+	// the default. The published
 	// counter snapshot re-bases with the Stats wipe; harvest the global
 	// counters before Reset when accumulating across runs.
 	if c.specFromDefault || c.specWatch == nil {

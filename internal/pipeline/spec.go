@@ -18,12 +18,11 @@ import (
 // recorded stream in one backward pass when it is read.
 //
 // The per-fetch events (SpecFetch, SpecBPLookup, and the IL1 fills a fetch
-// triggers) are emitted by the superblock replay engine itself, at the same
-// points and in the same order as the per-instruction reference walk, so
-// arming a watch never changes which front end runs. The emission points
-// are pure observers: TestSpecStreamReplayMatchesWalk pins replay's stream
-// against the walk's, and TestSpecTraceDifferential pins that arming the
-// hook perturbs no result over every registered scenario.
+// triggers) are emitted by the superblock replay engine itself, so arming a
+// watch never changes how fetch runs. The emission points are pure
+// observers: TestSpecStreamGoldens pins the stream of the pipeline's test
+// programs, and TestSpecTraceDifferential pins that arming the hook
+// perturbs no result over every registered scenario.
 
 // SpecKind identifies what a SpecEvent describes.
 type SpecKind uint8

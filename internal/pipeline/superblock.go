@@ -14,22 +14,21 @@ import (
 // undecodable byte, end of the code image, or the sbMaxEntries cap.
 // Conditional branches and SeMPE markers do NOT end a block: their dynamic
 // behavior (prediction, RAS traffic, sJMP/eosJMP marking) is resolved at
-// replay time by calling the same predecode used by the legacy walk, so a
-// block replays correctly whether the branch falls through (replay
-// continues inside the block) or redirects (the fetch group ends and the
-// cursor is dropped).
+// replay time, so a block replays correctly whether the branch falls
+// through (replay continues inside the block) or redirects (the fetch group
+// ends and the cursor is dropped).
 //
 // Each entry carries a prototype micro-op with everything that is a pure
 // function of the instruction bytes precomputed — decoded instruction, pc,
 // npc, functional-unit class — plus the IL1 line addresses its bytes touch.
 // Replay copies the prototype over a raw pool slot, assigns the dynamic
-// sequence number, charges the IL1 exactly like the legacy walk (same
-// last-line dedup, same miss-retry recharging), and runs predecode only for
-// entries whose front-end behavior is dynamic. Prediction state, cache
-// state, stall cycles, the fetch group shape, and the per-fetch spec events
-// are therefore identical to the legacy walk by construction; runPair and
-// TestSpecStreamReplayMatchesWalk compare the two directly, and the scenario
-// goldens pin every artifact the replay engine produces.
+// sequence number, charges the IL1 once per distinct line per fetch group
+// (re-charging an instruction whose line missed once the fill completes),
+// and runs predecode only for entries whose front-end behavior is dynamic.
+// The engine replaced a per-instruction decode walk; its timing and events
+// are identical to that walk's, which the golden files under
+// internal/pipeline/testdata (recorded from the walk) and the scenario
+// goldens and spec streams in internal/experiments/testdata pin.
 //
 // The replay cursor (sbCur/sbCurIdx) is self-validating: it is only resumed
 // when the entry it points at matches fetchPC, so redirects, IL1-miss
@@ -37,10 +36,9 @@ import (
 // pc check. Blocks cache nothing about cache/predictor state, so there are
 // no staleness edges to invalidate for; the only way a cached block could
 // go stale is the program's code bytes changing, which cannot happen within
-// a run (the ISA has no stores to the code image) — across runs every
-// pipeline.New starts with an empty superblock cache, and Core.Reset drops
-// every cached block (recycling the entry slices) before loading the next
-// program.
+// a run (the ISA has no stores to the code image) — across runs Core.Reset,
+// which New also runs, drops every cached block (recycling the entry
+// slices) before loading the next program.
 
 // sbKind classifies how an entry's front-end behavior is produced at replay.
 // Beyond the original sequential/dynamic split, the build resolves each
@@ -84,7 +82,7 @@ type sbEntry struct {
 	// last IL1 line: replaying it directly after its predecessor in the same
 	// fetch group charges nothing, so the per-line loop can be skipped
 	// statically. The first entry of every group still runs the full check
-	// (the legacy walk resets its line dedup each cycle).
+	// (the line dedup resets every cycle).
 	newLine bool
 	pushRet bool // sbJal with Rd==LR: push the return address at replay
 }
@@ -94,14 +92,13 @@ type superblock struct {
 	entries []sbEntry
 }
 
-// fetchSuperblock is the replay fetch path. It mirrors fetchLegacy's
-// per-cycle shape exactly: up to FetchWidth instructions, one shared
-// last-line IL1 dedup across the whole group (including across block
-// boundaries within the group), stall-and-retry on IL1 miss with the
-// current entry re-charged after the fill, group end on predicted-taken
-// transfers, the halt/broken latches at the same instruction positions, and
-// the same spec events (fill stamp, SpecBPLookup, SpecFetch) in the same
-// order when a watch is armed.
+// fetchSuperblock is the fetch path. Per cycle it fetches up to FetchWidth
+// instructions with one shared last-line IL1 dedup across the whole group
+// (including across block boundaries within the group), stalls and retries
+// on an IL1 miss with the current entry re-charged after the fill, ends the
+// group on a predicted-taken transfer, latches halt/broken at the
+// instruction that causes them, and emits the per-fetch spec events (fill
+// stamp, SpecBPLookup, SpecFetch) in that order when a watch is armed.
 func (c *Core) fetchSuperblock() {
 	// Reserve pool slots for the whole group up front so the arena cannot
 	// move mid-loop and its pointer can be hoisted.
@@ -118,7 +115,7 @@ func (c *Core) fetchSuperblock() {
 		if c.sbCur < 0 || int(c.sbCurIdx) >= len(c.sbBlocks[c.sbCur].entries) ||
 			c.sbBlocks[c.sbCur].entries[c.sbCurIdx].proto.pc != c.fetchPC {
 			if !c.sbLookup() {
-				return // fetchBroken latched, same as the legacy walk
+				return // fetchBroken latched
 			}
 		}
 		blk := &c.sbBlocks[c.sbCur]
@@ -126,17 +123,16 @@ func (c *Core) fetchSuperblock() {
 			e := &blk.entries[c.sbCurIdx]
 			if traced {
 				// Attribute IL1 fills (and any prefetches they trigger) to
-				// this fetch, exactly where the legacy walk stamps them.
+				// this fetch. c.seq is the sequence number it is about to get.
 				c.specPC, c.specSeq = e.proto.pc, c.seq
 			}
-			// Charge IL1 for each distinct line, exactly like the legacy
-			// walk: lastLine is updated even on a miss, and a miss retries
-			// the whole instruction after the stall (recharging its lines).
-			// Entries statically known to stay on their predecessor's line
-			// (newLine false) skip the loop whenever that predecessor was
-			// replayed earlier in this same group (n > 0); the group's first
-			// instruction always runs the full check, matching the legacy
-			// walk's per-cycle dedup reset.
+			// Charge IL1 for each distinct line: lastLine is updated even on
+			// a miss, and a miss retries the whole instruction after the
+			// stall (recharging its lines). Entries statically known to stay
+			// on their predecessor's line (newLine false) skip the loop
+			// whenever that predecessor was replayed earlier in this same
+			// group (n > 0); the group's first instruction always runs the
+			// full check, since the dedup resets every cycle.
 			if e.newLine || n == 0 {
 				for li := 0; li < int(e.nlines); li++ {
 					a := e.lines[li]
@@ -213,8 +209,8 @@ func (c *Core) fetchSuperblock() {
 
 // sbLookup points the cursor at a block starting at fetchPC, building one
 // on first touch. It returns false after latching fetchBroken when fetchPC
-// is outside the code image or undecodable — the same conditions, detected
-// at the same instruction position in the fetch group, as the legacy walk.
+// is outside the code image or undecodable: only a wrong path gets there,
+// and fetch then waits for the flush that redirects it.
 func (c *Core) sbLookup() bool {
 	pc := c.fetchPC
 	if pc < c.prog.CodeBase || pc >= c.prog.CodeEnd() {
@@ -237,9 +233,9 @@ func (c *Core) sbLookup() bool {
 
 // sbBuild decodes a superblock starting at code offset off and registers it
 // in sbIndex. It returns -1 when the first instruction is undecodable (the
-// caller latches fetchBroken, as the legacy walk would at that pc). A later
-// undecodable instruction just ends the block: replay will re-look-up at
-// that pc and only then latch fetchBroken, matching legacy timing.
+// caller latches fetchBroken). A later undecodable instruction just ends the
+// block: replay re-looks-up at that pc and only then latches fetchBroken,
+// when fetch actually reaches it.
 func (c *Core) sbBuild(off int) int32 {
 	var entries []sbEntry
 	if n := len(c.sbEntryPool); n > 0 {
@@ -250,8 +246,8 @@ func (c *Core) sbBuild(off int) int32 {
 	}
 	pos := off
 	for len(entries) < sbMaxEntries && pos < len(c.prog.Code) {
-		// Goes through the shared predecode cache, so replay and the
-		// reference walk see one decode and identical static metadata.
+		// Each static instruction is decoded once per run, however many
+		// blocks cover it.
 		d := c.predecAt(pos)
 		if d == nil {
 			break
@@ -268,7 +264,6 @@ func (c *Core) sbBuild(off int) int32 {
 		e.proto.writesRd = d.writesRd
 		e.proto.isLoad, e.proto.isStore = d.isLoad, d.isStore
 		e.proto.memWidth = d.memWidth
-		e.proto.fromReplay = true
 		for a := pc &^ (cache.LineSize - 1); a < pc+uint64(size); a += cache.LineSize {
 			e.lines[e.nlines] = a
 			e.nlines++

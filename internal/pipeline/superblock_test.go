@@ -15,33 +15,21 @@ type obs struct {
 	flag2 bool
 }
 
-// newReference builds a core that fetches through the per-instruction
-// reference walk (fetchLegacy) instead of the superblock replay engine.
-func newReference(cfg Config, prog *isa.Program) *Core {
-	c := New(cfg, prog)
-	c.sbOff = true
-	return c
-}
-
-// runPair executes prog on two fresh cores — the superblock replay engine
-// and the reference walk — and requires each one's complete observable
-// surface (final registers, every pipeline statistic, the commit, memory and
-// predictor digests, per-level cache statistics) to equal the golden file
-// testdata/runs/<name>.json, which -update records from the walk. It returns
-// the replay core for engagement assertions.
-func runPair(t *testing.T, name string, cfg Config, prog *isa.Program) *Core {
+// runGolden executes prog on a new core and requires its complete
+// observable surface — final registers, every pipeline statistic, the
+// commit, memory and predictor digests, per-level cache statistics — to
+// equal testdata/runs/<name>.json. The files were recorded from the
+// per-instruction decode walk the replay engine replaced; -update rewrites
+// them from the replay engine. It returns the core for engagement
+// assertions.
+func runGolden(t *testing.T, name string, cfg Config, prog *isa.Program) *Core {
 	t.Helper()
-	on := New(cfg, prog)
-	if err := on.Run(); err != nil {
-		t.Fatalf("superblock core: %v", err)
+	c := New(cfg, prog)
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
 	}
-	checkGolden(t, "runs/"+name, surfaceOf(on))
-	off := newReference(cfg, prog)
-	if err := off.Run(); err != nil {
-		t.Fatalf("legacy core: %v", err)
-	}
-	checkGolden(t, "runs/"+name, surfaceOf(off)) // last, so -update keeps the walk's
-	return on
+	checkGolden(t, "runs/"+name, surfaceOf(c))
+	return c
 }
 
 // TestSuperblockSecBlockBoundaryMidTrace: the sJMP and the eosJMP marker sit
@@ -50,7 +38,7 @@ func runPair(t *testing.T, name string, cfg Config, prog *isa.Program) *Core {
 // the register restores exactly — for both secret values.
 func TestSuperblockSecBlockBoundaryMidTrace(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runPair(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
+		on := runGolden(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
 		if on.SBStats.Replays == 0 {
 			t.Errorf("secret=%d: engine never engaged (0 replays)", secret)
 		}
@@ -80,7 +68,7 @@ func TestSuperblockMispredictHeavy(t *testing.T) {
 			bne  r9, rz, loop
 			halt
 	`)
-	on := runPair(t, "default_mispredict", DefaultConfig(), prog)
+	on := runGolden(t, "default_mispredict", DefaultConfig(), prog)
 	if on.SBStats.Replays == 0 {
 		t.Error("engine never engaged")
 	}
@@ -93,7 +81,7 @@ func TestSuperblockMispredictHeavy(t *testing.T) {
 // instructions occupy the same addresses run back to back on fresh cores.
 // Each pipeline.New starts with an empty superblock cache, so no trace from
 // the first program can replay into the second; both runs must match their
-// own reference-walk executions exactly.
+// own goldens exactly.
 func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	progA := asm.MustAssemble(`
 		main:
@@ -112,8 +100,8 @@ func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	if progA.CodeBase != progB.CodeBase {
 		t.Fatal("programs must share a code base for the test to bite")
 	}
-	a := runPair(t, "default_progA", DefaultConfig(), progA)
-	b := runPair(t, "default_progB", DefaultConfig(), progB)
+	a := runGolden(t, "default_progA", DefaultConfig(), progA)
+	b := runGolden(t, "default_progB", DefaultConfig(), progB)
 	if a.ArchRegs()[10] != 30 || b.ArchRegs()[10] != 200 {
 		t.Errorf("r10: progA=%d progB=%d, want 30, 200 — a stale trace replayed",
 			a.ArchRegs()[10], b.ArchRegs()[10])
@@ -121,10 +109,10 @@ func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 }
 
 // TestSuperblockWatchHooksMidRun: the commit-time observations — MemWatch
-// and the spec watch's conditional-branch predictor updates — are
-// independent of whether the uop arrived via replay or the reference walk,
-// so arming them mid-run must produce the exact event streams — addresses
-// AND cycle stamps — pinned in testdata/watchhooks_midrun.json.
+// and the spec watch's conditional-branch predictor updates — armed mid-run
+// must produce the exact event streams — addresses AND cycle stamps — pinned
+// in testdata/watchhooks_midrun.json, which the per-instruction decode walk
+// recorded before the replay engine replaced it.
 func TestSuperblockWatchHooksMidRun(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
@@ -140,37 +128,28 @@ func TestSuperblockWatchHooksMidRun(t *testing.T) {
 			halt
 	`)
 	const armAt = 100
-	type hookSurface struct {
+	c := New(DefaultConfig(), prog)
+	var rec *recorder
+	for !c.Halted() {
+		if rec == nil && c.Cycles() >= armAt {
+			rec = armRecorder(c)
+		}
+		if err := c.StepCycle(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec == nil {
+		t.Fatalf("program halted before cycle %d", armAt)
+	}
+	if len(rec.mems) == 0 || len(rec.branches) == 0 {
+		t.Fatalf("hooks observed nothing after arming (mem=%d, branch=%d)", len(rec.mems), len(rec.branches))
+	}
+	checkGolden(t, "watchhooks_midrun", struct {
 		Stats        Stats
 		CommitDigest string
 		Mems         obsStream
 		Branches     obsStream
-	}
-	for _, reference := range []bool{false, true} { // walk last, so -update keeps its
-		c := New(DefaultConfig(), prog)
-		c.sbOff = reference
-		var rec *recorder
-		for !c.Halted() {
-			if rec == nil && c.Cycles() >= armAt {
-				rec = armRecorder(c)
-			}
-			if err := c.StepCycle(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if rec == nil {
-			t.Fatalf("program halted before cycle %d", armAt)
-		}
-		if len(rec.mems) == 0 || len(rec.branches) == 0 {
-			t.Fatalf("hooks observed nothing after arming (mem=%d, branch=%d)", len(rec.mems), len(rec.branches))
-		}
-		checkGolden(t, "watchhooks_midrun", hookSurface{
-			Stats:        c.Stats,
-			CommitDigest: hex64(c.CommitDigest()),
-			Mems:         obsStreamOf(rec.mems),
-			Branches:     obsStreamOf(rec.branches),
-		})
-	}
+	}{c.Stats, hex64(c.CommitDigest()), obsStreamOf(rec.mems), obsStreamOf(rec.branches)})
 }
 
 // TestSuperblockRepeatedRunsDeterministic: the same program on consecutive

@@ -34,11 +34,10 @@ type uop struct {
 	pd            int16 // destination physical register
 	oldPd         int16 // previous mapping of Rd, freed at commit
 
-	// Static per-instruction metadata (1-byte), resolved once at fetch
-	// (legacy walk) or once per superblock build (replay copies it with the
-	// prototype): functional-unit class, the architectural source registers
-	// rename must map into ps1..ps3 (-1 = unused), the destination-write
-	// flag, and the memory-op shape.
+	// Static per-instruction metadata (1-byte), resolved once per superblock
+	// build (replay copies it with the prototype): functional-unit class,
+	// the architectural source registers rename must map into ps1..ps3
+	// (-1 = unused), the destination-write flag, and the memory-op shape.
 	cl               isa.Class
 	sra1, sra2, sra3 int8
 	writesRd         bool
@@ -57,7 +56,6 @@ type uop struct {
 	isSJmp      bool // SeMPE roles, set only when the core runs with SeMPE
 	isEOSJmp    bool
 	squashed    bool
-	fromReplay  bool // fetched via superblock replay (wrong-path accounting)
 }
 
 // uref is an index into the core's uop arena. nilRef means "no micro-op".

@@ -39,11 +39,11 @@ func wrongPathNestedProg() *isa.Program {
 }
 
 // TestWrongPathNestedMispredict: replay through nested wrong-path regions
-// must stay cycle- and event-identical to the reference walk, while
-// actually exercising the machinery: squashed replayed micro-ops and cursor
-// re-keys onto cached redirect targets must both occur.
+// must match its golden run, while actually exercising the machinery:
+// squashed replayed micro-ops and cursor re-keys onto cached redirect
+// targets must both occur.
 func TestWrongPathNestedMispredict(t *testing.T) {
-	on := runPair(t, "default_nested", DefaultConfig(), wrongPathNestedProg())
+	on := runGolden(t, "default_nested", DefaultConfig(), wrongPathNestedProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -57,12 +57,12 @@ func TestWrongPathNestedMispredict(t *testing.T) {
 
 // TestWrongPathSecureRedirectMidSuperblock: under SeMPE the commit-time
 // eosJMP controller redirects fetch while the replay cursor is mid-block.
-// The redirect must re-key (or drop) the cursor exactly like the reference
-// walk's pc tracking — for both secret values — and the secure redirects
-// must actually land on a live cursor.
+// The redirect must re-key (or drop) the cursor without moving any
+// observable off the golden run — for both secret values — and the secure
+// redirects must actually land on a live cursor.
 func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
-		on := runPair(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
+		on := runGolden(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
 		if on.Stats.EOSJmps == 0 {
 			t.Fatalf("secret=%d: no secure redirects; test needs a SeMPE program", secret)
 		}
@@ -104,7 +104,7 @@ func wrongPathColdTargetProg() *isa.Program {
 // WrongPathBuilds without perturbing any observable, and later correct-path
 // fetch must replay the (path-independent) cached blocks.
 func TestWrongPathFlushDuringBuild(t *testing.T) {
-	on := runPair(t, "default_coldtarget", DefaultConfig(), wrongPathColdTargetProg())
+	on := runGolden(t, "default_coldtarget", DefaultConfig(), wrongPathColdTargetProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
@@ -117,11 +117,10 @@ func TestWrongPathFlushDuringBuild(t *testing.T) {
 }
 
 // TestWrongPathReplayZeroAlloc: with a mispredict-heavy workload keeping
-// speculative fetch hot, the
-// steady-state cycle loop must stay at 0 allocs/op — cursor re-keying,
-// build-stamp truncation, and the bulk squash may not allocate. The core
-// comes from a prototype clone, the spin-up path the benchmark and cluster
-// workers use, so the gate covers the shared-decode-table fast path too.
+// speculative fetch hot, the steady-state cycle loop must stay at 0
+// allocs/op — cursor re-keying, build-stamp truncation, and the bulk squash
+// may not allocate. The core comes from a Prototype, the pool
+// BenchmarkSimulatorSpeed vends its cores from.
 func TestWrongPathReplayZeroAlloc(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:

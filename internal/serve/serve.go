@@ -254,7 +254,7 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 	// Validate the spec before tracking a run: a bad parameter is the
 	// caller's error, not a failed run.
 	if _, err := sc.Sweep.Axes(req.Spec); err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		httpError(w, http.StatusBadRequest, "bad spec for %s: %v", sc.Name, err)
 		return
 	}
 

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -541,5 +542,35 @@ func TestCancelDoesNotContaminateConcurrentIdenticalRun(t *testing.T) {
 	getJSON(t, ts.URL+"/runs/"+a.ID, &got)
 	if got.Status != "canceled" && got.Status != "done" {
 		t.Errorf("run A ended %q", got.Status)
+	}
+}
+
+// TestOutOfRangeParamIsBadRequest: a harness width of 0 is a client error
+// that names the scenario, the parameter and the value, and the server
+// keeps serving. At ws=0 the harness builder used to panic inside a grid
+// worker goroutine and take the whole process down.
+func TestOutOfRangeParamIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t)
+	resp, err := http.Post(ts.URL+"/runs", "application/json",
+		bytes.NewBufferString(`{"scenario":"fig10a","spec":{"params":{"ws":"0"}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ws=0: status %d, want 400", resp.StatusCode)
+	}
+	for _, want := range []string{"fig10a", "ws: 0 "} {
+		if !strings.Contains(body.Error, want) {
+			t.Errorf("ws=0: error %q does not contain %q", body.Error, want)
+		}
+	}
+	view, code := postRun(t, ts, `{"scenario":"fig10a","spec":{"quick":true,"params":{"kinds":"ones","ws":"1"}},"wait":true}`)
+	if code != http.StatusOK || view.Status != "done" {
+		t.Fatalf("next request: status %d, run %q (%s), want 200 and done", code, view.Status, view.Error)
 	}
 }

@@ -37,7 +37,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	}
 	axes, err := sc.Sweep.Axes(req.Spec)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad spec: %v", err)
+		httpError(w, http.StatusBadRequest, "bad spec for %s: %v", sc.Name, err)
 		return
 	}
 	pts := scenario.Expand(axes)
