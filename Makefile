@@ -33,11 +33,11 @@ bench-module:
 # steady-state pipeline loop is allocation-free, in seconds. The attack-trial
 # benchmark runs one iteration per config; its allocation gate is the
 # TestTrialLoopZeroAlloc test (a 1x bench can't see the steady state).
-# The replay gates pin the superblock fetch path: prototype clones
+# The replay gates pin the superblock fetch path: prototype-vended cores
 # cycle-identical to New, 0 allocs/op through wrong-path replay, an armed
-# spec watch staying on replay with the reference walk's exact event
-# stream, and every scenario byte-identical to its golden file and
-# delivering the walk's recorded spec-event stream. The data-footprint gates
+# spec watch staying on replay, the pipeline's spec-event streams equal to
+# their golden files, and every scenario byte-identical to its golden file
+# and delivering its recorded spec-event and flush streams. The data-footprint gates
 # pin zero-filled program data as a reservation: attack templates carry no
 # data bytes, symbol addresses match the recorded layouts, and a .data range
 # past the data region is a named error.
@@ -45,8 +45,8 @@ bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
 	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed'
-	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk'
-	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
+	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamGoldens|TestSpecStreamHashCoversEveryField'
+	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestScenarioSpecStreams|TestScenarioFlushStreams'
 	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
 

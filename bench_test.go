@@ -274,10 +274,10 @@ func BenchmarkAblationCollapse(b *testing.B) {
 
 // BenchmarkSimulatorSpeed measures raw simulation throughput (simulated
 // instructions per wall second) — an infrastructure number, not a paper
-// result. Cores come from a warm prototype (pooled Reset, shared
-// pre-decode table), so the number measures simulation, not construction;
-// TestPrototypeMatchesNew pins the pooled run cycle-identical to a fresh
-// one.
+// result. Cores come from a warm prototype pool (Reset in place, not
+// reallocated), so the number measures simulation, decode included, not
+// construction; TestPrototypeMatchesNew pins the pooled run cycle-identical
+// to a new core's.
 func BenchmarkSimulatorSpeed(b *testing.B) {
 	spec := workloads.HarnessSpec{Kind: workloads.Quicksort, W: 2, I: 4}
 	out, err := compile.Compile(workloads.Harness(spec), compile.Plain)

@@ -41,6 +41,16 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 		// default under a key that misdescribes the computed result.
 		{"attack", map[string]string{"trials": "0"}, "trials:"},
 		{"attack", map[string]string{"noise": "-1"}, "noise:"},
+		// Harness widths and iteration counts below 1, value named too: at
+		// ws=0 the harness builder panicked inside a grid worker, and at
+		// iters=0 the sweep rendered rows from harnesses that ran nothing.
+		{"fig10", map[string]string{"ws": "0"}, "ws: 0 "},
+		{"fig10", map[string]string{"ws": "1,4,-1"}, "ws: -1 "},
+		{"fig10", map[string]string{"iters": "0"}, "iters: 0 "},
+		{"leakmatrix", map[string]string{"ws": "0"}, "ws: 0 "},
+		{"leakmatrix", map[string]string{"iters": "-1"}, "iters: -1 "},
+		{"ablation", map[string]string{"w": "0"}, "w: 0 "},
+		{"ablation", map[string]string{"iters": "0"}, "iters: 0 "},
 	}
 	specOf := map[string]func(scenario.Spec) error{
 		"fig10":      func(s scenario.Spec) error { _, err := fig10SpecOf(s); return err },
@@ -68,15 +78,26 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 }
 
 // A bad parameter must also surface through the engine (axes expansion),
-// not only through the typed spec helpers.
+// not only through the typed spec helpers, with the scenario named — for
+// every scenario sharing a decoder.
 func TestBadParamFailsThroughEngine(t *testing.T) {
-	sc, ok := scenario.Lookup("spectre")
-	if !ok {
-		t.Fatal("spectre not registered")
+	cases := []struct{ scenario, param, value string }{
+		{"spectre", "trials", "NaN"},
+		{"fig10a", "ws", "0"},
+		{"fig10b", "ws", "0"},
+		{"table1", "iters", "0"},
+		{"leakmatrix", "ws", "0"},
+		{"ablation", "w", "0"},
 	}
-	_, err := scenario.Run(sc, scenario.Spec{Params: map[string]string{"trials": "NaN"}}, scenario.RunOptions{})
-	if err == nil || !strings.Contains(err.Error(), "trials:") {
-		t.Errorf("engine run error = %v, want one naming trials", err)
+	for _, tc := range cases {
+		sc, ok := scenario.Lookup(tc.scenario)
+		if !ok {
+			t.Fatalf("%s not registered", tc.scenario)
+		}
+		_, err := scenario.Run(sc, scenario.Spec{Params: map[string]string{tc.param: tc.value}}, scenario.RunOptions{})
+		if want := tc.scenario + ": " + tc.param + ": "; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("engine run error = %v, want one starting %q", err, want)
+		}
 	}
 }
 
@@ -97,46 +118,5 @@ func TestParamFlagMalformed(t *testing.T) {
 	}
 	if p["ws"] != "1,2" || p["empty"] != "" {
 		t.Errorf("ParamFlag contents wrong: %v", p)
-	}
-}
-
-// TestScenarioParamBelowRange: a harness width (ws, w) or iteration count
-// below 1 is rejected before any point runs, by every scenario that takes
-// it, with an error naming the scenario, the parameter and the value. At
-// ws=0 the harness builder panicked inside a grid worker; at iters=0 the
-// sweep rendered rows from harnesses that ran nothing.
-func TestScenarioParamBelowRange(t *testing.T) {
-	params := map[string][]string{
-		"fig10a":     {"ws", "iters"},
-		"fig10b":     {"ws", "iters"},
-		"table1":     {"ws", "iters"},
-		"leakmatrix": {"ws", "iters"},
-		"ablation":   {"w", "iters"},
-	}
-	for name, keys := range params {
-		sc, ok := scenario.Lookup(name)
-		if !ok {
-			t.Fatalf("%s not registered", name)
-		}
-		for _, key := range keys {
-			for _, val := range []string{"0", "-1"} {
-				spec := scenario.Spec{Quick: true, Params: map[string]string{key: val}}
-				_, err := scenario.Run(sc, spec, scenario.RunOptions{})
-				if err == nil {
-					t.Errorf("%s %s=%s: no error", name, key, val)
-					continue
-				}
-				for _, want := range []string{name + ":", key + ": " + val + " "} {
-					if !strings.Contains(err.Error(), want) {
-						t.Errorf("%s %s=%s: error %q does not contain %q", name, key, val, err, want)
-					}
-				}
-			}
-		}
-	}
-	// A list axis fails on any bad entry, not only the first.
-	if _, err := fig10SpecOf(scenario.Spec{Params: map[string]string{"ws": "1,4,0"}}); err == nil ||
-		!strings.Contains(err.Error(), "ws: 0 ") {
-		t.Errorf("ws=1,4,0: error = %v, want one naming ws and 0", err)
 	}
 }

@@ -92,81 +92,52 @@ func (c *Core) fetch() {
 	c.fetchSuperblock()
 }
 
-// predecode sets the front-end prediction state of u and advances fetchPC.
-// It reports whether the fetch group must end because of a (predicted-)
-// taken control transfer. Replay calls it for the entries whose front-end
-// behavior is dynamic (JALR and the SeMPE markers); its remaining arms are
-// the reference the replay engine's direct-dispatch kinds mirror.
+// predecode resolves the replay entries whose front-end behavior is
+// dynamic (sbPredecode): the SeMPE markers, which sbBuild routes here only
+// when the core runs SeMPE, and JALR. It sets u's prediction state,
+// advances fetchPC, and reports whether the fetch group must end because
+// of a predicted-taken transfer.
 func (c *Core) predecode(u *uop) bool {
 	in := u.inst
-	secureMode := c.cfg.SeMPE
 	switch {
-	case in.IsSJmp() && secureMode:
+	case in.IsSJmp():
 		u.isSJmp = true
 		// No branch-predictor consultation: always fall through to the
 		// not-taken SecBlock first.
 		u.predTaken = false
 		c.fetchPC = u.npc
 		return false
-	case in.IsEOSJmp() && secureMode:
+	case in.IsEOSJmp():
 		u.isEOSJmp = true
 		// The jump-back, if any, happens at commit; fetch continues
 		// sequentially and is flushed on redirect.
 		c.fetchPC = u.npc
 		return false
-	case in.Op.IsBranch():
-		u.predTaken = c.BP.PredictBranch(u.pc)
-		u.predTarget = u.pc + uint64(in.Imm)
-		if c.specWatch != nil {
-			c.emitSpec(SpecEvent{Kind: SpecBPLookup, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: u.predTaken})
+	}
+	// JALR.
+	u.predTaken = true
+	if in.Rd == isa.RZ && in.Ra == isa.LR {
+		// Return idiom: predict via the return-address stack.
+		if t, ok := c.BP.PopReturn(); ok {
+			u.predTarget = t
+		} else {
+			u.predTarget = u.npc
 		}
-		if u.predTaken {
-			c.fetchPC = u.predTarget
-			return true
+	} else {
+		if t, ok := c.BP.PredictIndirect(u.pc); ok {
+			u.predTarget = t
+		} else {
+			u.predTarget = u.npc
 		}
-		c.fetchPC = u.npc
-		return false
-	case in.Op == isa.OpJmp:
-		u.predTaken = true
-		u.predTarget = u.pc + uint64(in.Imm)
-		c.fetchPC = u.predTarget
-		return true
-	case in.Op == isa.OpJal:
-		u.predTaken = true
-		u.predTarget = u.pc + uint64(in.Imm)
 		if in.Rd == isa.LR {
 			c.BP.PushReturn(u.npc)
 		}
-		c.fetchPC = u.predTarget
-		return true
-	case in.Op == isa.OpJalr:
-		u.predTaken = true
-		if in.Rd == isa.RZ && in.Ra == isa.LR {
-			// Return idiom: predict via the return-address stack.
-			if t, ok := c.BP.PopReturn(); ok {
-				u.predTarget = t
-			} else {
-				u.predTarget = u.npc
-			}
-		} else {
-			if t, ok := c.BP.PredictIndirect(u.pc); ok {
-				u.predTarget = t
-			} else {
-				u.predTarget = u.npc
-			}
-			if in.Rd == isa.LR {
-				c.BP.PushReturn(u.npc)
-			}
-		}
-		if c.specWatch != nil {
-			c.emitSpec(SpecEvent{Kind: SpecBPLookup, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: true})
-		}
-		c.fetchPC = u.predTarget
-		return true
-	default:
-		c.fetchPC = u.npc
-		return false
 	}
+	if c.specWatch != nil {
+		c.emitSpec(SpecEvent{Kind: SpecBPLookup, Seq: u.seq, PC: u.pc, Addr: u.predTarget, Taken: true})
+	}
+	c.fetchPC = u.predTarget
+	return true
 }
 
 // decode moves predecoded micro-ops into the decode queue. The two buffers

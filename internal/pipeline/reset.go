@@ -8,8 +8,8 @@ import (
 // image, without reallocating any of the core's structures: pipeline rings,
 // ROB, scheduler, completion calendar, uop arena, pre-decode cache,
 // superblock cache, predictors, caches, prefetchers, SPM/jbTable, and the
-// memory image are all recycled in place. New is allocation followed by
-// Reset, so it is the only initialization path. The attack and experiment
+// memory image are all recycled in place. New allocates and then calls
+// Reset, so Reset is the only initialization path. The attack and experiment
 // drivers pool cores per configuration and Reset them per trial, which
 // removes per-run construction (the dominant flat cost of high-trial
 // sweeps) from the hot loop; TestCoreResetDifferential pins that a core

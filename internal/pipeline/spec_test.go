@@ -402,8 +402,8 @@ func TestSpecStreamGoldens(t *testing.T) {
 	for _, cfg := range specStreamCfgs() {
 		for _, p := range specStreamProgs() {
 			for _, armAt := range []uint64{0, 150} {
-				name := fmt.Sprintf("%s_%s_arm%d", cfg.name, p.name, armAt)
-				t.Run(name, func(t *testing.T) {
+				golden := fmt.Sprintf("specstreams/%s_%s_arm%d", cfg.name, p.name, armAt)
+				t.Run(fmt.Sprintf("%s/%s/arm%d", cfg.name, p.name, armAt), func(t *testing.T) {
 					c := New(cfg.cfg, p.prog)
 					var events []SpecEvent
 					for !c.Halted() {
@@ -420,7 +420,7 @@ func TestSpecStreamGoldens(t *testing.T) {
 					if c.SBStats.Replays == 0 {
 						t.Fatal("core replayed nothing")
 					}
-					checkGolden(t, "specstreams/"+name, specSurfaceOf(events, c))
+					checkGolden(t, golden, specSurfaceOf(events, c))
 				})
 			}
 		}

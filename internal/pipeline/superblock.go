@@ -41,22 +41,20 @@ import (
 // slices) before loading the next program.
 
 // sbKind classifies how an entry's front-end behavior is produced at replay.
-// Beyond the original sequential/dynamic split, the build resolves each
-// control-flow shape to its own kind with the static taken target
-// precomputed, so replay dispatches directly instead of re-deriving the
-// shape from the opcode in predecode. Instructions whose front-end behavior
-// depends on dynamic predictor state beyond a direction lookup (JALR's
-// RAS/ITTAGE target) or on SeMPE marking fall back to the shared predecode.
+// The build resolves each control-flow shape to its own kind with the
+// static taken target precomputed, so replay dispatches directly instead of
+// re-deriving the shape from the opcode. Instructions whose front-end
+// behavior depends on dynamic predictor state beyond a direction lookup
+// (JALR's RAS/ITTAGE target) or on SeMPE marking go through predecode.
 type sbKind uint8
 
 const (
-	// sbSeq: plain sequential instruction; predecode would take its default
-	// case, so replay fast-forwards fetchPC = npc without calling it.
+	// sbSeq: plain sequential instruction; replay sets fetchPC = npc.
 	sbSeq sbKind = iota
-	// sbPredecode: JALR or SeMPE marker; replay calls predecode so dynamic
-	// target prediction and sJMP/eosJMP marking stay on the single code path.
+	// sbPredecode: JALR or SeMPE marker; replay calls predecode for dynamic
+	// target prediction and sJMP/eosJMP marking.
 	sbPredecode
-	// sbHalt: HALT; sequential predecode plus the fetch-side halt latch.
+	// sbHalt: HALT; sequential, plus the fetch-side halt latch.
 	sbHalt
 	// sbBranch: conditional branch (non-secure); direction from the TAGE
 	// lookup, taken target static.
@@ -158,10 +156,9 @@ func (c *Core) fetchSuperblock() {
 			c.fe.pushFetched(i)
 			n++
 
-			// Direct dispatch on the build-time kind; every arm mirrors the
-			// corresponding predecode case exactly, spec events included.
-			// end marks the last instruction of the fetch group: a
-			// (predicted-)taken transfer or HALT. On a redirect the cursor
+			// Direct dispatch on the build-time kind. end marks the last
+			// instruction of the fetch group: a (predicted-)taken transfer
+			// or HALT. On a redirect the cursor
 			// is left as-is; the pc check above re-validates or drops it.
 			end := false
 			switch e.kind {
