@@ -141,7 +141,7 @@ func diffSpecStreams(t *testing.T, check func(t *testing.T, got, want specStream
 	return all
 }
 
-// TestScenarioSpecStreams pins every registered scenario's per-uop
+// TestSuperblockDifferential pins every registered scenario's per-uop
 // speculative activity: run with a spec watch armed on every core, each
 // scenario must deliver exactly the per-uop spec events (every kind but
 // flush: fetch, predictor lookups and updates, issue, execute, cache fills
@@ -150,7 +150,7 @@ func diffSpecStreams(t *testing.T, check func(t *testing.T, got, want specStream
 // engine replaced, so this holds the replay engine to the walk over the
 // full evaluation surface. The attack runner harvests its cores' superblock
 // counters, so the test also checks that those armed cores replayed.
-func TestScenarioSpecStreams(t *testing.T) {
+func TestSuperblockDifferential(t *testing.T) {
 	before := attack.PerfSnapshot()
 	streams := diffSpecStreams(t, func(t *testing.T, got, want specStream) {
 		kinds := map[string]bool{}
@@ -180,14 +180,14 @@ func TestScenarioSpecStreams(t *testing.T) {
 	}
 }
 
-// TestScenarioFlushStreams is the wrong-path half of the same pin: every
-// flush boundary of every registered scenario — its cycle, sequence
+// TestWrongPathReplayDifferential is the wrong-path half of the same pin:
+// every flush boundary of every registered scenario — its cycle, sequence
 // number, cause, and the wrong-path micro-ops it squashed from the renamed
 // window and dropped from the fetch queue — must match the golden
 // recording. Those counts are how far the front end fetched down each
 // mispredicted path before the redirect, so this pins wrong-path fetch at
 // every flush boundary.
-func TestScenarioFlushStreams(t *testing.T) {
+func TestWrongPathReplayDifferential(t *testing.T) {
 	flush := pipeline.SpecFlush.String()
 	streams := diffSpecStreams(t, func(t *testing.T, got, want specStream) {
 		if g, w := got.Kinds[flush], want.Kinds[flush]; g != w {

@@ -20,9 +20,9 @@ import (
 // The per-fetch events (SpecFetch, SpecBPLookup, and the IL1 fills a fetch
 // triggers) are emitted by the superblock replay engine itself, so arming a
 // watch never changes how fetch runs. The emission points are pure
-// observers: TestSpecStreamGoldens pins the stream of the pipeline's test
-// programs, and TestSpecTraceDifferential pins that arming the hook
-// perturbs no result over every registered scenario.
+// observers: TestSpecStreamReplayMatchesWalk pins the stream of the
+// pipeline's test programs, and TestSpecTraceDifferential pins that arming
+// the hook perturbs no result over every registered scenario.
 
 // SpecKind identifies what a SpecEvent describes.
 type SpecKind uint8

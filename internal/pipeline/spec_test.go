@@ -389,16 +389,16 @@ func TestSpecWatchStaysOnReplay(t *testing.T) {
 	}
 }
 
-// TestSpecStreamGoldens: the spec event stream a core emits — fetches,
-// predictor lookups, and the IL1 fills its fetches stamp, alongside every
-// execute- and retire-time event — must equal, event for event, the stream
-// pinned in testdata/specstreams/<cfg>_<prog>_arm<cycle>.json, with the
-// watch armed at cycle 0 and mid-run. A file holds the event count, the
+// TestSpecStreamReplayMatchesWalk: the spec event stream a core emits —
+// fetches, predictor lookups, and the IL1 fills its fetches stamp, alongside
+// every execute- and retire-time event — must equal, event for event, the
+// stream pinned in testdata/specstreams/<cfg>_<prog>_arm<cycle>.json, with
+// the watch armed at cycle 0 and mid-run. A file holds the event count, the
 // per-kind counts, an ordered hash over every field of every event, the
 // run's statistics and its commit digest. The files were recorded from the
 // per-instruction decode walk the replay engine replaced; -update rewrites
 // them from the replay engine.
-func TestSpecStreamGoldens(t *testing.T) {
+func TestSpecStreamReplayMatchesWalk(t *testing.T) {
 	for _, cfg := range specStreamCfgs() {
 		for _, p := range specStreamProgs() {
 			for _, armAt := range []uint64{0, 150} {
