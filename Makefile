@@ -40,7 +40,11 @@ bench-module:
 # and delivering its recorded spec-event and flush streams. The data-footprint gates
 # pin zero-filled program data as a reservation: attack templates carry no
 # data bytes, symbol addresses match the recorded layouts, and a .data range
-# past the data region is a named error.
+# past the data region is a named error. The trial-engine gates pin the
+# attack lab's set-up savings: a template built at one attacked bit and
+# patched to every other equals a fresh compile (TestTemplatePatchMatchesFreshCompile),
+# a slotted literal fuses into an immediate-form op byte-identically, and
+# warm batches reuse pooled runners without building a core.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -48,6 +52,8 @@ bench-smoke:
 	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk|TestSpecStreamHashCoversEveryField'
 	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
 	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
+	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners'
+	$(GO) test ./internal/compile/ -run 'TestSlottedLiteralFusesImmediate'
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
 
 # bench is the full benchmark suite (paper figures + ablations).

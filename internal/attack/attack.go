@@ -142,6 +142,16 @@ type Params struct {
 	Workers int `json:"-"`
 }
 
+// MaxTrials and MaxNoise bound a batch's Trials and Noise. A batch holds
+// every trial's observations until it ends, and Noise unrolls up to that
+// many operations into each trial program, so past these limits a request
+// would exhaust memory and kill the process instead of failing with an
+// error. Both sit far above any sweep's default (100 trials, noise 2).
+const (
+	MaxTrials = 1 << 16
+	MaxNoise  = 256
+)
+
 // DefaultParams returns the batch configuration the spectre/tvla scenarios
 // and cmd/sempe-attack start from.
 func DefaultParams(kind Kind, secure bool) Params {
@@ -181,11 +191,11 @@ func (p Params) validate() error {
 	default:
 		return fmt.Errorf("attack: unknown attacker kind %d", int(p.Kind))
 	}
-	if p.Trials <= 0 {
-		return fmt.Errorf("attack: trials must be >= 1, have %d", p.Trials)
+	if p.Trials <= 0 || p.Trials > MaxTrials {
+		return fmt.Errorf("attack: trials: %d out of range [1,%d]", p.Trials, MaxTrials)
 	}
-	if p.Noise < 0 {
-		return fmt.Errorf("attack: noise must be >= 0, have %d", p.Noise)
+	if p.Noise < 0 || p.Noise > MaxNoise {
+		return fmt.Errorf("attack: noise: %d out of range [0,%d]", p.Noise, MaxNoise)
 	}
 	if p.Gap < 0 {
 		return fmt.Errorf("attack: gap must be >= 0, have %d", p.Gap)

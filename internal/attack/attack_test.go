@@ -2,6 +2,7 @@ package attack
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/stattest"
@@ -218,6 +219,17 @@ func TestRunRejectsBadParams(t *testing.T) {
 	p.Noise = -1
 	if _, err := Run(p); err == nil {
 		t.Error("Run accepted noise=-1")
+	}
+	// Past the limits a batch sized itself into a fatal out-of-memory error.
+	p = DefaultParams(BPProbe, false)
+	p.Trials = MaxTrials + 1
+	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "trials: 65537 ") {
+		t.Errorf("Run with trials=MaxTrials+1: err = %v, want one naming trials and the value", err)
+	}
+	p = DefaultParams(BPProbe, false)
+	p.Noise = MaxNoise + 1
+	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "noise: 257 ") {
+		t.Errorf("Run with noise=MaxNoise+1: err = %v, want one naming noise and the value", err)
 	}
 	// The gap axis only does anything through ExtractKey's live
 	// measurement; the batch entry points must refuse it rather than

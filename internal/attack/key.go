@@ -100,11 +100,10 @@ func (p KeyParams) TrueKey() uint64 {
 	return k
 }
 
+// validate checks the per-bit batch parameters, which carry every
+// constraint: Trials and Noise within [1,MaxTrials] and [0,MaxNoise], the
+// width, the gap and the victim.
 func (p KeyParams) validate() error {
-	if p.Trials <= 0 {
-		return fmt.Errorf("attack: trials must be >= 1, have %d", p.Trials)
-	}
-	// The per-bit batch parameters carry the rest of the constraints.
 	return p.bitParams(0, 0).validate()
 }
 

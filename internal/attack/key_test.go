@@ -270,6 +270,8 @@ func TestKeyParamsValidation(t *testing.T) {
 	base := DefaultKeyParams(BPProbe, false)
 	cases := []func(*KeyParams){
 		func(p *KeyParams) { p.Trials = 0 },
+		func(p *KeyParams) { p.Trials = MaxTrials + 1 },
+		func(p *KeyParams) { p.Noise = MaxNoise + 1 },
 		func(p *KeyParams) { p.Width = 40 },
 		func(p *KeyParams) { p.Gap = -1 },
 		func(p *KeyParams) { p.Victim = "nope" },

@@ -23,11 +23,14 @@ import (
 //
 //   - one pooled core per runner, Reset (not reallocated) between runs, with
 //     the marker watch hook installed once — Core.Reset preserves hooks and
-//     TestCoreResetDifferential pins reset==fresh equality;
+//     TestCoreResetDifferential pins reset==fresh equality; runners outlive
+//     their batch in a per-architecture pool (runnerPools), so the bits of
+//     a key and the rows of a sweep share the same cores;
 //   - one compiled template per trial-invariant program shape, patched per
-//     trial by rewriting only its load-immediate operands (see
-//     compile.Template); a shape the patcher cannot prove data-only, or a
-//     trial value with no patch slot, is a compile.ErrNotPatchable error;
+//     trial by rewriting only its immediate operands (see compile.Template);
+//     the attacked bit is patch data, so every bit of a key shares a shape;
+//     a shape the patcher cannot prove data-only, or a trial value with no
+//     patch slot, is a compile.ErrNotPatchable error;
 //   - no digest computation: the runner reads Core.Cycles() directly, which
 //     is exactly Observation.Cycles.
 //
@@ -38,17 +41,17 @@ import (
 
 // tmplKey captures everything the attacker program's SHAPE depends on. Two
 // trials with equal keys build structurally identical programs that differ
-// only in scalar initial values (the patch slots): the key/prefix, the
-// noise-chain seed, the gap-activity seed, and the prime+probe probed-set
-// offsets ("pla"/"plb") are all data, while the draw fields that steer
-// statement emission (noise op counts) and the batch geometry (victim,
-// width, bit, gap) are part of the key.
+// only in patch-slot values: the key/prefix, the attacked bit (the victims'
+// bit slots), the noise-chain seed, the gap-activity seed, and the
+// prime+probe probed-set offsets ("pla"/"plb") are all data, while the draw
+// fields that steer statement emission (noise op counts) and the batch
+// geometry (victim, width, gap) are part of the key. Every bit of a key
+// therefore shares one template per shape.
 type tmplKey struct {
 	kind     Kind
 	secure   bool
 	victim   string
 	width    int
-	bit      int
 	noisePre int
 	noiseWin int
 	gap      int
@@ -118,7 +121,9 @@ func PerfSnapshot() Perf {
 }
 
 // runner owns one pooled core and all per-trial scratch. It is not safe for
-// concurrent use; parallel batches run one runner per worker.
+// concurrent use; parallel batches run one runner per worker. p and v are
+// the current batch's, rebound on every borrow; everything else depends
+// only on the architecture (mode, cfg) or is rewritten per run.
 type runner struct {
 	p    Params
 	v    victim.Victim
@@ -172,6 +177,52 @@ func newRunner(p Params) (*runner, error) {
 		}
 	}
 	return r, nil
+}
+
+// runnerPools holds the idle batch runners of each architecture (index 1
+// for SeMPE, 0 for the baseline), their cores, rngs, patch buffers and
+// observation buffers warm. A batch borrows one runner per worker and
+// returns them when it ends, so a warm process builds no core per batch. A
+// pool never holds more runners than were ever borrowed at once.
+var runnerPools [2]struct {
+	mu   sync.Mutex
+	free []*runner
+}
+
+func archIndex(secure bool) int {
+	if secure {
+		return 1
+	}
+	return 0
+}
+
+// borrowRunner returns an idle runner of p's architecture rebound to p, or
+// a new one when none is idle.
+func borrowRunner(p Params) (*runner, error) {
+	v, err := p.victimImpl()
+	if err != nil {
+		return nil, err
+	}
+	pool := &runnerPools[archIndex(p.Secure)]
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	if n := len(pool.free); n > 0 {
+		r := pool.free[n-1]
+		pool.free = pool.free[:n-1]
+		r.p, r.v = p, v
+		return r, nil
+	}
+	return newRunner(p)
+}
+
+// releaseRunners returns batch runners to their architecture's pool.
+func releaseRunners(rs ...*runner) {
+	for _, r := range rs {
+		pool := &runnerPools[archIndex(r.p.Secure)]
+		pool.mu.Lock()
+		pool.free = append(pool.free, r)
+		pool.mu.Unlock()
+	}
 }
 
 // trialDraw reproduces newDraw(trialRNG(effSeed, t), p) without allocating:
@@ -270,7 +321,6 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		secure:   r.p.Secure,
 		victim:   r.v.Name(),
 		width:    r.p.width(),
-		bit:      r.p.Bit,
 		noisePre: d.noisePre,
 		noiseWin: d.noiseWin,
 		gap:      r.p.Gap,
@@ -286,6 +336,17 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		}
 		tmplMemo.Put(k, tmpl)
 	}
+	if err := r.patch(tmpl, d, gapSeed, key); err != nil {
+		return nil, 0, err
+	}
+	return tmpl.Out, wantStamps, nil
+}
+
+// patch points r.prog at a copy of tmpl's code carrying this trial's values:
+// the victim's key and attacked-bit slots (Victim.KeyInits), the noise-chain
+// seed, the prime+probe probed-set offsets and the gap seed. Every other
+// slot keeps the value the template was compiled with.
+func (r *runner) patch(tmpl *compile.Template, d draw, gapSeed int64, key uint64) error {
 	r.curTmpl = tmpl
 	r.missing = ""
 	r.vals = append(r.vals[:0], tmpl.BaseInits()...)
@@ -301,17 +362,17 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		r.putVal("gv", gapSeed)
 	}
 	if r.missing != "" {
-		return nil, 0, fmt.Errorf("attack: %s template: %w: no patch slot for %q",
+		return fmt.Errorf("attack: %s template: %w: no patch slot for %q",
 			r.v.Name(), compile.ErrNotPatchable, r.missing)
 	}
 	code, err := tmpl.Specialize(r.vals, r.codeBuf)
 	if err != nil {
-		return nil, 0, fmt.Errorf("attack: %s template: %w", r.v.Name(), err)
+		return fmt.Errorf("attack: %s template: %w", r.v.Name(), err)
 	}
 	r.codeBuf = code
 	r.prog = *tmpl.Out.Prog
 	r.prog.Code = code
-	return tmpl.Out, wantStamps, nil
+	return nil
 }
 
 // buildProgram builds the trial's lang program, the source its template is
@@ -328,10 +389,13 @@ func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program,
 }
 
 // runTrials drives trial indices [0, n) through fn on a pool of workers,
-// one runner each. fn must be safe to call concurrently for distinct t and
-// must confine its effects to per-t slots; all cross-trial statistics run
-// serially after the pool drains, which is what keeps results bit-identical
-// to the serial path at any worker count. workers <= 1 runs inline.
+// one runner each, borrowed from runnerPools and returned when the batch
+// ends. A batch that fails drops its runners instead: a core stopped
+// mid-run is never handed to the next batch. fn must be safe to call
+// concurrently for distinct t and must confine its effects to per-t slots;
+// all cross-trial statistics run serially after the pool drains, which is
+// what keeps results bit-identical to the serial path at any worker count.
+// workers <= 1 runs inline.
 func runTrials(p Params, n, workers int, fn func(r *runner, t int) error) error {
 	if workers > n {
 		workers = n
@@ -346,7 +410,7 @@ func runTrials(p Params, n, workers int, fn func(r *runner, t int) error) error 
 		perfCounters.trialNS.Add(uint64(time.Since(batchStart)))
 	}()
 	if workers <= 1 {
-		r, err := newRunner(p)
+		r, err := borrowRunner(p)
 		if err != nil {
 			return err
 		}
@@ -357,11 +421,12 @@ func runTrials(p Params, n, workers int, fn func(r *runner, t int) error) error 
 			}
 		}
 		perfCounters.trials.Add(uint64(n))
+		releaseRunners(r)
 		return nil
 	}
 	runners := make([]*runner, workers)
 	for i := range runners {
-		r, err := newRunner(p)
+		r, err := borrowRunner(p)
 		if err != nil {
 			return err
 		}
@@ -400,6 +465,7 @@ func runTrials(p Params, n, workers int, fn func(r *runner, t int) error) error 
 			return err
 		}
 	}
+	releaseRunners(runners...)
 	return nil
 }
 

@@ -145,10 +145,11 @@ func orBit(v string) string {
 
 // TestTemplatePatchMatchesFreshCompile pins the Victim.KeyInits contract:
 // for every registered victim, a cached template patched for a different key
-// must be byte-identical — code, data segments, entry, symbols — to a fresh
-// compilation for that key. A victim whose program STRUCTURE depends on the
-// key (not just its prologue immediates) would fail here, which is the test
-// the KeyInits doc tells implementers about.
+// — or built at one attacked bit and patched to another — must be
+// byte-identical (code, data segments, entry, symbols) to a fresh
+// compilation for that key and bit. A victim whose program STRUCTURE
+// depends on the key or the bit (not just its patch-slot immediates) would
+// fail here, which is the test the KeyInits doc tells implementers about.
 func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 	h0, _, _ := tmplMemo.Counters()
 	for _, v := range victim.All() {
@@ -187,6 +188,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 								}
 							}
 						}
+						checkCrossBitPatch(t, p)
 					})
 				}
 			}
@@ -230,6 +232,91 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 			t.Errorf("template evictions changed (%d -> %d)", e0, e1)
 		}
 	})
+
+	// The attacked bit is patch data, not shape: one shape's 16 bits share
+	// one cached template. Drive prepare through every bit of a 16-bit key
+	// with one pinned draw and require at most one miss per victim and
+	// attacker (the initial build), a hit for every other bit, and no
+	// evictions.
+	t.Run("bit-memo", func(t *testing.T) {
+		const width = 16
+		key := uint64(0xB5C3)
+		for _, v := range victim.All() {
+			for _, kind := range AllKinds() {
+				p := DefaultParams(kind, false)
+				p.Victim, p.Width = v.Name(), width
+				r, err := newRunner(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d := draw{seed0: 4242, noisePre: 7, noiseWin: 1, la: 20, lb: 90}
+				h0, m0, e0 := tmplMemo.Counters()
+				for bit := 0; bit < width; bit++ {
+					r.p.Bit = bit
+					if _, _, err := r.prepare(d, 0, key&(uint64(1)<<uint(bit+1)-1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				h1, m1, e1 := tmplMemo.Counters()
+				if misses := m1 - m0; misses > 1 || h1-h0+misses != width {
+					t.Errorf("%s/%s: %d bits took %d template misses and %d hits, want at most 1 miss",
+						v.Name(), kind, width, misses, h1-h0)
+				}
+				if e1 != e0 {
+					t.Errorf("%s/%s: template evictions changed (%d -> %d)", v.Name(), kind, e0, e1)
+				}
+			}
+		}
+	})
+}
+
+// checkCrossBitPatch builds p's trial template at each attacked bit of a
+// W=4 key (bits 0-3) and a W=31 key (bits 0 and 30), patches it to every
+// other bit of that width, and requires the result to equal a fresh
+// compilation at the target bit, for a key with the bit clear and set.
+func checkCrossBitPatch(t *testing.T, p Params) {
+	t.Helper()
+	for _, geom := range []struct {
+		width int
+		bits  []int
+	}{{4, []int{0, 1, 2, 3}}, {31, []int{0, 30}}} {
+		pw := p
+		pw.Width, pw.Bit, pw.KeyPrefix = geom.width, 0, 0
+		r, err := newRunner(pw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := r.trialDraw(1)
+		pattern := uint64(0x2AAAAAAA) & (uint64(1)<<uint(geom.width) - 1)
+		for _, from := range geom.bits {
+			r.p.Bit = from
+			prog, err := r.buildProgram(d, d.gapCal, pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tmpl, err := compile.NewTemplate(prog, r.mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, to := range geom.bits {
+				r.p.Bit = to
+				low := pattern & (uint64(1)<<uint(to) - 1)
+				for _, key := range []uint64{low, low | 1<<uint(to)} {
+					if err := r.patch(tmpl, d, d.gapCal, key); err != nil {
+						t.Fatal(err)
+					}
+					want, err := compileFresh(r, d, d.gapCal, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(r.prog, *want) {
+						t.Errorf("W=%d: template built at bit %d, patched to bit %d key %#x != fresh compilation",
+							geom.width, from, to, key)
+					}
+				}
+			}
+		}
+	}
 }
 
 // compileFresh builds and compiles r's trial program from source, bypassing
@@ -314,6 +401,62 @@ func TestParallelMatchesSerial(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestWarmBatchReusesRunners: batches borrow their runners from the
+// per-architecture pool, so once a process has run a batch on an
+// architecture, later batches there build no core and return exactly what a
+// cold run (empty pool) returns. The key extraction and the prime+probe
+// batch alternate attacker and victim on the same runners, so a runner not
+// rebound to its batch shows as a changed row or observation vector (the
+// total-cycles column depends on the victim's setup). The 2-worker case
+// runs the pool's concurrent borrow and return; there a runner whose worker
+// claimed no trial of an earlier batch builds its core in a later one, so
+// the gate is one core per worker however many batches run.
+func TestWarmBatchReusesRunners(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		for _, workers := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/workers%d", ArchName(secure), workers), func(t *testing.T) {
+				drain := func() {
+					pool := &runnerPools[archIndex(secure)]
+					pool.mu.Lock()
+					pool.free = nil
+					pool.mu.Unlock()
+				}
+				kp := DefaultKeyParams(BPProbe, secure)
+				kp.Width, kp.Trials, kp.Gap, kp.Workers = 3, 4, 2, workers
+				bp := DefaultParams(PrimeProbe, secure)
+				bp.Victim, bp.Width, bp.Bit, bp.KeyPrefix = "modexp", 3, 2, 1
+				bp.Trials, bp.Workers = 3, workers
+
+				drain()
+				b0 := PerfSnapshot().CoreBuilds
+				coldKey := mustJSON(t, mustExtract(t, kp))
+				if PerfSnapshot().CoreBuilds == b0 {
+					t.Fatal("cold run built no core; the pool was not empty")
+				}
+				drain()
+				b1 := PerfSnapshot().CoreBuilds
+				coldBatch := mustJSON(t, mustRunBatch(t, bp))
+				b2 := PerfSnapshot().CoreBuilds
+				warmKey := mustJSON(t, mustExtract(t, kp))
+				warmBatch := mustJSON(t, mustRunBatch(t, bp))
+				b3 := PerfSnapshot().CoreBuilds
+				if b3-b1 > uint64(workers) {
+					t.Errorf("batches after emptying the pool built %d cores, want at most %d (one per worker)", b3-b1, workers)
+				}
+				if workers == 1 && b3 != b2 {
+					t.Errorf("warm batches built %d cores, want 0", b3-b2)
+				}
+				if warmKey != coldKey {
+					t.Errorf("warm key recovery differs from the cold run:\n cold %s\n warm %s", coldKey, warmKey)
+				}
+				if warmBatch != coldBatch {
+					t.Errorf("warm batch differs from the cold run:\n cold %s\n warm %s", coldBatch, warmBatch)
+				}
+			})
+		}
+	}
 }
 
 func mustRunBatch(t *testing.T, p Params) *Batch {

@@ -87,8 +87,9 @@ type Output struct {
 	VarOrder   []string
 	ArrayAddrs map[string]uint64
 	// ImmSlots maps each named literal slot (lang.NS) to the code byte
-	// offsets (relative to Prog.CodeBase) of the load-immediate
-	// instructions carrying it; nil when the program declares none.
+	// offsets (relative to Prog.CodeBase) of the instructions whose imm32
+	// carries it (load-immediates and fused immediate-form operations);
+	// nil when the program declares none.
 	ImmSlots map[string][]int
 }
 

@@ -137,10 +137,12 @@ func regOp(op lang.BinOp) (isa.Op, bool /*invert result*/, bool /*swap operands*
 }
 
 func (c *compiler) binExpr(e lang.Bin, remap map[string]string) (value, error) {
-	// Immediate fast path: op with a literal right operand. Slotted
-	// literals are excluded — a template patches the imm32 of a plain LI,
-	// so they must never fold into a fused immediate form.
-	if lit, ok := e.B.(lang.IntLit); ok && lit.Slot == "" && fitsImm(lit.V) {
+	// Immediate fast path: op with a literal right operand. The fused
+	// instruction's imm32 is the literal itself, so a slotted literal takes
+	// it too and marks the fused instruction as its patch site. The Sub
+	// form carries the negated literal, which a template cannot patch with
+	// the slot's value, so slots stay out of it.
+	if lit, ok := e.B.(lang.IntLit); ok && fitsImm(lit.V) {
 		if op, ok := immOp(e.Op); ok {
 			a, err := c.expr(e.A, remap)
 			if err != nil {
@@ -148,10 +150,13 @@ func (c *compiler) binExpr(e lang.Bin, remap map[string]string) (value, error) {
 			}
 			t := c.mustTemp()
 			c.emit(isa.Inst{Op: op, Rd: t, Ra: a.reg, Imm: lit.V})
+			if lit.Slot != "" {
+				c.b.MarkImmSlot(lit.Slot)
+			}
 			c.freeValue(a)
 			return value{t, true}, nil
 		}
-		if e.Op == lang.Sub && fitsImm(-lit.V) {
+		if e.Op == lang.Sub && lit.Slot == "" && fitsImm(-lit.V) {
 			a, err := c.expr(e.A, remap)
 			if err != nil {
 				return value{}, err

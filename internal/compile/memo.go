@@ -20,19 +20,21 @@ import (
 // the gap seed flow through).
 //
 // Beyond the prologue, a program may declare named literal slots in its body
-// (lang.NS): the compiler records the code offset of each slot's
-// load-immediate, and the template patches those sites too. Named slots
-// occupy the patch-value indices after the prologue scalars, in sorted name
-// order; a name appearing at several code points is one slot patched at
-// every site.
+// (lang.NS): the compiler records the code offset of each instruction whose
+// imm32 carries a slot — a load-immediate, or an immediate-form ALU op the
+// literal fused into — and the template patches those sites too. Named
+// slots occupy the patch-value indices after the prologue scalars, in
+// sorted name order; a name appearing at several code points is one slot
+// patched at every site.
 //
 // Patchability is proven, not assumed: NewTemplate decodes the prologue and
 // verifies it is exactly one OpLi per scalar, in declaration order, targeting
-// the variable's assigned register, and that every named-slot site is a plain
-// OpLi whose immediate matches the slot's base value. Any mismatch — a
-// compiler change, an unexpected prefix, a variable whose value reaches the
-// program some other way — is an ErrNotPatchable error, so a template can
-// never silently produce a program that differs from what Compile would emit.
+// the variable's assigned register, and that every named-slot site is an
+// unprefixed 8-byte instruction whose imm32 matches the slot's base value.
+// Any mismatch — a compiler change, an unexpected prefix, a variable whose
+// value reaches the program some other way — is an ErrNotPatchable error, so
+// a template can never silently produce a program that differs from what
+// Compile would emit.
 type Template struct {
 	Out *Output
 
@@ -76,8 +78,8 @@ func NewTemplate(p *lang.Program, mode Mode) (*Template, error) {
 // analyze locates the prologue's load-immediate slots and verifies the named
 // body slots. The prologue starts at the entry point (code emission begins at
 // Label("main")) and consists of one OpLi per scalar in declaration order;
-// each named-slot site must decode as a plain OpLi carrying the slot's base
-// value.
+// each named-slot site must decode as an unprefixed 8-byte instruction (any
+// opcode: the imm32 is its last 4 bytes) carrying the slot's base value.
 func (t *Template) analyze() error {
 	prog := t.Out.Prog
 	off := int(prog.Entry - prog.CodeBase)
@@ -111,8 +113,8 @@ func (t *Template) analyze() error {
 		var base int64
 		for k, start := range t.Out.ImmSlots[name] {
 			in, size, err := isa.Decode(prog.Code, start)
-			if err != nil || in.Op != isa.OpLi || in.Secure {
-				return fmt.Errorf("%w: a site of named slot %q is not a load-immediate", ErrNotPatchable, name)
+			if err != nil || size != 8 {
+				return fmt.Errorf("%w: a site of named slot %q is not an unprefixed immediate instruction", ErrNotPatchable, name)
 			}
 			if k == 0 {
 				base = in.Imm
@@ -176,14 +178,13 @@ func (t *Template) Specialize(vals []int64, buf []byte) ([]byte, error) {
 	return code, nil
 }
 
-// memoCap bounds a Memo's size. Attack sweeps can draw more distinct
-// skeletons than that: a pass of the benchmark's keyextract grid (16-bit
-// keys, Noise 2) drew 5,906–6,109 of the 14,400 possible (12 rows × 16 bits
-// × 25 noisePre × 3 noiseWin), so the memo was cleared 1–2 times per pass
-// (Perf.TemplateEvictions), measured over three passes. On overflow the
-// whole map is dropped and the next misses rebuild it — simpler than LRU.
-// A larger cap would trade resident templates for hits; changing it needs
-// its own measurement.
+// memoCap bounds a Memo's size. The attacked bit is template data, not
+// shape (victims report it through KeyInits), so the benchmark's keyextract
+// grid (16-bit keys, Noise 2) has at most 900 shapes (12 rows × 25 noisePre
+// × 3 noiseWin): well under the cap, so it never evicts
+// (Perf.TemplateEvictions stays 0) and every pass after the first compiles
+// nothing. On overflow the whole map is dropped and the next misses rebuild
+// it — simpler than LRU.
 const memoCap = 4096
 
 // Memo is a concurrency-safe content-keyed template cache. The key type is

@@ -1,9 +1,12 @@
 package compile
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/lang"
 )
 
@@ -65,5 +68,86 @@ func TestSpecializeRejectsUnpatchableValues(t *testing.T) {
 	}
 	if string(code) != string(tmpl.Out.Prog.Code) {
 		t.Error("patching the base values changed the code")
+	}
+}
+
+// TestSlottedLiteralFusesImmediate: a slotted right-hand literal of every
+// operator with an immediate form compiles to exactly the plain literal's
+// bytes, records the fused instruction as the slot's only site, and patches
+// there like a load-immediate. A slot whose fused form would carry a value
+// other than the literal — a Sub operand (negated) or a literal array index
+// (folded into a constant address) — still lowers to an OpLi carrying the
+// literal itself.
+func TestSlottedLiteralFusesImmediate(t *testing.T) {
+	prog := func(s lang.Stmt) *lang.Program {
+		return &lang.Program{
+			Vars:   []*lang.VarDecl{{Name: "x", Init: 9}, {Name: "y"}},
+			Arrays: []*lang.ArrayDecl{{Name: "a", Len: 8}},
+			Body:   []lang.Stmt{s},
+		}
+	}
+	// checkSite compiles the slotted program, requires one site of slot k
+	// decoding as op with immediate 3, and requires the template patched to
+	// 5 to equal the slotted program compiled at 5.
+	checkSite := func(name string, mode Mode, build func(lit lang.Expr) lang.Stmt, op isa.Op) *Output {
+		t.Helper()
+		out, err := Compile(prog(build(lang.NS("k", 3))), mode)
+		if err != nil {
+			t.Fatalf("%s/%v: %v", name, mode, err)
+		}
+		sites := out.ImmSlots["k"]
+		if len(sites) != 1 {
+			t.Fatalf("%s/%v: slot k has %d sites, want 1", name, mode, len(sites))
+		}
+		if in, _, err := isa.Decode(out.Prog.Code, sites[0]); err != nil || in.Op != op || in.Imm != 3 {
+			t.Errorf("%s/%v: slot site decodes as %v (err %v), want %v with immediate 3", name, mode, in, err, op)
+		}
+		tmpl, err := NewTemplate(prog(build(lang.NS("k", 3))), mode)
+		if err != nil {
+			t.Fatalf("%s/%v: %v", name, mode, err)
+		}
+		vals := append([]int64(nil), tmpl.BaseInits()...)
+		i, ok := tmpl.SlotIndex("k")
+		if !ok {
+			t.Fatalf("%s/%v: template has no slot k", name, mode)
+		}
+		vals[i] = 5
+		code, err := tmpl.Specialize(vals, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := Compile(prog(build(lang.NS("k", 5))), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(code, fresh.Prog.Code) {
+			t.Errorf("%s/%v: template patched to 5 != fresh compile at 5", name, mode)
+		}
+		return out
+	}
+	for _, mode := range []Mode{Plain, SeMPE, CTE} {
+		for _, op := range []lang.BinOp{lang.Add, lang.Mul, lang.And, lang.Or, lang.Xor, lang.Shl, lang.Shr, lang.Lt, lang.Eq} {
+			fused, ok := immOp(op)
+			if !ok {
+				t.Fatalf("operator %d has no immediate form", op)
+			}
+			build := func(lit lang.Expr) lang.Stmt { return lang.Set("y", lang.B(op, lang.V("x"), lit)) }
+			name := fmt.Sprintf("op%d", op)
+			out := checkSite(name, mode, build, fused)
+			plain, err := Compile(prog(build(lang.N(3))), mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Prog.Code, plain.Prog.Code) {
+				t.Errorf("%s/%v: slotted literal changed the code", name, mode)
+			}
+		}
+		for name, build := range map[string]func(lang.Expr) lang.Stmt{
+			"sub":         func(lit lang.Expr) lang.Stmt { return lang.Set("y", lang.B(lang.Sub, lang.V("x"), lit)) },
+			"index-load":  func(lit lang.Expr) lang.Stmt { return lang.Set("y", lang.At("a", lit)) },
+			"index-store": func(lit lang.Expr) lang.Stmt { return lang.Put("a", lit, lang.V("x")) },
+		} {
+			checkSite(name, mode, build, isa.OpLi)
+		}
 	}
 }

@@ -102,6 +102,9 @@ func ablationSpecOf(spec scenario.Spec) (AblationSpec, error) {
 	if err := positive("w", f.W); err != nil {
 		return AblationSpec{}, err
 	}
+	if err := atMost("w", compile.MaxSecretNesting, f.W); err != nil {
+		return AblationSpec{}, err
+	}
 	if err := positive("iters", f.Iters); err != nil {
 		return AblationSpec{}, err
 	}

@@ -76,6 +76,9 @@ func attackSpecOf(spec scenario.Spec) (AttackSpec, error) {
 	if f.Trials <= 0 {
 		return AttackSpec{}, fmt.Errorf("trials: must be >= 1, have %d", f.Trials)
 	}
+	if err := atMost("trials", attack.MaxTrials, f.Trials); err != nil {
+		return AttackSpec{}, err
+	}
 	if v, ok := spec.Params["seed"]; ok {
 		if f.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
 			return AttackSpec{}, fmt.Errorf("seed: bad integer %q", v)
@@ -88,6 +91,9 @@ func attackSpecOf(spec scenario.Spec) (AttackSpec, error) {
 	}
 	if f.Noise < 0 {
 		return AttackSpec{}, fmt.Errorf("noise: must be >= 0, have %d", f.Noise)
+	}
+	if err := atMost("noise", attack.MaxNoise, f.Noise); err != nil {
+		return AttackSpec{}, err
 	}
 	return f, nil
 }

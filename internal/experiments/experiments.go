@@ -122,6 +122,18 @@ func positive(param string, vs ...int) error {
 	return nil
 }
 
+// atMost rejects a value above limit for param, naming both: past the
+// nesting limit every point fails anyway, after building a harness that
+// large, and attack trial and noise counts size allocations.
+func atMost(param string, limit int, vs ...int) error {
+	for _, v := range vs {
+		if v > limit {
+			return fmt.Errorf("%s: %d exceeds the limit %d", param, v, limit)
+		}
+	}
+	return nil
+}
+
 func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitCSV(s) {

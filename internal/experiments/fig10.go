@@ -91,6 +91,9 @@ func fig10SpecOf(spec scenario.Spec) (Fig10Spec, error) {
 	if err := positive("ws", f.Ws...); err != nil {
 		return Fig10Spec{}, err
 	}
+	if err := atMost("ws", compile.MaxSecretNesting, f.Ws...); err != nil {
+		return Fig10Spec{}, err
+	}
 	if err := positive("iters", f.Iters); err != nil {
 		return Fig10Spec{}, err
 	}

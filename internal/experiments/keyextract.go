@@ -138,6 +138,9 @@ func keyExtractSpecOf(spec scenario.Spec, defaults func() KeyExtractSpec) (KeyEx
 	if f.Trials <= 0 {
 		return KeyExtractSpec{}, fmt.Errorf("trials: must be >= 1, have %d", f.Trials)
 	}
+	if err := atMost("trials", attack.MaxTrials, f.Trials); err != nil {
+		return KeyExtractSpec{}, err
+	}
 	if v, ok := spec.Params["seed"]; ok {
 		if f.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
 			return KeyExtractSpec{}, fmt.Errorf("seed: bad integer %q", v)
@@ -150,6 +153,9 @@ func keyExtractSpecOf(spec scenario.Spec, defaults func() KeyExtractSpec) (KeyEx
 	}
 	if f.Noise < 0 {
 		return KeyExtractSpec{}, fmt.Errorf("noise: must be >= 0, have %d", f.Noise)
+	}
+	if err := atMost("noise", attack.MaxNoise, f.Noise); err != nil {
+		return KeyExtractSpec{}, err
 	}
 	return f, nil
 }

@@ -82,6 +82,9 @@ func leakSpecOf(spec scenario.Spec) (LeakMatrixSpec, error) {
 	if err := positive("ws", f.Ws...); err != nil {
 		return LeakMatrixSpec{}, err
 	}
+	if err := atMost("ws", compile.MaxSecretNesting, f.Ws...); err != nil {
+		return LeakMatrixSpec{}, err
+	}
 	if err := positive("iters", f.Iters); err != nil {
 		return LeakMatrixSpec{}, err
 	}

@@ -51,6 +51,28 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 		{"leakmatrix", map[string]string{"iters": "-1"}, "iters: -1 "},
 		{"ablation", map[string]string{"w": "0"}, "w: 0 "},
 		{"ablation", map[string]string{"iters": "0"}, "iters: 0 "},
+		// Harness widths past the secret nesting limit: every point failed
+		// at SeMPE compile, but only after building the harness, and at
+		// 100000 building it exhausted memory. The limit itself is valid.
+		{"fig10", map[string]string{"ws": "30"}, ""},
+		{"fig10", map[string]string{"ws": "31"}, "ws: 31 "},
+		{"fig10", map[string]string{"ws": "1,100000"}, "ws: 100000 "},
+		{"leakmatrix", map[string]string{"ws": "31"}, "ws: 31 "},
+		{"leakmatrix", map[string]string{"ws": "100000"}, "ws: 100000 "},
+		{"ablation", map[string]string{"w": "31"}, "w: 31 "},
+		{"ablation", map[string]string{"w": "100000"}, "w: 100000 "},
+		// Attack trial and noise counts past their limits: a batch sized by
+		// trials=2000000000 or noise=2000000000 exhausted memory.
+		{"attack", map[string]string{"trials": "65536", "noise": "256"}, ""},
+		{"attack", map[string]string{"trials": "65537"}, "trials: 65537 "},
+		{"attack", map[string]string{"trials": "2000000000"}, "trials: 2000000000 "},
+		{"attack", map[string]string{"noise": "257"}, "noise: 257 "},
+		{"attack", map[string]string{"noise": "2000000000"}, "noise: 2000000000 "},
+		{"keyextract", map[string]string{"trials": "65536", "noise": "256"}, ""},
+		{"keyextract", map[string]string{"trials": "2000000000"}, "trials: 2000000000 "},
+		{"keyextract", map[string]string{"noise": "2000000000"}, "noise: 2000000000 "},
+		{"noise", map[string]string{"trials": "2000000000"}, "trials: 2000000000 "},
+		{"noise", map[string]string{"noise": "257"}, "noise: 257 "},
 	}
 	specOf := map[string]func(scenario.Spec) error{
 		"fig10":      func(s scenario.Spec) error { _, err := fig10SpecOf(s); return err },
@@ -58,6 +80,8 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 		"leakmatrix": func(s scenario.Spec) error { _, err := leakSpecOf(s); return err },
 		"ablation":   func(s scenario.Spec) error { _, err := ablationSpecOf(s); return err },
 		"attack":     func(s scenario.Spec) error { _, err := attackSpecOf(s); return err },
+		"keyextract": func(s scenario.Spec) error { _, err := keyExtractSpecOf(s, DefaultKeyExtractSpec); return err },
+		"noise":      func(s scenario.Spec) error { _, err := keyExtractSpecOf(s, DefaultNoiseSpec); return err },
 	}
 	for _, tc := range cases {
 		err := specOf[tc.sweep](scenario.Spec{Params: tc.params})
@@ -88,6 +112,15 @@ func TestBadParamFailsThroughEngine(t *testing.T) {
 		{"table1", "iters", "0"},
 		{"leakmatrix", "ws", "0"},
 		{"ablation", "w", "0"},
+		{"fig10a", "ws", "31"},
+		{"fig10b", "ws", "100000"},
+		{"table1", "ws", "100000"},
+		{"leakmatrix", "ws", "100000"},
+		{"ablation", "w", "100000"},
+		{"spectre", "trials", "2000000000"},
+		{"tvla", "noise", "2000000000"},
+		{"keyextract", "trials", "2000000000"},
+		{"noise", "noise", "2000000000"},
 	}
 	for _, tc := range cases {
 		sc, ok := scenario.Lookup(tc.scenario)

@@ -50,9 +50,12 @@ type Expr interface {
 
 // IntLit is an integer literal. A non-empty Slot names the literal as a
 // patchable template slot: the compiler records the code offset of the
-// load-immediate carrying it (and never folds it into a fused immediate
-// form), so compile.Template can rewrite the value per run without
-// recompiling. The slot name has no effect on program semantics.
+// instruction whose imm32 carries it — its own load-immediate, or the
+// immediate-form operation it fuses into as a right operand — so
+// compile.Template can rewrite the value per run without recompiling. A
+// slotted literal is never folded into a different immediate (a negated
+// Sub operand, a constant array address). The slot name has no effect on
+// the emitted code or on program semantics.
 type IntLit struct {
 	V    int64
 	Slot string

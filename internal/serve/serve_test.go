@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -570,6 +571,45 @@ func TestOutOfRangeParamIsBadRequest(t *testing.T) {
 		}
 	}
 	view, code := postRun(t, ts, `{"scenario":"fig10a","spec":{"quick":true,"params":{"kinds":"ones","ws":"1"}},"wait":true}`)
+	if code != http.StatusOK || view.Status != "done" {
+		t.Fatalf("next request: status %d, run %q (%s), want 200 and done", code, view.Status, view.Error)
+	}
+}
+
+// TestOversizedAttackParamIsBadRequest: an attack trial or noise count past
+// attack.MaxTrials or attack.MaxNoise is a client error naming the scenario,
+// the parameter and the value, and the server keeps serving. At
+// trials=2000000000 the batch allocated a 96 GB slice, and at
+// noise=2000000000 the trial programs unrolled 24 GB of noise, both fatal
+// out-of-memory errors no handler can recover.
+func TestOversizedAttackParamIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct{ scenario, param string }{
+		{"spectre", "trials"},
+		{"spectre", "noise"},
+		{"keyextract", "trials"},
+		{"keyextract", "noise"},
+	} {
+		body := fmt.Sprintf(`{"scenario":%q,"spec":{"params":{%q:"2000000000"}}}`, tc.scenario, tc.param)
+		resp, err := http.Post(ts.URL+"/runs", "application/json", bytes.NewBufferString(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct{ Error string }
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s %s=2000000000: status %d, want 400", tc.scenario, tc.param, resp.StatusCode)
+		}
+		for _, want := range []string{tc.scenario, tc.param + ": 2000000000 "} {
+			if !strings.Contains(got.Error, want) {
+				t.Errorf("%s %s=2000000000: error %q does not contain %q", tc.scenario, tc.param, got.Error, want)
+			}
+		}
+	}
+	view, code := postRun(t, ts, `{"scenario":"spectre","spec":{"params":{"attackers":"bp","archs":"baseline","trials":"2"}},"wait":true}`)
 	if code != http.StatusOK || view.Status != "done" {
 		t.Fatalf("next request: status %d, run %q (%s), want 200 and done", code, view.Status, view.Error)
 	}

@@ -82,16 +82,18 @@ type Victim interface {
 	// 0 <= bit < w <= MaxWidth and key < 1<<w.
 	Fragment(key uint64, w, bit int) Fragment
 	// KeyInits is the contract behind the attack lab's compile-memoization
-	// fast path. For fixed (w, bit) the victim's Fragment must be
-	// STRUCTURALLY identical for every key — same declarations in the same
-	// order, same statements, same condition — with the key reaching the
-	// program only through the Init values of the scalars reported here.
-	// KeyInits reports those (name, value) pairs for a given key via put;
-	// every scalar it does not report has a key-independent Init. The
-	// attack drivers compile one template per (victim, w, bit, ...) shape
-	// and patch only these slots per trial; the patched-vs-fresh
-	// byte-equality test in internal/attack catches a victim that breaks
-	// the contract.
+	// fast path. At a fixed width w the victim's Fragment must be
+	// STRUCTURALLY identical for every key and every bit — same
+	// declarations in the same order, same statements, same condition —
+	// with the key and the attacked bit reaching the program only through
+	// the Init values of the scalars and the named literal slots (lang.NS)
+	// reported here. KeyInits reports those (name, value) pairs for a given
+	// (key, bit) via put; every scalar or literal it does not report is
+	// independent of both. The attack drivers compile one template per
+	// (victim, w, ...) shape and patch only these slots per trial; the
+	// patched-vs-fresh byte-equality test in internal/attack, which patches
+	// a template built at one bit to every other bit, catches a victim that
+	// breaks the contract.
 	KeyInits(key uint64, w, bit int, put func(name string, val int64))
 }
 

@@ -13,6 +13,12 @@ func init() {
 	Register(ctcompareVictim{})
 }
 
+// bitSlot names the template patch slot (lang.NS) carrying the attacked bit
+// position in the victims whose program text mentions it — the loop bound
+// over the earlier bits and the shift of the attacked bit's condition — so
+// one compiled template serves every bit of a key (see Victim.KeyInits).
+const bitSlot = "bit"
+
 // bitVictim is the direct register-bit victim: the attacked bit is loaded
 // straight into the secret scalar `s`, with no surrounding computation.
 // It is exactly the secret fragment of the PR-4 fused attacker programs
@@ -56,7 +62,7 @@ func (keyloopVictim) Fragment(key uint64, w, bit int) Fragment {
 			{Name: "kacc", Init: 5},
 		},
 		Setup: []lang.Stmt{
-			lang.Loop(lang.B(lang.Lt, lang.V("kb"), lang.N(int64(bit))), []lang.Stmt{
+			lang.Loop(lang.B(lang.Lt, lang.V("kb"), lang.NS(bitSlot, int64(bit))), []lang.Stmt{
 				lang.Set("kv", lang.B(lang.And, lang.B(lang.Shr, lang.V("kk"), lang.V("kb")), lang.N(1))),
 				lang.SecretIf(lang.V("kv"),
 					[]lang.Stmt{lang.Set("kacc", lang.B(lang.Add, lang.B(lang.Mul, lang.V("kacc"), lang.N(3)), lang.N(1)))},
@@ -64,12 +70,13 @@ func (keyloopVictim) Fragment(key uint64, w, bit int) Fragment {
 				lang.Set("kb", lang.B(lang.Add, lang.V("kb"), lang.N(1))),
 			}),
 		},
-		Cond: lang.B(lang.And, lang.B(lang.Shr, lang.V("kk"), lang.N(int64(bit))), lang.N(1)),
+		Cond: lang.B(lang.And, lang.B(lang.Shr, lang.V("kk"), lang.NS(bitSlot, int64(bit))), lang.N(1)),
 	}
 }
 
 func (keyloopVictim) KeyInits(key uint64, w, bit int, put func(name string, val int64)) {
 	put("kk", int64(key))
+	put(bitSlot, int64(bit))
 }
 
 // modexpVictim is the paper's Fig. 1 motivating example as an attack
@@ -98,7 +105,7 @@ func (modexpVictim) Fragment(key uint64, w, bit int) Fragment {
 			{Name: "mbit"},
 		},
 		Setup: []lang.Stmt{
-			lang.Loop(lang.B(lang.Lt, lang.V("mi"), lang.N(int64(bit))), []lang.Stmt{
+			lang.Loop(lang.B(lang.Lt, lang.V("mi"), lang.NS(bitSlot, int64(bit))), []lang.Stmt{
 				square,
 				lang.Set("mbit", lang.B(lang.And, lang.B(lang.Shr, lang.V("me"), lang.V("mi")), lang.N(1))),
 				lang.SecretIf(lang.V("mbit"),
@@ -108,12 +115,13 @@ func (modexpVictim) Fragment(key uint64, w, bit int) Fragment {
 			}),
 			square, // the attacked bit's own square step
 		},
-		Cond: lang.B(lang.And, lang.B(lang.Shr, lang.V("me"), lang.N(int64(bit))), lang.N(1)),
+		Cond: lang.B(lang.And, lang.B(lang.Shr, lang.V("me"), lang.NS(bitSlot, int64(bit))), lang.N(1)),
 	}
 }
 
 func (modexpVictim) KeyInits(key uint64, w, bit int, put func(name string, val int64)) {
 	put("me", int64(key))
+	put(bitSlot, int64(bit))
 }
 
 // ctcompareGuess is the public value the constant-time compare checks the
