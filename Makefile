@@ -44,7 +44,11 @@ bench-module:
 # attack lab's set-up savings: a template built at one attacked bit and
 # patched to every other equals a fresh compile (TestTemplatePatchMatchesFreshCompile),
 # a slotted literal fuses into an immediate-form op byte-identically, and
-# warm batches reuse pooled runners without building a core.
+# warm batches reuse pooled runners without building a core. The sweep
+# gates pin the engine's input boundary: every registered parameter is
+# range-checked at both ends before any point runs, and a panicking grid
+# point fails its run (engine, serve run, worker shard) while the process
+# keeps serving.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -55,6 +59,9 @@ bench-smoke:
 	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners'
 	$(GO) test ./internal/compile/ -run 'TestSlottedLiteralFusesImmediate'
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
+	$(GO) test ./internal/experiments/ -run 'TestEveryParamBoundedAtBothEnds'
+	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic'
+	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

@@ -149,8 +149,8 @@ func main() {
 func listScenarios() {
 	for _, sc := range scenario.Scenarios() {
 		fmt.Printf("%-12s %s\n", sc.Name, sc.Description)
-		if axes, err := sc.Sweep.Axes(scenario.Spec{}); err == nil && len(axes) > 0 {
-			for _, a := range axes {
+		if plan, err := sc.Sweep.Plan(scenario.Spec{}); err == nil {
+			for _, a := range plan.Axes {
 				fmt.Printf("             axis %s: %s\n", a.Name, strings.Join(a.Values, " "))
 			}
 		}

@@ -19,6 +19,7 @@ import (
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/scenario"
 	"repro/internal/serve"
+	"repro/internal/stats"
 	"repro/internal/store"
 )
 
@@ -249,15 +250,70 @@ func TestNotShardable(t *testing.T) {
 	sc := &scenario.Scenario{
 		Name: "local-only",
 		Sweep: &scenario.Sweep{
-			ID:   "local-only",
-			Axes: func(scenario.Spec) ([]scenario.Axis, error) { return nil, nil },
-			Run:  func(scenario.Spec, scenario.Point) (any, error) { return struct{}{}, nil },
+			ID: "local-only",
+			Plan: func(scenario.Spec) (*scenario.Plan, error) {
+				return &scenario.Plan{Point: func(scenario.Point) (any, error) { return struct{}{}, nil }}, nil
+			},
 		},
 	}
 	co := cluster.New(cluster.Options{Workers: []string{"http://unused"}})
 	_, _, err := co.Run(context.Background(), sc, scenario.Spec{})
 	if !errors.Is(err, cluster.ErrNotShardable) {
 		t.Fatalf("err = %v, want ErrNotShardable", err)
+	}
+}
+
+// TestLocalFailureKeepsCompletedRows: an in-process sweep that fails at
+// one point still persists every row that completed before it, so the
+// rerun computes only the points that were missing.
+func TestLocalFailureKeepsCompletedRows(t *testing.T) {
+	var failing atomic.Bool
+	failing.Store(true)
+	var calls atomic.Int64
+	sc := &scenario.Scenario{
+		Name: "flaky",
+		Sweep: &scenario.Sweep{
+			ID: "flaky",
+			Plan: func(scenario.Spec) (*scenario.Plan, error) {
+				return &scenario.Plan{
+					Axes: []scenario.Axis{{Name: "i", Values: []string{"0", "1", "2", "3"}}},
+					Point: func(p scenario.Point) (any, error) {
+						calls.Add(1)
+						if p.Index == 2 && failing.Load() {
+							return nil, errors.New("boom")
+						}
+						return 10 * p.Index, nil
+					},
+				}, nil
+			},
+			DecodeRow: func(raw json.RawMessage) (any, error) {
+				var v int
+				err := json.Unmarshal(raw, &v)
+				return v, err
+			},
+		},
+		Render: func(scenario.Spec, []any) []*stats.Table { return nil },
+	}
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := cluster.New(cluster.Options{Store: st})
+	spec := scenario.Spec{Workers: 1}
+	if _, _, err := co.Run(context.Background(), sc, spec); err == nil || err.Error() != "flaky: point [2]: boom" {
+		t.Fatalf("err = %v, want flaky: point [2]: boom", err)
+	}
+	failing.Store(false)
+	calls.Store(0)
+	res, rep, err := co.Run(context.Background(), sc, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.StorePoints != 2 || calls.Load() != 2 {
+		t.Errorf("rerun: %d points from the store, %d computed; want 2 and 2", rep.StorePoints, calls.Load())
+	}
+	if want := []any{0, 10, 20, 30}; !reflect.DeepEqual(res.Rows, want) {
+		t.Errorf("rows = %v, want %v", res.Rows, want)
 	}
 }
 

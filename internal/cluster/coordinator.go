@@ -184,13 +184,13 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 	if !sw.Shardable() {
 		return nil, nil, fmt.Errorf("%s: %w", sc.Name, ErrNotShardable)
 	}
-	axes, err := sw.Axes(spec)
+	plan, err := sw.Plan(spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	pts := scenario.Expand(axes)
+	total := len(scenario.Expand(plan.Axes))
 	specKey := spec.Key()
-	rep := &Report{Points: len(pts)}
+	rep := &Report{Points: total}
 	start := time.Now()
 
 	// The journal records the distributed execution: every span lands in
@@ -201,11 +201,11 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 		j = obs.NewJournal()
 	}
 	sweepSpan := j.Begin("cluster_sweep", obs.Fields{
-		"scenario": sc.Name, "points": len(pts), "workers": len(c.opts.Workers)})
+		"scenario": sc.Name, "points": total, "workers": len(c.opts.Workers)})
 
-	rows := make([]any, len(pts))
+	rows := make([]any, total)
 	var missing []int
-	for i := range pts {
+	for i := range rows {
 		if c.opts.Store != nil {
 			if raw, ok := c.opts.Store.GetRow(sw.ID, specKey, i); ok {
 				if row, err := sw.DecodeRow(raw); err == nil {
@@ -218,20 +218,20 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 		missing = append(missing, i)
 	}
 	if c.opts.Store != nil {
-		j.Event("store_scan", obs.Fields{"points": len(pts), "store_points": rep.StorePoints})
+		j.Event("store_scan", obs.Fields{"points": total, "store_points": rep.StorePoints})
 	}
 
 	if len(missing) > 0 {
 		if len(c.opts.Workers) == 0 {
 			localSpan := j.Begin("local", obs.Fields{"points": len(missing)})
-			err = c.runLocal(ctx, sw, spec, specKey, axes, pts, missing, rows)
+			err = c.runLocal(ctx, sw, plan, spec, specKey, missing, rows)
 			if err != nil {
 				localSpan.End(obs.Fields{"error": err.Error()})
 			} else {
 				localSpan.End(nil)
 			}
 		} else {
-			err = c.dispatch(ctx, sc.Name, sw, spec, specKey, pts, missing, rows, rep, j)
+			err = c.dispatch(ctx, sc.Name, sw, spec, specKey, total, missing, rows, rep, j)
 		}
 		if err != nil {
 			sweepSpan.End(obs.Fields{"error": err.Error()})
@@ -245,30 +245,26 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 	return &scenario.Result{
 		Scenario:      sc.Name,
 		Spec:          spec,
-		Axes:          axes,
-		Points:        len(pts),
+		Axes:          plan.Axes,
+		Points:        total,
 		Tables:        sc.Render(spec, rows),
 		ElapsedMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		Rows:          rows,
 	}, rep, nil
 }
 
-// runLocal computes the missing points in-process (no fleet configured),
-// persisting each row as it lands.
-func (c *Coordinator) runLocal(ctx context.Context, sw *scenario.Sweep, spec scenario.Spec, specKey string, axes []scenario.Axis, pts []scenario.Point, missing []int, rows []any) error {
-	return scenario.Grid(len(missing), spec.Workers, func(j int) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
+// runLocal computes the missing points in-process (no fleet configured)
+// through the engine's point loop, then persists every row that completed
+// — a failed or canceled sweep's rows included.
+func (c *Coordinator) runLocal(ctx context.Context, sw *scenario.Sweep, plan *scenario.Plan, spec scenario.Spec, specKey string, missing []int, rows []any) error {
+	out, _, err := plan.RunPoints(missing, spec.Workers, scenario.RunOptions{Context: ctx})
+	for k, i := range missing {
+		if out[k] != nil {
+			rows[i] = out[k]
+			c.putRow(sw, specKey, i, out[k])
 		}
-		i := missing[j]
-		row, err := sw.Run(spec, pts[i])
-		if err != nil {
-			return fmt.Errorf("point %v: %w", pts[i].Labels(axes), err)
-		}
-		rows[i] = row
-		c.putRow(sw, specKey, i, row)
-		return nil
-	})
+	}
+	return err
 }
 
 // putRow persists one computed row, best-effort: a full disk never fails
@@ -367,7 +363,7 @@ func (c *Coordinator) probeWorkers(ctx context.Context, rep *Report, j *obs.Jour
 
 // dispatch fans the missing points across the worker fleet (the workers
 // the startup health probe found alive).
-func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sweep, spec scenario.Spec, specKey string, pts []scenario.Point, missing []int, rows []any, rep *Report, j *obs.Journal) error {
+func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sweep, spec scenario.Spec, specKey string, total int, missing []int, rows []any, rep *Report, j *obs.Journal) error {
 	wstats := make(map[string]*WorkerStat, len(c.opts.Workers))
 	for _, url := range c.opts.Workers {
 		wstats[url] = &WorkerStat{URL: url}
@@ -438,7 +434,7 @@ func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sw
 					Scenario: name,
 					Spec:     spec,
 					Indices:  t.indices,
-					Total:    len(pts),
+					Total:    total,
 					Version:  store.CodeVersion,
 				})
 				elapsed := float64(time.Since(t0)) / float64(time.Millisecond)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/compile"
@@ -66,85 +67,45 @@ func QuickAblationSpec() AblationSpec {
 }
 
 func ablationSpecOf(spec scenario.Spec) (AblationSpec, error) {
-	if err := checkParams(spec, "kind", "w", "iters", "slots", "bws"); err != nil {
-		return AblationSpec{}, err
-	}
 	f := DefaultAblationSpec()
 	if spec.Quick {
 		f = QuickAblationSpec()
 	}
-	var err error
-	if v, ok := spec.Params["kind"]; ok {
-		if f.Kind, err = workloads.Parse(v); err != nil {
-			return AblationSpec{}, fmt.Errorf("kind: %w", err)
-		}
+	return f, firstErr(
+		checkParams(spec, "kind", "w", "iters", "slots", "bws"),
+		param(spec, "kind", &f.Kind, workloads.Parse),
+		param(spec, "w", &f.W, atoi),
+		param(spec, "iters", &f.Iters, atoi),
+		param(spec, "slots", &f.Slots, listOf(atoi)),
+		param(spec, "bws", &f.Bws, listOf(atoi)),
+	)
+}
+
+// plan bounds slots at the deepest nesting a compiled program can have;
+// bandwidth has no upper end (a wider SPM only shortens snapshots).
+func (f AblationSpec) plan() (*scenario.Plan, error) {
+	if err := firstErr(
+		inRange("w", 1, compile.MaxSecretNesting, f.W),
+		inRange("iters", 1, maxIters, f.Iters),
+		inRange("slots", 1, compile.MaxSecretNesting, f.Slots...),
+		inRange("bws", 1, math.MaxInt, f.Bws...),
+	); err != nil {
+		return nil, err
 	}
-	if v, ok := spec.Params["w"]; ok {
-		if f.W, err = strconv.Atoi(v); err != nil {
-			return AblationSpec{}, fmt.Errorf("w: %w", err)
-		}
-	}
-	if v, ok := spec.Params["iters"]; ok {
-		if f.Iters, err = strconv.Atoi(v); err != nil {
-			return AblationSpec{}, fmt.Errorf("iters: %w", err)
-		}
-	}
-	if v, ok := spec.Params["slots"]; ok {
-		if f.Slots, err = parseInts(v); err != nil {
-			return AblationSpec{}, fmt.Errorf("slots: %w", err)
-		}
-	}
-	if v, ok := spec.Params["bws"]; ok {
-		if f.Bws, err = parseInts(v); err != nil {
-			return AblationSpec{}, fmt.Errorf("bws: %w", err)
-		}
-	}
-	if err := positive("w", f.W); err != nil {
-		return AblationSpec{}, err
-	}
-	if err := atMost("w", compile.MaxSecretNesting, f.W); err != nil {
-		return AblationSpec{}, err
-	}
-	if err := positive("iters", f.Iters); err != nil {
-		return AblationSpec{}, err
-	}
-	if err := positive("slots", f.Slots...); err != nil {
-		return AblationSpec{}, err
-	}
-	if err := positive("bws", f.Bws...); err != nil {
-		return AblationSpec{}, err
-	}
-	f.Workers = spec.Workers
-	return f, nil
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "slots", Values: mapSlice(f.Slots, strconv.Itoa)},
+			{Name: "bandwidth", Values: mapSlice(f.Bws, strconv.Itoa)},
+		},
+		Point: func(p scenario.Point) (any, error) {
+			return ablationPoint(f, f.Slots[p.Coords[0]], f.Bws[p.Coords[1]])
+		},
+	}, nil
 }
 
 var ablationSweep = &scenario.Sweep{
-	ID: "ablation",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-		f, err := ablationSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		slots := make([]string, len(f.Slots))
-		for i, s := range f.Slots {
-			slots[i] = strconv.Itoa(s)
-		}
-		bws := make([]string, len(f.Bws))
-		for i, b := range f.Bws {
-			bws[i] = strconv.Itoa(b)
-		}
-		return []scenario.Axis{
-			{Name: "slots", Values: slots},
-			{Name: "bandwidth", Values: bws},
-		}, nil
-	},
-	Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-		f, err := ablationSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		return ablationPoint(f, f.Slots[p.Coords[0]], f.Bws[p.Coords[1]])
-	},
+	ID:        "ablation",
+	Plan:      planOf(ablationSpecOf),
 	DecodeRow: decodeRowAs[AblationRow],
 }
 
@@ -185,32 +146,7 @@ func ablationPoint(spec AblationSpec, slots, bw int) (AblationRow, error) {
 
 // Ablation runs the SPM geometry grid through the engine sweep.
 func Ablation(spec AblationSpec) ([]AblationRow, error) {
-	rows, err := scenario.SweepRows(ablationSweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return ablationRows(rows), nil
-}
-
-func (f AblationSpec) engineSpec() scenario.Spec {
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"kind":  f.Kind.String(),
-			"w":     strconv.Itoa(f.W),
-			"iters": strconv.Itoa(f.Iters),
-			"slots": intsCSV(f.Slots),
-			"bws":   intsCSV(f.Bws),
-		},
-	}
-}
-
-func ablationRows(rows []any) []AblationRow {
-	out := make([]AblationRow, len(rows))
-	for i, r := range rows {
-		out[i] = r.(AblationRow)
-	}
-	return out
+	return runAll[AblationRow](spec, spec.Workers)
 }
 
 // RenderAblation renders the geometry grid with the two effects the axes

@@ -52,7 +52,7 @@ func TestAblationGeometryEffects(t *testing.T) {
 func TestAblationRowCodec(t *testing.T) {
 	spec := scenario.Spec{Params: map[string]string{
 		"kind": "ones", "w": "2", "iters": "1", "slots": "2", "bws": "32"}}
-	rows, err := scenario.SweepRows(ablationSweep, spec, scenario.RunOptions{})
+	rows, err := sweepRows(ablationSweep, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAblationBadParams(t *testing.T) {
 		{"slot": "2"}, // typo'd key
 	} {
 		spec := scenario.Spec{Params: params}
-		if _, err := scenario.SweepRows(ablationSweep, spec, scenario.RunOptions{}); err == nil {
+		if _, err := sweepRows(ablationSweep, spec); err == nil {
 			t.Errorf("params %v: no error", params)
 		}
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/attack"
 	"repro/internal/scenario"
@@ -40,119 +39,48 @@ func DefaultAttackSpec() AttackSpec {
 }
 
 func attackSpecOf(spec scenario.Spec) (AttackSpec, error) {
-	if err := checkParams(spec, "attackers", "archs", "trials", "seed", "noise"); err != nil {
-		return AttackSpec{}, err
-	}
 	f := DefaultAttackSpec()
 	if spec.Quick {
 		f.Trials = 30
 	}
-	var err error
-	if v, ok := spec.Params["attackers"]; ok {
-		f.Attackers = f.Attackers[:0]
-		for _, s := range splitCSV(v) {
-			k, err := attack.ParseKind(s)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("attackers: %w", err)
-			}
-			f.Attackers = append(f.Attackers, k)
-		}
-	}
-	if v, ok := spec.Params["archs"]; ok {
-		f.Archs = f.Archs[:0]
-		for _, s := range splitCSV(v) {
-			secure, err := attack.ParseArch(s)
-			if err != nil {
-				return AttackSpec{}, fmt.Errorf("archs: %w", err)
-			}
-			f.Archs = append(f.Archs, secure)
-		}
-	}
-	if v, ok := spec.Params["trials"]; ok {
-		if f.Trials, err = strconv.Atoi(v); err != nil {
-			return AttackSpec{}, fmt.Errorf("trials: bad integer %q", v)
-		}
-	}
-	if f.Trials <= 0 {
-		return AttackSpec{}, fmt.Errorf("trials: must be >= 1, have %d", f.Trials)
-	}
-	if err := atMost("trials", attack.MaxTrials, f.Trials); err != nil {
-		return AttackSpec{}, err
-	}
-	if v, ok := spec.Params["seed"]; ok {
-		if f.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			return AttackSpec{}, fmt.Errorf("seed: bad integer %q", v)
-		}
-	}
-	if v, ok := spec.Params["noise"]; ok {
-		if f.Noise, err = strconv.Atoi(v); err != nil {
-			return AttackSpec{}, fmt.Errorf("noise: bad integer %q", v)
-		}
-	}
-	if f.Noise < 0 {
-		return AttackSpec{}, fmt.Errorf("noise: must be >= 0, have %d", f.Noise)
-	}
-	if err := atMost("noise", attack.MaxNoise, f.Noise); err != nil {
-		return AttackSpec{}, err
-	}
-	return f, nil
+	return f, firstErr(
+		checkParams(spec, "attackers", "archs", "trials", "seed", "noise"),
+		param(spec, "attackers", &f.Attackers, listOf(attack.ParseKind)),
+		param(spec, "archs", &f.Archs, listOf(attack.ParseArch)),
+		param(spec, "trials", &f.Trials, atoi),
+		param(spec, "seed", &f.Seed, atoi64),
+		param(spec, "noise", &f.Noise, atoi),
+	)
 }
 
-// attackerNames and archNames are the single axis-value mapping shared by
-// the attack and keyextract sweeps' Axes and KeyExtractSpec.engineSpec, so
-// they can never desynchronize.
-func attackerNames(kinds []attack.Kind) []string {
-	out := make([]string, len(kinds))
-	for i, k := range kinds {
-		out[i] = k.String()
+func (f AttackSpec) plan() (*scenario.Plan, error) {
+	if err := firstErr(
+		inRange("trials", 1, attack.MaxTrials, f.Trials),
+		inRange("noise", 0, attack.MaxNoise, f.Noise),
+	); err != nil {
+		return nil, err
 	}
-	return out
-}
-
-func archNames(archs []bool) []string {
-	out := make([]string, len(archs))
-	for i, secure := range archs {
-		out[i] = attack.ArchName(secure)
-	}
-	return out
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "attacker", Values: mapSlice(f.Attackers, attack.Kind.String)},
+			{Name: "arch", Values: mapSlice(f.Archs, attack.ArchName)},
+		},
+		Point: func(p scenario.Point) (any, error) {
+			return attack.RunAssessment(attack.Params{
+				Kind:   f.Attackers[p.Coords[0]],
+				Secure: f.Archs[p.Coords[1]],
+				Trials: f.Trials,
+				Seed:   f.Seed,
+				Noise:  f.Noise,
+			})
+		},
+	}, nil
 }
 
 var attackSweep = &scenario.Sweep{
-	ID: "attack",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-		f, err := attackSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		return []scenario.Axis{
-			{Name: "attacker", Values: attackerNames(f.Attackers)},
-			{Name: "arch", Values: archNames(f.Archs)},
-		}, nil
-	},
-	Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-		f, err := attackSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		params := attack.Params{
-			Kind:   f.Attackers[p.Coords[0]],
-			Secure: f.Archs[p.Coords[1]],
-			Trials: f.Trials,
-			Seed:   f.Seed,
-			Noise:  f.Noise,
-		}
-		return attack.RunAssessment(params)
-	},
+	ID:        "attack",
+	Plan:      planOf(attackSpecOf),
 	DecodeRow: decodeRowAs[attack.Assessment],
-}
-
-// attackRows narrows the engine's rows.
-func attackRows(rows []any) []attack.Assessment {
-	out := make([]attack.Assessment, len(rows))
-	for i, r := range rows {
-		out[i] = r.(attack.Assessment)
-	}
-	return out
 }
 
 // RenderSpectre renders the secret-recovery view of the attack sweep.

@@ -57,7 +57,7 @@ func TestAttackRowRoundTrip(t *testing.T) {
 		t.Fatal("attack sweep is not shardable")
 	}
 	spec := scenario.Spec{Quick: true, Params: map[string]string{"trials": "10", "attackers": "bp", "archs": "baseline"}}
-	rows, err := scenario.SweepRows(attackSweep, spec, scenario.RunOptions{})
+	rows, err := sweepRows(attackSweep, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestAttackParamErrors(t *testing.T) {
 		{map[string]string{"noise": "loud"}, "noise:"},
 	}
 	for _, c := range cases {
-		_, err := attackSpecOf(scenario.Spec{Params: c.params})
+		_, err := attackSweep.Plan(scenario.Spec{Params: c.params})
 		if err == nil {
 			t.Errorf("params %v: no error", c.params)
 			continue

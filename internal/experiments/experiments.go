@@ -8,14 +8,19 @@
 //
 // Each scenario registers itself into the scenario registry at init time;
 // cmd/sempe-bench and cmd/sempe-serve resolve them by name, so the cmd
-// layer never grows per-figure code. The typed entry points (Fig10, Fig8)
-// run through the same engine sweeps as the registry path and are kept for
-// Go callers: tests, benchmarks, and the examples.
+// layer never grows per-figure code. Each typed spec (Fig10Spec, Fig8Spec,
+// ...) has one plan method holding its range checks; the registry parses a
+// spec's strings into the typed spec and plans it, and the typed entry
+// points (Fig10, Fig8, LeakMatrix, Ablation, KeyExtractMatrix) plan the
+// typed spec directly, so both run the same plan through the engine's point
+// loop. The entry points are kept for Go callers: tests, benchmarks, and
+// the examples.
 package experiments
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,7 +30,6 @@ import (
 	"repro/internal/lang"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
-	"repro/internal/workloads"
 )
 
 // protoPools recycles cores per configuration for the point functions,
@@ -84,112 +88,167 @@ func decodeRowAs[T any](raw json.RawMessage) (any, error) {
 
 // ------------------------------------------------- spec parameter plumbing
 
+// Limits on the parameters that size a point's work. Each sits well above
+// every default, documented example and benchmark value, so it only turns
+// away specs that would hold a worker for hours or exhaust memory:
+// cancellation acts between grid points, and an allocation past the
+// address space is a fatal error no guard can catch.
+const (
+	// maxIters bounds harness iterations (one fig10a point at W=10 took
+	// 73 ms at iters=8 and 10 s at iters=800).
+	maxIters = 64
+	// maxBlocks bounds a djpeg image: 32x the paper's largest size (128
+	// blocks), and at about 520 B per block well inside the data region.
+	maxBlocks = 4096
+	// maxGap bounds the attacker's train-to-probe gap activity.
+	maxGap = 4096
+	// maxSecrets bounds the leak matrix's secret family per point.
+	maxSecrets = 16
+)
+
+// planner is a typed spec: plan checks every parameter's range and
+// returns the sweep's plan over the spec.
+type planner interface {
+	plan() (*scenario.Plan, error)
+}
+
+// planOf makes a Sweep.Plan from a registry parser: parse the spec's
+// strings into the typed spec once, then plan it.
+func planOf[T planner](parse func(scenario.Spec) (T, error)) func(scenario.Spec) (*scenario.Plan, error) {
+	return func(spec scenario.Spec) (*scenario.Plan, error) {
+		f, err := parse(spec)
+		if err != nil {
+			return nil, err
+		}
+		return f.plan()
+	}
+}
+
+// runAll runs every point of a typed spec's plan through the engine's
+// point loop — the typed entry points' one path — and narrows the rows.
+func runAll[T any](f planner, workers int) ([]T, error) {
+	p, err := f.plan()
+	if err != nil {
+		return nil, err
+	}
+	all := make([]int, len(scenario.Expand(p.Axes)))
+	for i := range all {
+		all[i] = i
+	}
+	rows, _, err := p.RunPoints(all, workers, scenario.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return narrow[T](rows), nil
+}
+
+// narrow converts the engine's rows to the sweep's row type.
+func narrow[T any](rows []any) []T {
+	out := make([]T, len(rows))
+	for i, r := range rows {
+		out[i] = r.(T)
+	}
+	return out
+}
+
+// mapSlice applies f to every element, as when rendering an axis's values.
+func mapSlice[T, U any](vs []T, f func(T) U) []U {
+	out := make([]U, len(vs))
+	for i, v := range vs {
+		out[i] = f(v)
+	}
+	return out
+}
+
 // checkParams rejects unknown parameter keys so a typo ("kind" for
 // "kinds") fails loudly instead of silently running the default grid.
 func checkParams(spec scenario.Spec, known ...string) error {
 	for k := range spec.Params {
-		ok := false
-		for _, want := range known {
-			if k == want {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		if !slices.Contains(known, k) {
 			return fmt.Errorf("unknown parameter %q (have %s)", k, strings.Join(known, ", "))
 		}
 	}
 	return nil
 }
 
-// splitCSV splits a comma-separated parameter; the empty string is an
-// empty list.
-func splitCSV(s string) []string {
-	if s == "" {
+// param parses the spec's value for key into *dst, when it is set, naming
+// the key in the error.
+func param[T any](spec scenario.Spec, key string, dst *T, parse func(string) (T, error)) error {
+	v, ok := spec.Params[key]
+	if !ok {
 		return nil
 	}
-	return strings.Split(s, ",")
+	x, err := parse(v)
+	if err != nil {
+		return fmt.Errorf("%s: %w", key, err)
+	}
+	*dst = x
+	return nil
 }
 
-// positive rejects a value below 1 for param, naming both: a harness of
-// width 0 panics and a run of no iterations measures nothing.
-func positive(param string, vs ...int) error {
-	for _, v := range vs {
-		if v < 1 {
-			return fmt.Errorf("%s: %d is not positive", param, v)
+// firstErr returns the first non-nil error, so a spec with several bad
+// parameters always reports the same one.
+func firstErr(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// atMost rejects a value above limit for param, naming both: past the
-// nesting limit every point fails anyway, after building a harness that
-// large, and attack trial and noise counts size allocations.
-func atMost(param string, limit int, vs ...int) error {
+// inRange rejects any value outside [lo,hi] as "<param>: <value> out of
+// range [lo,hi]", the form attack.Params uses.
+func inRange(param string, lo, hi int, vs ...int) error {
 	for _, v := range vs {
-		if v > limit {
-			return fmt.Errorf("%s: %d exceeds the limit %d", param, v, limit)
+		if v < lo || v > hi {
+			return fmt.Errorf("%s: %d out of range [%d,%d]", param, v, lo, hi)
 		}
 	}
 	return nil
 }
 
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range splitCSV(s) {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			return nil, fmt.Errorf("bad integer %q", f)
+// listOf lifts a value parser to a comma-separated list; the empty string
+// is an empty list, never nil, so an emptied axis still encodes as [].
+func listOf[T any](parse func(string) (T, error)) func(string) ([]T, error) {
+	return func(s string) ([]T, error) {
+		out := []T{}
+		if s == "" {
+			return out, nil
 		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseUints(s string) ([]uint64, error) {
-	var out []uint64
-	for _, f := range splitCSV(s) {
-		v, err := strconv.ParseUint(strings.TrimSpace(f), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad unsigned integer %q", f)
+		for _, f := range strings.Split(s, ",") {
+			v, err := parse(strings.TrimSpace(f))
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
 		}
-		out = append(out, v)
+		return out, nil
 	}
-	return out, nil
 }
 
-func parseKinds(s string) ([]workloads.Kind, error) {
-	var out []workloads.Kind
-	for _, f := range splitCSV(s) {
-		k, err := workloads.Parse(strings.TrimSpace(f))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, k)
+func atoi(s string) (int, error) {
+	v, err := strconv.Atoi(s)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", s)
 	}
-	return out, nil
+	return v, nil
 }
 
-func kindNames(kinds []workloads.Kind) string {
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = k.String()
+func atoi64(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad integer %q", s)
 	}
-	return strings.Join(names, ",")
+	return v, nil
 }
 
-func intsCSV(vs []int) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.Itoa(v)
+func atou(s string) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("bad unsigned integer %q", s)
 	}
-	return strings.Join(parts, ",")
+	return v, nil
 }
 
-func uintsCSV(vs []uint64) string {
-	parts := make([]string, len(vs))
-	for i, v := range vs {
-		parts[i] = strconv.FormatUint(v, 10)
-	}
-	return strings.Join(parts, ",")
-}
+func ident(s string) (string, error) { return s, nil }

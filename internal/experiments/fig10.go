@@ -57,93 +57,45 @@ func QuickFig10Spec() Fig10Spec {
 	return s
 }
 
-// fig10SpecOf decodes an engine spec: the default (or quick) grid with
+// fig10SpecOf parses an engine spec: the default (or quick) grid with
 // per-parameter overrides.
 func fig10SpecOf(spec scenario.Spec) (Fig10Spec, error) {
-	if err := checkParams(spec, "kinds", "ws", "iters", "secret"); err != nil {
-		return Fig10Spec{}, err
-	}
 	f := DefaultFig10Spec()
 	if spec.Quick {
 		f = QuickFig10Spec()
 	}
-	var err error
-	if v, ok := spec.Params["kinds"]; ok {
-		if f.Kinds, err = parseKinds(v); err != nil {
-			return Fig10Spec{}, fmt.Errorf("kinds: %w", err)
-		}
-	}
-	if v, ok := spec.Params["ws"]; ok {
-		if f.Ws, err = parseInts(v); err != nil {
-			return Fig10Spec{}, fmt.Errorf("ws: %w", err)
-		}
-	}
-	if v, ok := spec.Params["iters"]; ok {
-		if f.Iters, err = strconv.Atoi(v); err != nil {
-			return Fig10Spec{}, fmt.Errorf("iters: %w", err)
-		}
-	}
-	if v, ok := spec.Params["secret"]; ok {
-		if f.Secret, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return Fig10Spec{}, fmt.Errorf("secret: %w", err)
-		}
-	}
-	if err := positive("ws", f.Ws...); err != nil {
-		return Fig10Spec{}, err
-	}
-	if err := atMost("ws", compile.MaxSecretNesting, f.Ws...); err != nil {
-		return Fig10Spec{}, err
-	}
-	if err := positive("iters", f.Iters); err != nil {
-		return Fig10Spec{}, err
-	}
-	f.Workers = spec.Workers
-	return f, nil
+	return f, firstErr(
+		checkParams(spec, "kinds", "ws", "iters", "secret"),
+		param(spec, "kinds", &f.Kinds, listOf(workloads.Parse)),
+		param(spec, "ws", &f.Ws, listOf(atoi)),
+		param(spec, "iters", &f.Iters, atoi),
+		param(spec, "secret", &f.Secret, atou),
+	)
 }
 
-// engineSpec encodes the typed spec as engine parameters — the inverse of
-// fig10SpecOf, so typed callers and registry clients share one sweep path.
-func (f Fig10Spec) engineSpec() scenario.Spec {
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"kinds":  kindNames(f.Kinds),
-			"ws":     intsCSV(f.Ws),
-			"iters":  strconv.Itoa(f.Iters),
-			"secret": strconv.FormatUint(f.Secret, 10),
-		},
+func (f Fig10Spec) plan() (*scenario.Plan, error) {
+	if err := firstErr(
+		inRange("ws", 1, compile.MaxSecretNesting, f.Ws...),
+		inRange("iters", 1, maxIters, f.Iters),
+	); err != nil {
+		return nil, err
 	}
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "workload", Values: mapSlice(f.Kinds, workloads.Kind.String)},
+			{Name: "W", Values: mapSlice(f.Ws, strconv.Itoa)},
+		},
+		Point: func(p scenario.Point) (any, error) {
+			return fig10Point(f, f.Kinds[p.Coords[0]], f.Ws[p.Coords[1]])
+		},
+	}, nil
 }
 
 // fig10Sweep is the microbenchmark grid shared by fig10a, fig10b, and
 // table1.
 var fig10Sweep = &scenario.Sweep{
-	ID: "fig10",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-		f, err := fig10SpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		kinds := make([]string, len(f.Kinds))
-		for i, k := range f.Kinds {
-			kinds[i] = k.String()
-		}
-		ws := make([]string, len(f.Ws))
-		for i, w := range f.Ws {
-			ws[i] = strconv.Itoa(w)
-		}
-		return []scenario.Axis{
-			{Name: "workload", Values: kinds},
-			{Name: "W", Values: ws},
-		}, nil
-	},
-	Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-		f, err := fig10SpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		return fig10Point(f, f.Kinds[p.Coords[0]], f.Ws[p.Coords[1]])
-	},
+	ID:        "fig10",
+	Plan:      planOf(fig10SpecOf),
 	DecodeRow: decodeRowAs[Fig10Row],
 }
 
@@ -184,19 +136,7 @@ func fig10Point(spec Fig10Spec, kind workloads.Kind, w int) (Fig10Row, error) {
 // Fig10 measures every (kernel, W) point of the spec through the engine
 // sweep.
 func Fig10(spec Fig10Spec) ([]Fig10Row, error) {
-	rows, err := scenario.SweepRows(fig10Sweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return fig10Rows(rows), nil
-}
-
-func fig10Rows(rows []any) []Fig10Row {
-	out := make([]Fig10Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.(Fig10Row)
-	}
-	return out
+	return runAll[Fig10Row](spec, spec.Workers)
 }
 
 // RenderFig10a renders the slowdown-vs-baseline series (log-scale plot in

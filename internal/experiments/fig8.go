@@ -50,97 +50,61 @@ func DefaultFig8Spec() Fig8Spec {
 	return Fig8Spec{Sparsity: 60, Seed: 11, Sizes: jpegsim.SizeLabels}
 }
 
-// fig8SpecOf decodes an engine spec. The "sizes" parameter accepts the
+// fig8SpecOf parses an engine spec. The "sizes" parameter accepts the
 // paper's size labels ("256k,512k") or explicit label:blocks pairs
 // ("tiny:8").
 func fig8SpecOf(spec scenario.Spec) (Fig8Spec, error) {
-	if err := checkParams(spec, "sparsity", "seed", "sizes"); err != nil {
-		return Fig8Spec{}, err
-	}
 	f := DefaultFig8Spec()
 	if spec.Quick {
 		f.Sizes = f.Sizes[:2]
 	}
-	var err error
-	if v, ok := spec.Params["sparsity"]; ok {
-		if f.Sparsity, err = strconv.Atoi(v); err != nil {
-			return Fig8Spec{}, fmt.Errorf("sparsity: %w", err)
-		}
-	}
-	if v, ok := spec.Params["seed"]; ok {
-		if f.Seed, err = strconv.ParseUint(v, 10, 64); err != nil {
-			return Fig8Spec{}, fmt.Errorf("seed: %w", err)
-		}
-	}
-	if v, ok := spec.Params["sizes"]; ok {
-		f.Sizes = nil
-		for _, field := range splitCSV(v) {
-			field = strings.TrimSpace(field)
-			if label, blocks, found := strings.Cut(field, ":"); found {
-				n, err := strconv.Atoi(blocks)
-				if err != nil || n <= 0 {
-					return Fig8Spec{}, fmt.Errorf("sizes: bad block count in %q", field)
-				}
-				f.Sizes = append(f.Sizes, jpegsim.Size{Label: label, Blocks: n})
-				continue
-			}
-			size, ok := jpegsim.SizeByLabel(field)
-			if !ok {
-				return Fig8Spec{}, fmt.Errorf("sizes: unknown size label %q", field)
-			}
-			f.Sizes = append(f.Sizes, size)
-		}
-	}
-	f.Workers = spec.Workers
-	return f, nil
+	return f, firstErr(
+		checkParams(spec, "sparsity", "seed", "sizes"),
+		param(spec, "sparsity", &f.Sparsity, atoi),
+		param(spec, "seed", &f.Seed, atou),
+		param(spec, "sizes", &f.Sizes, listOf(parseSize)),
+	)
 }
 
-// engineSpec encodes the typed spec as engine parameters (inverse of
-// fig8SpecOf). Sizes are encoded as label:blocks pairs so custom grids
-// round-trip.
-func (f Fig8Spec) engineSpec() scenario.Spec {
-	sizes := make([]string, len(f.Sizes))
-	for i, s := range f.Sizes {
-		sizes[i] = fmt.Sprintf("%s:%d", s.Label, s.Blocks)
+func parseSize(field string) (jpegsim.Size, error) {
+	label, blocks, found := strings.Cut(field, ":")
+	if !found {
+		size, ok := jpegsim.SizeByLabel(field)
+		if !ok {
+			return jpegsim.Size{}, fmt.Errorf("unknown size label %q", field)
+		}
+		return size, nil
 	}
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"sparsity": strconv.Itoa(f.Sparsity),
-			"seed":     strconv.FormatUint(f.Seed, 10),
-			"sizes":    strings.Join(sizes, ","),
+	n, err := strconv.Atoi(blocks)
+	if err != nil {
+		return jpegsim.Size{}, fmt.Errorf("bad block count in %q", field)
+	}
+	return jpegsim.Size{Label: label, Blocks: n}, nil
+}
+
+func (f Fig8Spec) plan() (*scenario.Plan, error) {
+	blocks := mapSlice(f.Sizes, func(s jpegsim.Size) int { return s.Blocks })
+	if err := firstErr(
+		inRange("sparsity", 0, 100, f.Sparsity),
+		inRange("sizes", 1, maxBlocks, blocks...),
+	); err != nil {
+		return nil, err
+	}
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "format", Values: mapSlice(jpegsim.Formats(), jpegsim.Format.String)},
+			{Name: "size", Values: mapSlice(f.Sizes, func(s jpegsim.Size) string { return s.Label })},
 		},
-	}
+		Point: func(p scenario.Point) (any, error) {
+			return fig8Point(f, jpegsim.Formats()[p.Coords[0]], f.Sizes[p.Coords[1]])
+		},
+	}, nil
 }
 
 // fig8Sweep is the djpeg decoder grid shared by fig8 and fig9.
 var fig8Sweep = &scenario.Sweep{
-	ID: "fig8",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-		f, err := fig8SpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		formats := make([]string, 0, len(jpegsim.Formats()))
-		for _, fm := range jpegsim.Formats() {
-			formats = append(formats, fm.String())
-		}
-		sizes := make([]string, len(f.Sizes))
-		for i, s := range f.Sizes {
-			sizes[i] = s.Label
-		}
-		return []scenario.Axis{
-			{Name: "format", Values: formats},
-			{Name: "size", Values: sizes},
-		}, nil
-	},
-	Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-		f, err := fig8SpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		return fig8Point(f, jpegsim.Formats()[p.Coords[0]], f.Sizes[p.Coords[1]])
-	},
+	ID:        "fig8",
+	Plan:      planOf(fig8SpecOf),
 	DecodeRow: decodeRowAs[Fig8Row],
 }
 
@@ -178,19 +142,7 @@ func fig8Point(spec Fig8Spec, format jpegsim.Format, size jpegsim.Size) (Fig8Row
 
 // Fig8 runs the decoder grid through the engine sweep.
 func Fig8(spec Fig8Spec) ([]Fig8Row, error) {
-	rows, err := scenario.SweepRows(fig8Sweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return fig8Rows(rows), nil
-}
-
-func fig8Rows(rows []any) []Fig8Row {
-	out := make([]Fig8Row, len(rows))
-	for i, r := range rows {
-		out[i] = r.(Fig8Row)
-	}
-	return out
+	return runAll[Fig8Row](spec, spec.Workers)
 }
 
 // RenderFig8 renders the execution-time overhead grid.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/attack"
 	"repro/internal/scenario"
@@ -69,9 +68,6 @@ func DefaultNoiseSpec() KeyExtractSpec {
 // keyExtractSpecOf parses spec params over the given defaults (keyextract
 // and noise share the parser; only their defaults differ).
 func keyExtractSpecOf(spec scenario.Spec, defaults func() KeyExtractSpec) (KeyExtractSpec, error) {
-	if err := checkParams(spec, "attackers", "victims", "widths", "gaps", "archs", "trials", "seed", "noise"); err != nil {
-		return KeyExtractSpec{}, err
-	}
 	f := defaults()
 	if spec.Quick {
 		f.Trials = 12
@@ -80,120 +76,42 @@ func keyExtractSpecOf(spec scenario.Spec, defaults func() KeyExtractSpec) (KeyEx
 			f.Gaps = []int{0, 64, 512}
 		}
 	}
-	var err error
-	if v, ok := spec.Params["attackers"]; ok {
-		f.Attackers = f.Attackers[:0]
-		for _, s := range splitCSV(v) {
-			k, err := attack.ParseKind(s)
-			if err != nil {
-				return KeyExtractSpec{}, fmt.Errorf("attackers: %w", err)
-			}
-			f.Attackers = append(f.Attackers, k)
-		}
-	}
-	if v, ok := spec.Params["victims"]; ok {
-		f.Victims = f.Victims[:0]
-		for _, s := range splitCSV(v) {
-			if _, err := victim.Lookup(s); err != nil {
-				return KeyExtractSpec{}, fmt.Errorf("victims: %w", err)
-			}
-			f.Victims = append(f.Victims, s)
-		}
-	}
-	if v, ok := spec.Params["widths"]; ok {
-		if f.Widths, err = parseInts(v); err != nil {
-			return KeyExtractSpec{}, fmt.Errorf("widths: %w", err)
-		}
-	}
-	for _, w := range f.Widths {
-		if w < 1 || w > victim.MaxWidth {
-			return KeyExtractSpec{}, fmt.Errorf("widths: %d out of range [1,%d]", w, victim.MaxWidth)
-		}
-	}
-	if v, ok := spec.Params["gaps"]; ok {
-		if f.Gaps, err = parseInts(v); err != nil {
-			return KeyExtractSpec{}, fmt.Errorf("gaps: %w", err)
-		}
-	}
-	for _, g := range f.Gaps {
-		if g < 0 {
-			return KeyExtractSpec{}, fmt.Errorf("gaps: %d must be >= 0", g)
-		}
-	}
-	if v, ok := spec.Params["archs"]; ok {
-		f.Archs = f.Archs[:0]
-		for _, s := range splitCSV(v) {
-			secure, err := attack.ParseArch(s)
-			if err != nil {
-				return KeyExtractSpec{}, fmt.Errorf("archs: %w", err)
-			}
-			f.Archs = append(f.Archs, secure)
-		}
-	}
-	if v, ok := spec.Params["trials"]; ok {
-		if f.Trials, err = strconv.Atoi(v); err != nil {
-			return KeyExtractSpec{}, fmt.Errorf("trials: bad integer %q", v)
-		}
-	}
-	if f.Trials <= 0 {
-		return KeyExtractSpec{}, fmt.Errorf("trials: must be >= 1, have %d", f.Trials)
-	}
-	if err := atMost("trials", attack.MaxTrials, f.Trials); err != nil {
-		return KeyExtractSpec{}, err
-	}
-	if v, ok := spec.Params["seed"]; ok {
-		if f.Seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			return KeyExtractSpec{}, fmt.Errorf("seed: bad integer %q", v)
-		}
-	}
-	if v, ok := spec.Params["noise"]; ok {
-		if f.Noise, err = strconv.Atoi(v); err != nil {
-			return KeyExtractSpec{}, fmt.Errorf("noise: bad integer %q", v)
-		}
-	}
-	if f.Noise < 0 {
-		return KeyExtractSpec{}, fmt.Errorf("noise: must be >= 0, have %d", f.Noise)
-	}
-	if err := atMost("noise", attack.MaxNoise, f.Noise); err != nil {
-		return KeyExtractSpec{}, err
-	}
-	return f, nil
+	return f, firstErr(
+		checkParams(spec, "attackers", "victims", "widths", "gaps", "archs", "trials", "seed", "noise"),
+		param(spec, "attackers", &f.Attackers, listOf(attack.ParseKind)),
+		param(spec, "victims", &f.Victims, listOf(ident)),
+		param(spec, "widths", &f.Widths, listOf(atoi)),
+		param(spec, "gaps", &f.Gaps, listOf(atoi)),
+		param(spec, "archs", &f.Archs, listOf(attack.ParseArch)),
+		param(spec, "trials", &f.Trials, atoi),
+		param(spec, "seed", &f.Seed, atoi64),
+		param(spec, "noise", &f.Noise, atoi),
+	)
 }
 
-// intNames renders an int axis.
-func intNames(xs []int) []string {
-	out := make([]string, len(xs))
-	for i, x := range xs {
-		out[i] = strconv.Itoa(x)
+func (f KeyExtractSpec) plan() (*scenario.Plan, error) {
+	for _, v := range f.Victims {
+		if _, err := victim.Lookup(v); err != nil {
+			return nil, fmt.Errorf("victims: %w", err)
+		}
 	}
-	return out
-}
-
-// newKeyExtractSweep builds a key-extraction sweep over the given
-// defaults. keyextract and noise get separate sweep IDs (they expand
-// different default grids, and the store keys rows by sweep ID), but
-// share every line of behavior.
-func newKeyExtractSweep(id string, defaults func() KeyExtractSpec) *scenario.Sweep {
-	return &scenario.Sweep{
-		ID: id,
-		Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-			f, err := keyExtractSpecOf(spec, defaults)
-			if err != nil {
-				return nil, err
-			}
-			return []scenario.Axis{
-				{Name: "attacker", Values: attackerNames(f.Attackers)},
-				{Name: "victim", Values: f.Victims},
-				{Name: "width", Values: intNames(f.Widths)},
-				{Name: "gap", Values: intNames(f.Gaps)},
-				{Name: "arch", Values: archNames(f.Archs)},
-			}, nil
+	if err := firstErr(
+		inRange("widths", 1, victim.MaxWidth, f.Widths...),
+		inRange("gaps", 0, maxGap, f.Gaps...),
+		inRange("trials", 1, attack.MaxTrials, f.Trials),
+		inRange("noise", 0, attack.MaxNoise, f.Noise),
+	); err != nil {
+		return nil, err
+	}
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "attacker", Values: mapSlice(f.Attackers, attack.Kind.String)},
+			{Name: "victim", Values: f.Victims},
+			{Name: "width", Values: mapSlice(f.Widths, strconv.Itoa)},
+			{Name: "gap", Values: mapSlice(f.Gaps, strconv.Itoa)},
+			{Name: "arch", Values: mapSlice(f.Archs, attack.ArchName)},
 		},
-		Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-			f, err := keyExtractSpecOf(spec, defaults)
-			if err != nil {
-				return nil, err
-			}
+		Point: func(p scenario.Point) (any, error) {
 			return attack.ExtractKey(attack.KeyParams{
 				Kind:   f.Attackers[p.Coords[0]],
 				Victim: f.Victims[p.Coords[1]],
@@ -206,6 +124,19 @@ func newKeyExtractSweep(id string, defaults func() KeyExtractSpec) *scenario.Swe
 				Key:    -1,
 			})
 		},
+	}, nil
+}
+
+// newKeyExtractSweep builds a key-extraction sweep over the given
+// defaults. keyextract and noise get separate sweep IDs (they expand
+// different default grids, and the store keys rows by sweep ID), but
+// share every line of behavior.
+func newKeyExtractSweep(id string, defaults func() KeyExtractSpec) *scenario.Sweep {
+	return &scenario.Sweep{
+		ID: id,
+		Plan: planOf(func(spec scenario.Spec) (KeyExtractSpec, error) {
+			return keyExtractSpecOf(spec, defaults)
+		}),
 		DecodeRow: decodeRowAs[attack.KeyRecovery],
 	}
 }
@@ -215,39 +146,10 @@ var (
 	noiseSweep      = newKeyExtractSweep("keynoise", DefaultNoiseSpec)
 )
 
-// keyRows narrows the engine's rows.
-func keyRows(rows []any) []attack.KeyRecovery {
-	out := make([]attack.KeyRecovery, len(rows))
-	for i, r := range rows {
-		out[i] = r.(attack.KeyRecovery)
-	}
-	return out
-}
-
-func (f KeyExtractSpec) engineSpec() scenario.Spec {
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"attackers": strings.Join(attackerNames(f.Attackers), ","),
-			"victims":   strings.Join(f.Victims, ","),
-			"widths":    strings.Join(intNames(f.Widths), ","),
-			"gaps":      strings.Join(intNames(f.Gaps), ","),
-			"archs":     strings.Join(archNames(f.Archs), ","),
-			"trials":    strconv.Itoa(f.Trials),
-			"seed":      strconv.FormatInt(f.Seed, 10),
-			"noise":     strconv.Itoa(f.Noise),
-		},
-	}
-}
-
 // KeyExtractMatrix runs the keyextract sweep through the engine — the
 // typed entry point for Go callers.
 func KeyExtractMatrix(spec KeyExtractSpec) ([]attack.KeyRecovery, error) {
-	rows, err := scenario.SweepRows(keyExtractSweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return keyRows(rows), nil
+	return runAll[attack.KeyRecovery](spec, spec.Workers)
 }
 
 // tteCell renders mean trials-to-extraction; "-" when nothing extracted.

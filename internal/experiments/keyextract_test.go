@@ -72,7 +72,7 @@ func TestKeyExtractRowRoundTrip(t *testing.T) {
 		}
 		spec := scenario.Spec{Quick: true, Params: map[string]string{
 			"trials": "5", "attackers": "bp", "victims": "keyloop", "widths": "2", "gaps": "0", "archs": "baseline"}}
-		rows, err := scenario.SweepRows(sw, spec, scenario.RunOptions{})
+		rows, err := sweepRows(sw, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestKeyExtractParamErrors(t *testing.T) {
 		{map[string]string{"noise": "-1"}, "noise:"},
 	}
 	for _, c := range cases {
-		_, err := keyExtractSpecOf(scenario.Spec{Params: c.params}, DefaultKeyExtractSpec)
+		_, err := keyExtractSweep.Plan(scenario.Spec{Params: c.params})
 		if err == nil {
 			t.Errorf("params %v: no error", c.params)
 			continue

@@ -51,86 +51,43 @@ func DefaultLeakMatrixSpec() LeakMatrixSpec {
 }
 
 func leakSpecOf(spec scenario.Spec) (LeakMatrixSpec, error) {
-	if err := checkParams(spec, "kinds", "ws", "iters", "secrets"); err != nil {
-		return LeakMatrixSpec{}, err
-	}
 	f := DefaultLeakMatrixSpec()
 	if spec.Quick {
 		f.Ws = []int{1, 4}
 	}
-	var err error
-	if v, ok := spec.Params["kinds"]; ok {
-		if f.Kinds, err = parseKinds(v); err != nil {
-			return LeakMatrixSpec{}, fmt.Errorf("kinds: %w", err)
-		}
-	}
-	if v, ok := spec.Params["ws"]; ok {
-		if f.Ws, err = parseInts(v); err != nil {
-			return LeakMatrixSpec{}, fmt.Errorf("ws: %w", err)
-		}
-	}
-	if v, ok := spec.Params["iters"]; ok {
-		if f.Iters, err = strconv.Atoi(v); err != nil {
-			return LeakMatrixSpec{}, fmt.Errorf("iters: %w", err)
-		}
-	}
-	if v, ok := spec.Params["secrets"]; ok {
-		if f.Secrets, err = parseUints(v); err != nil {
-			return LeakMatrixSpec{}, fmt.Errorf("secrets: %w", err)
-		}
-	}
-	if err := positive("ws", f.Ws...); err != nil {
-		return LeakMatrixSpec{}, err
-	}
-	if err := atMost("ws", compile.MaxSecretNesting, f.Ws...); err != nil {
-		return LeakMatrixSpec{}, err
-	}
-	if err := positive("iters", f.Iters); err != nil {
-		return LeakMatrixSpec{}, err
-	}
-	f.Workers = spec.Workers
-	return f, nil
+	return f, firstErr(
+		checkParams(spec, "kinds", "ws", "iters", "secrets"),
+		param(spec, "kinds", &f.Kinds, listOf(workloads.Parse)),
+		param(spec, "ws", &f.Ws, listOf(atoi)),
+		param(spec, "iters", &f.Iters, atoi),
+		param(spec, "secrets", &f.Secrets, listOf(atou)),
+	)
 }
 
-func (f LeakMatrixSpec) engineSpec() scenario.Spec {
-	return scenario.Spec{
-		Workers: f.Workers,
-		Params: map[string]string{
-			"kinds":   kindNames(f.Kinds),
-			"ws":      intsCSV(f.Ws),
-			"iters":   strconv.Itoa(f.Iters),
-			"secrets": uintsCSV(f.Secrets),
-		},
+// plan bounds the secret family by its size; the secrets themselves are
+// any 64-bit values.
+func (f LeakMatrixSpec) plan() (*scenario.Plan, error) {
+	if err := firstErr(
+		inRange("ws", 1, compile.MaxSecretNesting, f.Ws...),
+		inRange("iters", 1, maxIters, f.Iters),
+		inRange("secrets", 1, maxSecrets, len(f.Secrets)),
+	); err != nil {
+		return nil, err
 	}
+	return &scenario.Plan{
+		Axes: []scenario.Axis{
+			{Name: "workload", Values: mapSlice(f.Kinds, workloads.Kind.String)},
+			{Name: "W", Values: mapSlice(f.Ws, strconv.Itoa)},
+		},
+		Point: func(p scenario.Point) (any, error) {
+			return leakPoint(f, f.Kinds[p.Coords[0]], f.Ws[p.Coords[1]])
+		},
+	}, nil
 }
 
 var leakSweep = &scenario.Sweep{
-	ID: "leakmatrix",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
-		f, err := leakSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		kinds := make([]string, len(f.Kinds))
-		for i, k := range f.Kinds {
-			kinds[i] = k.String()
-		}
-		ws := make([]string, len(f.Ws))
-		for i, w := range f.Ws {
-			ws[i] = strconv.Itoa(w)
-		}
-		return []scenario.Axis{
-			{Name: "workload", Values: kinds},
-			{Name: "W", Values: ws},
-		}, nil
-	},
-	Run: func(spec scenario.Spec, p scenario.Point) (any, error) {
-		f, err := leakSpecOf(spec)
-		if err != nil {
-			return nil, err
-		}
-		return leakPoint(f, f.Kinds[p.Coords[0]], f.Ws[p.Coords[1]])
-	},
+	ID:        "leakmatrix",
+	Plan:      planOf(leakSpecOf),
 	DecodeRow: decodeRowAs[LeakRow],
 }
 
@@ -181,15 +138,7 @@ func leakPoint(spec LeakMatrixSpec, kind workloads.Kind, w int) (LeakRow, error)
 
 // LeakMatrix runs the security sweep through the engine.
 func LeakMatrix(spec LeakMatrixSpec) ([]LeakRow, error) {
-	rows, err := scenario.SweepRows(leakSweep, spec.engineSpec(), scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]LeakRow, len(rows))
-	for i, r := range rows {
-		out[i] = r.(LeakRow)
-	}
-	return out, nil
+	return runAll[LeakRow](spec, spec.Workers)
 }
 
 // RenderLeakMatrix renders the distinguisher matrix.
@@ -203,8 +152,9 @@ func RenderLeakMatrix(rows []LeakRow) *stats.Table {
 		if !r.Secure() {
 			verdict = "LEAK"
 		}
+		secrets := mapSlice(r.Secrets, func(s uint64) string { return strconv.FormatUint(s, 10) })
 		t.AddRow(r.Kind.String(), fmt.Sprintf("%d", r.W),
-			uintsCSV(r.Secrets), channelList(r.Baseline), channelList(r.SeMPE), verdict)
+			strings.Join(secrets, ","), channelList(r.Baseline), channelList(r.SeMPE), verdict)
 	}
 	t.AddNote("channels compared: %s", channelList(leak.AllChannels()))
 	t.AddNote("expected: the unprotected baseline leaks on at least the pc-trace channel; SeMPE leaks on none")

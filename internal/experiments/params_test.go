@@ -1,16 +1,18 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/scenario"
 )
 
 // Scenario parameter parsing must fail loudly with the offending parameter
 // named — never fall back to a silently-applied zero value. Covered edge
-// cases per sweep: an unknown key (typo), and a wrong value type for each
-// typed parameter.
+// cases per sweep, each through the sweep's Plan: an unknown key (typo), a
+// wrong value type for each typed parameter, and values past a range.
 func TestScenarioParamEdgeCases(t *testing.T) {
 	type c struct {
 		sweep  string
@@ -73,18 +75,22 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 		{"keyextract", map[string]string{"noise": "2000000000"}, "noise: 2000000000 "},
 		{"noise", map[string]string{"trials": "2000000000"}, "trials: 2000000000 "},
 		{"noise", map[string]string{"noise": "257"}, "noise: 257 "},
-	}
-	specOf := map[string]func(scenario.Spec) error{
-		"fig10":      func(s scenario.Spec) error { _, err := fig10SpecOf(s); return err },
-		"fig8":       func(s scenario.Spec) error { _, err := fig8SpecOf(s); return err },
-		"leakmatrix": func(s scenario.Spec) error { _, err := leakSpecOf(s); return err },
-		"ablation":   func(s scenario.Spec) error { _, err := ablationSpecOf(s); return err },
-		"attack":     func(s scenario.Spec) error { _, err := attackSpecOf(s); return err },
-		"keyextract": func(s scenario.Spec) error { _, err := keyExtractSpecOf(s, DefaultKeyExtractSpec); return err },
-		"noise":      func(s scenario.Spec) error { _, err := keyExtractSpecOf(s, DefaultNoiseSpec); return err },
+		// djpeg sparsity is a percentage: at -5 the image generator sliced
+		// its block permutation at [:-1] and at 1000 past its end, both
+		// panics inside a grid worker.
+		{"fig8", map[string]string{"sparsity": "0"}, ""},
+		{"fig8", map[string]string{"sparsity": "100"}, ""},
+		{"fig8", map[string]string{"sparsity": "-1"}, "sparsity: -1 "},
+		{"fig8", map[string]string{"sparsity": "101"}, "sparsity: 101 "},
+		// Axes that size an allocation or a point's run time: 100000000
+		// SPM slots asked for 78 GB, and as many djpeg blocks for 51 GB.
+		{"ablation", map[string]string{"slots": "2,100000000"}, "slots: 100000000 "},
+		{"fig8", map[string]string{"sizes": "tiny:100000000"}, "sizes: 100000000 "},
+		{"fig10", map[string]string{"iters": "1000000"}, "iters: 1000000 "},
+		{"noise", map[string]string{"gaps": "0,100000000"}, "gaps: 100000000 "},
 	}
 	for _, tc := range cases {
-		err := specOf[tc.sweep](scenario.Spec{Params: tc.params})
+		_, err := testSweeps[tc.sweep].Plan(scenario.Spec{Params: tc.params})
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s %v: unexpected error %v", tc.sweep, tc.params, err)
@@ -101,9 +107,9 @@ func TestScenarioParamEdgeCases(t *testing.T) {
 	}
 }
 
-// A bad parameter must also surface through the engine (axes expansion),
-// not only through the typed spec helpers, with the scenario named — for
-// every scenario sharing a decoder.
+// A bad parameter must also surface through the engine (the sweep's
+// plan), not only through the sweep's Plan called directly, with the
+// scenario named — for every scenario sharing a decoder.
 func TestBadParamFailsThroughEngine(t *testing.T) {
 	cases := []struct{ scenario, param, value string }{
 		{"spectre", "trials", "NaN"},
@@ -121,6 +127,10 @@ func TestBadParamFailsThroughEngine(t *testing.T) {
 		{"tvla", "noise", "2000000000"},
 		{"keyextract", "trials", "2000000000"},
 		{"noise", "noise", "2000000000"},
+		{"fig8", "sparsity", "-5"},
+		{"fig9", "sparsity", "1000"},
+		{"ablation", "slots", "100000000"},
+		{"fig9", "sizes", "tiny:100000000"},
 	}
 	for _, tc := range cases {
 		sc, ok := scenario.Lookup(tc.scenario)
@@ -133,6 +143,93 @@ func TestBadParamFailsThroughEngine(t *testing.T) {
 		}
 	}
 }
+
+// testSweeps names the registered sweeps for the tables above.
+var testSweeps = map[string]*scenario.Sweep{
+	"fig10":      fig10Sweep,
+	"fig8":       fig8Sweep,
+	"leakmatrix": leakSweep,
+	"ablation":   ablationSweep,
+	"attack":     attackSweep,
+	"keyextract": keyExtractSweep,
+	"noise":      noiseSweep,
+}
+
+// TestEveryParamBoundedAtBothEnds is one table over the registry: every
+// parameter a scenario accepts (the list its unknown-parameter error
+// names) has its range here, by name, since a name means the same in
+// every scenario that takes it. Each end of a range must plan, and the
+// value just past it must fail scenario.Run before any point runs, with
+// an error that starts "<scenario>: <param>: " and names the value (for
+// sizes the block count, for secrets how many there are). A parameter
+// the table does not know fails the test.
+func TestEveryParamBoundedAtBothEnds(t *testing.T) {
+	list := func(n int) string { return strings.TrimSuffix(strings.Repeat("7,", n), ",") }
+	ends := map[string][]struct{ end, past, want string }{
+		"ws":       {{"1", "0", "0"}, {"30", "31", "31"}},
+		"w":        {{"1", "0", "0"}, {"30", "31", "31"}},
+		"iters":    {{"1", "0", "0"}, {"64", "65", "65"}},
+		"slots":    {{"1", "0", "0"}, {"30", "31", "31"}},
+		"bws":      {{"1", "0", "0"}},
+		"sparsity": {{"0", "-1", "-1"}, {"100", "101", "101"}},
+		"sizes":    {{"t:1", "t:0", "0"}, {"t:4096", "t:4097", "4097"}},
+		"secrets":  {{list(1), list(0), "0"}, {list(16), list(17), "17"}},
+		"trials":   {{"1", "0", "0"}, {"65536", "65537", "65537"}},
+		"noise":    {{"0", "-1", "-1"}, {"256", "257", "257"}},
+		"widths":   {{"1", "0", "0"}, {"31", "32", "32"}},
+		"gaps":     {{"0", "-1", "-1"}, {"4096", "4097", "4097"}},
+	}
+	// No end at all: seeds and secret take any 64-bit value, and the name
+	// lists any registered names. bws has no upper end: a wider SPM only
+	// shortens snapshots.
+	unbounded := map[string]bool{
+		"seed": true, "secret": true,
+		"kinds": true, "kind": true, "attackers": true, "victims": true, "archs": true,
+	}
+	for _, sc := range scenario.Scenarios() {
+		_, err := sc.Sweep.Plan(scenario.Spec{Params: map[string]string{"no-such-param": "1"}})
+		_, have, found := strings.Cut(fmt.Sprint(err), "(have ")
+		if !found {
+			t.Errorf("%s: unknown-parameter error %v lists no parameters", sc.Name, err)
+			continue
+		}
+		for _, name := range strings.Split(strings.TrimSuffix(have, ")"), ", ") {
+			if name == "" {
+				continue
+			}
+			if len(ends[name]) == 0 && !unbounded[name] {
+				t.Errorf("%s: parameter %q has no range in this table", sc.Name, name)
+			}
+			for _, e := range ends[name] {
+				if _, err := sc.Sweep.Plan(scenario.Spec{Params: map[string]string{name: e.end}}); err != nil {
+					t.Errorf("%s: %s=%s is in range but does not plan: %v", sc.Name, name, e.end, err)
+				}
+				j := obs.NewJournal()
+				_, err := scenario.Run(sc, scenario.Spec{Params: map[string]string{name: e.past}}, scenario.RunOptions{Journal: j})
+				prefix := sc.Name + ": " + name + ": "
+				if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), e.want) {
+					t.Errorf("%s: %s=%s: err = %v, want one starting %q naming %s", sc.Name, name, e.past, err, prefix, e.want)
+				}
+				if evs := j.Events(); len(evs) != 0 {
+					t.Errorf("%s: %s=%s: the run journaled %d events; it must fail before any point", sc.Name, name, e.past, len(evs))
+				}
+			}
+		}
+	}
+}
+
+// sweepRows plans sw under spec and runs every grid point through the
+// engine's point loop, as the typed entry points do.
+func sweepRows(sw *scenario.Sweep, spec scenario.Spec) ([]any, error) {
+	return runAll[any](specPlanner{sw, spec}, spec.Workers)
+}
+
+type specPlanner struct {
+	sw   *scenario.Sweep
+	spec scenario.Spec
+}
+
+func (s specPlanner) plan() (*scenario.Plan, error) { return s.sw.Plan(s.spec) }
 
 // Malformed -param flags (no '=', empty key) are rejected at the flag
 // layer, before any scenario sees them.

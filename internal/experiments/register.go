@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"repro/internal/attack"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 )
@@ -24,7 +25,7 @@ func init() {
 		Description: "Fig. 8: djpeg execution-time overhead grid (formats x sizes); params: sparsity, seed, sizes",
 		Sweep:       fig8Sweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderFig8(fig8Rows(rows))}
+			return []*stats.Table{RenderFig8(narrow[Fig8Row](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -32,7 +33,7 @@ func init() {
 		Description: "Fig. 9: cache miss rates over the djpeg grid; params: sparsity, seed, sizes",
 		Sweep:       fig8Sweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderFig9(fig8Rows(rows))}
+			return []*stats.Table{RenderFig9(narrow[Fig8Row](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -40,7 +41,7 @@ func init() {
 		Description: "Fig. 10a: microbenchmark slowdown vs. baseline (kernels x W); params: kinds, ws, iters, secret",
 		Sweep:       fig10Sweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderFig10a(fig10Rows(rows))}
+			return []*stats.Table{RenderFig10a(narrow[Fig10Row](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -48,7 +49,7 @@ func init() {
 		Description: "Fig. 10b: slowdown normalized to the ideal W+1; params: kinds, ws, iters, secret",
 		Sweep:       fig10Sweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderFig10b(fig10Rows(rows))}
+			return []*stats.Table{RenderFig10b(narrow[Fig10Row](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -56,7 +57,7 @@ func init() {
 		Description: "Table I: approach comparison with measured worst-case overheads; params: kinds, ws, iters, secret",
 		Sweep:       fig10Sweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{Table1(fig10Rows(rows))}
+			return []*stats.Table{Table1(narrow[Fig10Row](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -64,7 +65,7 @@ func init() {
 		Description: "SPM geometry ablation: jbTable depth (slots) x SPM bandwidth, with §IV-E overflow downgrades; params: kind, w, iters, slots, bws",
 		Sweep:       ablationSweep,
 		Render: func(spec scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderAblation(spec, ablationRows(rows))}
+			return []*stats.Table{RenderAblation(spec, narrow[AblationRow](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -72,7 +73,7 @@ func init() {
 		Description: "attack lab: Spectre-PHT predictor probe + DL1 prime+probe secret recovery, baseline vs. SeMPE; params: attackers, archs, trials, seed, noise",
 		Sweep:       attackSweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderSpectre(attackRows(rows))}
+			return []*stats.Table{RenderSpectre(narrow[attack.Assessment](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -80,7 +81,7 @@ func init() {
 		Description: "attack lab: TVLA fixed-vs-random leakage assessment per observable (same sweep as spectre); params: attackers, archs, trials, seed, noise",
 		Sweep:       attackSweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderTVLA(attackRows(rows))}
+			return []*stats.Table{RenderTVLA(narrow[attack.Assessment](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -88,7 +89,7 @@ func init() {
 		Description: "attack lab: multi-bit key extraction over the victim matrix (attacker x victim x width x gap x arch); params: attackers, victims, widths, gaps, archs, trials, seed, noise",
 		Sweep:       keyExtractSweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderKeyExtract(keyRows(rows))}
+			return []*stats.Table{RenderKeyExtract(narrow[attack.KeyRecovery](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -96,7 +97,7 @@ func init() {
 		Description: "attack lab: attacker-strength sweep — key extraction vs. train-to-probe gap activity; params: attackers, victims, widths, gaps, archs, trials, seed, noise",
 		Sweep:       noiseSweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			return []*stats.Table{RenderNoise(keyRows(rows))}
+			return []*stats.Table{RenderNoise(narrow[attack.KeyRecovery](rows))}
 		},
 	})
 	scenario.Register(&scenario.Scenario{
@@ -104,11 +105,7 @@ func init() {
 		Description: "security sweep: observable-channel distinguisher, baseline vs. SeMPE (kernels x W); params: kinds, ws, iters, secrets",
 		Sweep:       leakSweep,
 		Render: func(_ scenario.Spec, rows []any) []*stats.Table {
-			lrs := make([]LeakRow, len(rows))
-			for i, r := range rows {
-				lrs[i] = r.(LeakRow)
-			}
-			return []*stats.Table{RenderLeakMatrix(lrs)}
+			return []*stats.Table{RenderLeakMatrix(narrow[LeakRow](rows))}
 		},
 	})
 }

@@ -69,11 +69,10 @@ func Table2() *stats.Table {
 // one point, no simulation — the configuration echo.
 var table2Sweep = &scenario.Sweep{
 	ID: "table2",
-	Axes: func(spec scenario.Spec) ([]scenario.Axis, error) {
+	Plan: func(spec scenario.Spec) (*scenario.Plan, error) {
 		if err := checkParams(spec); err != nil {
 			return nil, err
 		}
-		return nil, nil
+		return &scenario.Plan{Point: func(scenario.Point) (any, error) { return nil, nil }}, nil
 	},
-	Run: func(scenario.Spec, scenario.Point) (any, error) { return nil, nil },
 }

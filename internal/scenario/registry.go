@@ -24,7 +24,7 @@ func Register(sc *Scenario) {
 	switch {
 	case sc == nil || sc.Name == "":
 		panic("scenario: Register without a name")
-	case sc.Sweep == nil || sc.Sweep.Axes == nil || sc.Sweep.Run == nil:
+	case sc.Sweep == nil || sc.Sweep.Plan == nil:
 		panic(fmt.Sprintf("scenario: %q registered without a complete sweep", sc.Name))
 	case sc.Render == nil:
 		panic(fmt.Sprintf("scenario: %q registered without a renderer", sc.Name))

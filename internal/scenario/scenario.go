@@ -1,14 +1,19 @@
 // Package scenario is the declarative sweep engine behind every evaluation
-// in this repository. A Scenario names a sweep (a Sweep: axes plus a
-// per-point runner) and a renderer turning the sweep's typed rows into
-// stats.Tables; scenarios register themselves into a central registry that
-// cmd/sempe-bench and cmd/sempe-serve resolve by name.
+// in this repository. A Scenario names a sweep and a renderer turning the
+// sweep's typed rows into stats.Tables; scenarios register themselves into
+// a central registry that cmd/sempe-bench and cmd/sempe-serve resolve by
+// name.
 //
-// The engine — not the individual experiments — owns grid expansion
-// (row-major over the axes, so result order is deterministic), the bounded
-// worker pool fanning points across goroutines, per-point timing, progress
-// reporting, and sweep-row memoization. Several scenarios may share one
-// Sweep (Fig. 10a, Fig. 10b, and Table I are three renderings of the same
+// A Sweep's one contract is Plan: it parses and validates a spec once,
+// rejecting every out-of-range parameter before any point runs, and
+// returns the grid's axes plus the function computing one row per grid
+// point. The engine — not the individual experiments — owns grid
+// expansion (row-major over the axes, so result order is deterministic)
+// and the one point loop, Plan.RunPoints, that every caller runs points
+// through: the bounded worker pool, cancellation between points, per-point
+// timing, spans and progress, and the guard that turns a panicking point
+// into that point's error. Several scenarios may share one Sweep (Fig.
+// 10a, Fig. 10b, and Table I are three renderings of the same
 // microbenchmark grid); a RowCache lets one invocation simulate that grid
 // once.
 package scenario
@@ -156,18 +161,15 @@ func Grid(n, workers int, fn func(i int) error) error {
 	return nil
 }
 
-// Sweep is a named grid shared by one or more scenarios: the axes for a
-// given spec and the runner producing one typed row per grid point. Run
-// receives the point's coordinates into the Axes slices; it must be safe
-// for concurrent calls (every evaluation point constructs an independent
-// simulated core).
+// Sweep is a named grid shared by one or more scenarios. Plan parses and
+// validates a spec once — an out-of-range parameter fails here, before
+// any point runs — and returns the grid it describes.
 type Sweep struct {
 	ID   string
-	Axes func(Spec) ([]Axis, error)
-	Run  func(Spec, Point) (any, error)
+	Plan func(Spec) (*Plan, error)
 
 	// DecodeRow, when set, decodes one JSON-encoded row back into the
-	// sweep's typed row — the inverse of json.Marshal on Run's result.
+	// sweep's typed row — the inverse of json.Marshal on Point's result.
 	// Declaring it makes the sweep shardable: the cluster coordinator can
 	// merge rows computed by remote workers, and the on-disk store can
 	// rehydrate persisted points. A sweep whose rows do not survive a JSON
@@ -179,6 +181,81 @@ type Sweep struct {
 // Shardable reports whether the sweep's rows survive a JSON round trip,
 // which is what cluster distribution and on-disk row persistence require.
 func (sw *Sweep) Shardable() bool { return sw.DecodeRow != nil }
+
+// Plan is one spec's sweep, parsed and validated: the grid's axes and the
+// function computing the typed row at one grid point. Point receives the
+// point's coordinates into Axes; it must be safe for concurrent calls
+// (every evaluation point constructs an independent simulated core) and
+// never parses the spec again.
+type Plan struct {
+	Axes  []Axis
+	Point func(Point) (any, error)
+}
+
+// RunPoints is the engine's one point loop. It evaluates the plan at the
+// given row-major grid indices, fanning them across at most workers
+// goroutines, and returns one row per index in the order given plus the
+// slowest point. Between points it checks opts.Context; every point gets
+// a "point" span in opts.Journal and a call to opts.Progress (opts.Rows is
+// not consulted). A point that fails becomes the error "point [labels]:
+// …", and so does a point that panics ("point [labels]: panic: …"): the
+// process lives on, and whatever the point held, such as a pooled core,
+// is dropped instead of recycled. On error rows still holds every point
+// that completed (nil elsewhere), so a caller can keep them.
+func (p *Plan) RunPoints(indices []int, workers int, opts RunOptions) ([]any, *PointStat, error) {
+	pts := Expand(p.Axes)
+	rows := make([]any, len(indices))
+	millis := make([]float64, len(indices))
+	var mu sync.Mutex
+	done := 0
+	err := Grid(len(indices), workers, func(k int) error {
+		if opts.Context != nil && opts.Context.Err() != nil {
+			return opts.Context.Err()
+		}
+		pt := pts[indices[k]]
+		var pointSpan obs.Span
+		if opts.Journal != nil {
+			pointSpan = opts.Journal.Begin("point", obs.Fields{
+				"index": pt.Index, "labels": pt.Labels(p.Axes)})
+		}
+		t0 := time.Now()
+		row, err := p.guarded(pt)
+		millis[k] = float64(time.Since(t0)) / float64(time.Millisecond)
+		if err != nil {
+			pointSpan.End(obs.Fields{"error": err.Error()})
+			return fmt.Errorf("point %v: %w", pt.Labels(p.Axes), err)
+		}
+		pointSpan.End(nil)
+		rows[k] = row
+		if opts.Progress != nil {
+			mu.Lock()
+			done++
+			opts.Progress(done, len(indices))
+			mu.Unlock()
+		}
+		return nil
+	})
+	if err != nil {
+		return rows, nil, err
+	}
+	var slowest *PointStat
+	for k, ms := range millis {
+		if slowest == nil || ms > slowest.Millis {
+			slowest = &PointStat{Labels: pts[indices[k]].Labels(p.Axes), Millis: ms}
+		}
+	}
+	return rows, slowest, nil
+}
+
+// guarded calls Point, turning a panic into the point's error.
+func (p *Plan) guarded(pt Point) (row any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v", r)
+		}
+	}()
+	return p.Point(pt)
+}
 
 // Scenario is one registered evaluation: a sweep plus a renderer turning
 // the sweep's rows into tables.
@@ -244,20 +321,35 @@ type RunOptions struct {
 	Journal  *obs.Journal
 }
 
-// Run executes the scenario's sweep under spec and renders its tables.
+// Run plans the scenario's sweep under spec once, runs every grid point
+// through the point loop (or takes the rows from opts.Rows), and renders
+// its tables.
 func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
-	axes, err := sc.Sweep.Axes(spec)
+	plan, err := sc.Sweep.Plan(spec)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	pts := Expand(axes)
+	all := make([]int, len(Expand(plan.Axes)))
+	for i := range all {
+		all[i] = i
+	}
 	start := time.Now()
 	var sweepSpan obs.Span
 	if opts.Journal != nil {
 		sweepSpan = opts.Journal.Begin("sweep", obs.Fields{
-			"scenario": sc.Name, "sweep": sc.Sweep.ID, "points": len(pts)})
+			"scenario": sc.Name, "sweep": sc.Sweep.ID, "points": len(all)})
 	}
-	rows, slowest, err := sweepRows(sc.Sweep, spec, axes, pts, opts)
+	compute := func() ([]any, *PointStat, error) { return plan.RunPoints(all, spec.Workers, opts) }
+	var rows []any
+	var slowest *PointStat
+	if opts.Rows != nil {
+		rows, slowest, err = opts.Rows.rows(sc.Sweep.ID+"|"+spec.Key(), compute)
+		if err == nil && opts.Progress != nil {
+			opts.Progress(len(all), len(all))
+		}
+	} else {
+		rows, slowest, err = compute()
+	}
 	if err != nil {
 		sweepSpan.End(obs.Fields{"error": err.Error()})
 		return nil, fmt.Errorf("%s: %w", sc.Name, err)
@@ -266,84 +358,13 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 	return &Result{
 		Scenario:      sc.Name,
 		Spec:          spec,
-		Axes:          axes,
-		Points:        len(pts),
+		Axes:          plan.Axes,
+		Points:        len(all),
 		Tables:        sc.Render(spec, rows),
 		ElapsedMillis: float64(time.Since(start)) / float64(time.Millisecond),
 		Slowest:       slowest,
 		Rows:          rows,
 	}, nil
-}
-
-// SweepRows runs just the sweep for spec and returns its rows in
-// deterministic row-major order — the entry point for typed wrappers
-// (experiments.Fig10, experiments.Fig8) that want rows without rendering.
-func SweepRows(sw *Sweep, spec Spec, opts RunOptions) ([]any, error) {
-	axes, err := sw.Axes(spec)
-	if err != nil {
-		return nil, err
-	}
-	rows, _, err := sweepRows(sw, spec, axes, Expand(axes), opts)
-	return rows, err
-}
-
-func sweepRows(sw *Sweep, spec Spec, axes []Axis, pts []Point, opts RunOptions) ([]any, *PointStat, error) {
-	if opts.Rows != nil {
-		rows, slowest, err := opts.Rows.rows(sw.ID+"|"+spec.Key(), func() ([]any, *PointStat, error) {
-			return runPoints(sw, spec, axes, pts, opts)
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		if opts.Progress != nil {
-			opts.Progress(len(pts), len(pts))
-		}
-		return rows, slowest, nil
-	}
-	return runPoints(sw, spec, axes, pts, opts)
-}
-
-func runPoints(sw *Sweep, spec Spec, axes []Axis, pts []Point, opts RunOptions) ([]any, *PointStat, error) {
-	rows := make([]any, len(pts))
-	millis := make([]float64, len(pts))
-	var mu sync.Mutex
-	done := 0
-	err := Grid(len(pts), spec.Workers, func(i int) error {
-		if opts.Context != nil && opts.Context.Err() != nil {
-			return opts.Context.Err()
-		}
-		var pointSpan obs.Span
-		if opts.Journal != nil {
-			pointSpan = opts.Journal.Begin("point", obs.Fields{
-				"index": i, "labels": pts[i].Labels(axes)})
-		}
-		t0 := time.Now()
-		row, err := sw.Run(spec, pts[i])
-		millis[i] = float64(time.Since(t0)) / float64(time.Millisecond)
-		if err != nil {
-			pointSpan.End(obs.Fields{"error": err.Error()})
-			return fmt.Errorf("point %v: %w", pts[i].Labels(axes), err)
-		}
-		pointSpan.End(nil)
-		rows[i] = row
-		if opts.Progress != nil {
-			mu.Lock()
-			done++
-			opts.Progress(done, len(pts))
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	var slowest *PointStat
-	for i, ms := range millis {
-		if slowest == nil || ms > slowest.Millis {
-			slowest = &PointStat{Labels: pts[i].Labels(axes), Millis: ms}
-		}
-	}
-	return rows, slowest, nil
 }
 
 // RowCache memoizes sweep rows (and the slowest-point timing from the

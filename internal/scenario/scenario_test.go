@@ -64,7 +64,7 @@ func TestGridErrorDeterministic(t *testing.T) {
 func testSweep(calls *atomic.Int64) *Sweep {
 	return &Sweep{
 		ID: "square",
-		Axes: func(spec Spec) ([]Axis, error) {
+		Plan: func(spec Spec) (*Plan, error) {
 			n := 4
 			if spec.Quick {
 				n = 2
@@ -73,13 +73,15 @@ func testSweep(calls *atomic.Int64) *Sweep {
 			for i := range vals {
 				vals[i] = fmt.Sprintf("%d", i)
 			}
-			return []Axis{{Name: "i", Values: vals}}, nil
-		},
-		Run: func(spec Spec, p Point) (any, error) {
-			if calls != nil {
-				calls.Add(1)
-			}
-			return p.Coords[0] * p.Coords[0], nil
+			return &Plan{
+				Axes: []Axis{{Name: "i", Values: vals}},
+				Point: func(p Point) (any, error) {
+					if calls != nil {
+						calls.Add(1)
+					}
+					return p.Coords[0] * p.Coords[0], nil
+				},
+			}, nil
 		},
 	}
 }
@@ -165,15 +167,81 @@ func TestRunWrapsPointErrors(t *testing.T) {
 	boom := errors.New("boom")
 	sc := testScenario(nil)
 	sc.Sweep = &Sweep{
-		ID:   "fail",
-		Axes: sc.Sweep.Axes,
-		Run: func(Spec, Point) (any, error) {
-			return nil, boom
+		ID: "fail",
+		Plan: func(spec Spec) (*Plan, error) {
+			p, err := testSweep(nil).Plan(spec)
+			p.Point = func(Point) (any, error) { return nil, boom }
+			return p, err
 		},
 	}
 	_, err := Run(sc, Spec{}, RunOptions{})
 	if err == nil || !errors.Is(err, boom) || !strings.Contains(err.Error(), "square") {
 		t.Errorf("err = %v, want wrapped boom naming the scenario", err)
+	}
+}
+
+// TestRunRecoversPointPanic: a panic inside one grid point becomes that
+// point's error, naming the scenario and the point, at any worker count;
+// the points that did not panic still run, and the process lives on.
+func TestRunRecoversPointPanic(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var calls atomic.Int64
+		sc := testScenario(nil)
+		sc.Sweep = &Sweep{
+			ID: "panic",
+			Plan: func(spec Spec) (*Plan, error) {
+				p, err := testSweep(nil).Plan(spec)
+				p.Point = func(pt Point) (any, error) {
+					calls.Add(1)
+					if pt.Coords[0] == 2 {
+						var s []int
+						_ = s[:pt.Coords[0]-3] // slice bounds out of range [:-1]
+					}
+					return pt.Coords[0], nil
+				}
+				return p, err
+			},
+		}
+		_, err := Run(sc, Spec{Workers: workers}, RunOptions{})
+		want := "square: point [2]: panic: runtime error: slice bounds out of range [:-1]"
+		if err == nil || err.Error() != want {
+			t.Errorf("workers=%d: err = %v, want %q", workers, err, want)
+		}
+		if workers > 1 && calls.Load() != 4 {
+			t.Errorf("workers=%d: %d points ran, want all 4 (a panic fails only its own point)", workers, calls.Load())
+		}
+		// The engine still runs sweeps after recovering.
+		if _, err := Run(testScenario(nil), Spec{Workers: workers}, RunOptions{}); err != nil {
+			t.Errorf("workers=%d: run after a recovered panic: %v", workers, err)
+		}
+	}
+}
+
+// TestRunPointsSubsetKeepsCompletedRows: the point loop runs exactly the
+// requested indices, returns their rows in request order, and on failure
+// still hands back every row that completed.
+func TestRunPointsSubsetKeepsCompletedRows(t *testing.T) {
+	p, err := testSweep(nil).Plan(Spec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, slowest, err := p.RunPoints([]int{3, 1}, 2, RunOptions{})
+	if err != nil || !reflect.DeepEqual(rows, []any{9, 1}) || slowest == nil {
+		t.Fatalf("rows = %v, slowest = %v, err = %v; want [9 1]", rows, slowest, err)
+	}
+	square := p.Point
+	p.Point = func(pt Point) (any, error) {
+		if pt.Coords[0] == 1 {
+			return nil, errors.New("boom")
+		}
+		return square(pt)
+	}
+	rows, _, err = p.RunPoints([]int{0, 1, 2, 3}, 1, RunOptions{})
+	if err == nil || err.Error() != "point [1]: boom" {
+		t.Errorf("err = %v, want point [1]: boom", err)
+	}
+	if !reflect.DeepEqual(rows, []any{0, nil, nil, nil}) {
+		t.Errorf("rows after a serial failure = %v, want [0 <nil> <nil> <nil>]", rows)
 	}
 }
 

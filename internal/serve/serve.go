@@ -197,8 +197,8 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		info := scenarioInfo{Name: sc.Name, Description: sc.Description}
 		// Default-spec axes; scenarios whose axes depend on params still
 		// list their default grid.
-		if axes, err := sc.Sweep.Axes(scenario.Spec{}); err == nil {
-			info.Axes = axes
+		if plan, err := sc.Sweep.Plan(scenario.Spec{}); err == nil {
+			info.Axes = plan.Axes
 		}
 		out = append(out, info)
 	}
@@ -253,7 +253,7 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Validate the spec before tracking a run: a bad parameter is the
 	// caller's error, not a failed run.
-	if _, err := sc.Sweep.Axes(req.Spec); err != nil {
+	if _, err := sc.Sweep.Plan(req.Spec); err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec for %s: %v", sc.Name, err)
 		return
 	}

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -577,20 +579,24 @@ func TestOutOfRangeParamIsBadRequest(t *testing.T) {
 }
 
 // TestOversizedAttackParamIsBadRequest: an attack trial or noise count past
-// attack.MaxTrials or attack.MaxNoise is a client error naming the scenario,
-// the parameter and the value, and the server keeps serving. At
-// trials=2000000000 the batch allocated a 96 GB slice, and at
-// noise=2000000000 the trial programs unrolled 24 GB of noise, both fatal
-// out-of-memory errors no handler can recover.
+// attack.MaxTrials or attack.MaxNoise, or a djpeg sparsity outside
+// [0,100], is a client error naming the scenario, the parameter and the
+// value, and the server keeps serving. At trials=2000000000 the batch
+// allocated a 96 GB slice, and at noise=2000000000 the trial programs
+// unrolled 24 GB of noise, both fatal out-of-memory errors no handler can
+// recover; at sparsity=-5 the image generator panicked inside a grid
+// worker and took the server down.
 func TestOversizedAttackParamIsBadRequest(t *testing.T) {
 	_, ts := newTestServer(t)
-	for _, tc := range []struct{ scenario, param string }{
-		{"spectre", "trials"},
-		{"spectre", "noise"},
-		{"keyextract", "trials"},
-		{"keyextract", "noise"},
+	for _, tc := range []struct{ scenario, param, value string }{
+		{"spectre", "trials", "2000000000"},
+		{"spectre", "noise", "2000000000"},
+		{"keyextract", "trials", "2000000000"},
+		{"keyextract", "noise", "2000000000"},
+		{"fig8", "sparsity", "-5"},
+		{"fig9", "sparsity", "1000"},
 	} {
-		body := fmt.Sprintf(`{"scenario":%q,"spec":{"params":{%q:"2000000000"}}}`, tc.scenario, tc.param)
+		body := fmt.Sprintf(`{"scenario":%q,"spec":{"params":{%q:%q}}}`, tc.scenario, tc.param, tc.value)
 		resp, err := http.Post(ts.URL+"/runs", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
@@ -601,16 +607,134 @@ func TestOversizedAttackParamIsBadRequest(t *testing.T) {
 		}
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s %s=2000000000: status %d, want 400", tc.scenario, tc.param, resp.StatusCode)
+			t.Fatalf("%s %s=%s: status %d, want 400", tc.scenario, tc.param, tc.value, resp.StatusCode)
 		}
-		for _, want := range []string{tc.scenario, tc.param + ": 2000000000 "} {
+		for _, want := range []string{tc.scenario, tc.param + ": " + tc.value + " "} {
 			if !strings.Contains(got.Error, want) {
-				t.Errorf("%s %s=2000000000: error %q does not contain %q", tc.scenario, tc.param, got.Error, want)
+				t.Errorf("%s %s=%s: error %q does not contain %q", tc.scenario, tc.param, tc.value, got.Error, want)
 			}
 		}
 	}
 	view, code := postRun(t, ts, `{"scenario":"spectre","spec":{"params":{"attackers":"bp","archs":"baseline","trials":"2"}},"wait":true}`)
 	if code != http.StatusOK || view.Status != "done" {
 		t.Fatalf("next request: status %d, run %q (%s), want 200 and done", code, view.Status, view.Error)
+	}
+}
+
+// registerPanicProbe registers, once per test binary, a synthetic
+// scenario whose grid point 2 of 4 panics: the stand-in for a simulator
+// bug that the engine's per-point guard must contain.
+var registerPanicProbe = sync.OnceFunc(func() {
+	scenario.Register(&scenario.Scenario{
+		Name:        "panic-probe",
+		Description: "test only: grid point 2 of 4 panics",
+		Sweep: &scenario.Sweep{
+			ID: "panic-probe",
+			Plan: func(scenario.Spec) (*scenario.Plan, error) {
+				return &scenario.Plan{
+					Axes: []scenario.Axis{{Name: "i", Values: []string{"0", "1", "2", "3"}}},
+					Point: func(p scenario.Point) (any, error) {
+						if p.Index == 2 {
+							panic("simulated bug")
+						}
+						return p.Index, nil
+					},
+				}, nil
+			},
+			DecodeRow: func(raw json.RawMessage) (any, error) {
+				var v int
+				err := json.Unmarshal(raw, &v)
+				return v, err
+			},
+		},
+		Render: func(scenario.Spec, []any) []*stats.Table { return nil },
+	})
+})
+
+// TestPointPanicFailsRunServerLives: a panic inside one grid point ends
+// that run with status error, naming the scenario and the point, at 1 and
+// 4 workers; the server keeps serving, and the next run returns 200.
+func TestPointPanicFailsRunServerLives(t *testing.T) {
+	registerPanicProbe()
+	ts := httptest.NewServer(New(Options{MaxWorkers: 4}).Handler())
+	t.Cleanup(ts.Close)
+	for _, workers := range []int{1, 4} {
+		view, code := postRun(t, ts, fmt.Sprintf(`{"scenario":"panic-probe","spec":{"workers":%d},"wait":true}`, workers))
+		want := "panic-probe: point [2]: panic: simulated bug"
+		if code != http.StatusOK || view.Status != "error" || view.Error != want {
+			t.Errorf("workers=%d: status %d, run %q (%q), want 200 and error %q", workers, code, view.Status, view.Error, want)
+		}
+		view, code = postRun(t, ts, `{"scenario":"fig10a","spec":{"quick":true,"params":{"kinds":"ones","ws":"1"}},"wait":true}`)
+		if code != http.StatusOK || view.Status != "done" {
+			t.Fatalf("workers=%d: next request: status %d, run %q (%s), want 200 and done", workers, code, view.Status, view.Error)
+		}
+	}
+}
+
+// postShard sends one shard request to a worker and returns the status
+// and the error text of a rejected request.
+func postShard(t *testing.T, ts *httptest.Server, req cluster.ShardRequest) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/shards", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got struct{ Error string }
+	if resp.StatusCode != http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	io.Copy(io.Discard, resp.Body)
+	return resp.StatusCode, got.Error
+}
+
+// TestShardPanicIs500WorkerLives: a panicking grid point makes a worker
+// answer POST /shards with 500 naming the point, at 1 and 4 workers, and
+// the worker keeps serving.
+func TestShardPanicIs500WorkerLives(t *testing.T) {
+	registerPanicProbe()
+	ts := httptest.NewServer(New(Options{MaxWorkers: 4, Worker: true}).Handler())
+	t.Cleanup(ts.Close)
+	for _, workers := range []int{1, 4} {
+		code, msg := postShard(t, ts, cluster.ShardRequest{
+			Scenario: "panic-probe", Spec: scenario.Spec{Workers: workers},
+			Indices: []int{0, 1, 2, 3}, Total: 4, Version: store.CodeVersion,
+		})
+		if code != http.StatusInternalServerError || !strings.Contains(msg, "point [2]: panic: simulated bug") {
+			t.Errorf("workers=%d: status %d (%q), want 500 naming point [2] and the panic", workers, code, msg)
+		}
+		if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+			t.Fatalf("workers=%d: healthz after the panic = %d, want 200", workers, code)
+		}
+	}
+}
+
+// TestShardBadParamIsBadRequest: a shard whose spec is out of range is
+// rejected with 400 before any point runs. A two-point fig8 shard at
+// sparsity=-5 used to panic inside the handler and kill the worker.
+func TestShardBadParamIsBadRequest(t *testing.T) {
+	ts := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
+	t.Cleanup(ts.Close)
+	for _, params := range []map[string]string{
+		{"sparsity": "-5"},
+		{"sparsity": "1000"},
+		{"sizes": "tiny:100000000"},
+	} {
+		code, msg := postShard(t, ts, cluster.ShardRequest{
+			Scenario: "fig8", Spec: scenario.Spec{Quick: true, Params: params},
+			Indices: []int{0, 1}, Total: 6, Version: store.CodeVersion,
+		})
+		if code != http.StatusBadRequest || !strings.Contains(msg, "fig8") {
+			t.Errorf("%v: status %d (%q), want 400 naming fig8", params, code, msg)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz = %d, want 200", code)
 	}
 }

@@ -35,19 +35,19 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	if req.Spec.Workers <= 0 || req.Spec.Workers > s.opts.MaxWorkers {
 		req.Spec.Workers = s.opts.MaxWorkers
 	}
-	axes, err := sc.Sweep.Axes(req.Spec)
+	plan, err := sc.Sweep.Plan(req.Spec)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad spec for %s: %v", sc.Name, err)
 		return
 	}
-	pts := scenario.Expand(axes)
-	if req.Total != len(pts) {
-		httpError(w, http.StatusConflict, "grid mismatch: worker expands %d points, coordinator %d", len(pts), req.Total)
+	total := len(scenario.Expand(plan.Axes))
+	if req.Total != total {
+		httpError(w, http.StatusConflict, "grid mismatch: worker expands %d points, coordinator %d", total, req.Total)
 		return
 	}
 	for _, idx := range req.Indices {
-		if idx < 0 || idx >= len(pts) {
-			httpError(w, http.StatusBadRequest, "point index %d out of range [0,%d)", idx, len(pts))
+		if idx < 0 || idx >= total {
+			httpError(w, http.StatusBadRequest, "point index %d out of range [0,%d)", idx, total)
 			return
 		}
 	}
@@ -64,25 +64,17 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	defer func() { <-s.sem }()
 
 	start := time.Now()
-	rows := make([]json.RawMessage, len(req.Indices))
-	err = scenario.Grid(len(req.Indices), req.Spec.Workers, func(j int) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		row, err := sc.Sweep.Run(req.Spec, pts[req.Indices[j]])
-		if err != nil {
-			return err
-		}
-		raw, err := json.Marshal(row)
-		if err != nil {
-			return err
-		}
-		rows[j] = raw
-		return nil
-	})
+	out, _, err := plan.RunPoints(req.Indices, req.Spec.Workers, scenario.RunOptions{Context: ctx})
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "shard failed: %v", err)
 		return
+	}
+	rows := make([]json.RawMessage, len(out))
+	for k, row := range out {
+		if rows[k], err = json.Marshal(row); err != nil {
+			httpError(w, http.StatusInternalServerError, "shard failed: %v", err)
+			return
+		}
 	}
 	s.metrics.shardPoints.Add(uint64(len(req.Indices)))
 	writeJSON(w, http.StatusOK, cluster.ShardResponse{
