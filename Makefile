@@ -44,11 +44,16 @@ bench-module:
 # attack lab's set-up savings: a template built at one attacked bit and
 # patched to every other equals a fresh compile (TestTemplatePatchMatchesFreshCompile),
 # a slotted literal fuses into an immediate-form op byte-identically, and
-# warm batches reuse pooled runners without building a core. The sweep
-# gates pin the engine's input boundary: every registered parameter is
-# range-checked at both ends before any point runs, and a panicking grid
-# point fails its run (engine, serve run, worker shard) while the process
-# keeps serving.
+# warm batches reuse pooled runners without building a core, and a
+# spectre assessment equals a 1-bit extraction's per-bit statistics
+# (RunAssessment and ExtractKey share one trial engine). The sweep gates
+# pin the engine's input boundary: every registered parameter is
+# range-checked at both ends before any point runs (the fuzz target's seed
+# corpus included), a grid past scenario.MaxPoints is rejected (engine,
+# serve run, worker shard), a panicking grid point fails its run while the
+# process keeps serving, and the shared row cache keeps a bounded number of
+# specs. The attack and CLI gates reject an out-of-range gap, width or bit
+# and every workload flag that used to panic or exhaust memory, with exit 1.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -56,12 +61,14 @@ bench-smoke:
 	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk|TestSpecStreamHashCoversEveryField'
 	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
 	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
-	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners'
+	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners|TestWidthOneMatchesSpectre'
 	$(GO) test ./internal/compile/ -run 'TestSlottedLiteralFusesImmediate'
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
-	$(GO) test ./internal/experiments/ -run 'TestEveryParamBoundedAtBothEnds'
-	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic'
-	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives'
+	$(GO) test ./internal/experiments/ -run 'TestEveryParamBoundedAtBothEnds|TestGridBoundedThroughEngine|FuzzScenarioPlan'
+	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic|TestGridSize|TestRowCacheBounded'
+	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest'
+	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
+	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

@@ -31,6 +31,11 @@ func main() {
 		blocks   = flag.Int("blocks", 16, "image blocks (djpeg)")
 	)
 	flag.Parse()
+	if strings.HasPrefix(*workload, "djpeg-") {
+		inRange("blocks", *blocks, 1, jpegsim.MaxBlocks)
+	} else {
+		inRange("w", *w, 1, compile.MaxSecretNesting)
+	}
 
 	build := func(mode compile.Mode) func(uint64) (*isa.Program, error) {
 		return func(secret uint64) (*isa.Program, error) {
@@ -87,6 +92,14 @@ func main() {
 	} else {
 		fmt.Println("\nRESULT: LEAK under SeMPE — this would be an implementation bug.")
 		os.Exit(1)
+	}
+}
+
+// inRange exits with an error naming the flag unless v is in [lo,hi]. Past
+// these ranges building the program panics or exhausts memory.
+func inRange(flag string, v, lo, hi int) {
+	if v < lo || v > hi {
+		fatal("-%s: %d out of range [%d,%d]", flag, v, lo, hi)
 	}
 }
 

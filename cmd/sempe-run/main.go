@@ -85,26 +85,22 @@ func main() {
 		prog = p
 	default:
 		var lp *lang.Program
-		if strings.HasPrefix(*workload, "djpeg-") {
-			var format jpegsim.Format
-			switch strings.TrimPrefix(*workload, "djpeg-") {
-			case "ppm":
-				format = jpegsim.PPM
-			case "gif":
-				format = jpegsim.GIF
-			case "bmp":
-				format = jpegsim.BMP
-			default:
-				fatal("unknown workload %q", *workload)
+		if name, isImage := strings.CutPrefix(*workload, "djpeg-"); isImage {
+			format, err := jpegsim.ParseFormat(name)
+			if err != nil {
+				fatal("unknown workload %q: %v", *workload, err)
 			}
+			inRange("blocks", *blocks, 1, jpegsim.MaxBlocks)
+			inRange("sparsity", *sparsity, 0, 100)
 			lp = jpegsim.BuildProgram(jpegsim.ImageSpec{
 				Format: format, Blocks: *blocks, Sparsity: *sparsity, Seed: *seed,
 			})
 		} else {
-			kind, ok := parseKind(*workload)
-			if !ok {
-				fatal("unknown workload %q", *workload)
+			kind, err := workloads.Parse(*workload)
+			if err != nil {
+				fatal("unknown workload %q: %v", *workload, err)
 			}
+			inRange("w", *w, 1, compile.MaxSecretNesting)
 			lp = workloads.Harness(workloads.HarnessSpec{
 				Kind: kind, Size: *size, W: *w, I: *iters, Secret: *secret,
 			})
@@ -166,15 +162,6 @@ func main() {
 	}
 }
 
-func parseKind(s string) (workloads.Kind, bool) {
-	for _, k := range workloads.All() {
-		if k.String() == s {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
 func printStats(core *pipeline.Core) {
 	s := core.Stats
 	t := &stats.Table{Title: "execution statistics", Header: []string{"metric", "value"}}
@@ -199,6 +186,14 @@ func printStats(core *pipeline.Core) {
 	t.AddRow("L2 miss rate", stats.Percent(core.Hier.L2.Stats.MissRate()))
 	t.AddRow("TAGE mispredict rate", stats.Percent(core.BP.TAGE.MispredictRate()))
 	t.Render(os.Stdout)
+}
+
+// inRange exits with an error naming the flag unless v is in [lo,hi]. Past
+// these ranges building the program panics or exhausts memory.
+func inRange(flag string, v, lo, hi int) {
+	if v < lo || v > hi {
+		fatal("-%s: %d out of range [%d,%d]", flag, v, lo, hi)
+	}
 }
 
 func fatal(format string, args ...any) {

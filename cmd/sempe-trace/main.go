@@ -97,6 +97,9 @@ func main() {
 		return
 	}
 
+	if *asmFile == "" {
+		inRange("w", *w, 1, compile.MaxSecretNesting)
+	}
 	build := func(sec uint64) (*isa.Program, error) {
 		if *asmFile != "" {
 			src, err := os.ReadFile(*asmFile)
@@ -105,9 +108,9 @@ func main() {
 			}
 			return asm.Assemble(string(src))
 		}
-		kind, ok := parseKind(*workload)
-		if !ok {
-			return nil, fmt.Errorf("unknown workload %q", *workload)
+		kind, err := workloads.Parse(*workload)
+		if err != nil {
+			return nil, fmt.Errorf("unknown workload %q: %w", *workload, err)
 		}
 		lp := workloads.Harness(workloads.HarnessSpec{
 			Kind: kind, Size: *size, W: *w, I: *iters, Secret: sec,
@@ -220,13 +223,12 @@ func setDiff(a, b []uint64) []uint64 {
 	return out
 }
 
-func parseKind(s string) (workloads.Kind, bool) {
-	for _, k := range workloads.All() {
-		if k.String() == s {
-			return k, true
-		}
+// inRange exits with an error naming the flag unless v is in [lo,hi]. Past
+// these ranges building the program panics or exhausts memory.
+func inRange(flag string, v, lo, hi int) {
+	if v < lo || v > hi {
+		fatal("-%s: %d out of range [%d,%d]", flag, v, lo, hi)
 	}
-	return 0, false
 }
 
 func fatal(format string, args ...any) {

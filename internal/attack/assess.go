@@ -69,10 +69,10 @@ func Assess(fixed, random *Batch) (Assessment, error) {
 			pf.Kind, ArchName(pf.Secure), pf.Seed, pf.Noise, len(fixed.Trials),
 			pr.Kind, ArchName(pr.Secure), pr.Seed, pr.Noise, len(random.Trials))
 	}
-	if pf.FixedSecret < 0 {
+	if !fixed.Fixed {
 		return Assessment{}, fmt.Errorf("attack: fixed batch has no fixed secret")
 	}
-	if pr.FixedSecret >= 0 {
+	if random.Fixed {
 		return Assessment{}, fmt.Errorf("attack: random batch has a fixed secret")
 	}
 	a := Assessment{
@@ -96,35 +96,23 @@ func Assess(fixed, random *Batch) (Assessment, error) {
 	return a, nil
 }
 
-// RunAssessment runs the full experiment for one attacker/architecture:
-// the TVLA fixed batch (secret pinned to 1) and the random batch (fresh
-// secret bit per trial), then the assessment over the pair. The two
-// batches draw identical per-trial environments by construction, so their
-// calibration simulations are shared — each trial's pair is simulated
-// once and feeds both batches, producing bit-identical results to two
-// independent Run calls at half the cost.
+// RunAssessment runs the full experiment for one attacker/architecture: it
+// is the key-extraction engine's per-bit assessment (runBit, with the true
+// key equal to p.KeyPrefix), so every trial's calibration pair is
+// simulated once and feeds both the TVLA fixed batch (secret pinned to 1)
+// and the random batch. A gap is refused: the assessment never reads the
+// live measurement, the one run gap activity sets apart, so it would
+// overstate a weak attacker as fully calibrated; ExtractKey measures it.
 func RunAssessment(p Params) (Assessment, error) {
-	pf := p
-	pf.FixedSecret = 1
-	pr := p
-	pr.FixedSecret = -1
-	if err := pr.validate(); err != nil {
+	if err := p.validate(); err != nil {
 		return Assessment{}, err
 	}
-	if err := pr.rejectGap(); err != nil {
-		return Assessment{}, err
+	if p.Gap > 0 {
+		return Assessment{}, fmt.Errorf("attack: gap %d requires the key-extraction engine (ExtractKey); an assessment never reads the live measurement", p.Gap)
 	}
-	pairs, err := runCalibPairs(p)
+	b, err := runBit(p, p.KeyPrefix)
 	if err != nil {
 		return Assessment{}, err
 	}
-	fixed := &Batch{Params: pf, Columns: columns(p.Kind)}
-	random := &Batch{Params: pr, Columns: columns(p.Kind)}
-	secRng := secretRNG(p.effSeed())
-	for _, c := range pairs {
-		secret := uint64(secRng.Intn(2))
-		fixed.Trials = append(fixed.Trials, makeTrial(p.Kind, 1, c.c0, c.c1))
-		random.Trials = append(random.Trials, makeTrial(p.Kind, secret, c.c0, c.c1))
-	}
-	return Assess(fixed, random)
+	return Assess(b.fixed, b.random)
 }

@@ -111,10 +111,6 @@ type Params struct {
 	// default keeps it below half the microarchitectural signal so the
 	// calibrated classifier stays reliable on the baseline.
 	Noise int `json:"noise"`
-	// FixedSecret pins every trial's secret bit (0 or 1) — the TVLA
-	// "fixed" batch. Negative means a fresh random bit per trial (the
-	// "random" batch and the recovery experiment).
-	FixedSecret int64 `json:"fixed_secret"`
 	// Victim names the victim implementation (internal/victim); empty
 	// means "bit", the PR-4 direct one-bit victim.
 	Victim string `json:"victim,omitempty"`
@@ -142,20 +138,23 @@ type Params struct {
 	Workers int `json:"-"`
 }
 
-// MaxTrials and MaxNoise bound a batch's Trials and Noise. A batch holds
-// every trial's observations until it ends, and Noise unrolls up to that
-// many operations into each trial program, so past these limits a request
-// would exhaust memory and kill the process instead of failing with an
-// error. Both sit far above any sweep's default (100 trials, noise 2).
+// MaxTrials, MaxNoise and MaxGap bound a batch's Trials, Noise and Gap. A
+// batch holds every trial's observations until it ends, and Noise unrolls
+// up to that many operations into each trial program, so past the first two
+// a request would exhaust memory and kill the process instead of failing
+// with an error; every trial program runs Gap units of activity, so at a
+// gap of 1e9 one trial simulates for hours. All sit far above any sweep's
+// default (100 trials, noise 2, gaps up to 512).
 const (
 	MaxTrials = 1 << 16
 	MaxNoise  = 256
+	MaxGap    = 4096
 )
 
 // DefaultParams returns the batch configuration the spectre/tvla scenarios
 // and cmd/sempe-attack start from.
 func DefaultParams(kind Kind, secure bool) Params {
-	return Params{Kind: kind, Secure: secure, Trials: 100, Seed: 1, Noise: 2, FixedSecret: -1}
+	return Params{Kind: kind, Secure: secure, Trials: 100, Seed: 1, Noise: 2}
 }
 
 // width is Width with its documented default applied.
@@ -197,34 +196,21 @@ func (p Params) validate() error {
 	if p.Noise < 0 || p.Noise > MaxNoise {
 		return fmt.Errorf("attack: noise: %d out of range [0,%d]", p.Noise, MaxNoise)
 	}
-	if p.Gap < 0 {
-		return fmt.Errorf("attack: gap must be >= 0, have %d", p.Gap)
+	if p.Gap < 0 || p.Gap > MaxGap {
+		return fmt.Errorf("attack: gap: %d out of range [0,%d]", p.Gap, MaxGap)
 	}
 	w := p.width()
 	if w < 1 || w > victim.MaxWidth {
-		return fmt.Errorf("attack: width must be in [1,%d], have %d", victim.MaxWidth, w)
+		return fmt.Errorf("attack: width: %d out of range [1,%d]", w, victim.MaxWidth)
 	}
 	if p.Bit < 0 || p.Bit >= w {
-		return fmt.Errorf("attack: bit %d out of range for width %d", p.Bit, w)
+		return fmt.Errorf("attack: bit: %d out of range [0,%d]", p.Bit, w-1)
 	}
 	if p.KeyPrefix>>uint(p.Bit) != 0 {
 		return fmt.Errorf("attack: key prefix %#x has bits at or above attacked bit %d", p.KeyPrefix, p.Bit)
 	}
 	if _, err := p.victimImpl(); err != nil {
 		return err
-	}
-	return nil
-}
-
-// rejectGap guards the batch entry points (Run, RunAssessment): their
-// trials are built from calibration pairs alone, so the gap axis — whose
-// whole point is a live measurement with an independent gap seed — would
-// be silently inert there. Only the key-extraction engine (ExtractKey)
-// simulates the live measurement; fail loudly rather than overstate a
-// weak attacker as fully calibrated.
-func (p Params) rejectGap() error {
-	if p.Gap > 0 {
-		return fmt.Errorf("attack: gap %d requires the key-extraction engine (ExtractKey); batch runs never simulate the live measurement", p.Gap)
 	}
 	return nil
 }
@@ -237,9 +223,12 @@ type Trial struct {
 	Guess  uint64    `json:"guess"`
 }
 
-// Batch is a completed set of trials under one Params.
+// Batch is a completed set of trials under one Params. Fixed labels the
+// TVLA fixed batch, whose every trial has secret 1; the random batch draws
+// each trial's secret from the seed's secret stream.
 type Batch struct {
 	Params  Params   `json:"params"`
+	Fixed   bool     `json:"fixed"`
 	Columns []string `json:"columns"`
 	Trials  []Trial  `json:"trials"`
 }
@@ -346,57 +335,63 @@ func secretRNG(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed*0x51F2B7 + 11))
 }
 
-// Run executes the batch: per trial it builds and runs the measurement
-// program plus two calibration programs (attacker dry runs with known
-// branch input 0 and 1 under fresh environmental noise), classifies the
-// measurement against the calibration pair, and records the observation
-// vector and guess. Trials simulate on the runner's pooled-core fast path
-// (see runner.go), in parallel when p.Workers > 1; classification and batch
-// assembly stay in trial order, so output is identical at any worker count.
-func Run(p Params) (*Batch, error) {
+// bitRun is one attacked bit's simulated batch: per trial the calibration
+// pair and, where it could not be selected from the pair, the live
+// measurement (nil elsewhere); plus the paired TVLA batches built from the
+// pairs.
+type bitRun struct {
+	fixed, random *Batch
+	trials        []trialRuns
+}
+
+type trialRuns struct {
+	c0, c1, m []float64
+}
+
+// runBit is the attack lab's one trial engine: it attacks bit p.Bit of key.
+// Each trial simulates its calibration pair, replays of the trial's exact
+// environment with the attacked bit forced to 0 and 1 over p.KeyPrefix.
+// An informative trial (its pair differs on the recovery statistic; the
+// extractor discards the rest) also simulates the live measurement of key
+// when that cannot be selected from the pair: with gap activity, or when
+// p.KeyPrefix is not key's prefix.
+// Trials simulate on the runner pool (runner.go), in parallel when
+// p.Workers > 1; the batches are assembled in trial order afterwards, so
+// output is identical at any worker count. The fixed and random batches
+// share every pair and differ only in the secret.
+func runBit(p Params, key uint64) (bitRun, error) {
 	if err := p.validate(); err != nil {
-		return nil, err
+		return bitRun{}, err
 	}
-	if err := p.rejectGap(); err != nil {
-		return nil, err
-	}
-	pairs, err := runCalibPairs(p)
-	if err != nil {
-		return nil, err
-	}
-	b := &Batch{Params: p, Columns: columns(p.Kind)}
-	secRng := secretRNG(p.effSeed())
-	for _, pr := range pairs {
-		secret := uint64(secRng.Intn(2))
-		if p.FixedSecret >= 0 {
-			secret = uint64(p.FixedSecret) & 1
+	rec := recoveryColumn(p.Kind)
+	measure := p.Gap > 0 || p.KeyPrefix != key&(uint64(1)<<uint(p.Bit)-1)
+	runs := make([]trialRuns, p.Trials)
+	err := runTrials(p, func(r *runner, t int) error {
+		d, c0, c1, err := r.calibPair(t)
+		var m []float64
+		if err == nil && measure && c0[rec] != c1[rec] {
+			m, err = r.measure(d, key&(uint64(1)<<uint(p.Bit+1)-1))
 		}
-		b.Trials = append(b.Trials, makeTrial(p.Kind, secret, pr.c0, pr.c1))
-	}
-	return b, nil
-}
-
-// calib is one trial's simulated calibration pair.
-type calib struct {
-	c0, c1 []float64
-}
-
-// runCalibPairs simulates every trial's calibration pair on the worker
-// pool, returning them in trial order.
-func runCalibPairs(p Params) ([]calib, error) {
-	pairs := make([]calib, p.Trials)
-	err := runTrials(p, p.Trials, p.Workers, func(r *runner, t int) error {
-		_, c0, c1, err := r.calibPair(t)
 		if err != nil {
 			return fmt.Errorf("attack %s/%s trial %d: %w", p.Kind, ArchName(p.Secure), t, err)
 		}
-		pairs[t] = calib{cloneObs(c0), cloneObs(c1)}
+		runs[t] = trialRuns{cloneObs(c0), cloneObs(c1), cloneObs(m)}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return bitRun{}, err
 	}
-	return pairs, nil
+	b := bitRun{
+		fixed:  &Batch{Params: p, Fixed: true, Columns: columns(p.Kind)},
+		random: &Batch{Params: p, Columns: columns(p.Kind)},
+		trials: runs,
+	}
+	secRng := secretRNG(p.effSeed())
+	for _, tr := range runs {
+		b.fixed.Trials = append(b.fixed.Trials, makeTrial(p.Kind, 1, tr.c0, tr.c1))
+		b.random.Trials = append(b.random.Trials, makeTrial(p.Kind, uint64(secRng.Intn(2)), tr.c0, tr.c1))
+	}
+	return b, nil
 }
 
 // makeTrial assembles one trial from its calibration pair. The
@@ -455,7 +450,7 @@ func classify(x, c0, c1 float64) uint64 {
 }
 
 // columns names the observation vector per attacker. The last two are the
-// derived post-processing columns appended by Run.
+// derived post-processing columns appended by makeTrial.
 func columns(k Kind) []string {
 	switch k {
 	case BPProbe:

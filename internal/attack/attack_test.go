@@ -1,7 +1,6 @@
 package attack
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -123,22 +122,16 @@ func TestBaselineObservationsDiffer(t *testing.T) {
 func TestBatchDeterministic(t *testing.T) {
 	p := DefaultParams(BPProbe, false)
 	p.Trials = 10
-	b1, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := json.Marshal(b1)
-	j2, _ := json.Marshal(b2)
-	if string(j1) != string(j2) {
+	j1 := mustJSON(t, mustRunBatch(t, p))
+	j2 := mustJSON(t, mustRunBatch(t, p))
+	if j1 != j2 {
 		t.Errorf("same params, different batches:\n%s\n%s", j1, j2)
 	}
-	for _, tr := range b1.Trials {
-		if len(tr.Obs) != len(b1.Columns) {
-			t.Fatalf("obs width %d, columns %d", len(tr.Obs), len(b1.Columns))
+	for _, b := range mustRunBatch(t, p) {
+		for _, tr := range b.Trials {
+			if len(tr.Obs) != len(b.Columns) {
+				t.Fatalf("obs width %d, columns %d", len(tr.Obs), len(b.Columns))
+			}
 		}
 	}
 }
@@ -149,18 +142,13 @@ func TestBatchDeterministic(t *testing.T) {
 func TestFixedRandomPairing(t *testing.T) {
 	p := DefaultParams(PrimeProbe, false)
 	p.Trials = 12
-	pf := p
-	pf.FixedSecret = 1
-	fixed, err := Run(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := mustRunBatch(t, p)
+	fixed, random := batches[0], batches[1]
 	paired := 0
 	for i := range random.Trials {
+		if fixed.Trials[i].Secret != 1 {
+			t.Fatalf("fixed trial %d has secret %d", i, fixed.Trials[i].Secret)
+		}
 		if random.Trials[i].Secret == 1 {
 			paired++
 			for c := range random.Trials[i].Obs {
@@ -179,16 +167,8 @@ func TestFixedRandomPairing(t *testing.T) {
 func TestAssessRejectsUnpaired(t *testing.T) {
 	p := DefaultParams(BPProbe, false)
 	p.Trials = 4
-	pf := p
-	pf.FixedSecret = 1
-	fixed, err := Run(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	random, err := Run(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	batches := mustRunBatch(t, p)
+	fixed, random := batches[0], batches[1]
 	if _, err := Assess(random, random); err == nil {
 		t.Error("Assess accepted a random batch as fixed")
 	}
@@ -197,11 +177,7 @@ func TestAssessRejectsUnpaired(t *testing.T) {
 	}
 	other := p
 	other.Seed = 99
-	otherRandom, err := Run(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Assess(fixed, otherRandom); err == nil {
+	if _, err := Assess(fixed, mustRunBatch(t, other)[1]); err == nil {
 		t.Error("Assess accepted batches with different seeds")
 	}
 	if _, err := Assess(fixed, random); err != nil {
@@ -210,35 +186,37 @@ func TestAssessRejectsUnpaired(t *testing.T) {
 }
 
 func TestRunRejectsBadParams(t *testing.T) {
-	p := DefaultParams(BPProbe, false)
-	p.Trials = 0
-	if _, err := Run(p); err == nil {
-		t.Error("Run accepted trials=0")
+	cases := []struct {
+		mod  func(*Params)
+		want string // substring the error must contain
+	}{
+		{func(p *Params) { p.Trials = 0 }, "trials: 0 "},
+		{func(p *Params) { p.Noise = -1 }, "noise: -1 "},
+		// Past the limits a batch sized itself into a fatal out-of-memory
+		// error, and a gap of 1e9 simulated a single trial for hours.
+		{func(p *Params) { p.Trials = MaxTrials + 1 }, "trials: 65537 out of range [1,65536]"},
+		{func(p *Params) { p.Noise = MaxNoise + 1 }, "noise: 257 out of range [0,256]"},
+		{func(p *Params) { p.Gap = MaxGap + 1 }, "gap: 4097 out of range [0,4096]"},
+		{func(p *Params) { p.Gap = 1000000000 }, "gap: 1000000000 out of range [0,4096]"},
+		{func(p *Params) { p.Gap = -1 }, "gap: -1 out of range [0,4096]"},
+		{func(p *Params) { p.Width = 32 }, "width: 32 out of range [1,31]"},
+		{func(p *Params) { p.Victim, p.Width, p.Bit = "keyloop", 4, 4 }, "bit: 4 out of range [0,3]"},
 	}
-	p = DefaultParams(BPProbe, false)
-	p.Noise = -1
-	if _, err := Run(p); err == nil {
-		t.Error("Run accepted noise=-1")
-	}
-	// Past the limits a batch sized itself into a fatal out-of-memory error.
-	p = DefaultParams(BPProbe, false)
-	p.Trials = MaxTrials + 1
-	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "trials: 65537 ") {
-		t.Errorf("Run with trials=MaxTrials+1: err = %v, want one naming trials and the value", err)
-	}
-	p = DefaultParams(BPProbe, false)
-	p.Noise = MaxNoise + 1
-	if _, err := Run(p); err == nil || !strings.Contains(err.Error(), "noise: 257 ") {
-		t.Errorf("Run with noise=MaxNoise+1: err = %v, want one naming noise and the value", err)
+	for _, tc := range cases {
+		p := DefaultParams(BPProbe, false)
+		tc.mod(&p)
+		if _, err := runBit(p, p.KeyPrefix); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("runBit: err = %v, want one containing %q", err, tc.want)
+		}
+		if _, err := RunAssessment(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunAssessment: err = %v, want one containing %q", err, tc.want)
+		}
 	}
 	// The gap axis only does anything through ExtractKey's live
-	// measurement; the batch entry points must refuse it rather than
-	// silently report a fully-calibrated attacker.
-	p = DefaultParams(BPProbe, false)
+	// measurement, which an assessment never reads; RunAssessment must
+	// refuse it rather than silently report a fully-calibrated attacker.
+	p := DefaultParams(BPProbe, false)
 	p.Gap = 8
-	if _, err := Run(p); err == nil {
-		t.Error("Run accepted gap>0 despite never simulating the live measurement")
-	}
 	if _, err := RunAssessment(p); err == nil {
 		t.Error("RunAssessment accepted gap>0")
 	}

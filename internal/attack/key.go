@@ -55,18 +55,17 @@ func DefaultKeyParams(kind Kind, secure bool) KeyParams {
 // with recovered prefix bits.
 func (p KeyParams) bitParams(b int, prefix uint64) Params {
 	return Params{
-		Kind:        p.Kind,
-		Secure:      p.Secure,
-		Trials:      p.Trials,
-		Seed:        p.Seed,
-		Noise:       p.Noise,
-		FixedSecret: -1,
-		Victim:      p.Victim,
-		Width:       p.width(),
-		Bit:         b,
-		KeyPrefix:   prefix,
-		Gap:         p.Gap,
-		Workers:     p.Workers,
+		Kind:      p.Kind,
+		Secure:    p.Secure,
+		Trials:    p.Trials,
+		Seed:      p.Seed,
+		Noise:     p.Noise,
+		Victim:    p.Victim,
+		Width:     p.width(),
+		Bit:       b,
+		KeyPrefix: prefix,
+		Gap:       p.Gap,
+		Workers:   p.Workers,
 	}
 }
 
@@ -266,80 +265,27 @@ func ExtractKey(p KeyParams) (KeyRecovery, error) {
 	return kr, nil
 }
 
-// extractBit runs one bit's trial batch. Each trial simulates the two
-// calibration replays (attacked bit forced to 0 and 1 over the recovered
-// prefix) and the live measurement of the true key. With no gap activity
-// and a correct prefix the live measurement is program-identical to the
-// matching calibration, so its simulation is skipped — the PR-4
-// optimization, now load-bearing for sweep cost. The calibration pairs
-// double as the per-bit TVLA fixed/random batches, exactly as in
-// RunAssessment.
+// extractBit classifies one bit's trial batch (runBit): per informative
+// trial, the live measurement against its calibration pair, then the
+// majority guess. The batch's paired fixed/random batches give the per-bit
+// TVLA assessment, exactly as RunAssessment does.
 func extractBit(bp Params, key uint64) (BitResult, error) {
 	trueBit := (key >> uint(bp.Bit)) & 1
 	br := BitResult{Bit: bp.Bit, TrueBit: trueBit, TrialsToExtract: -1}
-
-	pf := bp
-	pf.FixedSecret = 1
-	fixed := &Batch{Params: pf, Columns: columns(bp.Kind)}
-	random := &Batch{Params: bp, Columns: columns(bp.Kind)}
-	secRng := secretRNG(bp.effSeed())
-	rec := recoveryColumn(bp.Kind)
-	prefixCorrect := bp.KeyPrefix == key&(uint64(1)<<uint(bp.Bit)-1)
-
-	// Phase 1: simulate every trial's runs on the worker pool. A trial is
-	// three independent simulations at most — calib0, calib1, and (when the
-	// gap axis or a wrong prefix makes the live measurement distinct) the
-	// measurement — so trials parallelize perfectly; per-trial results land
-	// in trial-order slots.
-	needMeas := !(bp.Gap == 0 && prefixCorrect)
-	type trialRuns struct {
-		c0, c1, m []float64
-	}
-	res := make([]trialRuns, bp.Trials)
-	err := runTrials(bp, bp.Trials, bp.Workers, func(r *runner, t int) error {
-		d := r.trialDraw(t)
-		c0, err := r.run(d, d.gapCal, bp.KeyPrefix, &r.c0buf)
-		if err != nil {
-			return fmt.Errorf("trial %d calib0: %w", t, err)
-		}
-		c1, err := r.run(d, d.gapCal, bp.KeyPrefix|1<<uint(bp.Bit), &r.c1buf)
-		if err != nil {
-			return fmt.Errorf("trial %d calib1: %w", t, err)
-		}
-		res[t] = trialRuns{c0: cloneObs(c0), c1: cloneObs(c1)}
-		// The live measurement — the true key's program under the
-		// measurement's own gap activity — is only simulated for
-		// informative trials (see below; an uninformative one never gets
-		// measured) and only when it cannot be selected from the pair.
-		if needMeas && c0[rec] != c1[rec] {
-			m, err := r.measure(d, key&(uint64(1)<<uint(bp.Bit+1)-1))
-			if err != nil {
-				return fmt.Errorf("trial %d measurement: %w", t, err)
-			}
-			res[t].m = cloneObs(m)
-		}
-		return nil
-	})
+	b, err := runBit(bp, key)
 	if err != nil {
 		return br, err
 	}
-
-	// Phase 2: all cross-trial statistics, in trial order, exactly as the
-	// serial loop computed them — worker count cannot change any output.
+	rec := recoveryColumn(bp.Kind)
 	correct := 0
 	ones := 0
 	informative := 0
-	for t := 0; t < bp.Trials; t++ {
-		secret := uint64(secRng.Intn(2))
-		c0, c1 := res[t].c0, res[t].c1
-		fixed.Trials = append(fixed.Trials, makeTrial(bp.Kind, 1, c0, c1))
-		random.Trials = append(random.Trials, makeTrial(bp.Kind, secret, c0, c1))
-
+	for t, tr := range b.trials {
 		// An uninformative trial — the attacker's own calibration shows no
 		// contrast (e.g. speculative wrong-path pollution evicted both
 		// probed sets) — is detected and discarded before measurement,
 		// exactly as a real attacker repeats a spoiled measurement.
-		if c0[rec] == c1[rec] {
+		if tr.c0[rec] == tr.c1[rec] {
 			br.Discarded++
 			continue
 		}
@@ -348,14 +294,14 @@ func extractBit(bp Params, key uint64) (BitResult, error) {
 		// With no gap activity and a correct prefix the live measurement is
 		// program-identical to the matching calibration: selected, not
 		// re-simulated (the PR-4 optimization).
-		m := res[t].m
+		m := tr.m
 		if m == nil {
-			m = c0
+			m = tr.c0
 			if trueBit == 1 {
-				m = c1
+				m = tr.c1
 			}
 		}
-		g := classify(m[rec], c0[rec], c1[rec])
+		g := classify(m[rec], tr.c0[rec], tr.c1[rec])
 		if g == trueBit {
 			correct++
 		}
@@ -372,7 +318,7 @@ func extractBit(bp Params, key uint64) (BitResult, error) {
 		}
 	}
 
-	a, err := Assess(fixed, random)
+	a, err := Assess(b.fixed, b.random)
 	if err != nil {
 		return br, err
 	}

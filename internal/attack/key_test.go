@@ -3,6 +3,7 @@ package attack
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/stattest"
@@ -268,19 +269,25 @@ func TestKeyRecoveryRoundTrip(t *testing.T) {
 // TestKeyParamsValidation: out-of-range key parameters fail loudly.
 func TestKeyParamsValidation(t *testing.T) {
 	base := DefaultKeyParams(BPProbe, false)
-	cases := []func(*KeyParams){
-		func(p *KeyParams) { p.Trials = 0 },
-		func(p *KeyParams) { p.Trials = MaxTrials + 1 },
-		func(p *KeyParams) { p.Noise = MaxNoise + 1 },
-		func(p *KeyParams) { p.Width = 40 },
-		func(p *KeyParams) { p.Gap = -1 },
-		func(p *KeyParams) { p.Victim = "nope" },
+	cases := []struct {
+		mod  func(*KeyParams)
+		want string // substring the error must contain
+	}{
+		{func(p *KeyParams) { p.Trials = 0 }, "trials: 0 "},
+		{func(p *KeyParams) { p.Trials = MaxTrials + 1 }, "trials: 65537 "},
+		{func(p *KeyParams) { p.Noise = MaxNoise + 1 }, "noise: 257 "},
+		{func(p *KeyParams) { p.Width = 40 }, "width: 40 out of range [1,31]"},
+		{func(p *KeyParams) { p.Gap = -1 }, "gap: -1 out of range [0,4096]"},
+		// Past MaxGap every trial program runs that many units of gap
+		// activity: at 1e9 one trial simulated for hours.
+		{func(p *KeyParams) { p.Gap = MaxGap + 1 }, "gap: 4097 out of range [0,4096]"},
+		{func(p *KeyParams) { p.Victim = "nope" }, "nope"},
 	}
-	for i, mod := range cases {
+	for i, tc := range cases {
 		p := base
-		mod(&p)
-		if _, err := ExtractKey(p); err == nil {
-			t.Errorf("case %d: invalid params accepted", i)
+		tc.mod(&p)
+		if _, err := ExtractKey(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("case %d: err = %v, want one containing %q", i, err, tc.want)
 		}
 	}
 }

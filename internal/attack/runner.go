@@ -388,15 +388,16 @@ func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program,
 	return nil, fmt.Errorf("unknown attacker kind %d", int(r.p.Kind))
 }
 
-// runTrials drives trial indices [0, n) through fn on a pool of workers,
-// one runner each, borrowed from runnerPools and returned when the batch
-// ends. A batch that fails drops its runners instead: a core stopped
-// mid-run is never handed to the next batch. fn must be safe to call
-// concurrently for distinct t and must confine its effects to per-t slots;
-// all cross-trial statistics run serially after the pool drains, which is
-// what keeps results bit-identical to the serial path at any worker count.
-// workers <= 1 runs inline.
-func runTrials(p Params, n, workers int, fn func(r *runner, t int) error) error {
+// runTrials drives trial indices [0, p.Trials) through fn on a pool of
+// p.Workers workers, one runner each, borrowed from runnerPools and returned
+// when the batch ends. A batch that fails drops its runners instead: a core
+// stopped mid-run is never handed to the next batch. fn must be safe to
+// call concurrently for distinct t and must confine its effects to per-t
+// slots; all cross-trial statistics run serially after the pool drains,
+// which is what keeps results bit-identical to the serial path at any
+// worker count. p.Workers <= 1 runs inline.
+func runTrials(p Params, fn func(r *runner, t int) error) error {
+	n, workers := p.Trials, p.Workers
 	if workers > n {
 		workers = n
 	}

@@ -459,13 +459,16 @@ func TestWarmBatchReusesRunners(t *testing.T) {
 	}
 }
 
-func mustRunBatch(t *testing.T, p Params) *Batch {
+// mustRunBatch runs the per-bit engine on p, with the true key equal to
+// p.KeyPrefix as RunAssessment does, and returns its fixed and random
+// batches.
+func mustRunBatch(t *testing.T, p Params) []*Batch {
 	t.Helper()
-	b, err := Run(p)
+	b, err := runBit(p, p.KeyPrefix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return []*Batch{b.fixed, b.random}
 }
 
 func mustExtract(t *testing.T, p KeyParams) KeyRecovery {

@@ -188,7 +188,7 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 	if err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	total := len(scenario.Expand(plan.Axes))
+	total := scenario.GridSize(plan.Axes)
 	specKey := spec.Key()
 	rep := &Report{Points: total}
 	start := time.Now()

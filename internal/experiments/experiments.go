@@ -97,11 +97,6 @@ const (
 	// maxIters bounds harness iterations (one fig10a point at W=10 took
 	// 73 ms at iters=8 and 10 s at iters=800).
 	maxIters = 64
-	// maxBlocks bounds a djpeg image: 32x the paper's largest size (128
-	// blocks), and at about 520 B per block well inside the data region.
-	maxBlocks = 4096
-	// maxGap bounds the attacker's train-to-probe gap activity.
-	maxGap = 4096
 	// maxSecrets bounds the leak matrix's secret family per point.
 	maxSecrets = 16
 )
@@ -120,18 +115,32 @@ func planOf[T planner](parse func(scenario.Spec) (T, error)) func(scenario.Spec)
 		if err != nil {
 			return nil, err
 		}
-		return f.plan()
+		return planBounded(f)
 	}
+}
+
+// planBounded plans a typed spec and rejects a grid past
+// scenario.MaxPoints: list parameters multiply, so three lists of 1000
+// values would ask the engine for a 128 GB grid.
+func planBounded(f planner) (*scenario.Plan, error) {
+	p, err := f.plan()
+	if err != nil {
+		return nil, err
+	}
+	if err := inRange("grid", 0, scenario.MaxPoints, scenario.GridSize(p.Axes)); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // runAll runs every point of a typed spec's plan through the engine's
 // point loop — the typed entry points' one path — and narrows the rows.
 func runAll[T any](f planner, workers int) ([]T, error) {
-	p, err := f.plan()
+	p, err := planBounded(f)
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int, len(scenario.Expand(p.Axes)))
+	all := make([]int, scenario.GridSize(p.Axes))
 	for i := range all {
 		all[i] = i
 	}

@@ -86,7 +86,7 @@ func (f Fig8Spec) plan() (*scenario.Plan, error) {
 	blocks := mapSlice(f.Sizes, func(s jpegsim.Size) int { return s.Blocks })
 	if err := firstErr(
 		inRange("sparsity", 0, 100, f.Sparsity),
-		inRange("sizes", 1, maxBlocks, blocks...),
+		inRange("sizes", 1, jpegsim.MaxBlocks, blocks...),
 	); err != nil {
 		return nil, err
 	}

@@ -97,7 +97,7 @@ func (f KeyExtractSpec) plan() (*scenario.Plan, error) {
 	}
 	if err := firstErr(
 		inRange("widths", 1, victim.MaxWidth, f.Widths...),
-		inRange("gaps", 0, maxGap, f.Gaps...),
+		inRange("gaps", 0, attack.MaxGap, f.Gaps...),
 		inRange("trials", 1, attack.MaxTrials, f.Trials),
 		inRange("noise", 0, attack.MaxNoise, f.Noise),
 	); err != nil {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -155,33 +157,39 @@ var testSweeps = map[string]*scenario.Sweep{
 	"noise":      noiseSweep,
 }
 
+// paramRanges is the range of every bounded parameter, by name, since a
+// name means the same in every scenario that takes it; EXPERIMENTS.md has
+// the same table. For sizes the range is the block count, for secrets how
+// many there are. hi < 0 means no upper end: a wider SPM (bws) only
+// shortens snapshots.
+var paramRanges = map[string]struct{ lo, hi int }{
+	"ws": {1, 30}, "w": {1, 30}, "iters": {1, 64}, "slots": {1, 30}, "bws": {1, -1},
+	"sparsity": {0, 100}, "sizes": {1, 4096}, "secrets": {1, 16},
+	"trials": {1, 65536}, "noise": {0, 256}, "widths": {1, 31}, "gaps": {0, 4096},
+}
+
+// paramValue renders n as a value of the bounded parameter name: for sizes
+// a size of n blocks, for secrets n secrets.
+func paramValue(name string, n int) string {
+	switch name {
+	case "sizes":
+		return fmt.Sprintf("t:%d", n)
+	case "secrets":
+		return strings.TrimSuffix(strings.Repeat("7,", n), ",")
+	}
+	return strconv.Itoa(n)
+}
+
 // TestEveryParamBoundedAtBothEnds is one table over the registry: every
 // parameter a scenario accepts (the list its unknown-parameter error
-// names) has its range here, by name, since a name means the same in
-// every scenario that takes it. Each end of a range must plan, and the
-// value just past it must fail scenario.Run before any point runs, with
+// names) has its range in paramRanges. Each end of a range must plan, and
+// the value just past it must fail scenario.Run before any point runs, with
 // an error that starts "<scenario>: <param>: " and names the value (for
 // sizes the block count, for secrets how many there are). A parameter
 // the table does not know fails the test.
 func TestEveryParamBoundedAtBothEnds(t *testing.T) {
-	list := func(n int) string { return strings.TrimSuffix(strings.Repeat("7,", n), ",") }
-	ends := map[string][]struct{ end, past, want string }{
-		"ws":       {{"1", "0", "0"}, {"30", "31", "31"}},
-		"w":        {{"1", "0", "0"}, {"30", "31", "31"}},
-		"iters":    {{"1", "0", "0"}, {"64", "65", "65"}},
-		"slots":    {{"1", "0", "0"}, {"30", "31", "31"}},
-		"bws":      {{"1", "0", "0"}},
-		"sparsity": {{"0", "-1", "-1"}, {"100", "101", "101"}},
-		"sizes":    {{"t:1", "t:0", "0"}, {"t:4096", "t:4097", "4097"}},
-		"secrets":  {{list(1), list(0), "0"}, {list(16), list(17), "17"}},
-		"trials":   {{"1", "0", "0"}, {"65536", "65537", "65537"}},
-		"noise":    {{"0", "-1", "-1"}, {"256", "257", "257"}},
-		"widths":   {{"1", "0", "0"}, {"31", "32", "32"}},
-		"gaps":     {{"0", "-1", "-1"}, {"4096", "4097", "4097"}},
-	}
 	// No end at all: seeds and secret take any 64-bit value, and the name
-	// lists any registered names. bws has no upper end: a wider SPM only
-	// shortens snapshots.
+	// lists any registered names.
 	unbounded := map[string]bool{
 		"seed": true, "secret": true,
 		"kinds": true, "kind": true, "attackers": true, "victims": true, "archs": true,
@@ -194,27 +202,131 @@ func TestEveryParamBoundedAtBothEnds(t *testing.T) {
 			continue
 		}
 		for _, name := range strings.Split(strings.TrimSuffix(have, ")"), ", ") {
-			if name == "" {
+			r, bounded := paramRanges[name]
+			if name == "" || unbounded[name] {
 				continue
 			}
-			if len(ends[name]) == 0 && !unbounded[name] {
+			if !bounded {
 				t.Errorf("%s: parameter %q has no range in this table", sc.Name, name)
+				continue
 			}
-			for _, e := range ends[name] {
-				if _, err := sc.Sweep.Plan(scenario.Spec{Params: map[string]string{name: e.end}}); err != nil {
-					t.Errorf("%s: %s=%s is in range but does not plan: %v", sc.Name, name, e.end, err)
+			ends := [][2]int{{r.lo, r.lo - 1}}
+			if r.hi >= 0 {
+				ends = append(ends, [2]int{r.hi, r.hi + 1})
+			}
+			for _, e := range ends {
+				end, past := paramValue(name, e[0]), paramValue(name, e[1])
+				if _, err := sc.Sweep.Plan(scenario.Spec{Params: map[string]string{name: end}}); err != nil {
+					t.Errorf("%s: %s=%s is in range but does not plan: %v", sc.Name, name, end, err)
 				}
 				j := obs.NewJournal()
-				_, err := scenario.Run(sc, scenario.Spec{Params: map[string]string{name: e.past}}, scenario.RunOptions{Journal: j})
+				_, err := scenario.Run(sc, scenario.Spec{Params: map[string]string{name: past}}, scenario.RunOptions{Journal: j})
 				prefix := sc.Name + ": " + name + ": "
-				if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), e.want) {
-					t.Errorf("%s: %s=%s: err = %v, want one starting %q naming %s", sc.Name, name, e.past, err, prefix, e.want)
+				if err == nil || !strings.HasPrefix(err.Error(), prefix) || !strings.Contains(err.Error(), strconv.Itoa(e[1])) {
+					t.Errorf("%s: %s=%s: err = %v, want one starting %q naming %d", sc.Name, name, past, err, prefix, e[1])
 				}
 				if evs := j.Events(); len(evs) != 0 {
-					t.Errorf("%s: %s=%s: the run journaled %d events; it must fail before any point", sc.Name, name, e.past, len(evs))
+					t.Errorf("%s: %s=%s: the run journaled %d events; it must fail before any point", sc.Name, name, past, len(evs))
 				}
 			}
 		}
+	}
+}
+
+// FuzzScenarioPlan: for any registered scenario and any parameters (one
+// key=value per line), Plan returns an error or a grid within
+// scenario.MaxPoints whose bounded parameters all lie in paramRanges, and
+// never panics. The seed corpus holds every range edge of
+// TestEveryParamBoundedAtBothEnds, both sides, and a spec whose lists
+// multiply past the grid bound.
+func FuzzScenarioPlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, name string, quick bool, params string) {
+		sc, ok := scenario.Lookup(name)
+		if !ok {
+			return
+		}
+		spec := scenario.Spec{Quick: quick, Params: map[string]string{}}
+		for _, line := range strings.Split(params, "\n") {
+			if k, v, ok := strings.Cut(line, "="); ok {
+				spec.Params[k] = v
+			}
+		}
+		plan, err := sc.Sweep.Plan(spec)
+		if err != nil {
+			return
+		}
+		if n := scenario.GridSize(plan.Axes); n > scenario.MaxPoints {
+			t.Errorf("%s: planned %d points, past %d", name, n, scenario.MaxPoints)
+		}
+		for k, v := range spec.Params {
+			r, bounded := paramRanges[k]
+			for _, n := range paramNumbers(k, v) {
+				if bounded && (n < r.lo || r.hi >= 0 && n > r.hi) {
+					t.Errorf("%s: %s=%q planned with %d outside [%d,%d]", name, k, v, n, r.lo, r.hi)
+				}
+			}
+		}
+	})
+}
+
+// paramNumbers is the inverse of paramValue over a planned value: every
+// integer in the list (a size's block count, sizes given by label
+// skipped), or for secrets how many there are.
+func paramNumbers(name, v string) []int {
+	fields := strings.Split(v, ",")
+	if name == "secrets" {
+		if v == "" {
+			return []int{0}
+		}
+		return []int{len(fields)}
+	}
+	var out []int
+	for _, field := range fields {
+		field = strings.TrimSpace(field)
+		if name == "sizes" {
+			_, field, _ = strings.Cut(field, ":")
+		}
+		if n, err := strconv.Atoi(field); err == nil {
+			out = append(out, n)
+		}
+	}
+	return out
+}
+
+// TestGridBoundedThroughEngine: a spec whose list parameters multiply past
+// scenario.MaxPoints fails scenario.Run and the typed entry point before
+// any point runs, as "<scenario>: grid: <n> out of range [0,65536]"; a grid
+// of exactly MaxPoints plans. Three 1000-value keyextract lists used to
+// ask the engine for a 128 GB grid and kill the process.
+func TestGridBoundedThroughEngine(t *testing.T) {
+	list := func(v string, n int) string { return strings.TrimSuffix(strings.Repeat(v+",", n), ",") }
+	sc, ok := scenario.Lookup("keyextract")
+	if !ok {
+		t.Fatal("keyextract not registered")
+	}
+	huge := map[string]string{"widths": list("4", 1000), "gaps": list("0", 1000), "victims": list("bit", 1000)}
+	j := obs.NewJournal()
+	_, err := scenario.Run(sc, scenario.Spec{Params: huge}, scenario.RunOptions{Journal: j})
+	if err == nil || !strings.HasPrefix(err.Error(), "keyextract: grid: ") || !strings.HasSuffix(err.Error(), " out of range [0,65536]") {
+		t.Errorf("three 1000-value lists: err = %v, want keyextract: grid: <n> out of range [0,65536]", err)
+	}
+	if evs := j.Events(); len(evs) != 0 {
+		t.Errorf("the oversized run journaled %d events; it must fail before any point", len(evs))
+	}
+	f := DefaultKeyExtractSpec()
+	f.Widths = slices.Repeat([]int{4}, 1000)
+	f.Gaps = make([]int, 1000)
+	if _, err := KeyExtractMatrix(f); err == nil || !strings.HasPrefix(err.Error(), "grid: ") {
+		t.Errorf("typed entry point: err = %v, want a grid error", err)
+	}
+	// attackers x archs x widths = 2 x 2 x 16384 = MaxPoints exactly.
+	atBound := map[string]string{"widths": list("4", scenario.MaxPoints/4), "victims": "bit"}
+	if _, err := sc.Sweep.Plan(scenario.Spec{Params: atBound}); err != nil {
+		t.Errorf("a grid of exactly %d points does not plan: %v", scenario.MaxPoints, err)
+	}
+	atBound["gaps"] = "0,0"
+	if _, err := sc.Sweep.Plan(scenario.Spec{Params: atBound}); err == nil || !strings.Contains(err.Error(), "grid: 131072 out of range") {
+		t.Errorf("a grid of twice the bound: err = %v, want grid: 131072 out of range", err)
 	}
 }
 

@@ -87,6 +87,12 @@ func (f Format) Params() (secretReps, publicOps int) {
 // CoeffsPerBlock is the number of coefficients per 8x8 block.
 const CoeffsPerBlock = 64
 
+// MaxBlocks bounds an image's block count: 32x the paper's largest size
+// (128 blocks), and at about 520 B per block well inside the data region.
+// The scenario specs and the cmd tools reject a larger image: at 100000000
+// blocks its coefficients alone would take 51 GB.
+const MaxBlocks = 4096
+
 // ImageSpec describes one synthetic compressed image. The coefficient
 // contents are the secret.
 type ImageSpec struct {

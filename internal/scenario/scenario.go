@@ -118,6 +118,32 @@ func Expand(axes []Axis) []Point {
 	return pts
 }
 
+// MaxPoints bounds a grid. The engine holds every point's coordinates and
+// row at once, so a spec whose list parameters multiply past this would
+// exhaust memory; a sweep's Plan rejects it (every registered sweep does,
+// through experiments' planOf). The largest default grid has 40 points.
+const MaxPoints = 1 << 16
+
+// GridSize is the number of points the axes expand to, without expanding
+// them. It stops multiplying once the product passes MaxPoints and returns
+// that partial product, so it cannot overflow however many values the axes
+// list; an axis with no values makes the grid empty.
+func GridSize(axes []Axis) int {
+	for _, a := range axes {
+		if len(a.Values) == 0 {
+			return 0
+		}
+	}
+	n := 1
+	for _, a := range axes {
+		if n > MaxPoints {
+			break
+		}
+		n *= len(a.Values)
+	}
+	return n
+}
+
 // Grid evaluates fn(i) for every i in [0, n), fanning the calls across a
 // bounded pool of worker goroutines. The caller writes results into a
 // pre-sized slice indexed by i, which keeps output order deterministic
@@ -162,8 +188,9 @@ func Grid(n, workers int, fn func(i int) error) error {
 }
 
 // Sweep is a named grid shared by one or more scenarios. Plan parses and
-// validates a spec once — an out-of-range parameter fails here, before
-// any point runs — and returns the grid it describes.
+// validates a spec once — an out-of-range parameter or a grid past
+// MaxPoints fails here, before any point runs — and returns the grid it
+// describes.
 type Sweep struct {
 	ID   string
 	Plan func(Spec) (*Plan, error)
@@ -329,7 +356,7 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", sc.Name, err)
 	}
-	all := make([]int, len(Expand(plan.Axes)))
+	all := make([]int, GridSize(plan.Axes))
 	for i := range all {
 		all[i] = i
 	}
@@ -370,11 +397,17 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 // RowCache memoizes sweep rows (and the slowest-point timing from the
 // compute that ran them) by (sweep ID, spec key) with single-flight
 // semantics: concurrent requests for the same key run the sweep once and
-// share the result.
+// share the result. It keeps the rowCacheEntries most recently completed
+// keys, dropping the oldest first, so a long-lived process that sees many
+// distinct specs holds a bounded number of grids.
 type RowCache struct {
-	mu sync.Mutex
-	m  map[string]*rowEntry
+	mu   sync.Mutex
+	m    map[string]*rowEntry
+	done []string // completed keys, oldest first
 }
+
+// rowCacheEntries bounds a RowCache's completed entries.
+const rowCacheEntries = 64
 
 type rowEntry struct {
 	once    sync.Once
@@ -394,15 +427,22 @@ func (c *RowCache) rows(key string, compute func() ([]any, *PointStat, error)) (
 		c.m[key] = e
 	}
 	c.mu.Unlock()
-	e.once.Do(func() { e.rows, e.slowest, e.err = compute() })
-	if e.err != nil {
-		// Failures — a canceled context included — must not poison the
-		// key: drop the entry so a later identical request recomputes.
+	e.once.Do(func() {
+		e.rows, e.slowest, e.err = compute()
 		c.mu.Lock()
-		if c.m[key] == e {
+		defer c.mu.Unlock()
+		if e.err != nil {
+			// Failures — a canceled context included — must not poison
+			// the key: drop the entry so a later identical request
+			// recomputes.
 			delete(c.m, key)
+			return
 		}
-		c.mu.Unlock()
-	}
+		c.done = append(c.done, key)
+		if len(c.done) > rowCacheEntries {
+			delete(c.m, c.done[0])
+			c.done = c.done[1:]
+		}
+	})
 	return e.rows, e.slowest, e.err
 }

@@ -42,6 +42,31 @@ func TestExpandDegenerate(t *testing.T) {
 	}
 }
 
+// TestGridSize: GridSize counts what Expand would expand, and past
+// MaxPoints it stops multiplying instead of overflowing. Three 1000-value
+// lists once asked Expand for a 128 GB grid.
+func TestGridSize(t *testing.T) {
+	axis := func(n int) Axis { return Axis{Name: "a", Values: make([]string, n)} }
+	for _, axes := range [][]Axis{nil, {axis(0)}, {axis(3)}, {axis(2), axis(3)}, {axis(4), axis(0), axis(5)}} {
+		if got, want := GridSize(axes), len(Expand(axes)); got != want {
+			t.Errorf("GridSize(%d axes) = %d, want %d as Expand", len(axes), got, want)
+		}
+	}
+	huge := make([]Axis, 64)
+	for i := range huge {
+		huge[i] = axis(1000)
+	}
+	if n := GridSize(huge); n <= MaxPoints {
+		t.Errorf("64 axes of 1000 values: GridSize = %d, want a size past %d", n, MaxPoints)
+	}
+	if n := GridSize(append(huge, axis(0))); n != 0 {
+		t.Errorf("a huge grid with an empty axis: GridSize = %d, want 0", n)
+	}
+	if n := GridSize([]Axis{axis(256), axis(256)}); n != MaxPoints {
+		t.Errorf("256x256: GridSize = %d, want %d", n, MaxPoints)
+	}
+}
+
 // TestGridErrorDeterministic: the reported error is the lowest-indexed one
 // regardless of worker interleaving.
 func TestGridErrorDeterministic(t *testing.T) {
@@ -160,6 +185,41 @@ func TestRowCacheSharesSweep(t *testing.T) {
 	}
 	if calls.Load() != 6 {
 		t.Errorf("quick grid did not run: %d calls", calls.Load())
+	}
+}
+
+// TestRowCacheBounded: a RowCache keeps its rowCacheEntries most recently
+// completed specs. Once one spec more has completed, the oldest recomputes
+// and the most recent does not; a long-lived server sharing one cache
+// across every run used to keep every distinct spec's rows forever.
+func TestRowCacheBounded(t *testing.T) {
+	var calls atomic.Int64
+	sc := testScenario(&calls)
+	cache := NewRowCache()
+	run := func(i int) int64 {
+		t.Helper()
+		before := calls.Load()
+		if _, err := Run(sc, Spec{Params: map[string]string{"k": fmt.Sprint(i)}}, RunOptions{Rows: cache}); err != nil {
+			t.Fatal(err)
+		}
+		return calls.Load() - before
+	}
+	for i := 0; i <= rowCacheEntries; i++ {
+		if n := run(i); n != 4 {
+			t.Fatalf("spec %d: %d points ran, want 4", i, n)
+		}
+	}
+	if n := len(cache.m); n != rowCacheEntries {
+		t.Errorf("cache holds %d entries, want %d", n, rowCacheEntries)
+	}
+	if n := run(rowCacheEntries); n != 0 {
+		t.Errorf("most recent spec: %d points recomputed, want 0", n)
+	}
+	if n := run(0); n != 4 {
+		t.Errorf("oldest spec after the cap: %d points ran, want 4 (recomputed)", n)
+	}
+	if n := len(cache.m); n != rowCacheEntries {
+		t.Errorf("cache holds %d entries, want %d", n, rowCacheEntries)
 	}
 }
 

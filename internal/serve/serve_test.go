@@ -738,3 +738,42 @@ func TestShardBadParamIsBadRequest(t *testing.T) {
 		t.Fatalf("healthz = %d, want 200", code)
 	}
 }
+
+// TestOversizedGridIsBadRequest: a spec whose list parameters multiply past
+// scenario.MaxPoints gets 400 naming the scenario and the grid, from
+// POST /runs and from a worker's POST /shards, and the process keeps
+// serving. Three 1000-value lists used to pass the 400 check; the run then
+// asked the engine for a 128 GB grid and the server died out of memory.
+func TestOversizedGridIsBadRequest(t *testing.T) {
+	ts := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
+	t.Cleanup(ts.Close)
+	list := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 1000), ",") }
+	params := map[string]string{"widths": list("4"), "gaps": list("0"), "victims": list("bit")}
+	want := "keyextract: grid: "
+	body, err := json.Marshal(map[string]any{"scenario": "keyextract", "spec": scenario.Spec{Params: params}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct{ Error string }
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, want) || !strings.Contains(got.Error, "out of range [0,65536]") {
+		t.Errorf("POST /runs: status %d (%q), want 400 naming %q and the bound", resp.StatusCode, got.Error, want)
+	}
+	code, msg := postShard(t, ts, cluster.ShardRequest{
+		Scenario: "keyextract", Spec: scenario.Spec{Params: params},
+		Indices: []int{0}, Total: 4000000000, Version: store.CodeVersion,
+	})
+	if code != http.StatusBadRequest || !strings.Contains(msg, "grid: ") {
+		t.Errorf("POST /shards: status %d (%q), want 400 naming the grid", code, msg)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz = %d, want 200", code)
+	}
+}

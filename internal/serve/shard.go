@@ -40,7 +40,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad spec for %s: %v", sc.Name, err)
 		return
 	}
-	total := len(scenario.Expand(plan.Axes))
+	total := scenario.GridSize(plan.Axes)
 	if req.Total != total {
 		httpError(w, http.StatusConflict, "grid mismatch: worker expands %d points, coordinator %d", total, req.Total)
 		return
