@@ -53,7 +53,11 @@ bench-module:
 # serve run, worker shard), a panicking grid point fails its run while the
 # process keeps serving, and the shared row cache keeps a bounded number of
 # specs. The attack and CLI gates reject an out-of-range gap, width or bit
-# and every workload flag that used to panic or exhaust memory, with exit 1.
+# and every workload flag that used to panic, exhaust memory or run for
+# hours, with exit 1; the CLIs share one program front end (internal/cli).
+# The fuzz seed corpora hold the assembler and the store's entry decoding
+# to an error or a miss, never a panic, and djpeg's wrong-path touch sets
+# do not depend on the image under SeMPE.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -68,7 +72,9 @@ bench-smoke:
 	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic|TestGridSize|TestRowCacheBounded'
 	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest'
 	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
-	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/
+	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./internal/cli/
+	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'
+	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

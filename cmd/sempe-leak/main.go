@@ -11,76 +11,43 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
+	"repro/internal/cli"
 	"repro/internal/compile"
-	"repro/internal/isa"
-	"repro/internal/jpegsim"
 	"repro/internal/leak"
 	"repro/internal/pipeline"
-	"repro/internal/workloads"
 )
 
+const cmd = cli.Cmd("sempe-leak")
+
 func main() {
-	var (
-		workload = flag.String("workload", "quicksort", "fibonacci|ones|quicksort|queens|djpeg-ppm|djpeg-gif|djpeg-bmp")
-		w        = flag.Int("w", 3, "secret branches per iteration")
-		iters    = flag.Int("i", 2, "iterations")
-		s1       = flag.Uint64("s1", 0, "first secret (or image seed)")
-		s2       = flag.Uint64("s2", 5, "second secret (or image seed)")
-		blocks   = flag.Int("blocks", 16, "image blocks (djpeg)")
-	)
+	sel := cli.Selection{Sparsity: 50}
+	flag.StringVar(&sel.Workload, "workload", "quicksort", "fibonacci|ones|quicksort|queens|djpeg-ppm|djpeg-gif|djpeg-bmp")
+	flag.IntVar(&sel.W, "w", 3, "secret branches per iteration")
+	flag.IntVar(&sel.I, "i", 2, "iterations")
+	s1 := flag.Uint64("s1", 0, "first secret (or image seed)")
+	s2 := flag.Uint64("s2", 5, "second secret (or image seed)")
+	flag.IntVar(&sel.Blocks, "blocks", 16, "image blocks (djpeg)")
 	flag.Parse()
-	if strings.HasPrefix(*workload, "djpeg-") {
-		inRange("blocks", *blocks, 1, jpegsim.MaxBlocks)
-	} else {
-		inRange("w", *w, 1, compile.MaxSecretNesting)
-	}
+	plain, sjmp := cmd.Programs(sel, compile.Plain, nil), cmd.Programs(sel, compile.SeMPE, nil)
 
-	build := func(mode compile.Mode) func(uint64) (*isa.Program, error) {
-		return func(secret uint64) (*isa.Program, error) {
-			if name, isImage := strings.CutPrefix(*workload, "djpeg-"); isImage {
-				f, err := jpegsim.ParseFormat(name)
-				if err != nil {
-					return nil, fmt.Errorf("unknown workload %q: %w", *workload, err)
-				}
-				spec := jpegsim.ImageSpec{Format: f, Blocks: *blocks, Sparsity: 50, Seed: secret}
-				out, err := compile.Compile(jpegsim.BuildProgram(spec), mode)
-				if err != nil {
-					return nil, err
-				}
-				return out.Prog, nil
-			}
-			kind, err := workloads.Parse(*workload)
-			if err != nil {
-				return nil, fmt.Errorf("unknown workload %q: %w", *workload, err)
-			}
-			spec := workloads.HarnessSpec{Kind: kind, W: *w, I: *iters, Secret: secret}
-			out, err := compile.Compile(workloads.Harness(spec), mode)
-			if err != nil {
-				return nil, err
-			}
-			return out.Prog, nil
-		}
-	}
+	fmt.Printf("distinguishing secrets %d and %d on %s\n\n", *s1, *s2, sel.Workload)
 
-	fmt.Printf("distinguishing secrets %d and %d on %s\n\n", *s1, *s2, *workload)
-
-	baseRep, err := leak.Distinguish(pipeline.DefaultConfig(), build(compile.Plain), *s1, *s2)
+	baseRep, err := leak.Distinguish(pipeline.DefaultConfig(), plain, *s1, *s2)
 	if err != nil {
-		fatal("baseline: %v", err)
+		cmd.Fatal("baseline: %v", err)
 	}
 	fmt.Printf("baseline architecture, unprotected binary:\n  %v\n\n", baseRep)
 
-	secRep, err := leak.Distinguish(pipeline.SecureConfig(), build(compile.SeMPE), *s1, *s2)
+	secRep, err := leak.Distinguish(pipeline.SecureConfig(), sjmp, *s1, *s2)
 	if err != nil {
-		fatal("sempe: %v", err)
+		cmd.Fatal("sempe: %v", err)
 	}
 	fmt.Printf("SeMPE architecture, sJMP-instrumented binary:\n  %v\n\n", secRep)
 
-	legacyRep, err := leak.Distinguish(pipeline.DefaultConfig(), build(compile.SeMPE), *s1, *s2)
+	legacyRep, err := leak.Distinguish(pipeline.DefaultConfig(), sjmp, *s1, *s2)
 	if err != nil {
-		fatal("legacy: %v", err)
+		cmd.Fatal("legacy: %v", err)
 	}
 	fmt.Printf("legacy architecture, same sJMP binary (backward compatible, unprotected):\n  %v\n", legacyRep)
 
@@ -93,17 +60,4 @@ func main() {
 		fmt.Println("\nRESULT: LEAK under SeMPE — this would be an implementation bug.")
 		os.Exit(1)
 	}
-}
-
-// inRange exits with an error naming the flag unless v is in [lo,hi]. Past
-// these ranges building the program panics or exhausts memory.
-func inRange(flag string, v, lo, hi int) {
-	if v < lo || v > hi {
-		fatal("-%s: %d out of range [%d,%d]", flag, v, lo, hi)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sempe-leak: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -6,12 +6,14 @@
 //
 //	sempe-trace -workload quicksort -w 2 -arch baseline
 //	sempe-trace -workload ones -secret 5 -diff-secret 9 -arch baseline
+//	sempe-trace -workload djpeg-ppm -blocks 4 -secret 1 -diff-secret 2 -arch sempe
 //	sempe-trace -attacker bp -victim keyloop -width 4 -key 0xb -arch sempe
 //	sempe-trace -workload quicksort -json trace.json   # chrome://tracing
 //
-// The -diff-secret mode runs the same workload under two secrets and diffs
-// the wrong-path touch sets: on the unprotected baseline the difference IS
-// the transient leak; under -arch sempe it must be empty.
+// The -diff-secret mode runs the same workload under two secrets (for a
+// djpeg image, two image contents) and diffs the wrong-path touch sets: on
+// the unprotected baseline the difference IS the transient leak; under
+// -arch sempe it must be empty.
 package main
 
 import (
@@ -19,24 +21,27 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/asm"
 	"repro/internal/attack"
-	"repro/internal/compile"
+	"repro/internal/cli"
 	"repro/internal/isa"
 	"repro/internal/leak"
 	"repro/internal/pipeline"
-	"repro/internal/workloads"
 )
 
+const cmd = cli.Cmd("sempe-trace")
+
 func main() {
+	// Program selection (default mode).
+	var sel cli.Selection
+	flag.StringVar(&sel.Workload, "workload", "quicksort", "fibonacci|ones|quicksort|queens|djpeg-ppm|djpeg-gif|djpeg-bmp")
+	flag.IntVar(&sel.W, "w", 2, "secret branches per iteration (microbenchmarks)")
+	flag.IntVar(&sel.I, "i", 4, "iterations of the secure region")
+	flag.IntVar(&sel.N, "n", 0, "kernel size parameter (0 = default)")
+	flag.IntVar(&sel.Blocks, "blocks", 16, "image blocks (djpeg workloads)")
+	flag.IntVar(&sel.Sparsity, "sparsity", 50, "busy-block percentage (djpeg workloads)")
+	flag.StringVar(&sel.Asm, "asm", "", "trace an assembly file instead of a built-in workload")
 	var (
-		// Program selection (default mode).
-		workload = flag.String("workload", "quicksort", "fibonacci|ones|quicksort|queens")
-		w        = flag.Int("w", 2, "secret branches per iteration (microbenchmarks)")
-		iters    = flag.Int("i", 4, "iterations of the secure region")
-		size     = flag.Int("n", 0, "kernel size parameter (0 = default)")
-		secret   = flag.Uint64("secret", 0, "secret input selecting branch paths")
-		asmFile  = flag.String("asm", "", "trace an assembly file instead of a built-in workload")
+		secret = flag.Uint64("secret", 0, "secret input selecting branch paths (djpeg workloads: the image content)")
 
 		// Trial selection (-attacker switches to this mode).
 		attacker = flag.String("attacker", "", "bp|cache: trace one attack trial instead of a program")
@@ -58,87 +63,46 @@ func main() {
 	)
 	flag.Parse()
 
-	secure, err := attack.ParseArch(*arch)
-	if err != nil {
-		fatal("%v", err)
-	}
-	cfg := pipeline.DefaultConfig()
-	cmode := compile.Plain
-	if secure {
-		cfg, cmode = pipeline.SecureConfig(), compile.SeMPE
-	}
-	switch *mode {
-	case "":
-	case "plain":
-		cmode = compile.Plain
-	case "sempe":
-		cmode = compile.SeMPE
-	case "cte":
-		cmode = compile.CTE
-	default:
-		fatal("unknown -compile %q", *mode)
-	}
+	cfg, cmode := cmd.Machine(*arch, *mode)
+	// 16x the default; at 1e12 events the ring alone exhausted memory.
+	cmd.InRange("cap", *capFlag, 1, 1<<24)
 
 	if *attacker != "" {
 		kind, err := attack.ParseKind(*attacker)
 		if err != nil {
-			fatal("%v", err)
+			cmd.Fatal("%v", err)
 		}
-		p := attack.DefaultParams(kind, secure)
+		p := attack.DefaultParams(kind, cfg.SeMPE)
 		p.Victim, p.Width, p.Bit, p.Gap, p.Seed, p.Noise = *victimN, *width, *bit, *gap, *seed, *noise
 		tr := pipeline.NewTracer(*capFlag)
 		obs, err := attack.TraceTrial(p, *trialIdx, *key, tr.Record)
 		if err != nil {
-			fatal("trial: %v", err)
+			cmd.Fatal("trial: %v", err)
 		}
 		fmt.Printf("trial %d (%s/%s key=%#x bit=%d): observation %v\n",
-			*trialIdx, kind, attack.ArchName(secure), *key, *bit, obs)
+			*trialIdx, kind, *arch, *key, *bit, obs)
 		dump(tr, *jsonOut)
 		return
 	}
 
-	if *asmFile == "" {
-		inRange("w", *w, 1, compile.MaxSecretNesting)
+	if *diffSecret >= 0 && sel.Asm != "" {
+		cmd.Fatal("-diff-secret needs a workload parameterized by -secret, not -asm")
 	}
-	build := func(sec uint64) (*isa.Program, error) {
-		if *asmFile != "" {
-			src, err := os.ReadFile(*asmFile)
-			if err != nil {
-				return nil, err
-			}
-			return asm.Assemble(string(src))
-		}
-		kind, err := workloads.Parse(*workload)
-		if err != nil {
-			return nil, fmt.Errorf("unknown workload %q: %w", *workload, err)
-		}
-		lp := workloads.Harness(workloads.HarnessSpec{
-			Kind: kind, Size: *size, W: *w, I: *iters, Secret: sec,
-		})
-		out, err := compile.Compile(lp, cmode)
-		if err != nil {
-			return nil, err
-		}
-		return out.Prog, nil
-	}
-
+	build := cmd.Programs(sel, cmode, nil)
 	if *diffSecret >= 0 {
-		if *asmFile != "" {
-			fatal("-diff-secret needs a workload parameterized by -secret, not -asm")
-		}
 		diffRun(cfg, build, *secret, uint64(*diffSecret))
 		return
 	}
 
 	prog, err := build(*secret)
 	if err != nil {
-		fatal("%v", err)
+		cmd.Fatal("%v", err)
 	}
 	tr := pipeline.NewTracer(*capFlag)
 	core := pipeline.New(cfg, prog)
 	core.SetSpecWatch(tr.Record)
 	if err := core.Run(); err != nil {
-		fatal("run: %v", err)
+		cmd.Fatal("run: %v", err)
 	}
 	s := core.Stats
 	fmt.Printf("%d cycles, %d insts; wrong-path fetches %d, squashed uops %d, flushes %d mispredict / %d secure / %d overflow\n",
@@ -153,19 +117,19 @@ func dump(tr *pipeline.Tracer, jsonOut string) {
 	if jsonOut != "" {
 		f, err := os.Create(jsonOut)
 		if err != nil {
-			fatal("%v", err)
+			cmd.Fatal("%v", err)
 		}
 		if err := tr.WriteChromeJSON(f); err != nil {
-			fatal("json: %v", err)
+			cmd.Fatal("json: %v", err)
 		}
 		if err := f.Close(); err != nil {
-			fatal("json: %v", err)
+			cmd.Fatal("json: %v", err)
 		}
 		fmt.Printf("spec trace: %d events (%d dropped) -> %s\n", tr.Total(), tr.Dropped(), jsonOut)
 		return
 	}
 	if err := tr.WriteText(os.Stdout); err != nil {
-		fatal("%v", err)
+		cmd.Fatal("%v", err)
 	}
 }
 
@@ -175,11 +139,11 @@ func diffRun(cfg pipeline.Config, build func(uint64) (*isa.Program, error), sa, 
 	observe := func(sec uint64) leak.SpecObservation {
 		prog, err := build(sec)
 		if err != nil {
-			fatal("%v", err)
+			cmd.Fatal("%v", err)
 		}
 		so, _, err := leak.ObserveSpec(cfg, prog)
 		if err != nil {
-			fatal("run secret=%d: %v", sec, err)
+			cmd.Fatal("run secret=%d: %v", sec, err)
 		}
 		return so
 	}
@@ -221,17 +185,4 @@ func setDiff(a, b []uint64) []uint64 {
 		}
 	}
 	return out
-}
-
-// inRange exits with an error naming the flag unless v is in [lo,hi]. Past
-// these ranges building the program panics or exhausts memory.
-func inRange(flag string, v, lo, hi int) {
-	if v < lo || v > hi {
-		fatal("-%s: %d out of range [%d,%d]", flag, v, lo, hi)
-	}
-}
-
-func fatal(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sempe-trace: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -199,12 +199,6 @@ func (b *Builder) reserve(name string, n int, elem uint64) uint64 {
 	return addr
 }
 
-// SymbolAddr returns the address of a data symbol defined so far.
-func (b *Builder) SymbolAddr(name string) (uint64, bool) {
-	a, ok := b.symbols[name]
-	return a, ok
-}
-
 // Finish lays out the code, resolves label references, and returns the
 // program.
 func (b *Builder) Finish() (*isa.Program, error) {

@@ -282,3 +282,19 @@ func TestProgramSymbols(t *testing.T) {
 		t.Errorf("data symbol %#x below data base", prog.Sym("x"))
 	}
 }
+
+// FuzzAssemble: any source text assembles to a program or an error, never
+// a panic, and a program it returns disassembles. The seed corpus
+// (testdata/fuzz/FuzzAssemble) holds every source in this file.
+func FuzzAssemble(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Assemble(src)
+		if err != nil {
+			return
+		}
+		if prog == nil {
+			t.Fatalf("Assemble(%q) returned neither a program nor an error", src)
+		}
+		prog.Disassemble()
+	})
+}

@@ -50,9 +50,6 @@ type Options struct {
 	// MaxAttempts bounds how many times one shard is dispatched before
 	// the sweep fails; 0 means 3.
 	MaxAttempts int
-	// WorkerFailLimit drops a worker from the fleet after this many
-	// consecutive request failures; 0 means 2.
-	WorkerFailLimit int
 	// Timeout bounds one shard request; 0 means 10 minutes.
 	Timeout time.Duration
 	// Client is the HTTP client; nil means the process-wide shared
@@ -155,9 +152,6 @@ func New(opts Options) *Coordinator {
 	}
 	if opts.MaxAttempts <= 0 {
 		opts.MaxAttempts = 3
-	}
-	if opts.WorkerFailLimit <= 0 {
-		opts.WorkerFailLimit = 2
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 10 * time.Minute
@@ -284,6 +278,10 @@ type task struct {
 	indices  []int
 	attempts int
 }
+
+// workerFailLimit drops a worker from the fleet after this many consecutive
+// request failures.
+const workerFailLimit = 2
 
 // probeTimeout bounds one startup health probe; liveness answers in
 // milliseconds, so anything slower is as good as down.
@@ -454,7 +452,7 @@ func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sw
 					}
 					// Transient failure: re-queue the shard for whoever is
 					// still alive, and drop this worker once it has failed
-					// WorkerFailLimit shards in a row.
+					// workerFailLimit shards in a row.
 					mu.Lock()
 					rep.Retries++
 					t.attempts++
@@ -472,7 +470,7 @@ func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sw
 						"reason": err.Error(), "attempt": t.attempts})
 					pending <- t
 					consecutive++
-					if consecutive >= c.opts.WorkerFailLimit {
+					if consecutive >= workerFailLimit {
 						mu.Lock()
 						rep.DroppedWorkers = append(rep.DroppedWorkers, url)
 						wstats[url].Dropped = true

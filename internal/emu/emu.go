@@ -99,19 +99,6 @@ func New(mode Mode, prog *isa.Program) *Machine {
 	return m
 }
 
-// NewOnMemory creates a machine running on an existing memory image.
-func NewOnMemory(mode Mode, memory *mem.Memory, entry uint64) *Machine {
-	m := &Machine{
-		Mode:     mode,
-		Mem:      memory,
-		PC:       entry,
-		MaxInsts: 1 << 32,
-		spm:      mem.NewSPM(mem.DefaultSPMConfig()),
-	}
-	m.Regs[isa.SP] = isa.DefaultStackTop
-	return m
-}
-
 // Halted reports whether the program has executed HALT.
 func (m *Machine) Halted() bool { return m.halted }
 

@@ -86,7 +86,7 @@ func ablationSpecOf(spec scenario.Spec) (AblationSpec, error) {
 func (f AblationSpec) plan() (*scenario.Plan, error) {
 	if err := firstErr(
 		inRange("w", 1, compile.MaxSecretNesting, f.W),
-		inRange("iters", 1, maxIters, f.Iters),
+		inRange("iters", 1, workloads.MaxIters, f.Iters),
 		inRange("slots", 1, compile.MaxSecretNesting, f.Slots...),
 		inRange("bws", 1, math.MaxInt, f.Bws...),
 	); err != nil {

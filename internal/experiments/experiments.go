@@ -88,15 +88,13 @@ func decodeRowAs[T any](raw json.RawMessage) (any, error) {
 
 // ------------------------------------------------- spec parameter plumbing
 
-// Limits on the parameters that size a point's work. Each sits well above
-// every default, documented example and benchmark value, so it only turns
-// away specs that would hold a worker for hours or exhaust memory:
+// Limits on the parameters that size a point's work, beside the ones the
+// cmd tools share (workloads.MaxIters, jpegsim.MaxBlocks). Each sits well
+// above every default, documented example and benchmark value, so it only
+// turns away specs that would hold a worker for hours or exhaust memory:
 // cancellation acts between grid points, and an allocation past the
 // address space is a fatal error no guard can catch.
 const (
-	// maxIters bounds harness iterations (one fig10a point at W=10 took
-	// 73 ms at iters=8 and 10 s at iters=800).
-	maxIters = 64
 	// maxSecrets bounds the leak matrix's secret family per point.
 	maxSecrets = 16
 )

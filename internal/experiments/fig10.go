@@ -76,7 +76,7 @@ func fig10SpecOf(spec scenario.Spec) (Fig10Spec, error) {
 func (f Fig10Spec) plan() (*scenario.Plan, error) {
 	if err := firstErr(
 		inRange("ws", 1, compile.MaxSecretNesting, f.Ws...),
-		inRange("iters", 1, maxIters, f.Iters),
+		inRange("iters", 1, workloads.MaxIters, f.Iters),
 	); err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func leakSpecOf(spec scenario.Spec) (LeakMatrixSpec, error) {
 func (f LeakMatrixSpec) plan() (*scenario.Plan, error) {
 	if err := firstErr(
 		inRange("ws", 1, compile.MaxSecretNesting, f.Ws...),
-		inRange("iters", 1, maxIters, f.Iters),
+		inRange("iters", 1, workloads.MaxIters, f.Iters),
 		inRange("secrets", 1, maxSecrets, len(f.Secrets)),
 	); err != nil {
 		return nil, err

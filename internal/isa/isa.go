@@ -239,12 +239,6 @@ func (op Op) IsJump() bool { return op.ClassOf() == ClassJump }
 // IsControl reports whether op changes control flow.
 func (op Op) IsControl() bool { return op.IsBranch() || op.IsJump() }
 
-// IsMem reports whether op accesses memory.
-func (op Op) IsMem() bool {
-	c := op.ClassOf()
-	return c == ClassLoad || c == ClassStore
-}
-
 // Inst is a decoded instruction.
 type Inst struct {
 	Op     Op

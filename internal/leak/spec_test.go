@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/isa"
+	"repro/internal/jpegsim"
 	"repro/internal/lang"
 	"repro/internal/pipeline"
 )
@@ -136,6 +137,56 @@ func TestSpecWindowHeadlineDemo(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sec[0], sec[1]) {
 		t.Errorf("SeMPE wrong-path footprint depends on the secret:\n s=0: %+v\n s=1: %+v", sec[0], sec[1])
+	}
+}
+
+// TestDjpegWrongPathTouchSets carries the headline demo to the paper's
+// real-world benchmark: djpeg's image content is the secret, and under
+// SeMPE no two images of one format and size differ in what the core
+// touches and then squashes. For each format at 4 and 8 blocks, images 1-4
+// are each compared with images 5-8. The baseline guards against a
+// vacuous pass: on it at least one pair per format differs.
+func TestDjpegWrongPathTouchSets(t *testing.T) {
+	observe := func(mode compile.Mode, cfg pipeline.Config, spec jpegsim.ImageSpec) SpecObservation {
+		t.Helper()
+		out, err := compile.Compile(jpegsim.BuildProgram(spec), mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		so, _, err := ObserveSpec(cfg, out.Prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if so.Dropped != 0 {
+			t.Fatalf("%v seed %d: tracer dropped %d events", spec, spec.Seed, so.Dropped)
+		}
+		return so
+	}
+	for _, format := range jpegsim.Formats() {
+		baseDiffers := 0
+		for _, blocks := range []int{4, 8} {
+			base, sec := map[uint64]SpecObservation{}, map[uint64]SpecObservation{}
+			for seed := uint64(1); seed <= 8; seed++ {
+				spec := jpegsim.ImageSpec{Format: format, Blocks: blocks, Sparsity: 50, Seed: seed}
+				base[seed] = observe(compile.Plain, pipeline.DefaultConfig(), spec)
+				sec[seed] = observe(compile.SeMPE, pipeline.SecureConfig(), spec)
+			}
+			for a := uint64(1); a <= 4; a++ {
+				for b := uint64(5); b <= 8; b++ {
+					if !TouchSetsEqual(base[a], base[b]) {
+						baseDiffers++
+					}
+					if !TouchSetsEqual(sec[a], sec[b]) {
+						t.Errorf("SeMPE %v/%d blocks: images %d and %d differ in the wrong-path touch sets:\n %d: %+v\n %d: %+v",
+							format, blocks, a, b, a, sec[a], b, sec[b])
+					}
+				}
+			}
+		}
+		if baseDiffers == 0 {
+			t.Errorf("baseline %v: no image pair differs in the wrong-path touch sets; the SeMPE check is vacuous", format)
+		}
+		t.Logf("%v: baseline differs in %d of 32 pairs", format, baseDiffers)
 	}
 }
 

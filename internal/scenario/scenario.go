@@ -42,15 +42,6 @@ type Spec struct {
 	Params  map[string]string `json:"params,omitempty"`
 }
 
-// Param returns the named parameter, or def when unset. An empty string is
-// a set value (e.g. an explicitly empty axis).
-func (s Spec) Param(key, def string) string {
-	if v, ok := s.Params[key]; ok {
-		return v
-	}
-	return def
-}
-
 // Key is the spec's canonical identity: quick plus the sorted params.
 // Workers is deliberately excluded — every grid point simulates on an
 // independent core, so results are bit-identical at any worker count, and

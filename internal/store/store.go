@@ -20,6 +20,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync/atomic"
+	"unicode/utf8"
 )
 
 // CodeVersion names the simulator's current output-affecting behavior and
@@ -124,10 +125,15 @@ func (s *Store) Get(key string) ([]byte, bool) {
 }
 
 // Put stores payload under key atomically. payload must be valid JSON
-// (every store client persists JSON-encoded rows or results).
+// (every store client persists JSON-encoded rows or results), and key valid
+// UTF-8: the envelope's JSON would replace an invalid byte, so Get would
+// never match the entry.
 func (s *Store) Put(key string, payload []byte) error {
 	if !json.Valid(payload) {
 		return fmt.Errorf("store: payload for %q is not valid JSON", key)
+	}
+	if !utf8.ValidString(key) {
+		return fmt.Errorf("store: key %q is not valid UTF-8", key)
 	}
 	data, err := json.Marshal(entry{Key: s.fullKey(key), Sum: checksum(payload), Payload: payload})
 	if err != nil {

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,6 +129,25 @@ func TestRejectsNonJSON(t *testing.T) {
 	}
 }
 
+// TestRejectsNonUTF8Key: a key that is not valid UTF-8 used to store an
+// entry whose envelope named a different key, so every Get counted it
+// corrupt and deleted it; Put now rejects it and writes nothing.
+func TestRejectsNonUTF8Key(t *testing.T) {
+	s := open(t, t.TempDir(), "v1")
+	if err := s.Put("row|\xff|0", []byte(`1`)); err == nil {
+		t.Error("key with an invalid UTF-8 byte accepted")
+	}
+	if files := entryFiles(t, s.Dir()); len(files) != 0 {
+		t.Errorf("rejected put wrote %v", files)
+	}
+	if _, ok := s.Get("row|\xff|0"); ok {
+		t.Error("rejected key hit")
+	}
+	if c := s.Counters(); c.Corrupt != 0 || c.Puts != 0 {
+		t.Errorf("counters = %+v, want no put and no corrupt entry", c)
+	}
+}
+
 // TestResultRoundTrip: a scenario result with typed cells survives the
 // persistent tier, and its key ignores the worker count (results are
 // worker-independent).
@@ -179,4 +201,47 @@ func TestRowKeys(t *testing.T) {
 	if _, ok := s.GetRow("fig8", specKey, 0); ok {
 		t.Error("row hit under the wrong sweep")
 	}
+}
+
+// FuzzStoreEntry: any bytes at an entry's path make Get return a miss that
+// counts the entry corrupt and deletes it, or a hit that serves the
+// envelope's payload, never a panic; and Put(key, p) either rejects p or a
+// later Get returns p byte for byte. The seed corpus
+// (testdata/fuzz/FuzzStoreEntry) holds a valid envelope, the corruptions
+// of TestCorruptionDetected, a wrong key, wrongly typed fields, a non-JSON
+// payload, a payload JSON would HTML-escape and a key that is not valid
+// UTF-8.
+func FuzzStoreEntry(f *testing.F) {
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, key string, raw, payload []byte) {
+		s := open(t, dir, "v1")
+		p := s.path(key)
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		_, statErr := os.Stat(p)
+		c := s.Counters()
+		var e entry
+		switch {
+		case !ok && (c.Corrupt != 1 || c.Misses != 1):
+			t.Fatalf("miss on %q counted %+v, want one corrupt miss", raw, c)
+		case !ok && !errors.Is(statErr, fs.ErrNotExist):
+			t.Fatalf("corrupt entry %q not deleted", raw)
+		case ok && (c.Hits != 1 || c.Corrupt != 0):
+			t.Fatalf("hit on %q counted %+v", raw, c)
+		case ok && (json.Unmarshal(raw, &e) != nil || !bytes.Equal(got, e.Payload)):
+			t.Fatalf("hit on %q served %q, not the envelope's payload", raw, got)
+		}
+
+		if err := s.Put(key, payload); err != nil {
+			return
+		}
+		if got, ok := s.Get(key); !ok || !bytes.Equal(got, payload) {
+			t.Fatalf("Put(%q, %q) then Get = %q, %t; want the payload back", key, payload, got, ok)
+		}
+	})
 }

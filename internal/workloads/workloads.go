@@ -76,6 +76,29 @@ func (k Kind) DefaultSize() int {
 	return 16
 }
 
+// MaxSize bounds the kernel's size parameter: at it, one -w 1 -i 1
+// harness simulates in under two seconds on the SeMPE core. The cmd tools
+// reject a larger size; at queens -n 40 or fibonacci -n 100000000 one run
+// was still going after 10 s.
+func (k Kind) MaxSize() int {
+	switch k {
+	case Fibonacci:
+		return 200000
+	case Ones:
+		return 48000
+	case Quicksort:
+		return 8192
+	case Queens:
+		return 8 // the paper's board
+	}
+	return 16
+}
+
+// MaxIters bounds harness iterations, shared by the scenario specs and the
+// cmd tools: one fig10a point at W=10 took 73 ms at 8 iterations and 10 s
+// at 800.
+const MaxIters = 64
+
 // decls returns the scalar and array declarations one kernel instance
 // needs. Kernel state is shared by all chain levels: every body initializes
 // its state before reading it (write-before-read), which is what makes the
