@@ -44,15 +44,18 @@ bench-module:
 # attack lab's set-up savings: a template built at one attacked bit and
 # patched to every other equals a fresh compile (TestTemplatePatchMatchesFreshCompile),
 # a slotted literal fuses into an immediate-form op byte-identically, and
-# warm batches reuse pooled runners without building a core, and a
+# warm batches reuse pooled runners without building a core, a
 # spectre assessment equals a 1-bit extraction's per-bit statistics
-# (RunAssessment and ExtractKey share one trial engine). The sweep gates
+# (RunAssessment and ExtractKey share one trial engine), and a failed batch
+# names its lowest-indexed failing trial at any worker count (trials run on
+# scenario.Grid); the superblock metric families count a sweep's cores. The sweep gates
 # pin the engine's input boundary: every registered parameter is
 # range-checked at both ends before any point runs (the fuzz target's seed
 # corpus included), a grid past scenario.MaxPoints is rejected (engine,
 # serve run, worker shard), a panicking grid point fails its run while the
 # process keeps serving, and the shared row cache keeps a bounded number of
-# specs. The attack and CLI gates reject an out-of-range gap, width or bit
+# specs; the POST /runs and POST /shards seed corpora get a 4xx naming the
+# problem or wait for a slot, never a panic. The attack and CLI gates reject an out-of-range gap, width or bit
 # and every workload flag that used to panic, exhaust memory or run for
 # hours, with exit 1; the CLIs share one program front end (internal/cli).
 # The fuzz seed corpora hold the assembler and the store's entry decoding
@@ -65,12 +68,13 @@ bench-smoke:
 	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk|TestSpecStreamHashCoversEveryField'
 	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
 	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
-	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners|TestWidthOneMatchesSpectre'
+	$(GO) test ./internal/attack/ -run 'TestTrialLoopZeroAlloc|TestParallelMatchesSerial|TestWarmBatchReusesRunners|TestWidthOneMatchesSpectre|TestFailedBatchNamesLowestTrial'
+	$(GO) test ./internal/experiments/ -run 'TestSuperblockMetricsCountEveryCore'
 	$(GO) test ./internal/compile/ -run 'TestSlottedLiteralFusesImmediate'
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
 	$(GO) test ./internal/experiments/ -run 'TestEveryParamBoundedAtBothEnds|TestGridBoundedThroughEngine|FuzzScenarioPlan'
 	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic|TestGridSize|TestRowCacheBounded'
-	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest'
+	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest|FuzzRunRequest|FuzzShardRequest'
 	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
 	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./internal/cli/
 	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'

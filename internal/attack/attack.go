@@ -130,11 +130,13 @@ type Params struct {
 	// independently for the live measurement and its calibration replays,
 	// which is what makes it degrade the calibrated classifier.
 	Gap int `json:"gap,omitempty"`
-	// Workers bounds the trial worker pool: trials simulate concurrently on
-	// up to Workers pooled cores, with all statistics still computed in
-	// trial order, so results are bit-identical to the serial path at any
-	// value. <= 1 runs serially. Excluded from JSON so stored batch keys
-	// and reports are identical whatever parallelism produced them.
+	// Workers bounds the trial fan-out (scenario.Grid): trials simulate
+	// concurrently on up to Workers pooled cores, with all statistics still
+	// computed in trial order, so results — and the error of a failed
+	// batch, its lowest-indexed failing trial's — are identical to the
+	// serial path at any value. <= 1 runs serially. Excluded from JSON so
+	// stored batch keys and reports are identical whatever parallelism
+	// produced them.
 	Workers int `json:"-"`
 }
 
@@ -355,10 +357,11 @@ type trialRuns struct {
 // extractor discards the rest) also simulates the live measurement of key
 // when that cannot be selected from the pair: with gap activity, or when
 // p.KeyPrefix is not key's prefix.
-// Trials simulate on the runner pool (runner.go), in parallel when
-// p.Workers > 1; the batches are assembled in trial order afterwards, so
-// output is identical at any worker count. The fixed and random batches
-// share every pair and differ only in the secret.
+// Trials simulate on pooled runners (runner.go) through scenario.Grid, in
+// parallel when p.Workers > 1; the batches are assembled in trial order
+// afterwards, and a failed batch returns its lowest-indexed failing trial's
+// error, so output is identical at any worker count. The fixed and random
+// batches share every pair and differ only in the secret.
 func runBit(p Params, key uint64) (bitRun, error) {
 	if err := p.validate(); err != nil {
 		return bitRun{}, err

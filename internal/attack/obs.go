@@ -34,19 +34,6 @@ func init() {
 	reg.CounterFunc("sempe_attack_core_resets_total",
 		"Simulator cores reused via reset (core-pool hits).",
 		u64(&perfCounters.coreResets))
-	reg.CounterFunc("sempe_superblock_builds_total",
-		"Superblocks decoded and cached by the execution engine.",
-		u64(&perfCounters.sbBuilds))
-	reg.CounterFunc("sempe_superblock_replayed_ops_total",
-		"Operations executed via memoized superblock fast paths.",
-		u64(&perfCounters.sbReplays))
-	reg.CounterFunc("sempe_sb_wrongpath_builds_total",
-		"Superblock builds attributed to squashed (wrong-path) fetch regions.",
-		u64(&perfCounters.sbWPBuilds))
-	reg.CounterFunc("sempe_sb_wrongpath_replays_total",
-		"Replayed micro-ops later squashed by a flush: wrong-path work the "+
-			"replay engine ran on mispredicted paths.",
-		u64(&perfCounters.sbWPReplay))
 	reg.CounterFunc("sempe_attack_trials_total",
 		"Attack trials completed across all batches.",
 		u64(&perfCounters.trials))
@@ -55,13 +42,27 @@ func init() {
 			"sempe_attack_trials_total divided by this is trials/s.",
 		func() float64 { return float64(perfCounters.trialNS.Load()) / 1e9 })
 
-	// Speculative-window families: process-wide wrong-path accounting
-	// published by every completed Run (pipeline.GlobalSpecCounters). Like the
-	// families above, these are scrape-time reads of existing atomics; the
-	// underlying Stats counters are always on, armed tracer or not.
+	// Superblock and speculative-window families: process-wide accounting
+	// published by every completed Run, attack trial or not
+	// (pipeline.GlobalSpecCounters). Like the families above, these are
+	// scrape-time reads of existing atomics; the underlying Stats and
+	// SBStats counters are always on, armed tracer or not.
 	spec := func(pick func(pipeline.SpecCounters) uint64) func() float64 {
 		return func() float64 { return float64(pick(pipeline.GlobalSpecCounters())) }
 	}
+	reg.CounterFunc("sempe_superblock_builds_total",
+		"Superblocks decoded and cached by the execution engine.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.SBBuilds }))
+	reg.CounterFunc("sempe_superblock_replayed_ops_total",
+		"Operations executed via memoized superblock fast paths.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.SBReplays }))
+	reg.CounterFunc("sempe_sb_wrongpath_builds_total",
+		"Superblock builds attributed to squashed (wrong-path) fetch regions.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.SBWrongPathBuilds }))
+	reg.CounterFunc("sempe_sb_wrongpath_replays_total",
+		"Replayed micro-ops later squashed by a flush: wrong-path work the "+
+			"replay engine ran on mispredicted paths.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.SBWrongPathReplays }))
 	reg.CounterFunc("sempe_spec_wrong_path_fetches_total",
 		"Fetched micro-ops discarded without committing, across all runs.",
 		spec(func(c pipeline.SpecCounters) uint64 { return c.WrongPathFetches }))

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/pipeline"
+	"repro/internal/scenario"
 	"repro/internal/victim"
 )
 
@@ -63,7 +64,7 @@ var tmplMemo = compile.NewMemo[tmplKey]()
 // Perf is a snapshot of the throughput engine's cumulative counters, the
 // observability surface behind sempe-attack's perf block: template-cache
 // effectiveness, core recycling, and the superblock engine's build/replay
-// mix across all attack runs.
+// mix, which pipeline.Core.Run publishes for every core in the process.
 type Perf struct {
 	TemplateHits      uint64 `json:"template_hits"`
 	TemplateMisses    uint64 `json:"template_misses"`
@@ -94,10 +95,6 @@ type Perf struct {
 var perfCounters struct {
 	coreBuilds atomic.Uint64
 	coreResets atomic.Uint64
-	sbBuilds   atomic.Uint64
-	sbReplays  atomic.Uint64
-	sbWPBuilds atomic.Uint64
-	sbWPReplay atomic.Uint64
 	trials     atomic.Uint64
 	trialNS    atomic.Uint64
 }
@@ -105,24 +102,25 @@ var perfCounters struct {
 // PerfSnapshot returns the cumulative throughput-engine counters.
 func PerfSnapshot() Perf {
 	h, m, e := tmplMemo.Counters()
+	sb := pipeline.GlobalSpecCounters()
 	return Perf{
 		TemplateHits:       h,
 		TemplateMisses:     m,
 		TemplateEvictions:  e,
 		CoreBuilds:         perfCounters.coreBuilds.Load(),
 		CoreResets:         perfCounters.coreResets.Load(),
-		SBBuilds:           perfCounters.sbBuilds.Load(),
-		SBReplays:          perfCounters.sbReplays.Load(),
-		SBWrongPathBuilds:  perfCounters.sbWPBuilds.Load(),
-		SBWrongPathReplays: perfCounters.sbWPReplay.Load(),
+		SBBuilds:           sb.SBBuilds,
+		SBReplays:          sb.SBReplays,
+		SBWrongPathBuilds:  sb.SBWrongPathBuilds,
+		SBWrongPathReplays: sb.SBWrongPathReplays,
 		Trials:             perfCounters.trials.Load(),
 		TrialSeconds:       float64(perfCounters.trialNS.Load()) / 1e9,
 	}
 }
 
 // runner owns one pooled core and all per-trial scratch. It is not safe for
-// concurrent use; parallel batches run one runner per worker. p and v are
-// the current batch's, rebound on every borrow; everything else depends
+// concurrent use; a trial holds its runner from borrow to release. p and v
+// are the current batch's, rebound on every borrow; everything else depends
 // only on the architecture (mode, cfg) or is rewritten per run.
 type runner struct {
 	p    Params
@@ -181,9 +179,9 @@ func newRunner(p Params) (*runner, error) {
 
 // runnerPools holds the idle batch runners of each architecture (index 1
 // for SeMPE, 0 for the baseline), their cores, rngs, patch buffers and
-// observation buffers warm. A batch borrows one runner per worker and
-// returns them when it ends, so a warm process builds no core per batch. A
-// pool never holds more runners than were ever borrowed at once.
+// observation buffers warm. Every trial borrows a runner and returns it, so
+// a warm process builds no core per batch. A pool never holds more runners
+// than were ever borrowed at once: one per concurrently running trial.
 var runnerPools [2]struct {
 	mu   sync.Mutex
 	free []*runner
@@ -215,14 +213,12 @@ func borrowRunner(p Params) (*runner, error) {
 	return newRunner(p)
 }
 
-// releaseRunners returns batch runners to their architecture's pool.
-func releaseRunners(rs ...*runner) {
-	for _, r := range rs {
-		pool := &runnerPools[archIndex(r.p.Secure)]
-		pool.mu.Lock()
-		pool.free = append(pool.free, r)
-		pool.mu.Unlock()
-	}
+// releaseRunner returns a batch runner to its architecture's pool.
+func releaseRunner(r *runner) {
+	pool := &runnerPools[archIndex(r.p.Secure)]
+	pool.mu.Lock()
+	pool.free = append(pool.free, r)
+	pool.mu.Unlock()
 }
 
 // trialDraw reproduces newDraw(trialRNG(effSeed, t), p) without allocating:
@@ -287,11 +283,6 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 	if err := r.core.Run(); err != nil {
 		return nil, err
 	}
-	sb := r.core.SBStats
-	perfCounters.sbBuilds.Add(sb.Builds)
-	perfCounters.sbReplays.Add(sb.Replays)
-	perfCounters.sbWPBuilds.Add(sb.WrongPathBuilds)
-	perfCounters.sbWPReplay.Add(sb.WrongPathReplays)
 	if len(r.stamps) != wantStamps {
 		return nil, fmt.Errorf("got %d marker stamps, want %d", len(r.stamps), wantStamps)
 	}
@@ -388,86 +379,36 @@ func (r *runner) buildProgram(d draw, gapSeed int64, key uint64) (*lang.Program,
 	return nil, fmt.Errorf("unknown attacker kind %d", int(r.p.Kind))
 }
 
-// runTrials drives trial indices [0, p.Trials) through fn on a pool of
-// p.Workers workers, one runner each, borrowed from runnerPools and returned
-// when the batch ends. A batch that fails drops its runners instead: a core
-// stopped mid-run is never handed to the next batch. fn must be safe to
+// runTrials drives trial indices [0, p.Trials) through fn on scenario.Grid
+// with p.Workers workers. Each trial borrows a runner from runnerPools and
+// returns it when the trial succeeds; a failed trial drops its runner
+// instead, so a core stopped mid-run is never handed on. fn must be safe to
 // call concurrently for distinct t and must confine its effects to per-t
-// slots; all cross-trial statistics run serially after the pool drains,
-// which is what keeps results bit-identical to the serial path at any
-// worker count. p.Workers <= 1 runs inline.
+// slots; all cross-trial statistics run serially after the batch, which is
+// what keeps results bit-identical to the serial path at any worker count.
+// A failed batch returns its lowest-indexed failing trial's error, at any
+// worker count too.
 func runTrials(p Params, fn func(r *runner, t int) error) error {
-	n, workers := p.Trials, p.Workers
-	if workers > n {
-		workers = n
-	}
 	// Throughput accounting: trials completed plus the batch's wall time
 	// feed the sempe_attack_trials_total / _trial_seconds_total metric
-	// families (trials/s). One atomic add per worker plus one per batch —
-	// nothing allocates and nothing is added to the per-trial fast path,
-	// so the zero-alloc and determinism gates are untouched.
+	// families (trials/s). Nothing allocates per trial, so the zero-alloc
+	// and determinism gates are untouched.
 	batchStart := time.Now()
 	defer func() {
 		perfCounters.trialNS.Add(uint64(time.Since(batchStart)))
 	}()
-	if workers <= 1 {
+	return scenario.Grid(p.Trials, p.Workers, func(t int) error {
 		r, err := borrowRunner(p)
 		if err != nil {
 			return err
 		}
-		for t := 0; t < n; t++ {
-			if err := fn(r, t); err != nil {
-				perfCounters.trials.Add(uint64(t))
-				return err
-			}
+		if err := fn(r, t); err != nil {
+			return err
 		}
-		perfCounters.trials.Add(uint64(n))
-		releaseRunners(r)
+		releaseRunner(r)
+		perfCounters.trials.Add(1)
 		return nil
-	}
-	runners := make([]*runner, workers)
-	for i := range runners {
-		r, err := borrowRunner(p)
-		if err != nil {
-			return err
-		}
-		runners[i] = r
-	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-		errs = make([]error, workers)
-	)
-	for i, r := range runners {
-		wg.Add(1)
-		go func(i int, r *runner) {
-			defer wg.Done()
-			completed := 0
-			defer func() { perfCounters.trials.Add(uint64(completed)) }()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= n {
-					return
-				}
-				if err := fn(r, t); err != nil {
-					errs[i] = err
-					return
-				}
-				completed++
-			}
-		}(i, r)
-	}
-	wg.Wait()
-	// First error by worker index; which trials ran after a failure is
-	// worker-timing dependent, but the error surfaced is not load-bearing
-	// beyond aborting the batch.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	releaseRunners(runners...)
-	return nil
+	})
 }
 
 // cloneObs copies an observation vector out of a runner-owned buffer into a

@@ -459,6 +459,28 @@ func TestWarmBatchReusesRunners(t *testing.T) {
 	}
 }
 
+// TestFailedBatchNamesLowestTrial: a batch in which several trials fail
+// returns the error of the lowest-indexed one at every worker count, the
+// same error the serial path stops at, however the trials were scheduled.
+func TestFailedBatchNamesLowestTrial(t *testing.T) {
+	p := DefaultParams(BPProbe, false)
+	p.Trials = 64
+	for _, workers := range []int{1, 2, 4} {
+		p.Workers = workers
+		for rep := 0; rep < 50; rep++ {
+			err := runTrials(p, func(_ *runner, t int) error {
+				if t == 5 || t == 40 {
+					return fmt.Errorf("trial %d failed", t)
+				}
+				return nil
+			})
+			if err == nil || err.Error() != "trial 5 failed" {
+				t.Fatalf("workers=%d repetition %d: err = %v, want trial 5's", workers, rep, err)
+			}
+		}
+	}
+}
+
 // mustRunBatch runs the per-bit engine on p, with the true key equal to
 // p.KeyPrefix as RunAssessment does, and returns its fixed and random
 // batches.

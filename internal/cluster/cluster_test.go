@@ -4,6 +4,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -356,18 +357,41 @@ func TestFig8ThroughCluster(t *testing.T) {
 }
 
 // TestVersionMismatch: a worker built at a different code version rejects
-// shards, and the coordinator fails fast instead of retrying forever.
+// shards with 409, and the coordinator fails fast instead of retrying
+// forever.
 func TestVersionMismatch(t *testing.T) {
-	srv := serve.New(serve.Options{Worker: true, ShardVersion: "some-other-sim"})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	co := cluster.New(cluster.Options{Workers: []string{ts.URL}, MaxAttempts: 100})
+	// The coordinator against a worker that rejects every shard as a
+	// version mismatch.
+	foreign := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == cluster.ShardPath {
+			http.Error(w, `{"error":"code version mismatch"}`, http.StatusConflict)
+			return
+		}
+		w.WriteHeader(http.StatusOK) // /healthz
+	}))
+	t.Cleanup(foreign.Close)
+	co := cluster.New(cluster.Options{Workers: []string{foreign.URL}, MaxAttempts: 100})
 	_, rep, err := co.Run(context.Background(), lookup(t, "fig10a"), smallSpec())
 	if err == nil {
 		t.Fatal("mixed-version fleet merged rows")
 	}
 	if rep.Dispatched > 1 {
 		t.Errorf("version mismatch dispatched %d times; want fail-fast after 1", rep.Dispatched)
+	}
+
+	// A real worker answers a shard from another code version with 409.
+	body, err := json.Marshal(cluster.ShardRequest{
+		Scenario: "fig10a", Spec: smallSpec(), Indices: []int{0}, Total: 4, Version: "some-other-sim"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(startWorker(t).URL+cluster.ShardPath, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("foreign-version shard = %d, want 409", resp.StatusCode)
 	}
 }
 

@@ -52,9 +52,6 @@ type Options struct {
 	MaxAttempts int
 	// Timeout bounds one shard request; 0 means 10 minutes.
 	Timeout time.Duration
-	// Client is the HTTP client; nil means the process-wide shared
-	// keep-alive client (see sharedClient).
-	Client *http.Client
 	// Store, when set, serves already-computed points without dispatching
 	// and persists every newly computed row.
 	Store *store.Store
@@ -123,12 +120,12 @@ type Coordinator struct {
 	log  *slog.Logger
 }
 
-// sharedClient is the process-wide default shard-dispatch client. Every
-// coordinator built without an explicit Options.Client reuses it, so
-// repeated shard POSTs to the same worker ride one keep-alive connection
-// pool instead of re-dialing per coordinator — a sweep driver that builds
-// a coordinator per scenario (sempe-sweep, the experiment harness) would
-// otherwise discard warm connections between scenarios. The transport
+// sharedClient is the process-wide shard-dispatch and health-probe client.
+// Every coordinator uses it, so repeated shard POSTs to the same worker
+// ride one keep-alive connection pool instead of re-dialing per
+// coordinator — a sweep driver that builds a coordinator per scenario
+// (sempe-sweep, the experiment harness) would otherwise discard warm
+// connections between scenarios. The transport
 // mirrors http.DefaultTransport's dial behavior with keep-alives pinned on
 // and enough idle connections per worker to cover parallel dispatch.
 var sharedClient = &http.Client{
@@ -155,9 +152,6 @@ func New(opts Options) *Coordinator {
 	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = 10 * time.Minute
-	}
-	if opts.Client == nil {
-		opts.Client = sharedClient
 	}
 	logger := opts.Logger
 	if logger == nil {
@@ -287,76 +281,60 @@ const workerFailLimit = 2
 // milliseconds, so anything slower is as good as down.
 const probeTimeout = 10 * time.Second
 
-// probeWorkers GETs every worker's /healthz concurrently before the first
-// dispatch. Unreachable workers are dropped from the fleet up front and
-// recorded in the report — a dead address would otherwise surface as
-// puzzling mid-sweep retries — and an entirely unreachable fleet fails
-// fast with ErrNoReachableWorkers.
+// probeWorkers GETs every worker's /healthz concurrently (one scenario.Grid
+// worker per address) before the first dispatch. Unreachable workers are
+// dropped from the fleet up front and recorded in the report — a dead
+// address would otherwise surface as puzzling mid-sweep retries — and an
+// entirely unreachable fleet fails fast with ErrNoReachableWorkers.
 func (c *Coordinator) probeWorkers(ctx context.Context, rep *Report, j *obs.Journal) ([]string, error) {
 	probeSpan := j.Begin("probe", obs.Fields{"workers": len(c.opts.Workers)})
-	timeout := probeTimeout
-	if c.opts.Timeout < timeout {
-		timeout = c.opts.Timeout
-	}
-	ok := make([]bool, len(c.opts.Workers))
+	timeout := min(probeTimeout, c.opts.Timeout)
 	errs := make([]error, len(c.opts.Workers))
-	var wg sync.WaitGroup
-	for i, url := range c.opts.Workers {
-		wg.Add(1)
-		go func(i int, url string) {
-			defer wg.Done()
-			rctx, cancel := context.WithTimeout(ctx, timeout)
-			defer cancel()
-			req, err := http.NewRequestWithContext(rctx, http.MethodGet,
-				strings.TrimRight(url, "/")+"/healthz", nil)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			resp, err := c.opts.Client.Do(req)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("health probe: %s", resp.Status)
-				return
-			}
-			ok[i] = true
-		}(i, url)
-	}
-	wg.Wait()
+	scenario.Grid(len(errs), len(errs), func(i int) error {
+		errs[i] = probe(ctx, c.opts.Workers[i], timeout)
+		return nil
+	})
 
 	var alive []string
 	for i, url := range c.opts.Workers {
-		if ok[i] {
+		if errs[i] == nil {
 			alive = append(alive, url)
 			continue
 		}
 		rep.Unreachable = append(rep.Unreachable, url)
-		reason := "unknown"
-		if errs[i] != nil {
-			reason = errs[i].Error()
-		}
+		reason := errs[i].Error()
 		c.log.Warn("cluster: worker unreachable at startup, dropped from fleet",
 			"worker", url, "reason", reason)
 		j.Event("worker_unreachable", obs.Fields{"worker": url, "reason": reason})
 	}
 	probeSpan.End(obs.Fields{"alive": len(alive)})
 	if len(alive) == 0 {
-		first := errs[0]
-		for _, err := range errs {
-			if err != nil {
-				first = err
-				break
-			}
-		}
 		return nil, fmt.Errorf("%w: %d workers probed, first failure: %v",
-			ErrNoReachableWorkers, len(c.opts.Workers), first)
+			ErrNoReachableWorkers, len(c.opts.Workers), errs[0])
 	}
 	return alive, nil
+}
+
+// probe GETs one worker's /healthz within timeout; nil means it answered
+// 200.
+func probe(ctx context.Context, url string, timeout time.Duration) error {
+	rctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(rctx, http.MethodGet,
+		strings.TrimRight(url, "/")+"/healthz", nil)
+	if err != nil {
+		return err
+	}
+	resp, err := sharedClient.Do(req)
+	if err != nil {
+		return err
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("health probe: %s", resp.Status)
+	}
+	return nil
 }
 
 // dispatch fans the missing points across the worker fleet (the workers
@@ -571,7 +549,7 @@ func (c *Coordinator) postShard(ctx context.Context, url string, req ShardReques
 		return nil, true, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.opts.Client.Do(hreq)
+	hresp, err := sharedClient.Do(hreq)
 	if err != nil {
 		return nil, false, err
 	}

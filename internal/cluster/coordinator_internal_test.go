@@ -8,20 +8,12 @@ import (
 )
 
 // TestCoordinatorsShareKeepAliveClient pins the dispatch-client reuse: every
-// coordinator built without an explicit client must use the one process-wide
-// keep-alive client, so per-scenario coordinators (sempe-sweep builds one per
-// scenario) reuse warm worker connections instead of re-dialing. The
-// byte-identity of sharded results over this client is pinned separately by
+// coordinator dispatches on the one process-wide keep-alive client, so
+// per-scenario coordinators (sempe-sweep builds one per scenario) reuse warm
+// worker connections instead of re-dialing. The byte-identity of sharded
+// results over this client is pinned separately by
 // TestKeyExtractThroughCluster and TestDistributedMatchesSerial.
 func TestCoordinatorsShareKeepAliveClient(t *testing.T) {
-	a := New(Options{})
-	b := New(Options{})
-	if a.opts.Client != b.opts.Client {
-		t.Error("two default coordinators got different clients; shard dispatch re-dials per coordinator")
-	}
-	if a.opts.Client != sharedClient {
-		t.Error("default coordinator does not use the shared keep-alive client")
-	}
 	tr, ok := sharedClient.Transport.(*http.Transport)
 	if !ok {
 		t.Fatalf("shared client transport is %T, want *http.Transport", sharedClient.Transport)
@@ -31,9 +23,5 @@ func TestCoordinatorsShareKeepAliveClient(t *testing.T) {
 	}
 	if tr.MaxIdleConnsPerHost < 2 {
 		t.Errorf("MaxIdleConnsPerHost = %d; parallel shard dispatch to one worker will re-dial", tr.MaxIdleConnsPerHost)
-	}
-	own := &http.Client{}
-	if c := New(Options{Client: own}); c.opts.Client != own {
-		t.Error("explicit Options.Client was not honored")
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/compile"
 	"repro/internal/isa"
@@ -32,24 +31,15 @@ import (
 	"repro/internal/scenario"
 )
 
-// protoPools recycles cores per configuration for the point functions,
-// which harvest their row fields from the finished core and hand it back
-// via releaseCore. Pooled spin-up is a Reset — cycle- and event-identical
-// to a fresh construction (pipeline's TestCoreResetDifferential) — so
-// sweep workers pay core construction once per configuration, not once per
-// grid point.
-var protoPools sync.Map // pipeline.Config -> *pipeline.Prototype
-
-func protoFor(cfg pipeline.Config) *pipeline.Prototype {
-	pi, _ := protoPools.LoadOrStore(cfg, pipeline.NewPrototype(cfg, nil))
-	return pi.(*pipeline.Prototype)
-}
-
 // Run executes a compiled program on a core and returns it. The core comes
-// from the per-configuration pool; callers that finish reading its state
-// should return it with releaseCore (dropping it is safe, just unpooled).
+// from the configuration's pool (pipeline.PoolFor); callers that finish
+// reading its state should return it with releaseCore (dropping it is safe,
+// just unpooled). Pooled spin-up is a Reset — cycle- and event-identical to
+// a fresh construction (pipeline's TestCoreResetDifferential) — so sweep
+// workers pay core construction once per configuration, not once per grid
+// point.
 func Run(cfg pipeline.Config, prog *isa.Program) (*pipeline.Core, error) {
-	core := protoFor(cfg).NewCoreFor(prog)
+	core := pipeline.PoolFor(cfg).NewCoreFor(prog)
 	if err := core.Run(); err != nil {
 		return nil, err
 	}
@@ -61,7 +51,7 @@ func Run(cfg pipeline.Config, prog *isa.Program) (*pipeline.Core, error) {
 // needs; the core must not be used afterwards.
 func releaseCore(cfg pipeline.Config, core *pipeline.Core) {
 	if core != nil {
-		protoFor(cfg).Recycle(core)
+		pipeline.PoolFor(cfg).Recycle(core)
 	}
 }
 

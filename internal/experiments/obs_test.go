@@ -69,6 +69,35 @@ func TestObservabilityDifferential(t *testing.T) {
 	}
 }
 
+// TestSuperblockMetricsCountEveryCore: the superblock metric families count
+// every core's run, not only attack trials. A sweep with no attack moves
+// each of them, and its wrong-path replays equal its wrong-path fetches
+// (every fetch is a replay).
+func TestSuperblockMetricsCountEveryCore(t *testing.T) {
+	sc, ok := scenario.Lookup("fig10a")
+	if !ok {
+		t.Fatal("fig10a not registered")
+	}
+	before := obs.Default().Snapshot()
+	spec := scenario.Spec{Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,4", "iters": "2"}}
+	if _, err := scenario.Run(sc, spec, scenario.RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	after := obs.Default().Snapshot()
+	delta := func(name string) float64 { return after[name] - before[name] }
+	for _, name := range []string{
+		"sempe_superblock_builds_total", "sempe_superblock_replayed_ops_total",
+		"sempe_sb_wrongpath_builds_total", "sempe_sb_wrongpath_replays_total",
+	} {
+		if delta(name) <= 0 {
+			t.Errorf("%s moved by %v over a fig10a sweep, want > 0", name, delta(name))
+		}
+	}
+	if r, f := delta("sempe_sb_wrongpath_replays_total"), delta("sempe_spec_wrong_path_fetches_total"); r != f {
+		t.Errorf("wrong-path replays moved by %v, wrong-path fetches by %v; want equal", r, f)
+	}
+}
+
 // TestSteadyStateZeroAllocWithMetrics guards the 0 allocs/op contract of
 // the simulator's fetch-to-commit loop with the observability layer active:
 // the process-wide metric families are registered (the attack counters come

@@ -11,7 +11,6 @@ package leak
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -58,22 +57,15 @@ func observationOf(core *pipeline.Core) Observation {
 	}
 }
 
-// corePools recycles cores per configuration for observation paths whose
-// callers never see the core (Distinguish, DistinguishMany). A recycled
-// core is Reset onto the next program — cycle- and event-identical to a
-// fresh construction (pinned by pipeline's TestCoreResetDifferential) —
-// which removes per-observation core construction from sweep loops. The
-// pipeline.Prototype free list survives GC cycles (unlike sync.Pool), so
-// long sweeps re-enter the construction cold path at most once per
-// configuration per worker.
-var corePools sync.Map // pipeline.Config -> *pipeline.Prototype
-
-// ObservePooled is Observe on a pooled core. Use it only where the core
-// itself is not needed after the run; the returned observation is identical
-// to Observe's.
+// ObservePooled is Observe on a core from the configuration's pool
+// (pipeline.PoolFor), for observation paths whose callers never see the
+// core (Distinguish, DistinguishMany). Use it only where the core itself is
+// not needed after the run. A recycled core is Reset onto the next program
+// — cycle- and event-identical to a fresh construction (pinned by
+// pipeline's TestCoreResetDifferential) — so the returned observation is
+// identical to Observe's.
 func ObservePooled(cfg pipeline.Config, prog *isa.Program) (Observation, error) {
-	pi, _ := corePools.LoadOrStore(cfg, pipeline.NewPrototype(cfg, nil))
-	proto := pi.(*pipeline.Prototype)
+	proto := pipeline.PoolFor(cfg)
 	core := proto.NewCoreFor(prog)
 	if err := core.Run(); err != nil {
 		// A failed run leaves the core mid-flight; drop it rather than

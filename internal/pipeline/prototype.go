@@ -63,3 +63,15 @@ func (p *Prototype) Recycle(c *Core) {
 	p.free = append(p.free, c)
 	p.mu.Unlock()
 }
+
+// pools holds the process's one Prototype per configuration.
+var pools sync.Map // Config -> *Prototype
+
+// PoolFor returns the process-wide core pool for cfg, creating it on first
+// use. Sweep points and the leak distinguisher vend from it, so a warm
+// process builds each configuration's cores once, whoever asks; unlike a
+// sync.Pool, the free list survives GC cycles.
+func PoolFor(cfg Config) *Prototype {
+	p, _ := pools.LoadOrStore(cfg, NewPrototype(cfg, nil))
+	return p.(*Prototype)
+}

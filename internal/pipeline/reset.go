@@ -120,8 +120,8 @@ func (c *Core) Reset(prog *isa.Program) {
 	// Spec-watch state. A caller-armed hook is preserved like MemWatch; a
 	// hook picked up from the process default (or no hook at all) re-reads
 	// the default. The published
-	// counter snapshot re-bases with the Stats wipe; harvest the global
-	// counters before Reset when accumulating across runs.
+	// counter snapshot re-bases with the Stats and SBStats wipes; harvest
+	// the global counters before Reset when accumulating across runs.
 	if c.specFromDefault || c.specWatch == nil {
 		c.armSpecDefault()
 	}

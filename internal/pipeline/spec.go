@@ -274,10 +274,11 @@ func specWatched(u *uop) bool {
 	return u.cl == isa.ClassBranch || u.cl == isa.ClassJump || u.isLoad || u.isStore
 }
 
-// SpecCounters aggregates the process-wide wrong-path accounting published
-// by every Run (and harvested by the obs scrape families). The counters are
-// always on — they are plain Stats increments inside flush handling, never
-// dependent on a spec watch being armed.
+// SpecCounters aggregates the process-wide wrong-path and superblock
+// accounting published by every Run (and harvested by the obs scrape
+// families and attack.PerfSnapshot). The counters are always on — they are
+// plain Stats and SBStats increments, never dependent on a spec watch being
+// armed.
 type SpecCounters struct {
 	WrongPathFetches  uint64 // fetched micro-ops discarded without committing
 	SquashedUops      uint64 // renamed, in-flight micro-ops squashed by flushes
@@ -285,63 +286,58 @@ type SpecCounters struct {
 	FlushSecRedirects uint64
 	FlushOverflows    uint64
 	SpecEvents        uint64 // SpecEvents delivered to armed watches
+	// The superblock engine's SuperblockStats: traces built, micro-ops
+	// fetched by replay, and the wrong-path slices of both
+	// (SBWrongPathReplays equals WrongPathFetches).
+	SBBuilds           uint64
+	SBReplays          uint64
+	SBWrongPathBuilds  uint64
+	SBWrongPathReplays uint64
 }
 
-func (a SpecCounters) sub(b SpecCounters) SpecCounters {
-	return SpecCounters{
-		WrongPathFetches:  a.WrongPathFetches - b.WrongPathFetches,
-		SquashedUops:      a.SquashedUops - b.SquashedUops,
-		FlushMispredicts:  a.FlushMispredicts - b.FlushMispredicts,
-		FlushSecRedirects: a.FlushSecRedirects - b.FlushSecRedirects,
-		FlushOverflows:    a.FlushOverflows - b.FlushOverflows,
-		SpecEvents:        a.SpecEvents - b.SpecEvents,
-	}
+// values lists the counters in declaration order, the order of specTotals.
+func (s SpecCounters) values() [10]uint64 {
+	return [10]uint64{s.WrongPathFetches, s.SquashedUops, s.FlushMispredicts,
+		s.FlushSecRedirects, s.FlushOverflows, s.SpecEvents,
+		s.SBBuilds, s.SBReplays, s.SBWrongPathBuilds, s.SBWrongPathReplays}
 }
 
-var globalSpec struct {
-	wrongPathFetches  atomic.Uint64
-	squashedUops      atomic.Uint64
-	flushMispredicts  atomic.Uint64
-	flushSecRedirects atomic.Uint64
-	flushOverflows    atomic.Uint64
-	specEvents        atomic.Uint64
-}
+// specTotals are the process-wide SpecCounters, field by field.
+var specTotals [10]atomic.Uint64
 
-// GlobalSpecCounters returns the process-wide wrong-path totals accumulated
-// across every completed Run (scrape-time read; see internal/attack/obs.go
-// for the metric families built on it).
+// GlobalSpecCounters returns the process-wide totals accumulated across
+// every completed Run (scrape-time read; see internal/attack/obs.go for the
+// metric families built on it).
 func GlobalSpecCounters() SpecCounters {
-	return SpecCounters{
-		WrongPathFetches:  globalSpec.wrongPathFetches.Load(),
-		SquashedUops:      globalSpec.squashedUops.Load(),
-		FlushMispredicts:  globalSpec.flushMispredicts.Load(),
-		FlushSecRedirects: globalSpec.flushSecRedirects.Load(),
-		FlushOverflows:    globalSpec.flushOverflows.Load(),
-		SpecEvents:        globalSpec.specEvents.Load(),
+	var v [10]uint64
+	for i := range v {
+		v[i] = specTotals[i].Load()
 	}
+	return SpecCounters{v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]}
 }
 
 // publishSpecCounters adds this core's not-yet-published deltas to the
 // process-wide totals. Run defers it so partial runs (cycle budget,
 // watchdog) still publish; the delta bookkeeping makes it idempotent and
-// Reset re-bases it with the Stats wipe.
+// Reset re-bases it with the Stats and SBStats wipe.
 func (c *Core) publishSpecCounters() {
 	cur := SpecCounters{
-		WrongPathFetches:  c.Stats.WrongPathFetches,
-		SquashedUops:      c.Stats.SquashedUops,
-		FlushMispredicts:  c.Stats.FlushMispredicts,
-		FlushSecRedirects: c.Stats.FlushSecRedirects,
-		FlushOverflows:    c.Stats.FlushOverflows,
-		SpecEvents:        c.specEmitted,
+		WrongPathFetches:   c.Stats.WrongPathFetches,
+		SquashedUops:       c.Stats.SquashedUops,
+		FlushMispredicts:   c.Stats.FlushMispredicts,
+		FlushSecRedirects:  c.Stats.FlushSecRedirects,
+		FlushOverflows:     c.Stats.FlushOverflows,
+		SpecEvents:         c.specEmitted,
+		SBBuilds:           c.SBStats.Builds,
+		SBReplays:          c.SBStats.Replays,
+		SBWrongPathBuilds:  c.SBStats.WrongPathBuilds,
+		SBWrongPathReplays: c.SBStats.WrongPathReplays,
 	}
-	d := cur.sub(c.specPub)
-	if d != (SpecCounters{}) {
-		globalSpec.wrongPathFetches.Add(d.WrongPathFetches)
-		globalSpec.squashedUops.Add(d.SquashedUops)
-		globalSpec.flushMispredicts.Add(d.FlushMispredicts)
-		globalSpec.flushSecRedirects.Add(d.FlushSecRedirects)
-		globalSpec.flushOverflows.Add(d.FlushOverflows)
-		globalSpec.specEvents.Add(d.SpecEvents)
+	if cur != c.specPub {
+		now, pub := cur.values(), c.specPub.values()
+		for i := range now {
+			specTotals[i].Add(now[i] - pub[i])
+		}
 	}
 	c.specPub = cur
 }

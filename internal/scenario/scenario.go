@@ -136,11 +136,14 @@ func GridSize(axes []Axis) int {
 }
 
 // Grid evaluates fn(i) for every i in [0, n), fanning the calls across a
-// bounded pool of worker goroutines. The caller writes results into a
-// pre-sized slice indexed by i, which keeps output order deterministic
-// regardless of scheduling; the returned error is the lowest-indexed
-// failure, so error reporting is deterministic too. workers <= 1 runs
-// serially.
+// bounded pool of worker goroutines that take the indices in order. It is
+// the module's one bounded fan-out: sweep points (Plan.RunPoints), attack
+// trials and the cluster's worker health probes all run on it. The caller
+// writes results into a pre-sized slice indexed by i, which keeps output
+// order deterministic regardless of scheduling; the returned error is the
+// lowest-indexed failure, so error reporting is deterministic too.
+// workers <= 1 runs serially and stops at the first failure; in parallel
+// every index runs.
 func Grid(n, workers int, fn func(i int) error) error {
 	if workers <= 1 || n <= 1 {
 		for i := 0; i < n; i++ {

@@ -62,9 +62,6 @@ type Options struct {
 	// Worker enables the cluster shard endpoint (POST /shards), making
 	// this process dispatchable by a cluster coordinator (sempe-sweep).
 	Worker bool
-	// ShardVersion overrides the code version the shard endpoint accepts;
-	// empty means store.CodeVersion. Tests only.
-	ShardVersion string
 	// ClusterWorkers, when non-empty, turns this server into a cluster
 	// front end: shardable runs are dispatched across these worker base
 	// URLs through the cluster coordinator instead of simulating locally,
@@ -95,12 +92,6 @@ type Server struct {
 	nextID int
 	cache  *lruCache
 	rows   *scenario.RowCache
-
-	// computes counts engine executions (cache misses); the serve tests
-	// assert a repeated spec does not increment it. storeHits counts LRU
-	// misses answered by the persistent store.
-	computes  int
-	storeHits int
 }
 
 // run is one tracked sweep execution.
@@ -137,9 +128,6 @@ func New(opts Options) *Server {
 	}
 	if opts.MaxTrackedRuns <= 0 {
 		opts.MaxTrackedRuns = 256
-	}
-	if opts.ShardVersion == "" {
-		opts.ShardVersion = store.CodeVersion
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -296,7 +284,6 @@ func (s *Server) handleCreateRun(w http.ResponseWriter, r *http.Request) {
 			rn.journal.Event("store_hit", nil)
 			s.mu.Lock()
 			s.cache.put(key, stored)
-			s.storeHits++
 			s.finishCached(w, rn, stored)
 			return
 		}
@@ -347,7 +334,6 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 
 	s.mu.Lock()
 	rn.status = "running"
-	s.computes++
 	s.mu.Unlock()
 	s.metrics.computes.Inc()
 	rn.journal.Event("running", nil)

@@ -125,10 +125,7 @@ func TestFig10QuickSweepOverHTTPWithCache(t *testing.T) {
 	if !reflect.DeepEqual(first.Result.Tables, second.Result.Tables) {
 		t.Error("cached result differs from the computed one")
 	}
-	srv.mu.Lock()
-	computes := srv.computes
-	srv.mu.Unlock()
-	if computes != 1 {
+	if computes := srv.metrics.computes.Value(); computes != 1 {
 		t.Errorf("engine ran %d times, want 1 (second request must hit the cache)", computes)
 	}
 
@@ -411,10 +408,7 @@ func TestCancelRun(t *testing.T) {
 	if code != http.StatusOK || done.Status != "done" {
 		t.Fatalf("post-cancel run = %d %q", code, done.Status)
 	}
-	srv.mu.Lock()
-	computes := srv.computes
-	srv.mu.Unlock()
-	if computes < 2 {
+	if computes := srv.metrics.computes.Value(); computes < 2 {
 		t.Errorf("computes = %d, want the canceled run plus the follow-up", computes)
 	}
 }
@@ -452,9 +446,7 @@ func TestStoreBackedCacheAcrossRestart(t *testing.T) {
 	if !second.Cached {
 		t.Error("restarted server did not answer from the store")
 	}
-	srv2.mu.Lock()
-	computes, storeHits := srv2.computes, srv2.storeHits
-	srv2.mu.Unlock()
+	computes, storeHits := srv2.metrics.computes.Value(), srv2.metrics.storeHits.Value()
 	if computes != 0 || storeHits != 1 {
 		t.Errorf("computes=%d storeHits=%d, want 0 and 1", computes, storeHits)
 	}
@@ -464,9 +456,7 @@ func TestStoreBackedCacheAcrossRestart(t *testing.T) {
 
 	// Once warmed, the in-memory LRU answers; the store is not re-read.
 	third, _ := postRun(t, ts2, body)
-	srv2.mu.Lock()
-	storeHits = srv2.storeHits
-	srv2.mu.Unlock()
+	storeHits = srv2.metrics.storeHits.Value()
 	if !third.Cached || storeHits != 1 {
 		t.Errorf("third run cached=%t storeHits=%d, want LRU hit without another store read", third.Cached, storeHits)
 	}

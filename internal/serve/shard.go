@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/scenario"
+	"repro/internal/store"
 )
 
 const shardPath = cluster.ShardPath
@@ -22,9 +23,9 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad shard body: %v", err)
 		return
 	}
-	if req.Version != s.opts.ShardVersion {
+	if req.Version != store.CodeVersion {
 		httpError(w, http.StatusConflict, "code version mismatch: worker %q, coordinator %q",
-			s.opts.ShardVersion, req.Version)
+			store.CodeVersion, req.Version)
 		return
 	}
 	sc, ok := scenario.Lookup(req.Scenario)
