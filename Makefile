@@ -58,6 +58,9 @@ bench-module:
 # problem or wait for a slot, never a panic. The attack and CLI gates reject an out-of-range gap, width or bit
 # and every workload flag that used to panic, exhaust memory or run for
 # hours, with exit 1; the CLIs share one program front end (internal/cli).
+# sempe-bench's store path serves a warm sweep from disk byte-identically,
+# its bad sweep flags exit 1, and a failed coordinated sweep still writes
+# its -events journal.
 # The fuzz seed corpora hold the assembler and the store's entry decoding
 # to an error or a miss, never a panic, and djpeg's wrong-path touch sets
 # do not depend on the image under SeMPE.
@@ -76,7 +79,7 @@ bench-smoke:
 	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic|TestGridSize|TestRowCacheBounded'
 	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest|FuzzRunRequest|FuzzShardRequest'
 	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
-	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./internal/cli/
+	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./cmd/sempe-bench/ ./internal/cli/
 	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'
 	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
 

@@ -23,22 +23,48 @@
 // fig8/fig9) simulate their grid once per invocation. -cpuprofile writes a
 // pprof profile of the whole run for simulator performance work.
 //
+// With -workers or -store set, each scenario runs through the cluster
+// coordinator instead: points already in the -store directory are never
+// re-simulated, and the rest are sharded (-shard points each) across the
+// sempe-serve -worker fleet named by -workers, or computed in-process when
+// -workers is empty. Rows merge back in grid order, so -stable output is
+// byte-identical to the local run:
+//
+//	sempe-bench -exp fig10a -quick -stable -format json \
+//	    -workers http://host-a:8080,http://host-b:8080 -store results/
+//
+// A failed shard is re-dispatched to the surviving workers up to -attempts
+// times (-timeout per request). A provenance line per scenario counts the
+// points served from the store and the shards dispatched and retried;
+// -verbose adds per-shard and per-worker stats. -gc prunes the -store
+// directory of other simulator versions (and entries older than -gc-age)
+// and exits. -events FILE writes the run's span journal as JSON (sweep and
+// point spans; probe, dispatch, retry and merge through the coordinator),
+// also when the run fails.
+//
 // Absolute cycle counts come from this repository's simulator, not the
 // authors' gem5 testbed; EXPERIMENTS.md compares the shapes.
 package main
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
+	"repro/internal/obs"
 	"repro/internal/scenario"
+	"repro/internal/store"
 )
 
 func main() {
@@ -49,8 +75,17 @@ func main() {
 		format     = flag.String("format", "text", "output encoding: text|json|csv")
 		quick      = flag.Bool("quick", false, "reduced sweeps (seconds, not minutes)")
 		stable     = flag.Bool("stable", false, "zero timing and worker-count fields so identical specs diff byte-for-byte (json)")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines for the sweeps (1 = serial)")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per sweep, and per worker for a sharded one (1 = serial)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		workersF   = flag.String("workers", "", "comma-separated sempe-serve -worker base URLs to shard sweeps across")
+		storeDir   = flag.String("store", "", "persistent result-store directory (points found there are not re-simulated)")
+		shardSize  = flag.Int("shard", 8, "grid points per dispatched shard")
+		attempts   = flag.Int("attempts", 3, "dispatch attempts per shard before the sweep fails")
+		timeout    = flag.Duration("timeout", 10*time.Minute, "per-shard request timeout")
+		gc         = flag.Bool("gc", false, "garbage-collect the -store directory (stale code versions; see -gc-age) and exit")
+		gcAge      = flag.Duration("gc-age", 0, "with -gc, also prune entries older than this (0 = version-based pruning only)")
+		verbose    = flag.Bool("verbose", false, "print per-shard timings and per-worker throughput after each coordinated sweep")
+		eventsF    = flag.String("events", "", "write the run's span journal (JSON events) to this file")
 	)
 	flag.Var(params, "param", "scenario parameter key=value (repeatable)")
 	flag.Parse()
@@ -58,6 +93,28 @@ func main() {
 
 	if *list {
 		listScenarios()
+		return
+	}
+	workers, err := cluster.ParseWorkers(*workersF)
+	if err != nil {
+		fatal("%v", err)
+	}
+	var st *store.Store
+	if *storeDir != "" {
+		if st, err = store.Open(*storeDir); err != nil {
+			fatal("%v", err)
+		}
+	}
+	if *gc {
+		if st == nil {
+			fatal("-gc requires -store")
+		}
+		rep, err := st.GC(*gcAge)
+		if err != nil {
+			fatal("gc: %v", err)
+		}
+		fmt.Fprintf(os.Stderr, "gc %s: scanned %d, removed %d (%d stale-version, %d aged, %d corrupt), kept %d\n",
+			*storeDir, rep.Scanned, rep.Removed(), rep.RemovedVersion, rep.RemovedAge, rep.RemovedCorrupt, rep.Kept)
 		return
 	}
 
@@ -80,23 +137,50 @@ func main() {
 		fatal("unknown format %q (want text, json, or csv)", *format)
 	}
 
+	// One journal for both paths; attaching it changes no result.
+	journal := obs.NewJournal()
+	var coord *cluster.Coordinator
+	if len(workers) > 0 || st != nil {
+		coord = cluster.New(cluster.Options{Workers: workers, ShardSize: *shardSize,
+			MaxAttempts: *attempts, Timeout: *timeout, Store: st, Journal: journal})
+	}
+
+	var profile *os.File
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
+		if profile, err = os.Create(*cpuprofile); err == nil {
+			err = pprof.StartCPUProfile(profile)
+		}
 		if err != nil {
 			fatal("cpuprofile: %v", err)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal("cpuprofile: %v", err)
-		}
-		// fatal() exits via os.Exit, which skips defers; route the profile
-		// flush through stopProfile so a failed sweep still writes a
-		// parseable profile of everything that ran.
-		stopProfile = func() {
-			pprof.StopCPUProfile()
-			f.Close()
-		}
-		defer stopProfile()
 	}
+	// fatal exits through os.Exit, which skips defers, so it calls flush:
+	// a failed sweep still leaves a parseable profile and its journal.
+	flush = func() {
+		var err error
+		if profile != nil {
+			pprof.StopCPUProfile()
+			err = profile.Close()
+		}
+		if *eventsF != "" {
+			raw, jerr := json.MarshalIndent(journal.Events(), "", "  ")
+			if jerr == nil {
+				jerr = os.WriteFile(*eventsF, append(raw, '\n'), 0o644)
+			}
+			err = errors.Join(err, jerr)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "sempe-bench: %v\n", err)
+			os.Exit(1)
+		}
+	}
+
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal kills immediately via the default handler
+	}()
 
 	spec := scenario.Spec{Quick: *quick, Workers: *parallel, Params: params}
 	// One row cache per invocation: scenarios sharing a sweep (fig10a,
@@ -105,7 +189,14 @@ func main() {
 	var results []*scenario.Result
 	for _, sc := range scenarios {
 		fmt.Fprintf(os.Stderr, "running %s (%d workers)...\n", sc.Name, *parallel)
-		res, err := scenario.Run(sc, spec, scenario.RunOptions{Rows: rows})
+		var res *scenario.Result
+		if coord == nil {
+			res, err = scenario.Run(sc, spec, scenario.RunOptions{Rows: rows, Context: ctx, Journal: journal})
+		} else {
+			var rep *cluster.Report
+			res, rep, err = coord.Run(ctx, sc, spec)
+			printReport(sc.Name, rep, *verbose)
+		}
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -125,12 +216,11 @@ func main() {
 	case "json":
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
+		var out any = results
 		if len(results) == 1 {
-			err := enc.Encode(results[0])
-			if err != nil {
-				fatal("json: %v", err)
-			}
-		} else if err := enc.Encode(results); err != nil {
+			out = results[0]
+		}
+		if err := enc.Encode(out); err != nil {
 			fatal("json: %v", err)
 		}
 	case "csv":
@@ -143,7 +233,39 @@ func main() {
 			}
 		}
 	}
+	flush()
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start))
+}
+
+// printReport writes a coordinated sweep's provenance line — and with
+// verbose its per-shard and per-worker stats — to stderr. A nil report (a
+// spec rejected before the sweep began) prints nothing.
+func printReport(name string, rep *cluster.Report, verbose bool) {
+	if rep == nil {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d points, %d from store, %d shards in %d dispatches, %d retries\n",
+		name, rep.Points, rep.StorePoints, rep.Shards, rep.Dispatched, rep.Retries)
+	for _, w := range rep.DroppedWorkers {
+		fmt.Fprintf(os.Stderr, "dropped worker: %s\n", w)
+	}
+	if !verbose {
+		return
+	}
+	for _, ss := range rep.ShardStats {
+		fmt.Fprintf(os.Stderr, "shard %d [%s]: %d points on %s, %d attempt(s), %.1fms\n",
+			ss.Shard, ss.Indices, ss.Points, ss.Worker, ss.Attempts, ss.Millis)
+	}
+	for _, ws := range rep.WorkerStats {
+		state := "healthy"
+		if ws.Dropped {
+			state = "dropped"
+		} else if !ws.Healthy {
+			state = "unreachable"
+		}
+		fmt.Fprintf(os.Stderr, "worker %s: %s, %d shards, %d points, %d failures, %.1fms busy, %.0f points/s\n",
+			ws.URL, state, ws.Shards, ws.Points, ws.Failures, ws.BusyMillis, ws.PointsPerSec)
+	}
 }
 
 func listScenarios() {
@@ -157,12 +279,12 @@ func listScenarios() {
 	}
 }
 
-// stopProfile flushes the CPU profile, if one is active. Replaced by main
-// when -cpuprofile is set.
-var stopProfile = func() {}
+// flush writes what a run leaves behind, its CPU profile and its -events
+// journal. main sets it once both are set up.
+var flush = func() {}
 
 func fatal(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "sempe-bench: "+format+"\n", args...)
-	stopProfile()
+	flush()
 	os.Exit(1)
 }

@@ -3,8 +3,8 @@
 // concurrency, poll progress, cancel in-flight runs, and fetch structured
 // results. Completed results are cached in-memory (LRU, keyed by
 // scenario + spec); with -store they are also persisted on disk, so a
-// restarted server answers warm and a directory can be shared with the
-// sempe-sweep cluster coordinator.
+// restarted server answers warm and a directory can be shared with
+// sempe-bench -store, whose cluster coordinator reads and writes it too.
 //
 //	sempe-serve -addr :8080 -store results/
 //	sempe-serve -addr :8081 -worker        # cluster worker (POST /shards)
@@ -55,7 +55,7 @@ func main() {
 		runs      = flag.Int("max-runs", 2, "sweeps simulating concurrently; further runs queue")
 		entries   = flag.Int("cache", 64, "LRU result-cache capacity (completed runs)")
 		storeDir  = flag.String("store", "", "persistent result-store directory (empty = in-memory cache only)")
-		worker    = flag.Bool("worker", false, "enable the cluster shard endpoint (POST /shards) for sempe-sweep")
+		worker    = flag.Bool("worker", false, "enable the cluster shard endpoint (POST /shards) for sempe-bench -workers")
 		clusterF  = flag.String("cluster-workers", "", "comma-separated sempe-serve -worker URLs; shardable runs are dispatched to the fleet instead of computed locally")
 		shardSize = flag.Int("cluster-shard", 0, "grid points per dispatched shard with -cluster-workers (0 = coordinator default)")
 		pprofF    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -123,9 +123,8 @@ type Coordinator struct {
 // sharedClient is the process-wide shard-dispatch and health-probe client.
 // Every coordinator uses it, so repeated shard POSTs to the same worker
 // ride one keep-alive connection pool instead of re-dialing per
-// coordinator — a sweep driver that builds a coordinator per scenario
-// (sempe-sweep, the experiment harness) would otherwise discard warm
-// connections between scenarios. The transport
+// coordinator — the serve front end builds one coordinator per run and
+// would otherwise discard warm connections between runs. The transport
 // mirrors http.DefaultTransport's dial behavior with keep-alives pinned on
 // and enough idle connections per worker to cover parallel dispatch.
 var sharedClient = &http.Client{
@@ -212,7 +211,7 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 	if len(missing) > 0 {
 		if len(c.opts.Workers) == 0 {
 			localSpan := j.Begin("local", obs.Fields{"points": len(missing)})
-			err = c.runLocal(ctx, sw, plan, spec, specKey, missing, rows)
+			err = c.runLocal(ctx, sw, plan, spec, specKey, missing, rows, j)
 			if err != nil {
 				localSpan.End(obs.Fields{"error": err.Error()})
 			} else {
@@ -242,10 +241,11 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 }
 
 // runLocal computes the missing points in-process (no fleet configured)
-// through the engine's point loop, then persists every row that completed
-// — a failed or canceled sweep's rows included.
-func (c *Coordinator) runLocal(ctx context.Context, sw *scenario.Sweep, plan *scenario.Plan, spec scenario.Spec, specKey string, missing []int, rows []any) error {
-	out, _, err := plan.RunPoints(missing, spec.Workers, scenario.RunOptions{Context: ctx})
+// through the engine's point loop, journaling a span per point, then
+// persists every row that completed — a failed or canceled sweep's rows
+// included.
+func (c *Coordinator) runLocal(ctx context.Context, sw *scenario.Sweep, plan *scenario.Plan, spec scenario.Spec, specKey string, missing []int, rows []any, j *obs.Journal) error {
+	out, _, err := plan.RunPoints(missing, spec.Workers, scenario.RunOptions{Context: ctx, Journal: j})
 	for k, i := range missing {
 		if out[k] != nil {
 			rows[i] = out[k]

@@ -179,20 +179,6 @@ type Gauge struct{ c *child }
 // Set stores v.
 func (g Gauge) Set(v float64) { g.c.bits.Store(math.Float64bits(v)) }
 
-// Add adds delta (CAS loop; contention is scrape-rate, not hot-path).
-func (g Gauge) Add(delta float64) {
-	for {
-		old := g.c.bits.Load()
-		v := math.Float64frombits(old) + delta
-		if g.c.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g Gauge) Value() float64 { return math.Float64frombits(g.c.bits.Load()) }
-
 // Gauge registers (or fetches) an unlabeled gauge.
 func (r *Registry) Gauge(name, help string) Gauge {
 	return Gauge{r.register(name, help, kindGauge, nil, nil).child()}
@@ -208,11 +194,6 @@ func (r *Registry) GaugeVec(name, help string, labels ...string) GaugeVec {
 
 // With returns the child gauge for the given label values.
 func (v GaugeVec) With(values ...string) Gauge { return Gauge{v.f.child(values...)} }
-
-// GaugeFunc registers a gauge computed at scrape time.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.register(name, help, kindGauge, nil, nil).fn = fn
-}
 
 // ---- histograms ----
 
@@ -239,20 +220,12 @@ func (h Histogram) Observe(v float64) {
 	h.c.hmu.Unlock()
 }
 
-// Histogram registers (or fetches) an unlabeled histogram with the given
-// upper bounds (nil means DefBuckets). Bounds must be sorted ascending.
-func (r *Registry) Histogram(name, help string, buckets []float64) Histogram {
-	if buckets == nil {
-		buckets = DefBuckets
-	}
-	f := r.register(name, help, kindHistogram, nil, buckets)
-	return Histogram{f, f.child()}
-}
-
 // HistogramVec is a histogram family with a fixed label set.
 type HistogramVec struct{ f *family }
 
-// HistogramVec registers (or fetches) a labeled histogram family.
+// HistogramVec registers (or fetches) a histogram family with the given
+// upper bounds (nil means DefBuckets; bounds must be sorted ascending) and
+// label set. With no labels, With() returns its one histogram.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) HistogramVec {
 	if buckets == nil {
 		buckets = DefBuckets
@@ -365,7 +338,8 @@ func (r *Registry) Snapshot() map[string]float64 {
 }
 
 // labelString renders {k="v",...}, merging an extra label (histogram "le")
-// when given. No labels renders as the empty string.
+// when given; %q escapes quotes, backslashes and newlines in values. No
+// labels renders as the empty string.
 func labelString(names, values []string, extraName, extraValue string) string {
 	if len(names) == 0 && extraName == "" {
 		return ""
@@ -376,7 +350,7 @@ func labelString(names, values []string, extraName, extraValue string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", n, escapeLabel(values[i]))
+		fmt.Fprintf(&b, "%s=%q", n, values[i])
 	}
 	if extraName != "" {
 		if len(names) > 0 {
@@ -400,10 +374,4 @@ func formatValue(v float64) string {
 func escapeHelp(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	return strings.ReplaceAll(s, "\n", `\n`)
-}
-
-func escapeLabel(s string) string {
-	// %q in labelString already escapes quotes and backslashes; strip
-	// newlines, which %q would render as \n anyway.
-	return s
 }

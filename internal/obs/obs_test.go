@@ -39,22 +39,22 @@ test_requests_total{route="GET /runs",code="404"} 1
 	}
 }
 
-// TestGaugeAndFuncMetrics: gauges set/add, func metrics read at scrape.
+// TestGaugeAndFuncMetrics: gauges set, func metrics read at scrape.
 func TestGaugeAndFuncMetrics(t *testing.T) {
 	r := NewRegistry()
 	g := r.Gauge("test_occupancy", "slots in use")
 	g.Set(2)
-	g.Add(-0.5)
-	if got := g.Value(); got != 1.5 {
+	g.Set(1.5)
+	if got := r.Snapshot()["test_occupancy"]; got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
 	live := 7.0
-	r.GaugeFunc("test_live", "read at scrape", func() float64 { return live })
+	r.CounterFunc("test_live_total", "read at scrape", func() float64 { return live })
 	r.CounterFunc("test_cum_total", "cumulative", func() float64 { return 42 })
 
 	var b strings.Builder
 	r.WriteText(&b)
-	for _, line := range []string{"test_occupancy 1.5", "test_live 7", "test_cum_total 42"} {
+	for _, line := range []string{"test_occupancy 1.5", "test_live_total 7", "test_cum_total 42"} {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("exposition missing %q:\n%s", line, b.String())
 		}
@@ -62,8 +62,11 @@ func TestGaugeAndFuncMetrics(t *testing.T) {
 	live = 8
 	b.Reset()
 	r.WriteText(&b)
-	if !strings.Contains(b.String(), "test_live 8\n") {
+	if !strings.Contains(b.String(), "test_live_total 8\n") {
 		t.Errorf("func metric not re-read at scrape:\n%s", b.String())
+	}
+	if got := r.Snapshot()["test_live_total"]; got != 8 {
+		t.Errorf("snapshot of func metric = %v, want 8", got)
 	}
 }
 
@@ -101,7 +104,7 @@ func TestExpositionValidity(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "a").Inc()
 	r.GaugeVec("b", "b", "x").With(`quo"te`).Set(1)
-	r.Histogram("c_seconds", "c", nil).Observe(0.2)
+	r.HistogramVec("c_seconds", "c", nil).With().Observe(0.2)
 	var b strings.Builder
 	r.WriteText(&b)
 	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
@@ -150,7 +153,7 @@ func TestSnapshot(t *testing.T) {
 	r.Counter("s_total", "s").Add(3)
 	g := r.Gauge("s_gauge", "g")
 	r.OnScrape(func() { g.Set(9) })
-	h := r.Histogram("s_seconds", "h", []float64{1})
+	h := r.HistogramVec("s_seconds", "h", []float64{1}).With()
 	h.Observe(0.5)
 	h.Observe(2)
 	snap := r.Snapshot()
@@ -168,7 +171,7 @@ func TestSnapshot(t *testing.T) {
 func TestConcurrentUse(t *testing.T) {
 	r := NewRegistry()
 	c := r.CounterVec("cc_total", "c", "w")
-	h := r.Histogram("ch_seconds", "h", nil)
+	h := r.HistogramVec("ch_seconds", "h", nil).With()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

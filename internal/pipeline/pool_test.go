@@ -55,34 +55,64 @@ func TestUopPoolGetRawSkipsZeroing(t *testing.T) {
 	}
 }
 
-// TestUopRingFIFO exercises wraparound ordering of the fixed-capacity ring.
+// TestUopRingFIFO exercises the fused front-end ring (feRing): entries
+// leave in fetch order through both stages, decodeAdvance is bounded by the
+// decode queue's free space and by its max, fetchFull holds at the fetch
+// buffer's capacity, popAny drains the decoded entries and then the fetched
+// ones, and positions wrap around the backing array.
 func TestUopRingFIFO(t *testing.T) {
-	r := newUopRing(4)
+	r := newFERing(2, 3) // 8-entry backing array
 	var p uopPool
-	us := make([]uref, 6)
-	for i := range us {
-		us[i] = p.get()
-		p.arena[us[i]].seq = uint64(i)
+	var fetched, popped uint64 // seq of the next uop to fetch and to leave
+	fetch := func() {
+		u := p.get()
+		p.arena[u].seq = fetched
+		fetched++
+		r.pushFetched(u)
 	}
-	r.push(us[0])
-	r.push(us[1])
-	r.push(us[2])
-	if r.pop() != us[0] || r.pop() != us[1] {
-		t.Fatal("pops out of order")
+	pop := func(how string, u uref) {
+		t.Helper()
+		if got := p.arena[u].seq; got != popped {
+			t.Fatalf("%s = seq %d, want %d", how, got, popped)
+		}
+		popped++
+		p.put(u)
 	}
-	r.push(us[3])
-	r.push(us[4])
-	r.push(us[5]) // wraps around the backing array
-	if !r.full() {
-		t.Errorf("ring with 4 entries of capacity 4 not full")
-	}
-	for want := 2; want <= 5; want++ {
-		if got := r.pop(); p.arena[got].seq != uint64(want) {
-			t.Errorf("pop = seq %d, want %d", p.arena[got].seq, want)
+	check := func(step string, wantDec, wantFetch int, wantFull bool) {
+		t.Helper()
+		if r.decLen() != wantDec || r.nFetch != wantFetch || r.fetchFull() != wantFull {
+			t.Fatalf("%s: %d decoded, %d fetched, fetchFull %t; want %d, %d, %t",
+				step, r.decLen(), r.nFetch, r.fetchFull(), wantDec, wantFetch, wantFull)
 		}
 	}
-	if r.len() != 0 {
-		t.Errorf("ring not empty after draining")
+	// Five entries a round: four rounds wrap the backing array twice.
+	for round := 0; round < 4; round++ {
+		for !r.fetchFull() {
+			fetch()
+		}
+		check("fetch", 0, 3, true)
+		r.decodeAdvance(1)
+		check("decodeAdvance(1)", 1, 2, false)
+		r.decodeAdvance(5)
+		check("decodeAdvance(5) with one free decode slot", 2, 1, false)
+		r.decodeAdvance(5)
+		check("decodeAdvance(5) with a full decode queue", 2, 1, false)
+		fetch()
+		fetch()
+		check("refetch", 2, 3, true)
+		if got := p.arena[r.frontDec()].seq; got != popped {
+			t.Fatalf("frontDec = seq %d, want %d", got, popped)
+		}
+		pop("popDec", r.popDec())
+		r.decodeAdvance(5)
+		check("decodeAdvance(5) after popDec", 2, 2, false)
+		for !r.empty() {
+			pop("popAny", r.popAny())
+		}
+		check("drain", 0, 0, false)
+	}
+	if popped != 20 {
+		t.Errorf("%d entries left the ring, want 20", popped)
 	}
 }
 

@@ -136,44 +136,6 @@ func (p *uopPool) reset() {
 	}
 }
 
-// uopRing is a fixed-capacity FIFO of in-flight micro-op references. The
-// front-end buffers (fetchBuf, decodeQ) pop from the head every cycle; the
-// backing store is rounded up to a power of two so head arithmetic is a mask
-// instead of an integer division, while full() still honors the configured
-// (possibly non-power-of-two) capacity.
-type uopRing struct {
-	buf  []uref
-	mask int
-	head int
-	n    int
-	cap  int
-}
-
-func newUopRing(capacity int) uopRing {
-	sz := 1
-	for sz < capacity {
-		sz <<= 1
-	}
-	return uopRing{buf: make([]uref, sz), mask: sz - 1, cap: capacity}
-}
-
-func (r *uopRing) len() int   { return r.n }
-func (r *uopRing) full() bool { return r.n == r.cap }
-
-func (r *uopRing) push(i uref) {
-	r.buf[(r.head+r.n)&r.mask] = i
-	r.n++
-}
-
-func (r *uopRing) front() uref { return r.buf[r.head] }
-
-func (r *uopRing) pop() uref {
-	i := r.buf[r.head]
-	r.head = (r.head + 1) & r.mask
-	r.n--
-	return i
-}
-
 // feRing fuses the fetch buffer and the decode queue into one ring buffer.
 // Micro-ops flow fetch → decode → rename strictly FIFO through both stages,
 // so the decode stage does not need to move elements between two rings: the
@@ -182,6 +144,8 @@ func (r *uopRing) pop() uref {
 // the boundary. Capacity limits of both logical buffers are enforced
 // separately, so flow control (fetch stalling on a full fetch buffer, decode
 // stalling on a full decode queue) is cycle-identical to the two-ring form.
+// The backing store is rounded up to a power of two so head arithmetic is a
+// mask instead of an integer division.
 type feRing struct {
 	buf      []uref
 	mask     int

@@ -6,9 +6,8 @@ import (
 )
 
 // ParamFlag collects repeated -param key=value command-line flags into
-// the map Spec.Params carries — the one implementation shared by every
-// binary that parameterizes scenarios (sempe-bench, sempe-sweep). It
-// satisfies flag.Value.
+// the map Spec.Params carries, for sempe-bench, the one binary that
+// parameterizes scenarios from the command line. It satisfies flag.Value.
 type ParamFlag map[string]string
 
 func (p ParamFlag) String() string { return fmt.Sprintf("%v", map[string]string(p)) }

@@ -313,8 +313,8 @@ type Result struct {
 // never affects rows), and the in-memory Rows. Two runs of the same
 // (scenario, spec) — serial, parallel, or distributed across a cluster —
 // encode their stable forms to byte-identical JSON; cmd/sempe-bench
-// -stable, cmd/sempe-sweep, the golden tests, and the CI cluster smoke
-// job all diff stable encodings.
+// -stable (locally and through the coordinator), the golden tests, and
+// the CI cluster smoke job all diff stable encodings.
 func (r *Result) Stable() *Result {
 	out := *r
 	out.ElapsedMillis = 0

@@ -52,15 +52,12 @@ type Options struct {
 	MaxConcurrentRuns int
 	// CacheEntries is the LRU result-cache capacity; 0 means 64.
 	CacheEntries int
-	// MaxTrackedRuns bounds the run records (and their pinned results)
-	// kept for GET /runs; the oldest finished runs are dropped beyond it.
-	// 0 means 256.
-	MaxTrackedRuns int
 	// Store, when set, persists completed results on disk and serves LRU
 	// misses from it — warm restarts, shared result directories.
 	Store *store.Store
 	// Worker enables the cluster shard endpoint (POST /shards), making
-	// this process dispatchable by a cluster coordinator (sempe-sweep).
+	// this process dispatchable by a cluster coordinator (sempe-bench
+	// -workers, or a sempe-serve -cluster-workers front end).
 	Worker bool
 	// ClusterWorkers, when non-empty, turns this server into a cluster
 	// front end: shardable runs are dispatched across these worker base
@@ -125,9 +122,6 @@ func New(opts Options) *Server {
 	}
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 64
-	}
-	if opts.MaxTrackedRuns <= 0 {
-		opts.MaxTrackedRuns = 256
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
@@ -497,11 +491,15 @@ func (s *Server) handleGetRunEvents(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// pruneRuns drops the oldest finished run records beyond MaxTrackedRuns
+// maxTrackedRuns bounds the run records (and their pinned results) kept
+// for GET /runs.
+const maxTrackedRuns = 256
+
+// pruneRuns drops the oldest finished run records beyond maxTrackedRuns
 // so a long-lived server's memory stays bounded (queued and running runs
 // are never dropped). The caller holds s.mu.
 func (s *Server) pruneRuns() {
-	excess := len(s.order) - s.opts.MaxTrackedRuns
+	excess := len(s.order) - maxTrackedRuns
 	if excess <= 0 {
 		return
 	}

@@ -201,13 +201,12 @@ func TestRequestValidation(t *testing.T) {
 }
 
 // TestRunPruningAndOrdering: GET /runs reports newest first, and run
-// records beyond MaxTrackedRuns are pruned oldest-finished-first so a
-// long-lived server stays bounded.
+// records beyond maxTrackedRuns are pruned oldest-finished-first so a
+// long-lived server stays bounded. Every run after the first is a cache
+// hit, so the maxTrackedRuns+1 posts simulate once.
 func TestRunPruningAndOrdering(t *testing.T) {
-	srv := New(Options{MaxWorkers: 1, MaxTrackedRuns: 2})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	for i := 0; i < 3; i++ {
+	_, ts := newTestServer(t)
+	for i := 0; i < maxTrackedRuns+1; i++ {
 		if _, code := postRun(t, ts, `{"scenario": "table2", "spec": {}, "wait": true}`); code != http.StatusOK {
 			t.Fatalf("POST %d = %d", i, code)
 		}
@@ -216,12 +215,13 @@ func TestRunPruningAndOrdering(t *testing.T) {
 	if getJSON(t, ts.URL+"/runs", &listing) != http.StatusOK {
 		t.Fatal("GET /runs failed")
 	}
-	if len(listing) != 2 || listing[0].ID != "run-3" || listing[1].ID != "run-2" {
-		ids := make([]string, len(listing))
-		for i, v := range listing {
-			ids[i] = v.ID
+	if len(listing) != maxTrackedRuns {
+		t.Fatalf("listing has %d runs, want %d", len(listing), maxTrackedRuns)
+	}
+	for i, v := range listing {
+		if want := fmt.Sprintf("run-%d", maxTrackedRuns+1-i); v.ID != want {
+			t.Fatalf("listing[%d] = %s, want %s (newest first)", i, v.ID, want)
 		}
-		t.Errorf("listing = %v, want [run-3 run-2]", ids)
 	}
 	if code := getJSON(t, ts.URL+"/runs/run-1", nil); code != http.StatusNotFound {
 		t.Errorf("pruned run = %d, want 404", code)

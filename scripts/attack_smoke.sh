@@ -16,7 +16,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building binaries"
-go build -o "$tmp/bin/" ./cmd/sempe-attack ./cmd/sempe-bench ./cmd/sempe-serve ./cmd/sempe-sweep
+go build -o "$tmp/bin/" ./cmd/sempe-attack ./cmd/sempe-bench ./cmd/sempe-serve
 
 echo "== one-off attack check (baseline must leak, SeMPE must not)"
 "$tmp/bin/sempe-attack" -trials 40 -check >"$tmp/attack.txt"
@@ -48,7 +48,7 @@ echo "== serial spectre reference (sempe-bench)"
 "$tmp/bin/sempe-bench" -exp spectre -quick -format json -stable >"$tmp/serial.json" 2>/dev/null
 
 echo "== distributed spectre sweep across 2 workers"
-"$tmp/bin/sempe-sweep" -scenario spectre -quick -shard 1 \
+"$tmp/bin/sempe-bench" -exp spectre -quick -format json -stable -shard 1 \
     -workers http://127.0.0.1:18087,http://127.0.0.1:18088 \
     >"$tmp/dist.json" 2>"$tmp/sweep.log"
 diff -u "$tmp/serial.json" "$tmp/dist.json" || {
@@ -63,7 +63,7 @@ echo "== serial keyextract reference (sempe-bench)"
 "$tmp/bin/sempe-bench" -exp keyextract -quick "${keyparams[@]}" -format json -stable >"$tmp/kserial.json" 2>/dev/null
 
 echo "== distributed 4-bit key extraction across 2 workers"
-"$tmp/bin/sempe-sweep" -scenario keyextract -quick -shard 1 "${keyparams[@]}" \
+"$tmp/bin/sempe-bench" -exp keyextract -quick -format json -stable -shard 1 "${keyparams[@]}" \
     -workers http://127.0.0.1:18087,http://127.0.0.1:18088 \
     >"$tmp/kdist.json" 2>"$tmp/ksweep.log"
 diff -u "$tmp/kserial.json" "$tmp/kdist.json" || {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end cluster smoke: boot two local sempe-serve workers, shard a
-# quick fig10a sweep across them with sempe-sweep, and require the merged
-# JSON to be byte-identical to a serial sempe-bench run. Then scrape
+# quick fig10a sweep across them with sempe-bench -workers, and require the
+# merged JSON to be byte-identical to a serial sempe-bench run. Then scrape
 # GET /metrics from both live workers and fail on any missing family or a
 # shard-point count that disagrees with the sweep, check the dispatch/merge
 # span journal the sweep wrote, and re-run against the warm store requiring
@@ -18,7 +18,7 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== building binaries"
-go build -o "$tmp/bin/" ./cmd/sempe-bench ./cmd/sempe-serve ./cmd/sempe-sweep
+go build -o "$tmp/bin/" ./cmd/sempe-bench ./cmd/sempe-serve
 
 echo "== starting two workers"
 "$tmp/bin/sempe-serve" -addr 127.0.0.1:18081 -worker >"$tmp/w1.log" 2>&1 &
@@ -43,7 +43,7 @@ echo "== serial reference (sempe-bench)"
 "$tmp/bin/sempe-bench" -exp fig10a -quick -format json -stable >"$tmp/serial.json" 2>/dev/null
 
 echo "== distributed sweep across 2 workers"
-"$tmp/bin/sempe-sweep" -scenario fig10a -quick -shard 2 \
+"$tmp/bin/sempe-bench" -exp fig10a -quick -format json -stable -shard 2 \
     -workers http://127.0.0.1:18081,http://127.0.0.1:18082 \
     -store "$tmp/store" -events "$tmp/events.json" \
     >"$tmp/dist.json" 2>"$tmp/sweep-cold.log"
@@ -89,7 +89,7 @@ fi
 echo "   all families present; 12 shard points accounted for"
 
 echo "== warm-store re-run (must simulate nothing)"
-"$tmp/bin/sempe-sweep" -scenario fig10a -quick -shard 2 \
+"$tmp/bin/sempe-bench" -exp fig10a -quick -format json -stable -shard 2 \
     -workers http://127.0.0.1:18081,http://127.0.0.1:18082 \
     -store "$tmp/store" >"$tmp/dist2.json" 2>"$tmp/sweep-warm.log"
 diff -u "$tmp/serial.json" "$tmp/dist2.json" || {
