@@ -23,8 +23,8 @@
 // fig8/fig9) simulate their grid once per invocation. -cpuprofile writes a
 // pprof profile of the whole run for simulator performance work.
 //
-// With -workers or -store set, each scenario runs through the cluster
-// coordinator instead: points already in the -store directory are never
+// With -workers or -store set, each shardable scenario (all but the table2
+// echo) runs through the cluster coordinator: points in the -store are never
 // re-simulated, and the rest are sharded (-shard points each) across the
 // sempe-serve -worker fleet named by -workers, or computed in-process when
 // -workers is empty. Rows merge back in grid order, so -stable output is
@@ -190,7 +190,7 @@ func main() {
 	for _, sc := range scenarios {
 		fmt.Fprintf(os.Stderr, "running %s (%d workers)...\n", sc.Name, *parallel)
 		var res *scenario.Result
-		if coord == nil {
+		if coord == nil || !sc.Sweep.Shardable() {
 			res, err = scenario.Run(sc, spec, scenario.RunOptions{Rows: rows, Context: ctx, Journal: journal})
 		} else {
 			var rep *cluster.Report

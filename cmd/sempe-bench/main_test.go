@@ -12,11 +12,11 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
 
-// result returns the JSON document in a run's combined output, which
-// stderr's progress lines surround.
+// result returns the JSON array of a several-scenario run's results from
+// its combined output, which stderr's progress lines surround.
 func result(t *testing.T, out string) string {
 	t.Helper()
-	i := strings.Index(out, "\n{")
+	i := strings.Index(out, "\n[")
 	var raw json.RawMessage
 	if i < 0 || json.NewDecoder(strings.NewReader(out[i+1:])).Decode(&raw) != nil {
 		t.Fatalf("no JSON result in the output:\n%s", out)
@@ -44,11 +44,12 @@ func eventNames(t *testing.T, path string) map[string]bool {
 
 // TestStoreRunsWarm: a sweep through a result store prints what the local
 // run prints. A cold store simulates all 12 points of quick fig10a; a warm
-// one serves them all from disk and dispatches nothing. The local run
-// journals its sweep and point spans with -events.
+// one serves them all from disk and dispatches nothing. table2, which is
+// not shardable, runs locally on either path. The local run journals its
+// sweep and point spans with -events.
 func TestStoreRunsWarm(t *testing.T) {
 	dir := t.TempDir()
-	args := []string{"-exp", "fig10a", "-quick", "-stable", "-format", "json", "-parallel", "2"}
+	args := []string{"-exp", "fig10a,table2", "-quick", "-stable", "-format", "json", "-parallel", "2"}
 	events := filepath.Join(dir, "events.json")
 	code, local := clitest.Run(t, append(args, "-events", events)...)
 	if code != 0 {
