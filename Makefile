@@ -60,7 +60,10 @@ bench-module:
 # hours, with exit 1; the CLIs share one program front end (internal/cli).
 # sempe-bench's store path serves a warm sweep from disk byte-identically,
 # its bad sweep flags exit 1, and a failed coordinated sweep still writes
-# its -events journal.
+# its -events journal. The one-sweep-path gates pin the coordinator as the
+# engine's row source: a grid that several scenarios render is dispatched
+# once, from sempe-bench and from a serve front end, and a coordinated run
+# reports progress as its rows land.
 # The fuzz seed corpora hold the assembler and the store's entry decoding
 # to an error or a miss, never a panic, and djpeg's wrong-path touch sets
 # do not depend on the image under SeMPE.
@@ -80,6 +83,7 @@ bench-smoke:
 	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest|FuzzRunRequest|FuzzShardRequest'
 	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
 	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./cmd/sempe-bench/ ./internal/cli/
+	$(GO) test ./cmd/sempe-bench/ ./internal/serve/ ./internal/cluster/ -run 'TestSharedSweepDispatchedOnce|TestFrontEndDispatchesSharedSweepOnce|TestCoordinatorReportsProgress'
 	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'
 	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
 

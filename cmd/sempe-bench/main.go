@@ -20,22 +20,22 @@
 // sweep simulates on an independent core, so the sweeps fan out across
 // -parallel worker goroutines (default: all CPUs) with bit-identical
 // results to a serial run; scenarios sharing a sweep (fig10a/fig10b/table1,
-// fig8/fig9) simulate their grid once per invocation. -cpuprofile writes a
-// pprof profile of the whole run for simulator performance work.
+// fig8/fig9) fill their grid once per invocation, on every path below.
+// -cpuprofile writes a pprof profile of the whole run for simulator
+// performance work.
 //
-// With -workers or -store set, each shardable scenario (all but the table2
-// echo) runs through the cluster coordinator: points in the -store are never
-// re-simulated, and the rest are sharded (-shard points each) across the
-// sempe-serve -worker fleet named by -workers, or computed in-process when
-// -workers is empty. Rows merge back in grid order, so -stable output is
-// byte-identical to the local run:
+// With -workers or -store set, the cluster coordinator fills each grid:
+// points in the -store are never re-simulated, and the rest are sharded
+// (-shard points each) across the sempe-serve -worker fleet named by
+// -workers, or computed in-process when -workers is empty. Rows merge back
+// in grid order, so -stable output is byte-identical to the local run:
 //
 //	sempe-bench -exp fig10a -quick -stable -format json \
 //	    -workers http://host-a:8080,http://host-b:8080 -store results/
 //
 // A failed shard is re-dispatched to the surviving workers up to -attempts
-// times (-timeout per request). A provenance line per scenario counts the
-// points served from the store and the shards dispatched and retried;
+// times (-timeout per request). A provenance line per filled grid counts
+// the points served from the store and the shards dispatched and retried;
 // -verbose adds per-shard and per-worker stats. -gc prunes the -store
 // directory of other simulator versions (and entries older than -gc-age)
 // and exits. -events FILE writes the run's span journal as JSON (sweep and
@@ -137,12 +137,26 @@ func main() {
 		fatal("unknown format %q (want text, json, or csv)", *format)
 	}
 
-	// One journal for both paths; attaching it changes no result.
-	journal := obs.NewJournal()
-	var coord *cluster.Coordinator
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
+	go func() {
+		<-ctx.Done()
+		stop() // a second signal kills immediately via the default handler
+	}()
+
+	// One row cache and one journal for the run: scenarios sharing a sweep
+	// fill their grid once, and attaching the journal changes no result.
+	// With a store or a fleet the coordinator fills each grid and reports
+	// where its points came from.
+	opts := scenario.RunOptions{Rows: scenario.NewRowCache(), Context: ctx, Journal: obs.NewJournal()}
 	if len(workers) > 0 || st != nil {
-		coord = cluster.New(cluster.Options{Workers: workers, ShardSize: *shardSize,
-			MaxAttempts: *attempts, Timeout: *timeout, Store: st, Journal: journal})
+		coord := cluster.New(cluster.Options{Workers: workers, ShardSize: *shardSize,
+			MaxAttempts: *attempts, Timeout: *timeout, Store: st})
+		opts.Compute = func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, o scenario.RunOptions) ([]any, error) {
+			rows, rep, err := coord.Rows(sc, spec, plan, o)
+			printReport(sc.Name, rep, *verbose)
+			return rows, err
+		}
 	}
 
 	var profile *os.File
@@ -163,7 +177,7 @@ func main() {
 			err = profile.Close()
 		}
 		if *eventsF != "" {
-			raw, jerr := json.MarshalIndent(journal.Events(), "", "  ")
+			raw, jerr := json.MarshalIndent(opts.Journal.Events(), "", "  ")
 			if jerr == nil {
 				jerr = os.WriteFile(*eventsF, append(raw, '\n'), 0o644)
 			}
@@ -175,28 +189,11 @@ func main() {
 		}
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	go func() {
-		<-ctx.Done()
-		stop() // a second signal kills immediately via the default handler
-	}()
-
 	spec := scenario.Spec{Quick: *quick, Workers: *parallel, Params: params}
-	// One row cache per invocation: scenarios sharing a sweep (fig10a,
-	// fig10b, table1) simulate their grid once.
-	rows := scenario.NewRowCache()
 	var results []*scenario.Result
 	for _, sc := range scenarios {
 		fmt.Fprintf(os.Stderr, "running %s (%d workers)...\n", sc.Name, *parallel)
-		var res *scenario.Result
-		if coord == nil || !sc.Sweep.Shardable() {
-			res, err = scenario.Run(sc, spec, scenario.RunOptions{Rows: rows, Context: ctx, Journal: journal})
-		} else {
-			var rep *cluster.Report
-			res, rep, err = coord.Run(ctx, sc, spec)
-			printReport(sc.Name, rep, *verbose)
-		}
+		res, err := scenario.Run(sc, spec, opts)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -238,12 +235,8 @@ func main() {
 }
 
 // printReport writes a coordinated sweep's provenance line — and with
-// verbose its per-shard and per-worker stats — to stderr. A nil report (a
-// spec rejected before the sweep began) prints nothing.
+// verbose its per-shard and per-worker stats — to stderr.
 func printReport(name string, rep *cluster.Report, verbose bool) {
-	if rep == nil {
-		return
-	}
 	fmt.Fprintf(os.Stderr, "%s: %d points, %d from store, %d shards in %d dispatches, %d retries\n",
 		name, rep.Points, rep.StorePoints, rep.Shards, rep.Dispatched, rep.Retries)
 	for _, w := range rep.DroppedWorkers {

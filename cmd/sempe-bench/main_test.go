@@ -2,12 +2,16 @@ package main
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/clitest"
+	"repro/internal/serve"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -43,9 +47,9 @@ func eventNames(t *testing.T, path string) map[string]bool {
 }
 
 // TestStoreRunsWarm: a sweep through a result store prints what the local
-// run prints. A cold store simulates all 12 points of quick fig10a; a warm
-// one serves them all from disk and dispatches nothing. table2, which is
-// not shardable, runs locally on either path. The local run journals its
+// run prints. A cold store simulates all 12 points of quick fig10a and the
+// one point of table2; a warm one serves every point from disk, table2's
+// nil row included, and dispatches nothing. The local run journals its
 // sweep and point spans with -events.
 func TestStoreRunsWarm(t *testing.T) {
 	dir := t.TempDir()
@@ -58,13 +62,13 @@ func TestStoreRunsWarm(t *testing.T) {
 	if names := eventNames(t, events); !names["sweep"] || !names["point"] {
 		t.Errorf("local journal events %v, want sweep and point spans", names)
 	}
-	for _, tc := range []struct{ run, provenance string }{
-		{"cold", "fig10a: 12 points, 0 from store, 0 shards in 0 dispatches"},
-		{"warm", "fig10a: 12 points, 12 from store, 0 shards in 0 dispatches"},
+	for _, tc := range []struct{ run, fig10a, table2 string }{
+		{"cold", "fig10a: 12 points, 0 from store, 0 shards in 0 dispatches", "table2: 1 points, 0 from store"},
+		{"warm", "fig10a: 12 points, 12 from store, 0 shards in 0 dispatches", "table2: 1 points, 1 from store"},
 	} {
 		code, out := clitest.Run(t, append(args, "-store", filepath.Join(dir, "store"))...)
-		if code != 0 || !strings.Contains(out, tc.provenance) {
-			t.Fatalf("%s store: exit %d, output:\n%s\nwant exit 0 and %q", tc.run, code, out, tc.provenance)
+		if code != 0 || !strings.Contains(out, tc.fig10a) || !strings.Contains(out, tc.table2) {
+			t.Fatalf("%s store: exit %d, output:\n%s\nwant exit 0, %q and %q", tc.run, code, out, tc.fig10a, tc.table2)
 		}
 		if result(t, out) != result(t, local) {
 			t.Errorf("%s store: result differs from the local run's", tc.run)
@@ -109,5 +113,39 @@ func TestFailedSweepKeepsEvents(t *testing.T) {
 	}
 	if names := eventNames(t, events); !names["probe"] || !names["worker_unreachable"] {
 		t.Errorf("journal events %v, want a probe span and a worker_unreachable event", names)
+	}
+}
+
+// TestSharedSweepDispatchedOnce: fig10a and table1 render one sweep, so a
+// run of both against one worker dispatches that 12-point grid once: the
+// worker counts 12 shard points, and only fig10a prints a dispatch line.
+func TestSharedSweepDispatchedOnce(t *testing.T) {
+	worker := httptest.NewServer(serve.New(serve.Options{MaxWorkers: 2, Worker: true}).Handler())
+	defer worker.Close()
+	code, out := clitest.Run(t, "-exp", "fig10a,table1", "-quick", "-parallel", "2", "-workers", worker.URL)
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out)
+	}
+	var provenance []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, " dispatches, ") {
+			provenance = append(provenance, line)
+		}
+	}
+	if want := "fig10a: 12 points, 0 from store, 2 shards in 2 dispatches, 0 retries"; len(provenance) != 1 || provenance[0] != want {
+		t.Errorf("dispatch lines %q, want only %q", provenance, want)
+	}
+
+	resp, err := http.Get(worker.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\nsempe_shard_points_total 12\n"; !strings.Contains(string(metrics), want) {
+		t.Errorf("worker metrics lack %q:\n%s", strings.TrimSpace(want), metrics)
 	}
 }

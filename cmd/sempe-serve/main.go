@@ -1,10 +1,14 @@
 // Command sempe-serve exposes the scenario registry as an HTTP evaluation
 // service: list scenarios, start parameterized sweeps with bounded
 // concurrency, poll progress, cancel in-flight runs, and fetch structured
-// results. Completed results are cached in-memory (LRU, keyed by
-// scenario + spec); with -store they are also persisted on disk, so a
-// restarted server answers warm and a directory can be shared with
-// sempe-bench -store, whose cluster coordinator reads and writes it too.
+// results. Completed results are cached in-memory (an LRU of 64 runs,
+// keyed by scenario + spec); with -store they are also persisted on disk,
+// so a restarted server answers warm. A -store directory can safely be
+// shared with sempe-bench -store, but neither reuses the other's entries:
+// a local run here reads and writes only whole results, sempe-bench's
+// cluster coordinator only per-point rows, so a store warmed by
+// sempe-bench does not warm this server. (A -cluster-workers front end
+// fills grids through the coordinator, so it does read those rows.)
 //
 //	sempe-serve -addr :8080 -store results/
 //	sempe-serve -addr :8081 -worker        # cluster worker (POST /shards)
@@ -53,10 +57,9 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("max-workers", 0, "cap on per-run worker goroutines (0 = all CPUs)")
 		runs      = flag.Int("max-runs", 2, "sweeps simulating concurrently; further runs queue")
-		entries   = flag.Int("cache", 64, "LRU result-cache capacity (completed runs)")
 		storeDir  = flag.String("store", "", "persistent result-store directory (empty = in-memory cache only)")
 		worker    = flag.Bool("worker", false, "enable the cluster shard endpoint (POST /shards) for sempe-bench -workers")
-		clusterF  = flag.String("cluster-workers", "", "comma-separated sempe-serve -worker URLs; shardable runs are dispatched to the fleet instead of computed locally")
+		clusterF  = flag.String("cluster-workers", "", "comma-separated sempe-serve -worker URLs; runs are dispatched to the fleet instead of computed locally")
 		shardSize = flag.Int("cluster-shard", 0, "grid points per dispatched shard with -cluster-workers (0 = coordinator default)")
 		pprofF    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
@@ -81,7 +84,6 @@ func main() {
 	opts := serve.Options{
 		MaxWorkers:        *workers,
 		MaxConcurrentRuns: *runs,
-		CacheEntries:      *entries,
 		Worker:            *worker,
 		ClusterWorkers:    clusterWorkers,
 		ClusterShardSize:  *shardSize,

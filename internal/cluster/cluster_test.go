@@ -5,7 +5,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -13,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -47,6 +47,20 @@ func smallSpec() scenario.Spec {
 	return scenario.Spec{Params: map[string]string{"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}}
 }
 
+// run runs sc through the engine with co as its row source, returning the
+// coordinator's report with the result.
+func run(co *cluster.Coordinator, sc *scenario.Scenario, spec scenario.Spec) (*scenario.Result, *cluster.Report, error) {
+	var rep *cluster.Report
+	res, err := scenario.Run(sc, spec, scenario.RunOptions{
+		Compute: func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, opts scenario.RunOptions) ([]any, error) {
+			rows, r, err := co.Rows(sc, spec, plan, opts)
+			rep = r
+			return rows, err
+		},
+	})
+	return res, rep, err
+}
+
 func stableJSON(t *testing.T, res *scenario.Result) string {
 	t.Helper()
 	out, err := json.MarshalIndent(res.Stable(), "", "  ")
@@ -74,7 +88,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 		Workers:   []string{startWorker(t).URL, startWorker(t).URL},
 		ShardSize: 1,
 	})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +137,7 @@ func TestWorkerDiesMidSweep(t *testing.T) {
 		ShardSize:   1,
 		MaxAttempts: 5,
 	})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatalf("sweep failed despite a surviving worker: %v (report %+v)", err, rep)
 	}
@@ -149,9 +163,50 @@ func TestAllWorkersDead(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	dead.Close()
 	co := cluster.New(cluster.Options{Workers: []string{dead.URL}, MaxAttempts: 10})
-	_, _, err := co.Run(context.Background(), lookup(t, "fig10a"), smallSpec())
+	_, _, err := run(co, lookup(t, "fig10a"), smallSpec())
 	if err == nil {
 		t.Fatal("sweep against a dead fleet succeeded")
+	}
+}
+
+// TestCoordinatorSharedAcrossRuns: one coordinator fills several grids at
+// once, as it does for a serve front end's concurrent runs. fig10a and fig8
+// shard across the same two workers into one store at the same time, and
+// each renders what a serial engine run renders.
+func TestCoordinatorSharedAcrossRuns(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := cluster.New(cluster.Options{
+		Workers:   []string{startWorker(t).URL, startWorker(t).URL},
+		ShardSize: 1,
+		Store:     st,
+	})
+	scs := []*scenario.Scenario{lookup(t, "fig10a"), lookup(t, "fig8")}
+	specs := []scenario.Spec{smallSpec(), {Params: map[string]string{"sizes": "tiny:8"}}}
+	dist := make([]*scenario.Result, len(scs))
+	errs := make([]error, len(scs))
+	var wg sync.WaitGroup
+	for i := range scs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dist[i], _, errs[i] = run(co, scs[i], specs[i])
+		}()
+	}
+	wg.Wait()
+	for i, sc := range scs {
+		if errs[i] != nil {
+			t.Fatalf("%s: %v", sc.Name, errs[i])
+		}
+		serial, err := scenario.Run(sc, specs[i], scenario.RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := stableJSON(t, dist[i]), stableJSON(t, serial); got != want {
+			t.Errorf("%s filled concurrently differs from serial:\n%s\nvs\n%s", sc.Name, got, want)
+		}
 	}
 }
 
@@ -167,7 +222,7 @@ func TestWarmStoreSkipsSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := cluster.New(cluster.Options{Workers: []string{startWorker(t).URL}, ShardSize: 2, Store: st1})
-	first, rep1, err := cold.Run(context.Background(), sc, spec)
+	first, rep1, err := run(cold, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +238,7 @@ func TestWarmStoreSkipsSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := cluster.New(cluster.Options{Store: st2, ShardSize: 3})
-	second, rep2, err := warm.Run(context.Background(), sc, spec)
+	second, rep2, err := run(warm, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +262,7 @@ func TestCorruptStoreEntryRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	co := cluster.New(cluster.Options{Store: st})
-	first, _, err := co.Run(context.Background(), sc, spec)
+	first, _, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +285,7 @@ func TestCorruptStoreEntryRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	co2 := cluster.New(cluster.Options{Store: st2})
-	second, rep, err := co2.Run(context.Background(), sc, spec)
+	second, rep, err := run(co2, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,22 +300,69 @@ func TestCorruptStoreEntryRecomputed(t *testing.T) {
 	}
 }
 
-// TestNotShardable: a sweep without a row codec is rejected up front.
-// (Every registered sweep declares one, so the case is synthetic.)
+// TestNotShardable: no sweep is local-only. table2, whose one row is nil,
+// runs through a coordinator-backed scenario.Run against a worker and
+// renders what the local engine renders; a warm store then serves its
+// point without dispatching.
 func TestNotShardable(t *testing.T) {
-	sc := &scenario.Scenario{
-		Name: "local-only",
-		Sweep: &scenario.Sweep{
-			ID: "local-only",
-			Plan: func(scenario.Spec) (*scenario.Plan, error) {
-				return &scenario.Plan{Point: func(scenario.Point) (any, error) { return struct{}{}, nil }}, nil
-			},
-		},
+	sc := lookup(t, "table2")
+	local, err := scenario.Run(sc, scenario.Spec{}, scenario.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	co := cluster.New(cluster.Options{Workers: []string{"http://unused"}})
-	_, _, err := co.Run(context.Background(), sc, scenario.Spec{})
-	if !errors.Is(err, cluster.ErrNotShardable) {
-		t.Fatalf("err = %v, want ErrNotShardable", err)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		workers []string
+		stored  int
+	}{
+		{"cold", []string{startWorker(t).URL}, 0},
+		{"warm", nil, 1},
+	} {
+		co := cluster.New(cluster.Options{Workers: tc.workers, Store: st})
+		res, rep, err := run(co, sc, scenario.Spec{})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Points != 1 || rep.StorePoints != tc.stored || rep.Dispatched != 1-tc.stored {
+			t.Errorf("%s: report = %+v, want 1 point, %d from the store", tc.name, rep, tc.stored)
+		}
+		if got, want := stableJSON(t, res), stableJSON(t, local); got != want {
+			t.Errorf("%s: table2 through the coordinator differs from the local run:\n%s\nvs\n%s", tc.name, got, want)
+		}
+	}
+}
+
+// TestCoordinatorReportsProgress: a coordinated run calls Progress as rows
+// land, in-process and merged from two workers: every call carries the
+// grid's total, the count never decreases, some call comes before the end,
+// and the last call is (total, total).
+func TestCoordinatorReportsProgress(t *testing.T) {
+	sc := lookup(t, "fig10a")
+	for _, workers := range [][]string{nil, {startWorker(t).URL, startWorker(t).URL}} {
+		var calls [][2]int
+		co := cluster.New(cluster.Options{Workers: workers, ShardSize: 1})
+		_, err := scenario.Run(sc, smallSpec(), scenario.RunOptions{
+			Progress: func(done, total int) { calls = append(calls, [2]int{done, total}) },
+			Compute: func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, opts scenario.RunOptions) ([]any, error) {
+				rows, _, err := co.Rows(sc, spec, plan, opts)
+				return rows, err
+			},
+		})
+		if err != nil {
+			t.Fatalf("%d workers: %v", len(workers), err)
+		}
+		if len(calls) < 2 || calls[len(calls)-1] != [2]int{4, 4} || calls[0][0] >= 4 {
+			t.Fatalf("%d workers: progress calls %v, want some before the end and the last at 4/4", len(workers), calls)
+		}
+		for i, c := range calls {
+			if c[1] != 4 || (i > 0 && c[0] < calls[i-1][0]) {
+				t.Errorf("%d workers: progress calls %v: call %d is not a non-decreasing count of 4", len(workers), calls, i)
+			}
+		}
 	}
 }
 
@@ -301,12 +403,12 @@ func TestLocalFailureKeepsCompletedRows(t *testing.T) {
 	}
 	co := cluster.New(cluster.Options{Store: st})
 	spec := scenario.Spec{Workers: 1}
-	if _, _, err := co.Run(context.Background(), sc, spec); err == nil || err.Error() != "flaky: point [2]: boom" {
+	if _, _, err := run(co, sc, spec); err == nil || err.Error() != "flaky: point [2]: boom" {
 		t.Fatalf("err = %v, want flaky: point [2]: boom", err)
 	}
 	failing.Store(false)
 	calls.Store(0)
-	res, rep, err := co.Run(context.Background(), sc, spec)
+	res, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +440,7 @@ func TestFig8ThroughCluster(t *testing.T) {
 		Workers:   []string{startWorker(t).URL, startWorker(t).URL},
 		ShardSize: 1,
 	})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +473,7 @@ func TestVersionMismatch(t *testing.T) {
 	}))
 	t.Cleanup(foreign.Close)
 	co := cluster.New(cluster.Options{Workers: []string{foreign.URL}, MaxAttempts: 100})
-	_, rep, err := co.Run(context.Background(), lookup(t, "fig10a"), smallSpec())
+	_, rep, err := run(co, lookup(t, "fig10a"), smallSpec())
 	if err == nil {
 		t.Fatal("mixed-version fleet merged rows")
 	}
@@ -402,7 +504,7 @@ func TestAblationThroughCluster(t *testing.T) {
 	spec := scenario.Spec{Params: map[string]string{
 		"kind": "ones", "w": "2", "iters": "1", "slots": "2,30", "bws": "64"}}
 	co := cluster.New(cluster.Options{Workers: []string{startWorker(t).URL}, ShardSize: 1})
-	dist, _, err := co.Run(context.Background(), sc, spec)
+	dist, _, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +536,7 @@ func TestSpectreThroughCluster(t *testing.T) {
 		Workers:   []string{startWorker(t).URL, startWorker(t).URL},
 		ShardSize: 1,
 	})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +575,7 @@ func TestKeyExtractThroughCluster(t *testing.T) {
 		Workers:   []string{startWorker(t).URL, startWorker(t).URL},
 		ShardSize: 1,
 	})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,7 +605,7 @@ func TestUnreachableWorkerDroppedAtStartup(t *testing.T) {
 	live := startWorker(t)
 
 	co := cluster.New(cluster.Options{Workers: []string{dead.URL, live.URL}, ShardSize: 1})
-	dist, rep, err := co.Run(context.Background(), sc, spec)
+	dist, rep, err := run(co, sc, spec)
 	if err != nil {
 		t.Fatalf("sweep failed despite a live worker: %v (report %+v)", err, rep)
 	}
@@ -533,7 +635,7 @@ func TestAllWorkersUnreachableNamedError(t *testing.T) {
 	dead2 := httptest.NewServer(http.NotFoundHandler())
 	dead2.Close()
 	co := cluster.New(cluster.Options{Workers: []string{dead1.URL, dead2.URL}})
-	_, rep, err := co.Run(context.Background(), lookup(t, "fig10a"), smallSpec())
+	_, rep, err := run(co, lookup(t, "fig10a"), smallSpec())
 	if !errors.Is(err, cluster.ErrNoReachableWorkers) {
 		t.Fatalf("err = %v, want ErrNoReachableWorkers", err)
 	}

@@ -1,11 +1,12 @@
 // Package cluster distributes scenario sweeps across a fleet of worker
-// processes (sempe-serve -worker). The coordinator expands the grid
-// exactly as a local engine run would, serves every point it can from the
-// on-disk store, chunks the rest into shards, dispatches them over HTTP,
-// and merges rows back in row-major order — so the merged result is
-// bit-identical to a serial registry run. Worker failure is survived by
-// bounded retry: a failed shard is re-queued for the surviving workers,
-// and a worker that keeps failing is dropped from the fleet.
+// processes (sempe-serve -worker). The coordinator is a row source for
+// the scenario engine (scenario.RunOptions.Compute): given the plan that
+// scenario.Run made, it serves every point it can from the on-disk store,
+// chunks the rest into shards, dispatches them over HTTP, and merges rows
+// back in row-major order — so the rendered result is bit-identical to a
+// serial engine run. Worker failure is survived by bounded retry: a failed
+// shard is re-queued for the surviving workers, and a worker that keeps
+// failing is dropped from the fleet.
 package cluster
 
 import (
@@ -26,10 +27,6 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/store"
 )
-
-// ErrNotShardable marks a scenario whose sweep rows cannot round-trip
-// through JSON (no DecodeRow); run those locally through the engine.
-var ErrNotShardable = errors.New("scenario's sweep is not shardable (no row codec)")
 
 // ErrNoReachableWorkers marks a fleet in which the startup health probe
 // found no live worker at all — a configuration or deployment problem,
@@ -55,12 +52,6 @@ type Options struct {
 	// Store, when set, serves already-computed points without dispatching
 	// and persists every newly computed row.
 	Store *store.Store
-	// Journal, when set, receives the coordinator's span stream (probe,
-	// dispatch, retry, merge) — a front end passes the run's journal so
-	// GET /runs/{id}/events shows the distributed execution. Nil means the
-	// coordinator journals into a private journal; either way the events
-	// are embedded in the provenance Report.
-	Journal *obs.Journal
 	// Logger receives structured dispatch logs (unreachable workers, shard
 	// retries, dropped workers — each with the worker address and reason).
 	// Nil means slog.Default().
@@ -86,9 +77,6 @@ type Report struct {
 	ShardStats []ShardStat `json:"shard_stats,omitempty"`
 	// WorkerStats aggregates per-worker health and throughput.
 	WorkerStats []WorkerStat `json:"worker_stats,omitempty"`
-	// Events embeds the coordinator's run-event journal: ordered spans for
-	// the health probe and every shard dispatch, retry, and merge.
-	Events []obs.Event `json:"events,omitempty"`
 }
 
 // ShardStat is one shard's dispatch provenance.
@@ -113,8 +101,9 @@ type WorkerStat struct {
 	PointsPerSec float64 `json:"points_per_sec"`
 }
 
-// Coordinator shards sweeps across workers. Safe for sequential reuse;
-// one Run at a time.
+// Coordinator shards sweeps across workers. It holds only its options, so
+// one coordinator serves any number of concurrent Rows calls (the serve
+// front end shares one across its runs).
 type Coordinator struct {
 	opts Options
 	log  *slog.Logger
@@ -123,10 +112,9 @@ type Coordinator struct {
 // sharedClient is the process-wide shard-dispatch and health-probe client.
 // Every coordinator uses it, so repeated shard POSTs to the same worker
 // ride one keep-alive connection pool instead of re-dialing per
-// coordinator — the serve front end builds one coordinator per run and
-// would otherwise discard warm connections between runs. The transport
-// mirrors http.DefaultTransport's dial behavior with keep-alives pinned on
-// and enough idle connections per worker to cover parallel dispatch.
+// coordinator or per sweep. The transport mirrors http.DefaultTransport's
+// dial behavior with keep-alives pinned on and enough idle connections per
+// worker to cover parallel dispatch.
 var sharedClient = &http.Client{
 	Transport: &http.Transport{
 		Proxy: http.ProxyFromEnvironment,
@@ -159,36 +147,37 @@ func New(opts Options) *Coordinator {
 	return &Coordinator{opts: opts, log: logger}
 }
 
-// Run executes the scenario's sweep — store first, then the worker fleet
-// (or in-process when no workers are configured) — and renders the same
-// Result a local engine run would produce, plus a Report of point
-// provenance.
-func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scenario.Spec) (*scenario.Result, *Report, error) {
+// Rows fills the rows of the plan that scenario.Run made for sc under
+// spec: store first, then the worker fleet (or in-process when no workers
+// are configured), persisting every newly computed row. It has the shape
+// of scenario.RunOptions.Compute plus a Report of point provenance, which
+// is never nil. It journals into opts.Journal (a cluster_sweep span around
+// probe, dispatch, retry and merge spans) and calls opts.Progress as store
+// hits, in-process points and merged shards land, ending at (total, total)
+// when every row is filled.
+func (c *Coordinator) Rows(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, opts scenario.RunOptions) ([]any, *Report, error) {
+	ctx := opts.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	sw := sc.Sweep
-	if !sw.Shardable() {
-		return nil, nil, fmt.Errorf("%s: %w", sc.Name, ErrNotShardable)
-	}
-	plan, err := sw.Plan(spec)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", sc.Name, err)
-	}
 	total := scenario.GridSize(plan.Axes)
 	specKey := spec.Key()
 	rep := &Report{Points: total}
-	start := time.Now()
-
-	// The journal records the distributed execution: every span lands in
-	// rep.Events, and a caller-supplied journal (the serve front end's
-	// per-run journal) additionally surfaces them on /runs/{id}/events.
-	j := c.opts.Journal
-	if j == nil {
-		j = obs.NewJournal()
-	}
+	j := opts.Journal
 	sweepSpan := j.Begin("cluster_sweep", obs.Fields{
 		"scenario": sc.Name, "points": total, "workers": len(c.opts.Workers)})
+
+	var mu sync.Mutex
+	done := 0
+	landed := func(n int) {
+		if opts.Progress != nil {
+			mu.Lock()
+			done += n
+			opts.Progress(done, total)
+			mu.Unlock()
+		}
+	}
 
 	rows := make([]any, total)
 	var missing []int
@@ -207,62 +196,53 @@ func (c *Coordinator) Run(ctx context.Context, sc *scenario.Scenario, spec scena
 	if c.opts.Store != nil {
 		j.Event("store_scan", obs.Fields{"points": total, "store_points": rep.StorePoints})
 	}
+	landed(rep.StorePoints)
 
-	if len(missing) > 0 {
-		if len(c.opts.Workers) == 0 {
-			localSpan := j.Begin("local", obs.Fields{"points": len(missing)})
-			err = c.runLocal(ctx, sw, plan, spec, specKey, missing, rows, j)
-			if err != nil {
-				localSpan.End(obs.Fields{"error": err.Error()})
-			} else {
-				localSpan.End(nil)
+	var err error
+	switch {
+	case len(missing) == 0:
+	case len(c.opts.Workers) == 0:
+		// In-process: the engine's point loop computes the missing points,
+		// and each row is persisted as its point completes, so a failed or
+		// canceled sweep keeps every row it finished (a nil row included).
+		localSpan := j.Begin("local", obs.Fields{"points": len(missing)})
+		persisting := &scenario.Plan{Axes: plan.Axes, Point: func(pt scenario.Point) (any, error) {
+			row, err := plan.Point(pt)
+			if err == nil {
+				rows[pt.Index] = row
+				c.putRow(sw.ID, specKey, pt.Index, row)
 			}
-		} else {
-			err = c.dispatch(ctx, sc.Name, sw, spec, specKey, total, missing, rows, rep, j)
-		}
-		if err != nil {
-			sweepSpan.End(obs.Fields{"error": err.Error()})
-			rep.Events = j.Events()
-			return nil, rep, fmt.Errorf("%s: %w", sc.Name, err)
-		}
+			return row, err
+		}}
+		_, _, err = persisting.RunPoints(missing, spec.Workers, scenario.RunOptions{
+			Context: ctx, Journal: j, Progress: func(int, int) { landed(1) }})
+		localSpan.End(errFields(err))
+	default:
+		err = c.dispatch(ctx, sc.Name, sw, spec, specKey, total, missing, rows, rep, j, landed)
 	}
-	sweepSpan.End(nil)
-	rep.Events = j.Events()
-
-	return &scenario.Result{
-		Scenario:      sc.Name,
-		Spec:          spec,
-		Axes:          plan.Axes,
-		Points:        total,
-		Tables:        sc.Render(spec, rows),
-		ElapsedMillis: float64(time.Since(start)) / float64(time.Millisecond),
-		Rows:          rows,
-	}, rep, nil
+	sweepSpan.End(errFields(err))
+	if err != nil {
+		return nil, rep, err
+	}
+	return rows, rep, nil
 }
 
-// runLocal computes the missing points in-process (no fleet configured)
-// through the engine's point loop, journaling a span per point, then
-// persists every row that completed — a failed or canceled sweep's rows
-// included.
-func (c *Coordinator) runLocal(ctx context.Context, sw *scenario.Sweep, plan *scenario.Plan, spec scenario.Spec, specKey string, missing []int, rows []any, j *obs.Journal) error {
-	out, _, err := plan.RunPoints(missing, spec.Workers, scenario.RunOptions{Context: ctx, Journal: j})
-	for k, i := range missing {
-		if out[k] != nil {
-			rows[i] = out[k]
-			c.putRow(sw, specKey, i, out[k])
-		}
+// errFields is a span's end fields: the error, if there was one.
+func errFields(err error) obs.Fields {
+	if err == nil {
+		return nil
 	}
-	return err
+	return obs.Fields{"error": err.Error()}
 }
 
 // putRow persists one computed row, best-effort: a full disk never fails
 // a sweep whose rows are already in memory.
-func (c *Coordinator) putRow(sw *scenario.Sweep, specKey string, i int, row any) {
+func (c *Coordinator) putRow(sweepID, specKey string, i int, row any) {
 	if c.opts.Store == nil {
 		return
 	}
 	if raw, err := json.Marshal(row); err == nil {
-		c.opts.Store.PutRow(sw.ID, specKey, i, raw)
+		c.opts.Store.PutRow(sweepID, specKey, i, raw)
 	}
 }
 
@@ -339,7 +319,7 @@ func probe(ctx context.Context, url string, timeout time.Duration) error {
 
 // dispatch fans the missing points across the worker fleet (the workers
 // the startup health probe found alive).
-func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sweep, spec scenario.Spec, specKey string, total int, missing []int, rows []any, rep *Report, j *obs.Journal) error {
+func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sweep, spec scenario.Spec, specKey string, total int, missing []int, rows []any, rep *Report, j *obs.Journal, landed func(int)) error {
 	wstats := make(map[string]*WorkerStat, len(c.opts.Workers))
 	for _, url := range c.opts.Workers {
 		wstats[url] = &WorkerStat{URL: url}
@@ -486,6 +466,7 @@ func (c *Coordinator) dispatch(ctx context.Context, name string, sw *scenario.Sw
 					}
 				}
 				mergeSpan.End(obs.Fields{"points": len(t.indices)})
+				landed(len(t.indices))
 				mu.Lock()
 				shardStats[t.shard] = &ShardStat{
 					Shard: t.shard, Indices: label, Points: len(t.indices),

@@ -9,8 +9,8 @@ import (
 
 // TestCoordinatorsShareKeepAliveClient pins the dispatch-client reuse: every
 // coordinator dispatches on the one process-wide keep-alive client, so
-// per-run coordinators (the serve front end builds one per run) reuse warm
-// worker connections instead of re-dialing. The byte-identity of sharded
+// successive sweeps, from one coordinator or several, reuse warm worker
+// connections instead of re-dialing. The byte-identity of sharded
 // results over this client is pinned separately by
 // TestKeyExtractThroughCluster and TestDistributedMatchesSerial.
 func TestCoordinatorsShareKeepAliveClient(t *testing.T) {

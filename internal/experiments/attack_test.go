@@ -53,8 +53,8 @@ func TestSpectreAcceptance(t *testing.T) {
 // exactly, which is what cluster distribution and store persistence rely
 // on.
 func TestAttackRowRoundTrip(t *testing.T) {
-	if !attackSweep.Shardable() {
-		t.Fatal("attack sweep is not shardable")
+	if attackSweep.DecodeRow == nil {
+		t.Fatal("attack sweep has no row codec")
 	}
 	spec := scenario.Spec{Quick: true, Params: map[string]string{"trials": "10", "attackers": "bp", "archs": "baseline"}}
 	rows, err := sweepRows(attackSweep, spec)

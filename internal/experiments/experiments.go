@@ -63,7 +63,7 @@ func mustRun(cfg pipeline.Config, p *lang.Program, mode compile.Mode) (*pipeline
 	return Run(cfg, out.Prog)
 }
 
-// decodeRowAs is the row codec shardable sweeps install as DecodeRow: it
+// decodeRowAs is the row codec every sweep installs as DecodeRow: it
 // inverts json.Marshal on the sweep's typed row, which is what lets the
 // cluster coordinator and the on-disk store rehydrate rows computed
 // elsewhere. Row types used here must round-trip exactly (primitive

@@ -67,8 +67,8 @@ func TestKeyExtractAcceptance(t *testing.T) {
 // with rows surviving the JSON codec exactly.
 func TestKeyExtractRowRoundTrip(t *testing.T) {
 	for _, sw := range []*scenario.Sweep{keyExtractSweep, noiseSweep} {
-		if !sw.Shardable() {
-			t.Fatalf("%s sweep is not shardable", sw.ID)
+		if sw.DecodeRow == nil {
+			t.Fatalf("%s sweep has no row codec", sw.ID)
 		}
 		spec := scenario.Spec{Quick: true, Params: map[string]string{
 			"trials": "5", "attackers": "bp", "victims": "keyloop", "widths": "2", "gaps": "0", "archs": "baseline"}}

@@ -66,7 +66,8 @@ func Table2() *stats.Table {
 }
 
 // table2Sweep is the degenerate sweep behind the table2 scenario: no axes,
-// one point, no simulation — the configuration echo.
+// one point, no simulation — the configuration echo. Its one row is nil,
+// which round-trips through the codec as JSON null.
 var table2Sweep = &scenario.Sweep{
 	ID: "table2",
 	Plan: func(spec scenario.Spec) (*scenario.Plan, error) {
@@ -75,4 +76,5 @@ var table2Sweep = &scenario.Sweep{
 		}
 		return &scenario.Plan{Point: func(scenario.Point) (any, error) { return nil, nil }}, nil
 	},
+	DecodeRow: decodeRowAs[any],
 }

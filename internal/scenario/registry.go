@@ -18,13 +18,13 @@ var (
 )
 
 // Register adds a scenario to the registry. It panics on a missing name,
-// missing sweep or renderer, or a duplicate name — all programmer errors
-// at init time.
+// a sweep without Plan or DecodeRow, a missing renderer, or a duplicate
+// name — all programmer errors at init time.
 func Register(sc *Scenario) {
 	switch {
 	case sc == nil || sc.Name == "":
 		panic("scenario: Register without a name")
-	case sc.Sweep == nil || sc.Sweep.Plan == nil:
+	case sc.Sweep == nil || sc.Sweep.Plan == nil || sc.Sweep.DecodeRow == nil:
 		panic(fmt.Sprintf("scenario: %q registered without a complete sweep", sc.Name))
 	case sc.Render == nil:
 		panic(fmt.Sprintf("scenario: %q registered without a renderer", sc.Name))

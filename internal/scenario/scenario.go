@@ -15,7 +15,9 @@
 // into that point's error. Several scenarios may share one Sweep (Fig.
 // 10a, Fig. 10b, and Table I are three renderings of the same
 // microbenchmark grid); a RowCache lets one invocation simulate that grid
-// once.
+// once. Run is the one driver that plans a scenario and renders its
+// Result: a result store or a worker fleet (internal/cluster) plugs in
+// behind the RowCache as RunOptions.Compute, the source of a plan's rows.
 package scenario
 
 import (
@@ -189,19 +191,12 @@ type Sweep struct {
 	ID   string
 	Plan func(Spec) (*Plan, error)
 
-	// DecodeRow, when set, decodes one JSON-encoded row back into the
-	// sweep's typed row — the inverse of json.Marshal on Point's result.
-	// Declaring it makes the sweep shardable: the cluster coordinator can
-	// merge rows computed by remote workers, and the on-disk store can
-	// rehydrate persisted points. A sweep whose rows do not survive a JSON
-	// round trip would leave it nil and stay local-only; every registered
-	// sweep declares one.
+	// DecodeRow decodes one JSON-encoded row back into the sweep's typed
+	// row — the inverse of json.Marshal on Point's result. The cluster
+	// coordinator merges rows computed by remote workers through it, and
+	// the on-disk store rehydrates persisted points; Register requires it.
 	DecodeRow func(json.RawMessage) (any, error)
 }
-
-// Shardable reports whether the sweep's rows survive a JSON round trip,
-// which is what cluster distribution and on-disk row persistence require.
-func (sw *Sweep) Shardable() bool { return sw.DecodeRow != nil }
 
 // Plan is one spec's sweep, parsed and validated: the grid's axes and the
 // function computing the typed row at one grid point. Point receives the
@@ -313,8 +308,8 @@ type Result struct {
 // never affects rows), and the in-memory Rows. Two runs of the same
 // (scenario, spec) — serial, parallel, or distributed across a cluster —
 // encode their stable forms to byte-identical JSON; cmd/sempe-bench
-// -stable (locally and through the coordinator), the golden tests, and
-// the CI cluster smoke job all diff stable encodings.
+// -stable (with or without a store or a fleet), the golden tests, and the
+// CI cluster smoke job all diff stable encodings.
 func (r *Result) Stable() *Result {
 	out := *r
 	out.ElapsedMillis = 0
@@ -334,17 +329,22 @@ func (r *Result) Stable() *Result {
 // Journal, when set, receives a per-sweep span plus one span per grid
 // point (labels and wall time); a nil Journal records nothing and costs
 // nothing — the observability differential test pins that instrumented
-// and uninstrumented runs are byte-identical.
+// and uninstrumented runs are byte-identical. Compute, when set, fills the
+// plan's rows in place of Plan.RunPoints, behind Rows, and is handed these
+// options so it journals, reports progress and stops as the point loop
+// would; the cluster coordinator plugs in here to serve rows from a store
+// or a worker fleet.
 type RunOptions struct {
 	Progress func(done, total int)
 	Rows     *RowCache
 	Context  context.Context
 	Journal  *obs.Journal
+	Compute  func(sc *Scenario, spec Spec, plan *Plan, opts RunOptions) ([]any, error)
 }
 
-// Run plans the scenario's sweep under spec once, runs every grid point
-// through the point loop (or takes the rows from opts.Rows), and renders
-// its tables.
+// Run plans the scenario's sweep under spec once, fills every grid point's
+// row (from opts.Rows, through opts.Compute, or through the point loop),
+// and renders its tables.
 func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 	plan, err := sc.Sweep.Plan(spec)
 	if err != nil {
@@ -360,7 +360,13 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 		sweepSpan = opts.Journal.Begin("sweep", obs.Fields{
 			"scenario": sc.Name, "sweep": sc.Sweep.ID, "points": len(all)})
 	}
-	compute := func() ([]any, *PointStat, error) { return plan.RunPoints(all, spec.Workers, opts) }
+	compute := func() ([]any, *PointStat, error) {
+		if opts.Compute != nil {
+			rows, err := opts.Compute(sc, spec, plan, opts)
+			return rows, nil, err
+		}
+		return plan.RunPoints(all, spec.Workers, opts)
+	}
 	var rows []any
 	var slowest *PointStat
 	if opts.Rows != nil {

@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -108,6 +110,11 @@ func testSweep(calls *atomic.Int64) *Sweep {
 				},
 			}, nil
 		},
+		DecodeRow: func(raw json.RawMessage) (any, error) {
+			var v int
+			err := json.Unmarshal(raw, &v)
+			return v, err
+		},
 	}
 }
 
@@ -185,6 +192,36 @@ func TestRowCacheSharesSweep(t *testing.T) {
 	}
 	if calls.Load() != 6 {
 		t.Errorf("quick grid did not run: %d calls", calls.Load())
+	}
+}
+
+// TestRunComputeBehindRowCache: a Compute row source replaces the point
+// loop behind the row cache. Two scenarios sharing a sweep call it once,
+// with the plan Run made and the caller's options, and render its rows.
+func TestRunComputeBehindRowCache(t *testing.T) {
+	ctx := context.WithValue(context.Background(), t, "run")
+	var calls int
+	opts := RunOptions{Rows: NewRowCache(), Context: ctx}
+	opts.Compute = func(sc *Scenario, spec Spec, plan *Plan, o RunOptions) ([]any, error) {
+		calls++
+		if o.Context != ctx || o.Rows != opts.Rows || len(plan.Axes) != 1 || !spec.Quick {
+			t.Errorf("Compute got plan %+v, spec %+v, options %+v; want the run's", plan, spec, o)
+		}
+		return []any{7, 8}, nil
+	}
+	for _, name := range []string{"square", "square-again"} {
+		sc := testScenario(nil)
+		sc.Name = name
+		res, err := Run(sc, Spec{Quick: true}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Rows, []any{7, 8}) || res.Points != 2 || res.Scenario != name {
+			t.Errorf("%s: result %+v, want Compute's rows", name, res)
+		}
+	}
+	if calls != 1 {
+		t.Errorf("Compute ran %d times for one shared sweep, want 1", calls)
 	}
 }
 
@@ -334,6 +371,19 @@ func TestRegistry(t *testing.T) {
 	if !found {
 		t.Errorf("Names() missing %q: %v", sc.Name, Names())
 	}
+	// A sweep without a row codec could not be filled by a store or a
+	// fleet; registering one is a programmer error.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Register of a sweep without DecodeRow did not panic")
+			}
+		}()
+		codecless := testScenario(nil)
+		codecless.Name = "registry-test-codecless"
+		codecless.Sweep.DecodeRow = nil
+		Register(codecless)
+	}()
 	defer func() {
 		if recover() == nil {
 			t.Error("duplicate Register did not panic")

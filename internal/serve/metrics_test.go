@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -213,8 +214,8 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// TestDistributedRunThroughServe: a server fronting two workers dispatches
-// a shardable run through the cluster coordinator. The run must match a
+// TestDistributedRunThroughServe: a server fronting two workers fills a
+// run's grid through the cluster coordinator. The run must match a
 // serial engine run byte-for-byte, carry the provenance report with
 // per-shard and per-worker stats, and stream the coordinator's
 // dispatch/merge spans on the events endpoint.
@@ -255,9 +256,6 @@ func TestDistributedRunThroughServe(t *testing.T) {
 	}
 	if rep.Shards != 4 || rep.Points != 4 || rep.Retries != 0 {
 		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.Events) != 0 {
-		t.Fatalf("run view embeds %d journal events; the events endpoint owns them", len(rep.Events))
 	}
 	if len(rep.ShardStats) != 4 {
 		t.Fatalf("ShardStats = %+v, want 4 entries", rep.ShardStats)
@@ -317,6 +315,29 @@ func TestDistributedRunThroughServe(t *testing.T) {
 	}
 	if shardReqs != 4 || shardPoints != 4 {
 		t.Errorf("worker shard metrics: %v requests / %v points, want 4 / 4", shardReqs, shardPoints)
+	}
+}
+
+// TestFrontEndDispatchesSharedSweepOnce: fig10a and fig10b render one
+// sweep, so a front end running both on one 4-point spec dispatches that
+// grid once. Its one worker counts 4 shard points, and the second run
+// takes its rows from the front end's row cache.
+func TestFrontEndDispatchesSharedSweepOnce(t *testing.T) {
+	w := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
+	defer w.Close()
+	ts := httptest.NewServer(New(Options{MaxWorkers: 2, ClusterWorkers: []string{w.URL}}).Handler())
+	defer ts.Close()
+
+	spec := `{"params": {"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}}`
+	for _, name := range []string{"fig10a", "fig10b"} {
+		view, code := postRun(t, ts, fmt.Sprintf(`{"scenario": %q, "spec": %s, "wait": true}`, name, spec))
+		if code != http.StatusOK || view.Status != "done" || view.Progress != (progressView{Done: 4, Total: 4}) {
+			t.Fatalf("%s: POST /runs = %d, status %q, progress %+v (err %q)", name, code, view.Status, view.Progress, view.Error)
+		}
+	}
+	samples, _ := scrape(t, w.URL+"/metrics")
+	if got := samples["sempe_shard_points_total"]; got != 4 {
+		t.Errorf("worker simulated %v shard points for one shared 4-point grid, want 4", got)
 	}
 }
 

@@ -50,8 +50,6 @@ type Options struct {
 	// MaxConcurrentRuns bounds how many sweeps simulate at once; further
 	// runs queue. 0 means 2.
 	MaxConcurrentRuns int
-	// CacheEntries is the LRU result-cache capacity; 0 means 64.
-	CacheEntries int
 	// Store, when set, persists completed results on disk and serves LRU
 	// misses from it — warm restarts, shared result directories.
 	Store *store.Store
@@ -60,10 +58,11 @@ type Options struct {
 	// -workers, or a sempe-serve -cluster-workers front end).
 	Worker bool
 	// ClusterWorkers, when non-empty, turns this server into a cluster
-	// front end: shardable runs are dispatched across these worker base
-	// URLs through the cluster coordinator instead of simulating locally,
-	// and the run's journal records per-shard dispatch/retry/merge spans
-	// (GET /runs/{id}/events). Non-shardable scenarios still run locally.
+	// front end: every run's grid is filled by one cluster coordinator,
+	// which dispatches it across these worker base URLs instead of
+	// simulating locally (and reads and writes rows in Store), and the
+	// run's journal records per-shard dispatch/retry/merge spans (GET
+	// /runs/{id}/events).
 	ClusterWorkers []string
 	// ClusterShardSize is the grid points per dispatched shard; 0 means
 	// the coordinator default.
@@ -89,6 +88,7 @@ type Server struct {
 	nextID int
 	cache  *lruCache
 	rows   *scenario.RowCache
+	coord  *cluster.Coordinator // the runs' row source with ClusterWorkers; nil computes locally
 }
 
 // run is one tracked sweep execution.
@@ -120,9 +120,6 @@ func New(opts Options) *Server {
 	if opts.MaxConcurrentRuns <= 0 {
 		opts.MaxConcurrentRuns = 2
 	}
-	if opts.CacheEntries <= 0 {
-		opts.CacheEntries = 64
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
@@ -131,8 +128,16 @@ func New(opts Options) *Server {
 		sem:   make(chan struct{}, opts.MaxConcurrentRuns),
 		log:   opts.Logger,
 		runs:  map[string]*run{},
-		cache: newLRU(opts.CacheEntries),
+		cache: newLRU(lruEntries),
 		rows:  scenario.NewRowCache(),
+	}
+	if len(opts.ClusterWorkers) > 0 {
+		s.coord = cluster.New(cluster.Options{
+			Workers:   opts.ClusterWorkers,
+			ShardSize: opts.ClusterShardSize,
+			Store:     opts.Store,
+			Logger:    opts.Logger,
+		})
 	}
 	s.metrics = newServerMetrics(s)
 	return s
@@ -207,10 +212,10 @@ type runView struct {
 	Progress   progressView     `json:"progress"`
 	Error      string           `json:"error,omitempty"`
 	Result     *scenario.Result `json:"result,omitempty"`
-	// Report is the cluster provenance report for runs dispatched across a
-	// worker fleet (Options.ClusterWorkers): per-shard durations and retry
-	// counts, per-worker throughput. Its embedded event journal is served
-	// by GET /runs/{id}/events instead of being duplicated here.
+	// Report is the cluster provenance report of a run whose grid the
+	// front end's coordinator filled (Options.ClusterWorkers): per-shard
+	// durations and retry counts, per-worker throughput. A run whose rows
+	// came from the row cache, filled for another run, has none.
 	Report *cluster.Report `json:"report,omitempty"`
 }
 
@@ -341,48 +346,40 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 	// simulate on the workers, so their local delta is near zero by design.
 	specBefore := pipeline.GlobalSpecCounters()
 
+	opts := scenario.RunOptions{
+		Rows:    s.rows,
+		Context: ctx,
+		Journal: rn.journal,
+		Progress: func(done, total int) {
+			s.mu.Lock()
+			rn.done, rn.total = done, total
+			s.mu.Unlock()
+		},
+	}
+	if s.coord != nil {
+		// Cluster front end: the coordinator fills the grid from the store
+		// and the worker fleet, journaling its dispatch/retry/merge spans
+		// into the run's journal; its provenance report is kept on the run.
+		opts.Compute = func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, o scenario.RunOptions) ([]any, error) {
+			rows, rep, err := s.coord.Rows(sc, spec, plan, o)
+			s.mu.Lock()
+			rn.report = rep
+			s.mu.Unlock()
+			return rows, err
+		}
+	}
 	var res *scenario.Result
 	var err error
-	if len(s.opts.ClusterWorkers) > 0 && sc.Sweep.Shardable() {
-		// Cluster front end: dispatch the grid across the worker fleet.
-		// The coordinator journals into the run's journal, so the
-		// dispatch/retry/merge spans surface on GET /runs/{id}/events,
-		// and its provenance report is kept on the run.
-		var rep *cluster.Report
-		res, rep, err = cluster.New(cluster.Options{
-			Workers:   s.opts.ClusterWorkers,
-			ShardSize: s.opts.ClusterShardSize,
-			Store:     s.opts.Store,
-			Journal:   rn.journal,
-			Logger:    s.log,
-		}).Run(ctx, sc, rn.spec)
-		s.mu.Lock()
-		rn.report = rep
-		if res != nil {
-			rn.done, rn.total = res.Points, res.Points
-		}
-		s.mu.Unlock()
-	} else {
-		for attempt := 0; attempt < 3; attempt++ {
-			res, err = scenario.Run(sc, rn.spec, scenario.RunOptions{
-				Rows:    s.rows,
-				Context: ctx,
-				Journal: rn.journal,
-				Progress: func(done, total int) {
-					s.mu.Lock()
-					rn.done, rn.total = done, total
-					s.mu.Unlock()
-				},
-			})
-			// Two concurrent runs of the same spec share one single-flight
-			// RowCache compute, which runs under whichever context got there
-			// first. If THAT run was canceled, this one sees context.Canceled
-			// without its own client having asked for it — the failed entry
-			// has been dropped from the cache, so recompute under our own
-			// still-live context instead of reporting a spurious error.
-			if err == nil || ctx.Err() != nil || !errors.Is(err, context.Canceled) {
-				break
-			}
+	for attempt := 0; attempt < 3; attempt++ {
+		res, err = scenario.Run(sc, rn.spec, opts)
+		// Two concurrent runs of the same spec share one single-flight
+		// RowCache compute, which runs under whichever context got there
+		// first. If THAT run was canceled, this one sees context.Canceled
+		// without its own client having asked for it — the failed entry
+		// has been dropped from the cache, so recompute under our own
+		// still-live context instead of reporting a spurious error.
+		if err == nil || ctx.Err() != nil || !errors.Is(err, context.Canceled) {
+			break
 		}
 	}
 
@@ -531,7 +528,7 @@ func (s *Server) handleListRuns(w http.ResponseWriter, r *http.Request) {
 
 // view snapshots the run; the caller holds s.mu.
 func (rn *run) view() runView {
-	v := runView{
+	return runView{
 		ID:         rn.id,
 		Scenario:   rn.scenario,
 		Spec:       rn.spec,
@@ -541,13 +538,8 @@ func (rn *run) view() runView {
 		Progress:   progressView{Done: rn.done, Total: rn.total},
 		Error:      rn.errMsg,
 		Result:     rn.result,
+		Report:     rn.report,
 	}
-	if rn.report != nil {
-		rep := *rn.report
-		rep.Events = nil // the journal is GET /runs/{id}/events
-		v.Report = &rep
-	}
-	return v
 }
 
 func cacheKey(name string, spec scenario.Spec) string {
@@ -565,6 +557,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
+
+// lruEntries is the result cache's capacity in completed runs.
+const lruEntries = 64
 
 // lruCache is a small LRU of completed results keyed by (scenario, spec).
 type lruCache struct {

@@ -22,7 +22,7 @@ import (
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	srv := New(Options{MaxWorkers: 2, MaxConcurrentRuns: 2, CacheEntries: 8})
+	srv := New(Options{MaxWorkers: 2, MaxConcurrentRuns: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return srv, ts
@@ -277,8 +277,8 @@ func TestListRunsStatusAndAge(t *testing.T) {
 	}
 }
 
-// TestLRUEviction: the result cache holds CacheEntries completed runs and
-// evicts the least recently used.
+// TestLRUEviction: the result cache holds its capacity in completed runs
+// (lruEntries on a server) and evicts the least recently used.
 func TestLRUEviction(t *testing.T) {
 	lru := newLRU(2)
 	mk := func(name string) *scenario.Result { return &scenario.Result{Scenario: name} }
