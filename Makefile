@@ -66,7 +66,11 @@ bench-module:
 # reports progress as its rows land.
 # The fuzz seed corpora hold the assembler and the store's entry decoding
 # to an error or a miss, never a panic, and djpeg's wrong-path touch sets
-# do not depend on the image under SeMPE.
+# do not depend on the image under SeMPE. The API gate fails on an exported
+# internal/ declaration that only tests use, a run that joins another run's
+# in-flight computation reads its progress (engine and serve), and an sJMP
+# fetched down a mispredicted path is flushed before it renames, so the
+# jbTable and the SPM need no unwind.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -86,6 +90,9 @@ bench-smoke:
 	$(GO) test ./cmd/sempe-bench/ ./internal/serve/ ./internal/cluster/ -run 'TestSharedSweepDispatchedOnce|TestFrontEndDispatchesSharedSweepOnce|TestCoordinatorReportsProgress'
 	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'
 	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
+	$(GO) test . -run 'TestNoTestOnlyAPI'
+	$(GO) test ./internal/scenario/ ./internal/serve/ -run 'TestJoinedRunSeesProgress|TestJoinedRunReportsProgress'
+	$(GO) test ./internal/pipeline/ -run 'TestMispredictedSJmpNeverRenames'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

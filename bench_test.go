@@ -15,11 +15,12 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/emu"
-	"repro/internal/experiments"
+	_ "repro/internal/experiments" // registers the scenarios
 	"repro/internal/jpegsim"
 	"repro/internal/lang"
 	"repro/internal/mem"
 	"repro/internal/pipeline"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -405,17 +406,15 @@ func BenchmarkMemAccess(b *testing.B) {
 // the end-to-end number the hot-path work targets — serially and on the
 // bounded worker pool (results are bit-identical either way).
 func BenchmarkFig10Sweep(b *testing.B) {
-	spec := experiments.Fig10Spec{
-		Kinds: []workloads.Kind{workloads.Fibonacci, workloads.Quicksort},
-		Ws:    []int{1, 4},
-		Iters: 4,
-	}
+	sc, _ := scenario.Lookup("fig10a")
+	spec := scenario.Spec{Params: map[string]string{
+		"kinds": "fibonacci,quicksort", "ws": "1,4", "iters": "4"}}
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
 			spec.Workers = workers
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig10(spec); err != nil {
+				if _, err := scenario.Run(sc, spec, scenario.RunOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -11,18 +11,19 @@ import (
 	"os"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/workloads"
 )
 
 func main() {
-	spec := experiments.Fig10Spec{
-		Kinds: []workloads.Kind{workloads.Quicksort},
-		Ws:    []int{1, 2, 4, 6, 8, 10},
-		Iters: 4,
-	}
-	fmt.Println("sweeping nesting depth for", spec.Kinds[0], "(this simulates ~10M instructions)")
-	rows, err := experiments.Fig10(spec)
+	spec := scenario.Spec{Params: map[string]string{
+		"kinds": "quicksort",
+		"ws":    "1,2,4,6,8,10",
+		"iters": "4",
+	}}
+	fmt.Println("sweeping nesting depth for", spec.Params["kinds"], "(this simulates ~10M instructions)")
+	sc, _ := scenario.Lookup("fig10a")
+	res, err := scenario.Run(sc, spec, scenario.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +32,8 @@ func main() {
 		Title:  "slowdown vs. unprotected baseline",
 		Header: []string{"W", "paths", "SeMPE", "SeMPE/ideal", "CTE(FaCT)", "CTE/SeMPE"},
 	}
-	for _, r := range rows {
+	for _, row := range res.Rows {
+		r := row.(experiments.Fig10Row)
 		t.AddRow(
 			fmt.Sprintf("%d", r.W),
 			fmt.Sprintf("%d", r.W+1),

@@ -30,7 +30,7 @@ type Assessment struct {
 	Noise    int       `json:"noise"`
 	Columns  []ColumnT `json:"columns"`
 	MaxAbsT  float64   `json:"max_abs_t"`
-	TVLALeak bool      `json:"tvla_leak"` // max |t| >= stattest.TVLAThreshold
+	TVLALeak bool      `json:"tvla_leak"` // stattest.TVLALeak(MaxAbsT)
 	MIBits   float64   `json:"mi_bits"`
 	Recovery float64   `json:"recovery"`
 	CILo     float64   `json:"ci_lo"`
@@ -89,7 +89,7 @@ func Assess(fixed, random *Batch) (Assessment, error) {
 			a.MaxAbsT = abs
 		}
 	}
-	a.TVLALeak = a.MaxAbsT >= stattest.TVLAThreshold
+	a.TVLALeak = stattest.TVLALeak(a.MaxAbsT)
 	a.MIBits = stattest.BinnedMI(random.Column(signColumn(pr.Kind)), random.Secrets(), MIBins)
 	a.Recovery = random.RecoveryRate()
 	a.CILo, a.CIHi = stattest.WilsonInterval(random.Recovered(), len(random.Trials), 1.96)

@@ -176,7 +176,7 @@ func (k KeyRecovery) FullExtraction() bool {
 // Leaks is the overall leakage verdict: any bit extracted, or TVLA firing
 // on any bit.
 func (k KeyRecovery) Leaks() bool {
-	return k.BitsExtracted > 0 || k.MaxAbsT >= stattest.TVLAThreshold
+	return k.BitsExtracted > 0 || stattest.TVLALeak(k.MaxAbsT)
 }
 
 // MeetsExpectation is the shared -check gate: on SeMPE every victim must

@@ -31,10 +31,9 @@ type TAGE struct {
 	// with the current gen, and Update reuses the record instead of re-walking
 	// the tagged tables when the generation (and pc) still match. A stale
 	// generation falls back to predictInternal, so the fast path can never
-	// diverge from the cycle-exact result. FastHits counts reuses.
-	gen      uint64
-	memo     [tageMemoSize]tageMemoEntry
-	FastHits uint64
+	// diverge from the cycle-exact result.
+	gen  uint64
+	memo [tageMemoSize]tageMemoEntry
 }
 
 // tageMemoSize is the direct-mapped memo capacity; a small power of two
@@ -135,7 +134,6 @@ func (t *TAGE) Predict(pc uint64) bool {
 		// is still exact. Nothing invalidates the memo on a flush — predictor
 		// state only moves at Update — which is what keeps the fast path live
 		// across wrong-path execution.
-		t.FastHits++
 		return m.pred
 	}
 	taken, provider, altPred := t.predictInternal(pc)
@@ -192,7 +190,6 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		// No state has changed since this branch was predicted: reuse the
 		// resolved provider/altpred instead of re-walking the tagged tables.
 		pred, provider, altPred = m.pred, int(m.provider), m.altPred
-		t.FastHits++
 	} else {
 		pred, provider, altPred = t.predictInternal(pc)
 	}
@@ -313,7 +310,6 @@ func (t *TAGE) Reset() {
 	t.Lookups, t.Mispredict, t.allocs, t.uTick = 0, 0, 0, 0
 	t.gen = 1
 	clear(t.memo[:])
-	t.FastHits = 0
 }
 
 // BaseCounter exposes the bimodal base counter for the branch at pc — the

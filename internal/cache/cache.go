@@ -139,9 +139,6 @@ func (c *Cache) SetObserver(o Observer) { c.observer = o }
 // Name implements Level.
 func (c *Cache) Name() string { return c.name }
 
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return c.sets }
-
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 

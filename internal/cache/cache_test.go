@@ -30,7 +30,7 @@ func TestColdMissThenHit(t *testing.T) {
 
 func TestLRUReplacement(t *testing.T) {
 	c, _ := newTestCache(16, 2) // 128 sets, 2 ways
-	setStride := uint64(c.Sets() * LineSize)
+	setStride := uint64(c.sets * LineSize)
 	a, b, d := uint64(0x0000), setStride, 2*setStride // same set
 	c.Access(a, false)
 	c.Access(b, false)
@@ -46,7 +46,7 @@ func TestLRUReplacement(t *testing.T) {
 
 func TestDirtyEvictionWritesBack(t *testing.T) {
 	c, mem := newTestCache(16, 2)
-	setStride := uint64(c.Sets() * LineSize)
+	setStride := uint64(c.sets * LineSize)
 	c.Access(0, true) // dirty
 	before := mem.Stats.Accesses
 	c.Access(setStride, false)
@@ -110,7 +110,7 @@ func TestDigestReflectsState(t *testing.T) {
 	}
 	// LRU order within a set matters: use two lines of the same set.
 	l0 := uint64(0)
-	l1 := uint64(a.Sets() * LineSize)
+	l1 := uint64(a.sets * LineSize)
 	a.Access(l0, false)
 	a.Access(l1, false)
 	a.Access(l0, false) // a: l0 is MRU

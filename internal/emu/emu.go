@@ -102,9 +102,6 @@ func New(mode Mode, prog *isa.Program) *Machine {
 // Halted reports whether the program has executed HALT.
 func (m *Machine) Halted() bool { return m.halted }
 
-// NestDepth returns the current secure-branch nesting depth.
-func (m *Machine) NestDepth() int { return len(m.jb) }
-
 // Run executes until HALT or error.
 func (m *Machine) Run() error {
 	for !m.halted {

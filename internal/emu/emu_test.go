@@ -187,14 +187,14 @@ func TestNestDepthTracking(t *testing.T) {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if d := m.NestDepth(); d > maxDepth {
+		if d := len(m.jb); d > maxDepth {
 			maxDepth = d
 		}
 	}
 	if maxDepth != 2 {
 		t.Errorf("max nest depth = %d, want 2", maxDepth)
 	}
-	if m.NestDepth() != 0 {
-		t.Errorf("final nest depth = %d, want 0", m.NestDepth())
+	if len(m.jb) != 0 {
+		t.Errorf("final nest depth = %d, want 0", len(m.jb))
 	}
 }

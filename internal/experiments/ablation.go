@@ -36,12 +36,11 @@ type AblationRow struct {
 // AblationSpec parameterizes the ablation: one deeply nested kernel run
 // across the SPM geometry grid.
 type AblationSpec struct {
-	Kind    workloads.Kind
-	W       int // nesting depth of the kernel harness
-	Iters   int
-	Slots   []int
-	Bws     []int
-	Workers int
+	Kind  workloads.Kind
+	W     int // nesting depth of the kernel harness
+	Iters int
+	Slots []int
+	Bws   []int
 }
 
 // DefaultAblationSpec sweeps slot counts from starved (2) to the paper's
@@ -142,11 +141,6 @@ func ablationPoint(spec AblationSpec, slots, bw int) (AblationRow, error) {
 	releaseCore(pipeline.DefaultConfig(), base)
 	releaseCore(cfg, sec)
 	return row, nil
-}
-
-// Ablation runs the SPM geometry grid through the engine sweep.
-func Ablation(spec AblationSpec) ([]AblationRow, error) {
-	return runAll[AblationRow](spec, spec.Workers)
 }
 
 // RenderAblation renders the geometry grid with the two effects the axes

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/scenario"
-	"repro/internal/workloads"
 )
 
 // TestAblationGeometryEffects pins the two effects the ablation axes
@@ -15,16 +14,12 @@ import (
 // overflows; and starving the SPM's bandwidth can only add snapshot-stall
 // cycles.
 func TestAblationGeometryEffects(t *testing.T) {
-	rows, err := Ablation(AblationSpec{
-		Kind:  workloads.Fibonacci,
-		W:     6,
-		Iters: 2,
-		Slots: []int{2, 30},
-		Bws:   []int{8, 64},
-	})
+	all, err := runRows("ablation", scenario.Spec{Params: map[string]string{
+		"kind": "fibonacci", "w": "6", "iters": "2", "slots": "2,30", "bws": "8,64"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := narrow[AblationRow](all)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
@@ -52,7 +47,7 @@ func TestAblationGeometryEffects(t *testing.T) {
 func TestAblationRowCodec(t *testing.T) {
 	spec := scenario.Spec{Params: map[string]string{
 		"kind": "ones", "w": "2", "iters": "1", "slots": "2", "bws": "32"}}
-	rows, err := sweepRows(ablationSweep, spec)
+	rows, err := runRows("ablation", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +77,7 @@ func TestAblationBadParams(t *testing.T) {
 		{"slot": "2"}, // typo'd key
 	} {
 		spec := scenario.Spec{Params: params}
-		if _, err := sweepRows(ablationSweep, spec); err == nil {
+		if _, err := runRows("ablation", spec); err == nil {
 			t.Errorf("params %v: no error", params)
 		}
 	}

@@ -114,7 +114,7 @@ func RenderTVLA(rows []attack.Assessment) *stats.Table {
 	for _, a := range rows {
 		for _, c := range a.Columns {
 			leak := "no"
-			if c.T >= stattest.TVLAThreshold || -c.T >= stattest.TVLAThreshold {
+			if stattest.TVLALeak(c.T) {
 				leak = "LEAK"
 			}
 			t.AddRow(a.Attacker, a.Arch, c.Column, stats.Float(c.T, 1), leak)

@@ -57,7 +57,7 @@ func TestAttackRowRoundTrip(t *testing.T) {
 		t.Fatal("attack sweep has no row codec")
 	}
 	spec := scenario.Spec{Quick: true, Params: map[string]string{"trials": "10", "attackers": "bp", "archs": "baseline"}}
-	rows, err := sweepRows(attackSweep, spec)
+	rows, err := runRows("spectre", spec)
 	if err != nil {
 		t.Fatal(err)
 	}

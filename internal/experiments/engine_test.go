@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,6 +21,20 @@ func lookup(t *testing.T, name string) *scenario.Scenario {
 		t.Fatalf("scenario %q not registered", name)
 	}
 	return sc
+}
+
+// runRows runs the named scenario under spec through scenario.Run, the one
+// sweep path, and returns its typed rows.
+func runRows(name string, spec scenario.Spec) ([]any, error) {
+	sc, ok := scenario.Lookup(name)
+	if !ok {
+		return nil, fmt.Errorf("scenario %q not registered", name)
+	}
+	res, err := scenario.Run(sc, spec, scenario.RunOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
 }
 
 // TestRegisteredScenarios: every paper artifact plus the security sweep

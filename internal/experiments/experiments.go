@@ -10,11 +10,10 @@
 // cmd/sempe-bench and cmd/sempe-serve resolve them by name, so the cmd
 // layer never grows per-figure code. Each typed spec (Fig10Spec, Fig8Spec,
 // ...) has one plan method holding its range checks; the registry parses a
-// spec's strings into the typed spec and plans it, and the typed entry
-// points (Fig10, Fig8, LeakMatrix, Ablation, KeyExtractMatrix) plan the
-// typed spec directly, so both run the same plan through the engine's point
-// loop. The entry points are kept for Go callers: tests, benchmarks, and
-// the examples.
+// spec's strings into the typed spec and plans it. Every caller, Go
+// programs included, runs a sweep the same way: look the scenario up and
+// call scenario.Run with a scenario.Spec (Params for the grid, Workers for
+// the fan-out); Result.Rows holds the typed rows (Fig10Row, Fig8Row, ...).
 package experiments
 
 import (
@@ -119,24 +118,6 @@ func planBounded(f planner) (*scenario.Plan, error) {
 		return nil, err
 	}
 	return p, nil
-}
-
-// runAll runs every point of a typed spec's plan through the engine's
-// point loop — the typed entry points' one path — and narrows the rows.
-func runAll[T any](f planner, workers int) ([]T, error) {
-	p, err := planBounded(f)
-	if err != nil {
-		return nil, err
-	}
-	all := make([]int, scenario.GridSize(p.Axes))
-	for i := range all {
-		all[i] = i
-	}
-	rows, _, err := p.RunPoints(all, workers, scenario.RunOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return narrow[T](rows), nil
 }
 
 // narrow converts the engine's rows to the sweep's row type.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -13,15 +14,12 @@ import (
 // grows super-linearly; quicksort/queens carry larger CTE constants than
 // fibonacci.
 func TestFig10Shape(t *testing.T) {
-	spec := Fig10Spec{
-		Kinds: []workloads.Kind{workloads.Fibonacci, workloads.Quicksort},
-		Ws:    []int{1, 4},
-		Iters: 4,
-	}
-	rows, err := Fig10(spec)
+	all, err := runRows("fig10a", scenario.Spec{Params: map[string]string{
+		"kinds": "fibonacci,quicksort", "ws": "1,4", "iters": "4"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := narrow[Fig10Row](all)
 	byKey := map[string]Fig10Row{}
 	for _, r := range rows {
 		byKey[r.Kind.String()+string(rune('0'+r.W))] = r
@@ -58,12 +56,12 @@ func TestFig10Shape(t *testing.T) {
 // TestFig8Shape asserts the djpeg results: positive overheads under ~100%,
 // ordered PPM > GIF > BMP, and approximately size-independent.
 func TestFig8Shape(t *testing.T) {
-	spec := DefaultFig8Spec()
-	spec.Sizes = spec.Sizes[:2] // 16 and 32 blocks keep the test fast
-	rows, err := Fig8(spec)
+	// 16 and 32 blocks keep the test fast.
+	all, err := runRows("fig8", scenario.Spec{Params: map[string]string{"sizes": "256k,512k"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := narrow[Fig8Row](all)
 	byFmt := map[string][]Fig8Row{}
 	for _, r := range rows {
 		byFmt[r.Format.String()] = append(byFmt[r.Format.String()], r)

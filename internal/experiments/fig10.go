@@ -32,11 +32,6 @@ type Fig10Spec struct {
 	Ws     []int
 	Iters  int
 	Secret uint64 // baseline input; 0 = fall through to the last path
-
-	// Workers bounds the goroutine pool the sweep fans out over; each
-	// (kernel, W) point runs on its own Core, so results are identical to a
-	// serial sweep. <= 1 runs serially.
-	Workers int
 }
 
 // DefaultFig10Spec covers the paper's full W axis.
@@ -131,12 +126,6 @@ func fig10Point(spec Fig10Spec, kind workloads.Kind, w int) (Fig10Row, error) {
 	releaseCore(pipeline.SecureConfig(), sec)
 	releaseCore(pipeline.DefaultConfig(), cte)
 	return row, nil
-}
-
-// Fig10 measures every (kernel, W) point of the spec through the engine
-// sweep.
-func Fig10(spec Fig10Spec) ([]Fig10Row, error) {
-	return runAll[Fig10Row](spec, spec.Workers)
 }
 
 // RenderFig10a renders the slowdown-vs-baseline series (log-scale plot in

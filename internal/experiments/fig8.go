@@ -38,9 +38,6 @@ type Fig8Spec struct {
 	Sparsity int
 	Seed     uint64
 	Sizes    []jpegsim.Size
-
-	// Workers bounds the goroutine pool (see Fig10Spec.Workers).
-	Workers int
 }
 
 // DefaultFig8Spec mirrors the paper's grid: three formats by four sizes.
@@ -138,11 +135,6 @@ func fig8Point(spec Fig8Spec, format jpegsim.Format, size jpegsim.Size) (Fig8Row
 	releaseCore(pipeline.DefaultConfig(), base)
 	releaseCore(pipeline.SecureConfig(), sec)
 	return row, nil
-}
-
-// Fig8 runs the decoder grid through the engine sweep.
-func Fig8(spec Fig8Spec) ([]Fig8Row, error) {
-	return runAll[Fig8Row](spec, spec.Workers)
 }
 
 // RenderFig8 renders the execution-time overhead grid.

@@ -34,7 +34,6 @@ type KeyExtractSpec struct {
 	Trials    int    // per bit
 	Seed      int64
 	Noise     int
-	Workers   int
 }
 
 // DefaultKeyExtractSpec is the keyextract scenario's default grid: both
@@ -145,12 +144,6 @@ var (
 	keyExtractSweep = newKeyExtractSweep("keyextract", DefaultKeyExtractSpec)
 	noiseSweep      = newKeyExtractSweep("keynoise", DefaultNoiseSpec)
 )
-
-// KeyExtractMatrix runs the keyextract sweep through the engine — the
-// typed entry point for Go callers.
-func KeyExtractMatrix(spec KeyExtractSpec) ([]attack.KeyRecovery, error) {
-	return runAll[attack.KeyRecovery](spec, spec.Workers)
-}
 
 // tteCell renders mean trials-to-extraction; "-" when nothing extracted.
 func tteCell(k attack.KeyRecovery) any {

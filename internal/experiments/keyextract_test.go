@@ -66,13 +66,14 @@ func TestKeyExtractAcceptance(t *testing.T) {
 // TestKeyExtractRowRoundTrip: both extraction sweeps must be shardable
 // with rows surviving the JSON codec exactly.
 func TestKeyExtractRowRoundTrip(t *testing.T) {
-	for _, sw := range []*scenario.Sweep{keyExtractSweep, noiseSweep} {
+	for _, name := range []string{"keyextract", "noise"} {
+		sw := lookup(t, name).Sweep
 		if sw.DecodeRow == nil {
 			t.Fatalf("%s sweep has no row codec", sw.ID)
 		}
 		spec := scenario.Spec{Quick: true, Params: map[string]string{
 			"trials": "5", "attackers": "bp", "victims": "keyloop", "widths": "2", "gaps": "0", "archs": "baseline"}}
-		rows, err := sweepRows(sw, spec)
+		rows, err := runRows(name, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,19 +153,30 @@ func TestKeyExtractParamErrors(t *testing.T) {
 	}
 }
 
-// TestKeyExtractTypedEntryPoint: the Go-callable wrapper goes through the
-// same sweep as the registry path.
+// TestKeyExtractTypedEntryPoint: a Go caller has one entry point,
+// scenario.Run. The string spec it passes parses into exactly the typed
+// spec it would have built by hand, and runs that grid.
 func TestKeyExtractTypedEntryPoint(t *testing.T) {
-	spec := DefaultKeyExtractSpec()
-	spec.Attackers = []attack.Kind{attack.BPProbe}
-	spec.Victims = []string{"keyloop"}
-	spec.Widths = []int{2}
-	spec.Archs = []bool{false}
-	spec.Trials = 6
-	rows, err := KeyExtractMatrix(spec)
+	want := DefaultKeyExtractSpec()
+	want.Attackers = []attack.Kind{attack.BPProbe}
+	want.Victims = []string{"keyloop"}
+	want.Widths = []int{2}
+	want.Archs = []bool{false}
+	want.Trials = 6
+	spec := scenario.Spec{Params: map[string]string{
+		"attackers": "bp", "victims": "keyloop", "widths": "2", "archs": "baseline", "trials": "6"}}
+	got, err := keyExtractSpecOf(spec, DefaultKeyExtractSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("parsed spec = %+v, want %+v", got, want)
+	}
+	all, err := runRows("keyextract", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := narrow[attack.KeyRecovery](all)
 	if len(rows) != 1 || rows[0].Victim != "keyloop" || rows[0].Width != 2 {
 		t.Fatalf("rows = %+v", rows)
 	}

@@ -36,7 +36,6 @@ type LeakMatrixSpec struct {
 	Ws      []int
 	Iters   int
 	Secrets []uint64 // per point, the all-paths secret (1<<W)-1 is appended
-	Workers int
 }
 
 // DefaultLeakMatrixSpec sweeps every kernel over the W axis endpoints and
@@ -134,11 +133,6 @@ func leakPoint(spec LeakMatrixSpec, kind workloads.Kind, w int) (LeakRow, error)
 		Baseline: base.Leaking,
 		SeMPE:    sec.Leaking,
 	}, nil
-}
-
-// LeakMatrix runs the security sweep through the engine.
-func LeakMatrix(spec LeakMatrixSpec) ([]LeakRow, error) {
-	return runAll[LeakRow](spec, spec.Workers)
 }
 
 // RenderLeakMatrix renders the distinguisher matrix.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/leak"
+	"repro/internal/scenario"
 	"repro/internal/workloads"
 )
 
@@ -16,12 +17,11 @@ import (
 // distinguishable on at least one channel — and specifically on the
 // committed-PC trace, the SDBCB channel itself.
 func TestLeakMatrix(t *testing.T) {
-	spec := DefaultLeakMatrixSpec()
-	spec.Workers = runtime.NumCPU()
-	rows, err := LeakMatrix(spec)
+	all, err := runRows("leakmatrix", scenario.Spec{Workers: runtime.NumCPU()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rows := narrow[LeakRow](all)
 	if want := len(workloads.All()) * 3; len(rows) != want {
 		t.Fatalf("matrix has %d cells, want %d", len(rows), want)
 	}

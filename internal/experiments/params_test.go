@@ -294,7 +294,7 @@ func paramNumbers(name, v string) []int {
 }
 
 // TestGridBoundedThroughEngine: a spec whose list parameters multiply past
-// scenario.MaxPoints fails scenario.Run and the typed entry point before
+// scenario.MaxPoints fails scenario.Run, and planning the typed spec, before
 // any point runs, as "<scenario>: grid: <n> out of range [0,65536]"; a grid
 // of exactly MaxPoints plans. Three 1000-value keyextract lists used to
 // ask the engine for a 128 GB grid and kill the process.
@@ -316,8 +316,8 @@ func TestGridBoundedThroughEngine(t *testing.T) {
 	f := DefaultKeyExtractSpec()
 	f.Widths = slices.Repeat([]int{4}, 1000)
 	f.Gaps = make([]int, 1000)
-	if _, err := KeyExtractMatrix(f); err == nil || !strings.HasPrefix(err.Error(), "grid: ") {
-		t.Errorf("typed entry point: err = %v, want a grid error", err)
+	if _, err := planBounded(f); err == nil || !strings.HasPrefix(err.Error(), "grid: ") {
+		t.Errorf("typed spec: err = %v, want a grid error", err)
 	}
 	// attackers x archs x widths = 2 x 2 x 16384 = MaxPoints exactly.
 	atBound := map[string]string{"widths": list("4", scenario.MaxPoints/4), "victims": "bit"}
@@ -329,19 +329,6 @@ func TestGridBoundedThroughEngine(t *testing.T) {
 		t.Errorf("a grid of twice the bound: err = %v, want grid: 131072 out of range", err)
 	}
 }
-
-// sweepRows plans sw under spec and runs every grid point through the
-// engine's point loop, as the typed entry points do.
-func sweepRows(sw *scenario.Sweep, spec scenario.Spec) ([]any, error) {
-	return runAll[any](specPlanner{sw, spec}, spec.Workers)
-}
-
-type specPlanner struct {
-	sw   *scenario.Sweep
-	spec scenario.Spec
-}
-
-func (s specPlanner) plan() (*scenario.Plan, error) { return s.sw.Plan(s.spec) }
 
 // Malformed -param flags (no '=', empty key) are rejected at the flag
 // layer, before any scenario sees them.

@@ -24,15 +24,15 @@ type Program struct {
 }
 
 // Default memory layout used by the assembler and compiler. The layout keeps
-// code, data, shadow copies, and the stack in disjoint regions of a 4 GiB
-// window so that cache index bits exercise realistic distributions. The
-// assembler keeps data in [DefaultDataBase, DefaultHeapBase).
+// code, data (SeMPE's shadow copies included), and the stack in disjoint
+// regions of a 4 GiB window so that cache index bits exercise realistic
+// distributions. The assembler keeps data in [DefaultDataBase,
+// DefaultHeapBase).
 const (
-	DefaultCodeBase  uint64 = 0x0000_1000
-	DefaultDataBase  uint64 = 0x0010_0000 // 1 MiB
-	DefaultStackTop  uint64 = 0x0800_0000 // 128 MiB, grows down
-	DefaultHeapBase  uint64 = 0x0100_0000 // 16 MiB
-	DefaultShadowOff uint64 = 0x0400_0000 // shadow copies live data+64 MiB
+	DefaultCodeBase uint64 = 0x0000_1000
+	DefaultDataBase uint64 = 0x0010_0000 // 1 MiB
+	DefaultStackTop uint64 = 0x0800_0000 // 128 MiB, grows down
+	DefaultHeapBase uint64 = 0x0100_0000 // 16 MiB
 )
 
 // Sym returns the address of a symbol, panicking if undefined. Intended for

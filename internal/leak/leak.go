@@ -31,16 +31,6 @@ type Observation struct {
 	L2MissRate   float64
 }
 
-// Observe runs prog to completion on a fresh core with the given
-// configuration and collects the observation.
-func Observe(cfg pipeline.Config, prog *isa.Program) (Observation, *pipeline.Core, error) {
-	core := pipeline.New(cfg, prog)
-	if err := core.Run(); err != nil {
-		return Observation{}, nil, err
-	}
-	return observationOf(core), core, nil
-}
-
 func observationOf(core *pipeline.Core) Observation {
 	return Observation{
 		Cycles:       core.Cycles(),
@@ -57,13 +47,12 @@ func observationOf(core *pipeline.Core) Observation {
 	}
 }
 
-// ObservePooled is Observe on a core from the configuration's pool
-// (pipeline.PoolFor), for observation paths whose callers never see the
-// core (Distinguish, DistinguishMany). Use it only where the core itself is
-// not needed after the run. A recycled core is Reset onto the next program
-// — cycle- and event-identical to a fresh construction (pinned by
-// pipeline's TestCoreResetDifferential) — so the returned observation is
-// identical to Observe's.
+// ObservePooled runs prog to completion on a core from the configuration's
+// pool (pipeline.PoolFor) and collects the observation; the core goes back
+// to the pool, so its callers (Distinguish, DistinguishMany) never see it.
+// A recycled core is Reset onto the next program — cycle- and
+// event-identical to a fresh construction (pinned by pipeline's
+// TestCoreResetDifferential) — so the observation equals a fresh core's.
 func ObservePooled(cfg pipeline.Config, prog *isa.Program) (Observation, error) {
 	proto := pipeline.PoolFor(cfg)
 	core := proto.NewCoreFor(prog)

@@ -27,10 +27,11 @@ func TestObservePooledMatchesFresh(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fresh, _, err := Observe(cfg, prog)
-				if err != nil {
+				core := pipeline.New(cfg, prog)
+				if err := core.Run(); err != nil {
 					t.Fatal(err)
 				}
+				fresh := observationOf(core)
 				// Several pooled rounds: the first may construct, later ones
 				// must hit the pool's Reset path (sync.Pool never guarantees a
 				// hit, but repeated single-goroutine rounds in practice reuse).

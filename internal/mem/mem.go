@@ -104,33 +104,6 @@ func (m *Memory) Write64(addr uint64, v uint64) {
 	m.writeSpan(addr, buf[:])
 }
 
-// Read32 returns the little-endian 32-bit word at addr (any alignment).
-func (m *Memory) Read32(addr uint64) uint32 {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		pg := m.page(addr, false)
-		if pg == nil {
-			return 0
-		}
-		return binary.LittleEndian.Uint32(pg[off:])
-	}
-	var buf [4]byte
-	m.readSpan(addr, buf[:])
-	return binary.LittleEndian.Uint32(buf[:])
-}
-
-// Write32 stores a little-endian 32-bit word at addr (any alignment).
-func (m *Memory) Write32(addr uint64, v uint32) {
-	off := addr & (pageSize - 1)
-	if off <= pageSize-4 {
-		binary.LittleEndian.PutUint32(m.page(addr, true)[off:], v)
-		return
-	}
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	m.writeSpan(addr, buf[:])
-}
-
 // readSpan fills dst from memory starting at addr, one bulk copy per page
 // touched. Unbacked pages read as zero.
 func (m *Memory) readSpan(addr uint64, dst []byte) {
@@ -165,13 +138,6 @@ func (m *Memory) writeSpan(addr uint64, src []byte) {
 	}
 }
 
-// ReadBytes copies n bytes starting at addr into a new slice.
-func (m *Memory) ReadBytes(addr uint64, n int) []byte {
-	out := make([]byte, n)
-	m.readSpan(addr, out)
-	return out
-}
-
 // WriteBytes copies b into memory starting at addr.
 func (m *Memory) WriteBytes(addr uint64, b []byte) {
 	m.writeSpan(addr, b)
@@ -180,51 +146,13 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) {
 // Reset zeroes the memory image without releasing its pages: allocated
 // pages are cleared in place and stay mapped, so a reloaded program reuses
 // them instead of faulting fresh ones. Zero-filled pages are
-// indistinguishable from absent ones (see Equal), so a reset memory is
+// indistinguishable from absent ones (see FirstDiff), so a reset memory is
 // semantically empty.
 func (m *Memory) Reset() {
 	for _, pg := range m.pages {
 		clear(pg)
 	}
 	m.lastKey, m.lastPg = noPage, nil
-}
-
-// Clone returns a deep copy of the memory image. Used by differential tests
-// that run the same image on two machines.
-func (m *Memory) Clone() *Memory {
-	c := NewMemory()
-	for k, pg := range m.pages {
-		dup := make([]byte, pageSize)
-		copy(dup, pg)
-		c.pages[k] = dup
-	}
-	return c
-}
-
-// Equal reports whether two memories hold identical contents. Zero-filled
-// pages compare equal to absent pages.
-func (m *Memory) Equal(o *Memory) bool {
-	return m.diffAgainst(o) && o.diffAgainst(m)
-}
-
-func (m *Memory) diffAgainst(o *Memory) bool {
-	for k, pg := range m.pages {
-		opg := o.pages[k]
-		if opg == nil {
-			for _, b := range pg {
-				if b != 0 {
-					return false
-				}
-			}
-			continue
-		}
-		for i, b := range pg {
-			if b != opg[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // FirstDiff returns the lowest address at which the two memories differ and

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 // refRead64 assembles a 64-bit little-endian value byte-by-byte, the
 // obviously-correct reference the fast paths are checked against.
@@ -8,14 +11,6 @@ func refRead64(m *Memory, addr uint64) uint64 {
 	var v uint64
 	for i := 7; i >= 0; i-- {
 		v = v<<8 | uint64(m.Read8(addr+uint64(i)))
-	}
-	return v
-}
-
-func refRead32(m *Memory, addr uint64) uint32 {
-	var v uint32
-	for i := 3; i >= 0; i-- {
-		v = v<<8 | uint32(m.Read8(addr+uint64(i)))
 	}
 	return v
 }
@@ -46,18 +41,21 @@ func TestCrossPage64(t *testing.T) {
 	}
 }
 
-// TestCrossPage32 covers the 32-bit cross-page splits symmetrically.
+// TestCrossPage32 writes a 32-bit value across a page boundary at every
+// split (1..3 bytes in the first page) and reads it back through Read64 and
+// the byte-wise reference: the ISA has no 4-byte access, so a 4-byte span
+// is a WriteBytes.
 func TestCrossPage32(t *testing.T) {
 	boundary := uint64(5 * pageSize)
 	for back := uint64(1); back <= 3; back++ {
 		addr := boundary - back
 		m := NewMemory()
 		want := uint32(0xCAFEBABE) + uint32(back)
-		m.Write32(addr, want)
-		if got := m.Read32(addr); got != want {
-			t.Errorf("split %d: Read32 = %#x, want %#x", back, got, want)
+		m.WriteBytes(addr, binary.LittleEndian.AppendUint32(nil, want))
+		if got := m.Read64(addr); got != uint64(want) {
+			t.Errorf("split %d: Read64 = %#x, want %#x", back, got, want)
 		}
-		if got := refRead32(m, addr); got != want {
+		if got := refRead64(m, addr); got != uint64(want) {
 			t.Errorf("split %d: byte-wise readback = %#x, want %#x", back, got, want)
 		}
 	}
@@ -109,25 +107,24 @@ func TestLastPageCache(t *testing.T) {
 	}
 }
 
-// TestSpanBytesAcrossPages round-trips a buffer spanning three pages through
-// WriteBytes/ReadBytes.
+// TestSpanBytesAcrossPages writes a buffer spanning three pages with one
+// WriteBytes and checks it byte by byte, and against a memory written one
+// Write8 at a time.
 func TestSpanBytesAcrossPages(t *testing.T) {
-	m := NewMemory()
+	m, ref := NewMemory(), NewMemory()
 	start := uint64(pageSize) - 100
 	buf := make([]byte, 2*pageSize+200) // covers pages 0..2 inclusive
 	for i := range buf {
 		buf[i] = byte(i*7 + 3)
+		ref.Write8(start+uint64(i), buf[i])
 	}
 	m.WriteBytes(start, buf)
-	got := m.ReadBytes(start, len(buf))
 	for i := range buf {
-		if got[i] != buf[i] {
-			t.Fatalf("byte %d: got %#x want %#x", i, got[i], buf[i])
+		if got := m.Read8(start + uint64(i)); got != buf[i] {
+			t.Fatalf("byte %d: got %#x want %#x", i, got, buf[i])
 		}
 	}
-	// Clone must be unaffected by the source's cache state.
-	c := m.Clone()
-	if !c.Equal(m) {
-		t.Error("clone differs from source")
+	if addr, diff := m.FirstDiff(ref); diff {
+		t.Errorf("WriteBytes and byte-wise writes differ at %#x", addr)
 	}
 }

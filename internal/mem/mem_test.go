@@ -49,32 +49,39 @@ func TestMemoryQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMemoryCloneAndEqual: FirstDiff, the comparison tests hold pipeline
+// memory to the emulator's with, finds no difference between two images
+// written alike, the lowest differing address once they diverge, and none
+// between a zero-filled page and an absent one.
 func TestMemoryCloneAndEqual(t *testing.T) {
-	m := NewMemory()
+	m, c := NewMemory(), NewMemory()
 	m.Write64(0x100, 42)
-	c := m.Clone()
-	if !m.Equal(c) {
-		t.Error("clone not equal")
+	c.Write64(0x100, 42)
+	if addr, diff := m.FirstDiff(c); diff {
+		t.Errorf("memories written alike differ at %#x", addr)
 	}
 	c.Write64(0x108, 7)
-	if m.Equal(c) {
-		t.Error("diverged memories compare equal")
+	c.Write8(3*pageSize+5, 1)
+	for _, pair := range [][2]*Memory{{m, c}, {c, m}} {
+		if addr, diff := pair[0].FirstDiff(pair[1]); !diff || addr != 0x108 {
+			t.Errorf("FirstDiff = %#x,%v want 0x108,true", addr, diff)
+		}
 	}
-	if addr, diff := m.FirstDiff(c); !diff || addr != 0x108 {
-		t.Errorf("FirstDiff = %#x,%v want 0x108,true", addr, diff)
-	}
-	// Zero-filled page equals absent page.
+	// Zero-filled page equals absent page, in both directions.
 	z := NewMemory()
 	z.Write64(0x100, 0)
 	empty := NewMemory()
-	if !z.Equal(empty) {
+	if _, diff := z.FirstDiff(empty); diff {
 		t.Error("zero page != absent page")
+	}
+	if _, diff := empty.FirstDiff(z); diff {
+		t.Error("absent page != zero page")
 	}
 }
 
 // TestReservedDataReadsZero: a .data reservation puts no bytes in the
 // program image, so Load backs no page for it. Reads of the range, cross-page
-// ones included, return zero through every width; a write after such a read
+// ones included, return zero through both widths; a write after such a read
 // lands; Reset makes the range read zero again.
 func TestReservedDataReadsZero(t *testing.T) {
 	prog := asm.MustAssemble(".data buf 40000\nmain:\n halt\n")
@@ -89,8 +96,8 @@ func TestReservedDataReadsZero(t *testing.T) {
 		t.Helper()
 		for _, off := range offs {
 			a := buf + off
-			if m.Read8(a) != 0 || m.Read32(a) != 0 || m.Read64(a) != 0 {
-				t.Errorf("%s: buf+%#x reads %#x/%#x/%#x, want 0", when, off, m.Read8(a), m.Read32(a), m.Read64(a))
+			if m.Read8(a) != 0 || m.Read64(a) != 0 {
+				t.Errorf("%s: buf+%#x reads %#x/%#x, want 0", when, off, m.Read8(a), m.Read64(a))
 			}
 		}
 	}
@@ -102,8 +109,8 @@ func TestReservedDataReadsZero(t *testing.T) {
 		if got := m.Read64(buf + off); got != v {
 			t.Errorf("buf+%#x: Read64 after write = %#x, want %#x", off, got, v)
 		}
-		if got := m.Read32(buf + off); got != 0x55667788 {
-			t.Errorf("buf+%#x: Read32 after write = %#x", off, got)
+		if got := m.Read8(buf + off); got != 0x88 {
+			t.Errorf("buf+%#x: Read8 of the low byte = %#x", off, got)
 		}
 		if got := m.Read8(buf + off + 7); got != 0x11 {
 			t.Errorf("buf+%#x: Read8 of the top byte = %#x", off+7, got)
@@ -202,12 +209,20 @@ func TestSPMNestedDepthAndOverflow(t *testing.T) {
 	if _, err := s.PushInitial(&regs); err == nil {
 		t.Fatal("third push on a 2-slot SPM succeeded")
 	}
-	if s.MaxDepth != 2 {
-		t.Errorf("MaxDepth = %d", s.MaxDepth)
+	if s.MaxDepth != 2 || s.Depth() != 2 {
+		t.Errorf("MaxDepth = %d, depth = %d after a refused push, want 2, 2", s.MaxDepth, s.Depth())
 	}
-	s.DropNewest()
+	// Only the second eosJMP's EndTPath frees a slot.
+	s.EndNTPath(&regs)
+	if s.Depth() != 2 {
+		t.Errorf("depth after EndNTPath = %d, want 2", s.Depth())
+	}
+	s.EndTPath(true, &regs)
 	if s.Depth() != 1 {
-		t.Errorf("depth after drop = %d", s.Depth())
+		t.Errorf("depth after EndTPath = %d, want 1", s.Depth())
+	}
+	if _, err := s.PushInitial(&regs); err != nil {
+		t.Errorf("push into the freed slot: %v", err)
 	}
 }
 

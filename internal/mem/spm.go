@@ -170,15 +170,6 @@ func (s *SPM) EndTPath(taken bool, regs *[isa.NumArchRegs]uint64) (final [isa.Nu
 	return final, mask, stall
 }
 
-// DropNewest removes the newest snapshot slot without any restore, used when
-// a squashed sJMP must unwind its jbTable/SPM allocation during a pipeline
-// flush.
-func (s *SPM) DropNewest() {
-	if s.depth > 0 {
-		s.depth--
-	}
-}
-
 // Reset clears all snapshot state and statistics.
 func (s *SPM) Reset() {
 	s.depth = 0

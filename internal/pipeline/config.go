@@ -173,11 +173,3 @@ func (s Stats) CPI() float64 {
 	}
 	return float64(s.Cycles) / float64(s.Insts)
 }
-
-// IPC returns committed instructions per cycle.
-func (s Stats) IPC() float64 {
-	if s.Cycles == 0 {
-		return 0
-	}
-	return float64(s.Insts) / float64(s.Cycles)
-}

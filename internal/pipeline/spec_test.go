@@ -291,9 +291,6 @@ func TestTracerDispositionsAndRendering(t *testing.T) {
 	if committed == 0 {
 		t.Error("no event resolved to committed")
 	}
-	if got := tr.SquashedCounts(); len(got) == 0 {
-		t.Error("SquashedCounts empty")
-	}
 
 	var text strings.Builder
 	if err := tr.WriteText(&text); err != nil {

@@ -10,10 +10,9 @@ import (
 // Tracer is a bounded ring-buffer recorder for SpecEvents. Arm it with
 // Core.SetSpecWatch(t.Record): every speculative-window event is stored in a
 // preallocated ring (oldest events drop when the ring wraps). Dispositions
-// are resolved when the events are read (Events, SquashedCounts and the
-// renderers), in one backward pass over the retained events, so a finished
-// trace reads like a post-mortem: every retained event knows how it
-// resolved.
+// are resolved when the events are read (Events and the renderers), in one
+// backward pass over the retained events, so a finished trace reads like a
+// post-mortem: every retained event knows how it resolved.
 //
 // Record is allocation-free: the ring is sized at construction and never
 // grows. A Tracer serves one core; it is not safe for concurrent use (the
@@ -106,18 +105,6 @@ func (t *Tracer) KindCounts() map[string]uint64 {
 	for k := SpecKind(0); k < specKindCount; k++ {
 		if t.byKind[k] > 0 {
 			m[k.String()] = t.byKind[k]
-		}
-	}
-	return m
-}
-
-// SquashedCounts returns, per kind, how many retained events resolved to
-// DispSquashed — the wrong-path activity profile of the run.
-func (t *Tracer) SquashedCounts() map[string]uint64 {
-	m := make(map[string]uint64)
-	for _, ev := range t.Events() {
-		if ev.Disp == DispSquashed {
-			m[ev.Kind.String()]++
 		}
 	}
 	return m

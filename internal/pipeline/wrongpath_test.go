@@ -5,8 +5,77 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/emu"
 	"repro/internal/isa"
 )
+
+// TestMispredictedSJmpNeverRenames pins why the jbTable and the SPM need no
+// flush unwind. Under SeMPE an sJMP renames only into an empty ROB (the
+// drain in rename) and pushes both structures only at commit, so an sJMP
+// fetched down a mispredicted path is dropped by the older branch's flush
+// before it can rename. Here a cold predictor says taken for a public
+// branch that falls through, and its taken target starts with an sJMP.
+func TestMispredictedSJmpNeverRenames(t *testing.T) {
+	prog := asm.MustAssemble(`
+		main:
+			li   r8, 1
+			beq  r8, rz, wrong
+			sbne r8, rz, t1
+			li   r10, 222
+			jmp  j1
+		t1:
+			li   r10, 111
+		j1:
+			eosjmp
+			halt
+		wrong:
+			sbne r8, rz, t2
+			jmp  j2
+		t2:
+			nop
+		j2:
+			eosjmp
+			halt
+	`)
+	wrongSJmp := prog.Sym("wrong")
+	tr := NewTracer(1 << 12)
+	core := New(SecureConfig(), prog)
+	core.SetSpecWatch(tr.Record)
+	if err := core.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("ring too small: %d dropped", tr.Dropped())
+	}
+	events := tr.Events()
+	squashed := map[uint64]bool{}
+	for _, ev := range events {
+		if ev.Kind == SpecFetch && ev.PC == wrongSJmp {
+			if ev.Disp != DispSquashed {
+				t.Errorf("fetch of the wrong-path sJMP (seq %d) resolved %v, want squashed", ev.Seq, ev.Disp)
+			}
+			squashed[ev.Seq] = true
+		}
+	}
+	if len(squashed) == 0 {
+		t.Fatal("no fetch of the wrong-path sJMP; the mispredict into it is untested")
+	}
+	for _, ev := range events {
+		if (ev.Kind == SpecIssue || ev.Kind == SpecCommit) && squashed[ev.Seq] {
+			t.Errorf("the wrong-path sJMP (seq %d) reached %v", ev.Seq, ev.Kind)
+		}
+	}
+	if core.JB.Depth() != 0 || core.SPM.Depth() != 0 {
+		t.Errorf("jbTable depth %d, SPM depth %d after the run, want 0, 0", core.JB.Depth(), core.SPM.Depth())
+	}
+	ref := emu.New(emu.SeMPE, prog)
+	if err := ref.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ref.SJmps != 1 || core.Stats.SJmps != ref.SJmps {
+		t.Errorf("committed sJMPs: core %d, emulator %d, want 1 each", core.Stats.SJmps, ref.SJmps)
+	}
+}
 
 // wrongPathNestedProg: the outer branch depends on a load (resolves late),
 // the inner one on register arithmetic (resolves early), so a mispredicted

@@ -84,12 +84,11 @@ func (s *Stride) Reset() {
 // recent miss to the previous line and, when found, prefetches the following
 // Depth lines. This is the "stream pref. (L2)" of Table II.
 type Stream struct {
-	target  *cache.Cache
-	recent  []uint64 // recent miss line addresses (ring)
-	head    int
-	depth   int
-	Issued  uint64
-	matched uint64
+	target *cache.Cache
+	recent []uint64 // recent miss line addresses (ring)
+	head   int
+	depth  int
+	Issued uint64
 }
 
 // NewStream builds a stream prefetcher tracking the given number of recent
@@ -110,7 +109,6 @@ func (s *Stream) OnAccess(pc, addr uint64, miss bool) {
 	line := addr / cache.LineSize
 	for _, prev := range s.recent {
 		if prev != 0 && prev+1 == line {
-			s.matched++
 			for d := 1; d <= s.depth; d++ {
 				s.target.Prefetch((line + uint64(d)) * cache.LineSize)
 				s.Issued++
@@ -127,8 +125,5 @@ func (s *Stream) OnAccess(pc, addr uint64, miss bool) {
 func (s *Stream) Reset() {
 	clear(s.recent)
 	s.head = 0
-	s.Issued, s.matched = 0, 0
+	s.Issued = 0
 }
-
-// Matches returns how many stream patterns were detected.
-func (s *Stream) Matches() uint64 { return s.matched }

@@ -63,8 +63,8 @@ func TestStreamPrefetchesSequentialMisses(t *testing.T) {
 	base := uint64(0x300000)
 	pf.OnAccess(0, base, true)
 	pf.OnAccess(0, base+cache.LineSize, true) // sequential miss -> stream
-	if pf.Matches() == 0 {
-		t.Fatal("sequential miss pattern not detected")
+	if pf.Issued != 2 {
+		t.Fatalf("sequential miss pattern issued %d prefetches, want one stream of depth 2", pf.Issued)
 	}
 	if !l2.Contains(base + 2*cache.LineSize) {
 		t.Error("next line of the stream not prefetched")
@@ -81,7 +81,7 @@ func TestStreamIgnoresHitsAndRandomMisses(t *testing.T) {
 	pf.OnAccess(0, 0x10000, false) // hit: ignored
 	pf.OnAccess(0, 0x50000, true)
 	pf.OnAccess(0, 0x90000, true) // unrelated misses
-	if pf.Matches() != 0 || pf.Issued != 0 {
-		t.Errorf("stream fired on random misses: matches=%d issued=%d", pf.Matches(), pf.Issued)
+	if pf.Issued != 0 {
+		t.Errorf("stream fired on random misses: issued=%d", pf.Issued)
 	}
 }

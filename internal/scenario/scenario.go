@@ -323,7 +323,9 @@ func (r *Result) Stable() *Result {
 // after every completed grid point with (done, total); it may be called
 // from multiple goroutines but never concurrently. Rows, when set,
 // memoizes sweep rows by (sweep, spec) so scenarios sharing a sweep — or
-// repeated runs of the same spec — simulate the grid once. Context, when
+// repeated runs of the same spec — simulate the grid once; a run that
+// joins another run's in-flight computation gets that computation's latest
+// (done, total) on joining and every update after it. Context, when
 // set, cancels the sweep between grid points: in-flight points finish,
 // remaining points are skipped, and the run returns the context's error.
 // Journal, when set, receives a per-sweep span plus one span per grid
@@ -360,7 +362,7 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 		sweepSpan = opts.Journal.Begin("sweep", obs.Fields{
 			"scenario": sc.Name, "sweep": sc.Sweep.ID, "points": len(all)})
 	}
-	compute := func() ([]any, *PointStat, error) {
+	compute := func(opts RunOptions) ([]any, *PointStat, error) {
 		if opts.Compute != nil {
 			rows, err := opts.Compute(sc, spec, plan, opts)
 			return rows, nil, err
@@ -370,12 +372,12 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 	var rows []any
 	var slowest *PointStat
 	if opts.Rows != nil {
-		rows, slowest, err = opts.Rows.rows(sc.Sweep.ID+"|"+spec.Key(), compute)
+		rows, slowest, err = opts.Rows.rows(sc.Sweep.ID+"|"+spec.Key(), opts, compute)
 		if err == nil && opts.Progress != nil {
 			opts.Progress(len(all), len(all))
 		}
 	} else {
-		rows, slowest, err = compute()
+		rows, slowest, err = compute(opts)
 	}
 	if err != nil {
 		sweepSpan.End(obs.Fields{"error": err.Error()})
@@ -397,9 +399,10 @@ func Run(sc *Scenario, spec Spec, opts RunOptions) (*Result, error) {
 // RowCache memoizes sweep rows (and the slowest-point timing from the
 // compute that ran them) by (sweep ID, spec key) with single-flight
 // semantics: concurrent requests for the same key run the sweep once and
-// share the result. It keeps the rowCacheEntries most recently completed
-// keys, dropping the oldest first, so a long-lived process that sees many
-// distinct specs holds a bounded number of grids.
+// share the result, and every one of them sees the computation's progress.
+// It keeps the rowCacheEntries most recently completed keys, dropping the
+// oldest first, so a long-lived process that sees many distinct specs
+// holds a bounded number of grids.
 type RowCache struct {
 	mu   sync.Mutex
 	m    map[string]*rowEntry
@@ -414,12 +417,22 @@ type rowEntry struct {
 	rows    []any
 	slowest *PointStat
 	err     error
+
+	// mu orders the progress of the in-flight computation: the latest
+	// (done, total), and the Progress of every caller waiting on it, each
+	// called one at a time. computed ends the forwarding.
+	mu          sync.Mutex
+	done, total int
+	progress    []func(done, total int)
+	computed    bool
 }
 
 // NewRowCache returns an empty cache.
 func NewRowCache() *RowCache { return &RowCache{m: map[string]*rowEntry{}} }
 
-func (c *RowCache) rows(key string, compute func() ([]any, *PointStat, error)) ([]any, *PointStat, error) {
+// rows returns key's rows, running compute under opts once per key. The
+// computation reports its progress to every caller that joins it.
+func (c *RowCache) rows(key string, opts RunOptions, compute func(RunOptions) ([]any, *PointStat, error)) ([]any, *PointStat, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
@@ -427,8 +440,13 @@ func (c *RowCache) rows(key string, compute func() ([]any, *PointStat, error)) (
 		c.m[key] = e
 	}
 	c.mu.Unlock()
+	e.join(opts.Progress)
 	e.once.Do(func() {
-		e.rows, e.slowest, e.err = compute()
+		opts.Progress = e.report
+		e.rows, e.slowest, e.err = compute(opts)
+		e.mu.Lock()
+		e.computed, e.progress = true, nil
+		e.mu.Unlock()
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if e.err != nil {
@@ -445,4 +463,33 @@ func (c *RowCache) rows(key string, compute func() ([]any, *PointStat, error)) (
 		}
 	})
 	return e.rows, e.slowest, e.err
+}
+
+// join adds progress to the callers the entry's computation reports to,
+// handing it the latest (done, total) if the computation has reported one.
+// A finished computation takes no callers: they read its rows at once.
+func (e *rowEntry) join(progress func(done, total int)) {
+	if progress == nil {
+		return
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.computed {
+		return
+	}
+	e.progress = append(e.progress, progress)
+	if e.total > 0 {
+		progress(e.done, e.total)
+	}
+}
+
+// report is the computation's Progress: it records (done, total) and
+// forwards it to every joined caller.
+func (e *rowEntry) report(done, total int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.done, e.total = done, total
+	for _, p := range e.progress {
+		p(done, total)
+	}
 }

@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/stats"
 )
@@ -257,6 +259,70 @@ func TestRowCacheBounded(t *testing.T) {
 	}
 	if n := len(cache.m); n != rowCacheEntries {
 		t.Errorf("cache holds %d entries, want %d", n, rowCacheEntries)
+	}
+}
+
+// TestJoinedRunSeesProgress: a run that joins another run's in-flight
+// computation through the row cache reads that computation's progress: the
+// latest (done, total) when it joins, then every update. The sweep holds
+// every point after the first until released, so the joiner must see
+// (1, 4) while the grid is still running; a joiner used to see nothing
+// until the end. Both runs see the calls a lone run makes.
+func TestJoinedRunSeesProgress(t *testing.T) {
+	release := make(chan struct{})
+	sc := testScenario(nil)
+	sc.Sweep = &Sweep{
+		ID: "gated",
+		Plan: func(spec Spec) (*Plan, error) {
+			p, err := testSweep(nil).Plan(spec)
+			square := p.Point
+			p.Point = func(pt Point) (any, error) {
+				if pt.Index > 0 {
+					<-release
+				}
+				return square(pt)
+			}
+			return p, err
+		},
+	}
+	cache := NewRowCache()
+	var (
+		wg                    sync.WaitGroup
+		mu                    sync.Mutex
+		firstCalls, joinCalls [][2]int
+	)
+	run := func(calls *[][2]int, seen chan struct{}) {
+		defer wg.Done()
+		var once sync.Once
+		_, err := Run(sc, Spec{Workers: 1}, RunOptions{Rows: cache, Progress: func(done, total int) {
+			mu.Lock()
+			*calls = append(*calls, [2]int{done, total})
+			mu.Unlock()
+			once.Do(func() { close(seen) })
+		}})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	firstSeen, joinSeen := make(chan struct{}), make(chan struct{})
+	wg.Add(1)
+	go run(&firstCalls, firstSeen)
+	<-firstSeen // point 0 is done; points 1..3 wait for release
+	wg.Add(1)
+	go run(&joinCalls, joinSeen)
+	select {
+	case <-joinSeen:
+	case <-time.After(10 * time.Second):
+		t.Error("the joined run saw no progress while the shared computation ran")
+	}
+	close(release)
+	wg.Wait()
+	want := [][2]int{{1, 4}, {2, 4}, {3, 4}, {4, 4}, {4, 4}}
+	if !reflect.DeepEqual(firstCalls, want) {
+		t.Errorf("first run's progress calls %v, want %v", firstCalls, want)
+	}
+	if !reflect.DeepEqual(joinCalls, want) {
+		t.Errorf("joined run's progress calls %v, want %v", joinCalls, want)
 	}
 }
 

@@ -89,15 +89,6 @@ func (t *JBTable) Pop() error {
 	return nil
 }
 
-// DropNewest removes the newest entry without protocol checks; used when a
-// pipeline flush squashes an sJMP that had allocated an entry. Entries are
-// removed newest-to-oldest exactly as the paper describes for ROB squashes.
-func (t *JBTable) DropNewest() {
-	if t.depth > 0 {
-		t.depth--
-	}
-}
-
 // InTPathFlags fills buf with one flag per live nesting level: true when
 // that level is currently executing its taken path (jb already set). Used
 // to attribute register modifications to the correct per-path bit-vector.

@@ -72,18 +72,38 @@ func TestJBTableInTPathFlags(t *testing.T) {
 	}
 }
 
+// TestJBTableDropNewest: Pop is the only way an entry leaves the table.
+// The jbTable is pushed at sJMP commit, so no flush has an entry to unwind
+// (internal/pipeline's TestMispredictedSJmpNeverRenames); Push, Top,
+// InTPathFlags and a refused Push leave the depth alone, and Pop on an
+// empty table is ErrUnderflow.
 func TestJBTableDropNewest(t *testing.T) {
-	jb := NewJBTable(4)
+	jb := NewJBTable(2)
 	_ = jb.Push(1, true)
 	_ = jb.Push(2, true)
-	jb.DropNewest()
-	if jb.Depth() != 1 {
-		t.Errorf("depth = %d", jb.Depth())
+	if err := jb.Push(3, true); !errors.Is(err, ErrOverflow) {
+		t.Fatalf("push past capacity: %v, want ErrOverflow", err)
 	}
-	jb.DropNewest()
-	jb.DropNewest() // extra drop on empty is a no-op
+	if _, err := jb.Top(); err != nil {
+		t.Fatal(err)
+	}
+	jb.InTPathFlags(nil)
+	if jb.Depth() != 2 {
+		t.Fatalf("depth = %d before any Pop, want 2", jb.Depth())
+	}
+	for want := 1; want >= 0; want-- {
+		if err := jb.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		if jb.Depth() != want {
+			t.Errorf("depth = %d after Pop, want %d", jb.Depth(), want)
+		}
+	}
+	if err := jb.Pop(); !errors.Is(err, ErrUnderflow) {
+		t.Errorf("Pop on an empty table: %v, want ErrUnderflow", err)
+	}
 	if jb.Depth() != 0 {
-		t.Errorf("depth = %d", jb.Depth())
+		t.Errorf("depth = %d after an underflowing Pop, want 0", jb.Depth())
 	}
 }
 

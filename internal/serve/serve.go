@@ -214,8 +214,10 @@ type runView struct {
 	Result     *scenario.Result `json:"result,omitempty"`
 	// Report is the cluster provenance report of a run whose grid the
 	// front end's coordinator filled (Options.ClusterWorkers): per-shard
-	// durations and retry counts, per-worker throughput. A run whose rows
-	// came from the row cache, filled for another run, has none.
+	// durations and retry counts, per-worker throughput. It goes only to
+	// the run whose computation filled the grid: a run that joined that
+	// computation in flight has none, though its Progress follows it, and
+	// neither has a run whose rows came from the row cache.
 	Report *cluster.Report `json:"report,omitempty"`
 }
 

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -535,6 +536,94 @@ func TestCancelDoesNotContaminateConcurrentIdenticalRun(t *testing.T) {
 	getJSON(t, ts.URL+"/runs/"+a.ID, &got)
 	if got.Status != "canceled" && got.Status != "done" {
 		t.Errorf("run A ended %q", got.Status)
+	}
+}
+
+// gateProbeRelease holds the gate-probe scenario's grid points 1..3 until
+// the running test closes the channel it stores.
+var gateProbeRelease atomic.Value // chan struct{}
+
+// registerGateProbe registers, once per test binary, a synthetic scenario
+// of four grid points whose points after the first wait on
+// gateProbeRelease.
+var registerGateProbe = sync.OnceFunc(func() {
+	scenario.Register(&scenario.Scenario{
+		Name:        "gate-probe",
+		Description: "test only: grid points 1..3 of 4 wait for the test to release them",
+		Sweep: &scenario.Sweep{
+			ID: "gate-probe",
+			Plan: func(scenario.Spec) (*scenario.Plan, error) {
+				release := gateProbeRelease.Load().(chan struct{})
+				return &scenario.Plan{
+					Axes: []scenario.Axis{{Name: "i", Values: []string{"0", "1", "2", "3"}}},
+					Point: func(p scenario.Point) (any, error) {
+						if p.Index > 0 {
+							<-release
+						}
+						return p.Index, nil
+					},
+				}, nil
+			},
+			DecodeRow: func(raw json.RawMessage) (any, error) {
+				var v int
+				err := json.Unmarshal(raw, &v)
+				return v, err
+			},
+		},
+		Render: func(scenario.Spec, []any) []*stats.Table { return nil },
+	})
+})
+
+// TestJoinedRunReportsProgress: two async POST /runs of one spec share one
+// computation through the row cache, and GET /runs/{id} of the run that
+// joined it follows that computation's progress: 1/4 while the grid's
+// later points are held, where it used to read 0/0 until the end. Both
+// runs end done at 4/4.
+func TestJoinedRunReportsProgress(t *testing.T) {
+	registerGateProbe()
+	release := make(chan struct{})
+	gateProbeRelease.Store(release)
+	_, ts := newTestServer(t)
+	var once sync.Once
+	open := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(open)
+
+	deadline := time.Now().Add(10 * time.Second)
+	await := func(id string, until func(runView) bool) runView {
+		t.Helper()
+		var got runView
+		for {
+			if getJSON(t, ts.URL+"/runs/"+id, &got) != http.StatusOK {
+				t.Fatalf("GET /runs/%s failed", id)
+			}
+			if until(got) {
+				return got
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("run %s stuck at %q %+v", id, got.Status, got.Progress)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	atFirstPoint := func(v runView) bool { return v.Progress == progressView{Done: 1, Total: 4} }
+	finished := func(v runView) bool { return v.Status != "queued" && v.Status != "running" }
+
+	body := `{"scenario":"gate-probe","spec":{"workers":1}}`
+	a, code := postRun(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST A = %d, want 202", code)
+	}
+	await(a.ID, atFirstPoint)
+	b, code := postRun(t, ts, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("POST B = %d, want 202", code)
+	}
+	await(b.ID, atFirstPoint)
+	open()
+	for _, id := range []string{a.ID, b.ID} {
+		if got := await(id, finished); got.Status != "done" || got.Progress != (progressView{Done: 4, Total: 4}) {
+			t.Errorf("run %s ended %q at %+v, want done at 4/4", id, got.Status, got.Progress)
+		}
 	}
 }
 

@@ -1,14 +1,14 @@
 // Package stats provides the reporting layer shared by the experiment
 // scenarios, the cmd tools, and the benchmark harness: titled tables whose
-// cells are typed values (not pre-formatted strings), with text, JSON, and
-// CSV renderers. The text renderer reproduces the rows/series the paper's
-// tables and figures report; the JSON and CSV encoders expose the same
-// results to machines (sempe-serve, notebooks, diffing golden files).
+// cells are typed values (not pre-formatted strings), rendered as text or
+// CSV and encoded as JSON by encoding/json through their struct tags. The
+// text renderer reproduces the rows/series the paper's tables and figures
+// report; the JSON and CSV forms expose the same results to machines
+// (sempe-serve, notebooks, diffing golden files).
 package stats
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -159,13 +159,6 @@ func (t *Table) Render(w io.Writer) {
 		fmt.Fprintf(w, "  note: %s\n", n)
 	}
 	fmt.Fprintln(w)
-}
-
-// WriteJSON writes the table as an indented JSON document.
-func (t *Table) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t)
 }
 
 // WriteCSV writes the table as CSV: a `# title` pragma line, the header

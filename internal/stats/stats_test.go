@@ -61,12 +61,12 @@ func TestJSONRoundTrip(t *testing.T) {
 	tb.AddRow("queens", Int(0), Ratio(10.6), Percent(0), Float(1.25, 2))
 	tb.AddNote("note line")
 
-	var sb strings.Builder
-	if err := tb.WriteJSON(&sb); err != nil {
+	raw, err := json.Marshal(tb)
+	if err != nil {
 		t.Fatal(err)
 	}
 	var back Table
-	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
+	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(tb, &back) {

@@ -83,11 +83,11 @@ func WelchT(a, b []float64) float64 {
 	return math.Max(-TCap, math.Min(TCap, t))
 }
 
-// TVLA runs the fixed-vs-random Welch t-test and applies the TVLAThreshold
-// decision: leak is true when |t| >= 4.5.
-func TVLA(fixed, random []float64) (t float64, leak bool) {
-	t = WelchT(fixed, random)
-	return t, math.Abs(t) >= TVLAThreshold
+// TVLALeak is the TVLA decision on a t value: true when |t| >=
+// TVLAThreshold. A NaN t is no evidence of leakage and reports false.
+// Every verdict and table that says whether a t statistic leaks calls it.
+func TVLALeak(t float64) bool {
+	return math.Abs(t) >= TVLAThreshold
 }
 
 // BinnedMI estimates the mutual information I(obs; label) in bits between

@@ -50,7 +50,26 @@ func TestWelchTDegenerate(t *testing.T) {
 	}
 }
 
+// TestTVLADecision: TVLALeak fires at |t| >= 4.5, saturated t values leak
+// in either direction, a NaN t does not, and a Welch t over two samples of
+// one distribution stays below the threshold while a two-sigma shift
+// crosses it.
 func TestTVLADecision(t *testing.T) {
+	for _, tc := range []struct {
+		t    float64
+		leak bool
+	}{
+		{0, false},
+		{4.49, false}, {-4.49, false},
+		{TVLAThreshold, true}, {-TVLAThreshold, true},
+		{TCap, true}, {-TCap, true},
+		{math.NaN(), false},
+	} {
+		if got := TVLALeak(tc.t); got != tc.leak {
+			t.Errorf("TVLALeak(%v) = %v, want %v", tc.t, got, tc.leak)
+		}
+	}
+
 	rng := rand.New(rand.NewSource(7))
 	n := 400
 	fixed := make([]float64, n)
@@ -61,10 +80,10 @@ func TestTVLADecision(t *testing.T) {
 		randomSame[i] = rng.NormFloat64()
 		randomShift[i] = rng.NormFloat64() + 2 // two-sigma mean shift
 	}
-	if tv, leak := TVLA(fixed, randomSame); leak {
+	if tv := WelchT(fixed, randomSame); TVLALeak(tv) {
 		t.Errorf("same-distribution TVLA leaked: t = %v", tv)
 	}
-	if tv, leak := TVLA(fixed, randomShift); !leak {
+	if tv := WelchT(fixed, randomShift); !TVLALeak(tv) {
 		t.Errorf("shifted-distribution TVLA did not leak: t = %v", tv)
 	}
 }

@@ -150,24 +150,3 @@ func chainMask(conds []string, level int) lang.Expr {
 	}
 	return e
 }
-
-// Single builds one kernel instance run I times with no secret branches at
-// all — used for unit tests and for measuring per-path kernel cost.
-func Single(k Kind, n, iters int) *lang.Program {
-	if n <= 0 {
-		n = k.DefaultSize()
-	}
-	kVars, kArrs := decls(k, n)
-	vars := append([]*lang.VarDecl{
-		{Name: "s"}, {Name: "iter"}, {Name: "cksum"}, {Name: "bit"},
-	}, kVars...)
-	loop := lang.Loop(lang.B(lang.Lt, lang.V("iter"), lang.N(int64(iters))),
-		append(body(k, n),
-			lang.Set("iter", lang.B(lang.Add, lang.V("iter"), lang.N(1)))))
-	return &lang.Program{
-		Name:   fmt.Sprintf("%s_single", k),
-		Vars:   vars,
-		Arrays: kArrs,
-		Body:   []lang.Stmt{loop},
-	}
-}

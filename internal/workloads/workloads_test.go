@@ -31,6 +31,12 @@ func runCksum(t *testing.T, p *lang.Program, mode compile.Mode, secure bool) uin
 	return mach.Mem.Read64(addr)
 }
 
+// once builds a harness that runs one kernel instance of size n once: W=1
+// gives two instances behind one secret branch, and I=1 runs one of them.
+func once(k Kind, n int) *lang.Program {
+	return Harness(HarnessSpec{Kind: k, Size: n, W: 1, I: 1})
+}
+
 func TestKernelsProduceKnownResults(t *testing.T) {
 	// Fibonacci: fib(64) with fib(0)=1 starting pair (a=0,b=1 -> b holds
 	// fib(n+1) after n steps).
@@ -41,16 +47,16 @@ func TestKernelsProduceKnownResults(t *testing.T) {
 		}
 		return b
 	}
-	got := runCksum(t, Single(Fibonacci, 64, 1), compile.Plain, false)
+	got := runCksum(t, once(Fibonacci, 64), compile.Plain, false)
 	if got != fib(64) {
 		t.Errorf("fibonacci cksum = %d, want %d", got, fib(64))
 	}
 
 	// Queens: 4x4 board has 2 solutions; 5x5 has 10; run once each.
-	if got := runCksum(t, Single(Queens, 4, 1), compile.Plain, false); got != 2 {
+	if got := runCksum(t, once(Queens, 4), compile.Plain, false); got != 2 {
 		t.Errorf("queens(4) solutions = %d, want 2", got)
 	}
-	if got := runCksum(t, Single(Queens, 5, 1), compile.Plain, false); got != 10 {
+	if got := runCksum(t, once(Queens, 5), compile.Plain, false); got != 10 {
 		t.Errorf("queens(5) solutions = %d, want 10", got)
 	}
 
@@ -70,7 +76,7 @@ func TestKernelsProduceKnownResults(t *testing.T) {
 		}
 	}
 	want := vals[n/2] + vals[0]
-	if got := runCksum(t, Single(Quicksort, n, 1), compile.Plain, false); got != want {
+	if got := runCksum(t, once(Quicksort, n), compile.Plain, false); got != want {
 		t.Errorf("quicksort cksum = %d, want %d", got, want)
 	}
 
@@ -81,7 +87,7 @@ func TestKernelsProduceKnownResults(t *testing.T) {
 		v = (v*25173 + 13849) & 0xFFFFFF
 		cnt += v & 1
 	}
-	if got := runCksum(t, Single(Ones, 48, 1), compile.Plain, false); got != cnt {
+	if got := runCksum(t, once(Ones, 48), compile.Plain, false); got != cnt {
 		t.Errorf("ones cksum = %d, want %d", got, cnt)
 	}
 }
