@@ -33,11 +33,14 @@ bench-module:
 # steady-state pipeline loop is allocation-free, in seconds. The attack-trial
 # benchmark runs one iteration per config; its allocation gate is the
 # TestTrialLoopZeroAlloc test (a 1x bench can't see the steady state).
-# The replay gates pin the superblock fetch path: prototype-vended cores
+# The replay gates pin the decode-cache fetch path: prototype-vended cores
 # cycle-identical to New, 0 allocs/op through wrong-path replay, an armed
 # spec watch staying on replay, the pipeline's spec-event streams equal to
-# their golden files, and every scenario byte-identical to its golden file
-# and delivering its recorded spec-event and flush streams. The data-footprint gates
+# their golden files, every scenario byte-identical to its golden file and
+# delivering its recorded spec-event and flush streams, every scenario's
+# armed run equal to its unarmed one (TestSpecTraceDifferential), and the
+# instructions of one fetch group address-contiguous, which the cache's
+# per-address IL1 line dedup relies on. The data-footprint gates
 # pin zero-filled program data as a reservation: attack templates carry no
 # data bytes, symbol addresses match the recorded layouts, and a .data range
 # past the data region is a named error. The trial-engine gates pin the
@@ -70,11 +73,12 @@ bench-module:
 # internal/ declaration that only tests use, a run that joins another run's
 # in-flight computation reads its progress (engine and serve), and an sJMP
 # fetched down a mispredicted path is flushed before it renames, so the
-# jbTable and the SPM need no unwind.
+# jbTable and the SPM need no unwind. A run canceled while queued is
+# counted, journaled and logged like a run canceled while running.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
-	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed'
+	$(GO) test ./internal/experiments/ -run 'TestSteadyStateZeroAllocSpecDisarmed|TestSpecTraceDifferential'
 	$(GO) test ./internal/pipeline/ -run 'TestPrototypeMatchesNew|TestWrongPathReplayZeroAlloc|TestSpecWatchStaysOnReplay|TestSpecStreamReplayMatchesWalk|TestSpecStreamHashCoversEveryField'
 	$(GO) test ./internal/experiments/ -run 'TestScenarioGoldens|TestSuperblockDifferential|TestWrongPathReplayDifferential'
 	$(GO) test ./internal/attack/ -run 'TestTemplatePatchMatchesFreshCompile|TestCompiledDataLayout'
@@ -92,7 +96,8 @@ bench-smoke:
 	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
 	$(GO) test . -run 'TestNoTestOnlyAPI'
 	$(GO) test ./internal/scenario/ ./internal/serve/ -run 'TestJoinedRunSeesProgress|TestJoinedRunReportsProgress'
-	$(GO) test ./internal/pipeline/ -run 'TestMispredictedSJmpNeverRenames'
+	$(GO) test ./internal/pipeline/ -run 'TestMispredictedSJmpNeverRenames|TestFetchGroupsAreContiguous'
+	$(GO) test ./internal/serve/ -run 'TestQueuedCancelIsCountedAndJournaled'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

@@ -42,7 +42,7 @@ func init() {
 			"sempe_attack_trials_total divided by this is trials/s.",
 		func() float64 { return float64(perfCounters.trialNS.Load()) / 1e9 })
 
-	// Superblock and speculative-window families: process-wide accounting
+	// Decode-cache and speculative-window families: process-wide accounting
 	// published by every completed Run, attack trial or not
 	// (pipeline.GlobalSpecCounters). Like the families above, these are
 	// scrape-time reads of existing atomics; the underlying Stats and
@@ -51,13 +51,15 @@ func init() {
 		return func() float64 { return float64(pick(pipeline.GlobalSpecCounters())) }
 	}
 	reg.CounterFunc("sempe_superblock_builds_total",
-		"Superblocks decoded and cached by the execution engine.",
+		"Static instructions decoded into the front end's decode cache, "+
+			"each at most once per core run.",
 		spec(func(c pipeline.SpecCounters) uint64 { return c.SBBuilds }))
 	reg.CounterFunc("sempe_superblock_replayed_ops_total",
-		"Operations executed via memoized superblock fast paths.",
+		"Micro-ops fetched from their cached decode (every fetch).",
 		spec(func(c pipeline.SpecCounters) uint64 { return c.SBReplays }))
 	reg.CounterFunc("sempe_sb_wrongpath_builds_total",
-		"Superblock builds attributed to squashed (wrong-path) fetch regions.",
+		"Instruction decodes first triggered by a fetch that a later flush "+
+			"discarded (wrong path).",
 		spec(func(c pipeline.SpecCounters) uint64 { return c.SBWrongPathBuilds }))
 	reg.CounterFunc("sempe_sb_wrongpath_replays_total",
 		"Replayed micro-ops later squashed by a flush: wrong-path work the "+

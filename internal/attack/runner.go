@@ -63,8 +63,8 @@ var tmplMemo = compile.NewMemo[tmplKey]()
 
 // Perf is a snapshot of the throughput engine's cumulative counters, the
 // observability surface behind sempe-attack's perf block: template-cache
-// effectiveness, core recycling, and the superblock engine's build/replay
-// mix, which pipeline.Core.Run publishes for every core in the process.
+// effectiveness, core recycling, and the decode cache's decode/replay mix,
+// which pipeline.Core.Run publishes for every core in the process.
 type Perf struct {
 	TemplateHits      uint64 `json:"template_hits"`
 	TemplateMisses    uint64 `json:"template_misses"`
@@ -81,7 +81,7 @@ type Perf struct {
 	SBLegacyOps       uint64 `json:"sb_legacy_ops"`
 	// SBWrongPathBuilds/SBWrongPathReplays are the slices of the above that
 	// the flush logic attributed to squashed (never-committed) paths: work
-	// the replay engine ran on mispredicted paths.
+	// fetch ran on mispredicted paths.
 	SBWrongPathBuilds  uint64 `json:"sb_wrongpath_builds"`
 	SBWrongPathReplays uint64 `json:"sb_wrongpath_replays"`
 	// Trials and TrialSeconds measure batch throughput: trials completed

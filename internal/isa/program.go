@@ -45,9 +45,6 @@ func (p *Program) Sym(name string) uint64 {
 	return addr
 }
 
-// CodeEnd returns the address one past the last code byte.
-func (p *Program) CodeEnd() uint64 { return p.CodeBase + uint64(len(p.Code)) }
-
 // Disassemble renders the program's code section, one instruction per line,
 // annotated with addresses and any symbols that point at them.
 func (p *Program) Disassemble() string {

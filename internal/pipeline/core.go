@@ -93,21 +93,13 @@ type Core struct {
 	fetchBroken     bool   // undecodable bytes (wrong path); wait for flush
 	fe              feRing // fused fetch buffer + decode queue
 
-	// Pre-decode cache, indexed by pc-CodeBase: each static instruction is
-	// decoded once, when the first superblock covering it is built.
-	decoded []predec
-
-	// Superblock engine (see superblock.go): cached decoded straight-line
-	// traces replayed by fetch, plus the replay cursor.
-	sbIndex  []int32
-	sbBlocks []superblock
-	sbCur    int32 // block being replayed, -1 when none
-	sbCurIdx int32 // next entry within sbCur
-	SBStats  SuperblockStats
-	// sbEntryPool recycles superblock entry slices across Reset, so a pooled
-	// core's rebuilds after reset are allocation-free at steady state.
-	sbEntryPool [][]sbEntry
-	// sbBuildSeqs stamps each build with the seq it was triggered at, in
+	// Decode cache (superblock.go): each static instruction decoded once
+	// into a prototype micro-op that fetch copies. sbIndex maps a code
+	// offset to its entry in sbEntries, or holds sbUndecoded/sbUndecodable.
+	sbIndex   []int32
+	sbEntries []sbEntry
+	SBStats   SuperblockStats
+	// sbBuildSeqs stamps each decode with the seq it was triggered at, in
 	// ascending order; flushes truncate the wrong-path tail into
 	// SBStats.WrongPathBuilds (sbCountWrongPathBuilds).
 	sbBuildSeqs []uint64
@@ -160,23 +152,21 @@ type Core struct {
 	Stats Stats
 }
 
-// SuperblockStats counts superblock-engine activity. It lives outside Stats
-// so artifact rows never serialize it: it describes how the front end
-// worked, not what the machine did.
+// SuperblockStats counts decode-cache activity (superblock.go). It lives
+// outside Stats so artifact rows never serialize it: it describes how the
+// front end worked, not what the machine did.
 type SuperblockStats struct {
-	Builds  uint64 // superblocks constructed
-	Replays uint64 // instructions fetched via cached traces
+	Builds  uint64 // static instructions decoded, each at most once per run
+	Replays uint64 // instructions fetched from their cached decode (every fetch)
 	// LegacyOps is always 0: every instruction is fetched by replay. It is
 	// kept so the benchmark's pipeline.sb_legacy_ops column keeps its schema.
-	LegacyOps  uint64
-	Invalidate uint64 // cursor drops from redirects into uncached targets
-	ReKeys     uint64 // cursor re-keys onto a cached block at the redirect target
-	// Wrong-path replay accounting: work the engine performed on paths that
-	// a later flush or secure redirect discarded. Replays counts replayed
-	// micro-ops squashed in the ROB or dropped from the front-end buffers
-	// (every fetch is a replay, so it equals Stats.WrongPathFetches); Builds
-	// counts trace builds triggered by such fetches (the cached block
-	// survives — static traces are path-independent).
+	LegacyOps uint64
+	// Wrong-path accounting: work the front end performed on paths that a
+	// later flush or secure redirect discarded. Replays counts fetched
+	// micro-ops squashed in the ROB or dropped from the front-end buffers (it
+	// equals Stats.WrongPathFetches); Builds counts instructions first
+	// decoded by such fetches (the entry survives — a static decode is
+	// path-independent).
 	WrongPathBuilds  uint64
 	WrongPathReplays uint64
 }

@@ -2,98 +2,8 @@ package pipeline
 
 import "repro/internal/isa"
 
-// predec is one pre-decode cache entry. size==0 means not yet decoded;
-// size<0 means the bytes at this pc are undecodable (wrong-path fetch).
-// Alongside the decoded instruction it caches every piece of per-op
-// metadata that is a pure function of the instruction bytes, so neither
-// superblock builds nor rename re-derive it per dynamic instruction.
-type predec struct {
-	inst isa.Inst
-	size int8
-
-	cl               isa.Class
-	sra1, sra2, sra3 int8 // arch sources for ps1..ps3, sraNone unused
-	writesRd         bool
-	isLoad, isStore  bool
-	memWidth         uint8
-}
-
-// fillStatic derives the cached static metadata from d.inst. The source
-// mapping mirrors renameOne's historical per-class switch exactly
-// (including the default case taking at most the first two SrcRegs).
-func fillStatic(d *predec) {
-	in := d.inst
-	d.cl = in.Op.ClassOf()
-	d.sra1, d.sra2, d.sra3 = sraNone, sraNone, sraNone
-	d.writesRd = in.WritesRd()
-	switch {
-	case d.cl == isa.ClassStore:
-		d.sra1, d.sra3 = int8(in.Ra), int8(in.Rd) // address base, store data
-		d.isStore = true
-		d.memWidth = uint8(isa.MemWidth(in.Op))
-	case d.cl == isa.ClassLoad:
-		d.sra1 = int8(in.Ra)
-		d.isLoad = true
-		d.memWidth = uint8(isa.MemWidth(in.Op))
-	case d.cl == isa.ClassCMov:
-		d.sra1, d.sra2 = int8(in.Ra), int8(in.Rb)
-		d.sra3 = int8(in.Rd) // old destination value
-	case d.cl == isa.ClassBranch:
-		d.sra1, d.sra2 = int8(in.Ra), int8(in.Rb)
-	case in.Op == isa.OpJalr:
-		d.sra1 = int8(in.Ra)
-	default:
-		var srcs [3]isa.Reg
-		ss := in.SrcRegs(srcs[:0])
-		if len(ss) > 0 {
-			d.sra1 = int8(ss[0])
-		}
-		if len(ss) > 1 {
-			d.sra2 = int8(ss[1])
-		}
-	}
-}
-
-// predecAt returns the pre-decode entry for code offset off, decoding and
-// filling it on first touch. A nil return means the bytes are undecodable.
-func (c *Core) predecAt(off int) *predec {
-	d := &c.decoded[off]
-	if d.size == 0 {
-		inst, size, err := isa.Decode(c.prog.Code, off)
-		if err != nil {
-			d.size = -1
-		} else {
-			d.inst, d.size = inst, int8(size)
-			fillStatic(d)
-		}
-	}
-	if d.size < 0 {
-		return nil
-	}
-	return d
-}
-
-// fetch fills the fetch buffer for this cycle through the superblock replay
-// engine (superblock.go), consulting the IL1 for every distinct cache line
-// touched and the branch predictors for control flow. Secure branches are
-// never predicted: under SeMPE an sJMP always falls through into the
-// not-taken path, so the fetch stream carries no information about the
-// secret (and the predictor state is never updated by it). Replay emits the
-// per-fetch spec events itself, so arming a watch never changes how fetch
-// runs.
-func (c *Core) fetch() {
-	if c.fetchHalted || c.fetchBroken {
-		return
-	}
-	if c.cycle < c.fetchStallUntil {
-		c.Stats.FetchStallCycles++
-		return
-	}
-	c.fetchSuperblock()
-}
-
-// predecode resolves the replay entries whose front-end behavior is
-// dynamic (sbPredecode): the SeMPE markers, which sbBuild routes here only
+// predecode resolves the fetched instructions whose front-end behavior is
+// dynamic (sbPredecode): the SeMPE markers, which sbDecode routes here only
 // when the core runs SeMPE, and JALR. It sets u's prediction state,
 // advances fetchPC, and reports whether the fetch group must end because
 // of a predicted-taken transfer.
@@ -186,9 +96,9 @@ func (c *Core) rename() {
 // renameOne performs the structural-resource checks, register renaming, and
 // dispatch for one micro-op, reporting false (with no state changed) when a
 // resource is exhausted and rename must stall this cycle. The per-class
-// source analysis was done once at predecode (fillStatic); here it is three
-// unconditional rename-map lookups (unused sources read the sraNone/psNone
-// sentinels). u must be c.u(i).
+// source analysis was done once per static instruction (fillStatic); here it
+// is three unconditional rename-map lookups (unused sources read the
+// sraNone/psNone sentinels). u must be c.u(i).
 func (c *Core) renameOne(i uref, u *uop) bool {
 	if c.robCount >= c.cfg.ROBSize {
 		return false
@@ -427,14 +337,6 @@ func (c *Core) calCancelBucket(b uint64) {
 // micro-ops it dropped (wrong-path accounting). Drained micro-ops were never
 // renamed, so the front-end buffers hold their only references and they can
 // be recycled directly.
-//
-// The superblock replay cursor survives the redirect by re-keying on the
-// target pc: when a cached block already starts there, the next fetch group
-// resumes replay without the validate-miss/re-lookup step. A redirect into
-// unknown territory (no block at target yet, or target outside the code
-// image) drops the cursor and the next fetch builds or re-looks-up as usual.
-// Either way replay state never carries stale context across the redirect —
-// the per-step pc check in fetchSuperblock remains the only validity rule.
 func (c *Core) redirectFrontEnd(target uint64) uint64 {
 	var dropped uint64
 	for !c.fe.empty() {
@@ -446,17 +348,5 @@ func (c *Core) redirectFrontEnd(target uint64) uint64 {
 	c.fetchHalted = false
 	c.fetchBroken = false
 	c.fetchStallUntil = c.cycle + uint64(c.cfg.RedirectPenalty)
-	if c.sbCur >= 0 {
-		c.sbCur = -1
-		if target >= c.prog.CodeBase && target < c.prog.CodeEnd() {
-			if bi := c.sbIndex[target-c.prog.CodeBase]; bi >= 0 {
-				c.sbCur, c.sbCurIdx = bi, 0
-				c.SBStats.ReKeys++
-			}
-		}
-		if c.sbCur < 0 {
-			c.SBStats.Invalidate++
-		}
-	}
 	return dropped
 }

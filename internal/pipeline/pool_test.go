@@ -38,7 +38,7 @@ func TestUopPoolResetOnReuse(t *testing.T) {
 	}
 }
 
-// TestUopPoolGetRawSkipsZeroing documents the superblock-replay contract:
+// TestUopPoolGetRawSkipsZeroing documents the fetch-replay contract:
 // getRaw hands back a dirty slot (the caller overwrites the whole struct
 // with a prototype), while get zeroes it.
 func TestUopPoolGetRawSkipsZeroing(t *testing.T) {
@@ -185,11 +185,12 @@ func TestPoolReuseAcrossSecureFlushes(t *testing.T) {
 	}
 }
 
-// TestPredecodeCacheConsistency checks that the per-PC pre-decode cache
-// returns the same instruction stream as decoding from bytes every fetch: a
-// program where the same static pc is fetched from both paths of a branch
-// must commit identical instruction counts to the emulator (runBoth asserts
-// that), and the cache must never serve an entry for a different pc.
+// TestPredecodeCacheConsistency checks that the per-PC decode cache returns
+// the same instruction stream as decoding from bytes every fetch: a program
+// where the same static pc is fetched from both paths of a branch must
+// commit identical instruction counts to the emulator (runBoth asserts
+// that), every cached entry must equal a fresh decode at its offset, and
+// each static instruction must have been decoded once.
 func TestPredecodeCacheConsistency(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
@@ -205,18 +206,25 @@ func TestPredecodeCacheConsistency(t *testing.T) {
 	if core.ArchRegs()[9] != 55 {
 		t.Errorf("sum = %d, want 55", core.ArchRegs()[9])
 	}
-	// Every committed instruction came from a cached decode after the first
-	// iteration; spot-check the cache contents against a fresh decode.
-	for off := 0; off < len(core.prog.Code); {
+	indexed := 0
+	for off, ei := range core.sbIndex {
+		if ei < 0 {
+			continue
+		}
+		indexed++
 		in, size, err := isa.Decode(core.prog.Code, off)
 		if err != nil {
-			t.Fatalf("decode at %d: %v", off, err)
+			t.Fatalf("cached entry %d at off %d, but the bytes do not decode: %v", ei, off, err)
 		}
-		if d := core.decoded[off]; d.size != 0 {
-			if d.inst != in || int(d.size) != size {
-				t.Errorf("cache at off %d: %v/%d, fresh decode %v/%d", off, d.inst, d.size, in, size)
-			}
+		e := core.sbEntries[ei]
+		pc := core.prog.CodeBase + uint64(off)
+		if e.proto.inst != in || e.proto.pc != pc || e.proto.npc != pc+uint64(size) {
+			t.Errorf("cache at off %d: %v pc %#x npc %#x, fresh decode %v pc %#x npc %#x",
+				off, e.proto.inst, e.proto.pc, e.proto.npc, in, pc, pc+uint64(size))
 		}
-		off += size
+	}
+	if n := len(core.sbEntries); indexed != n || core.SBStats.Builds != uint64(n) {
+		t.Errorf("%d cached entries, %d indexed, %d decodes counted; want all equal",
+			n, indexed, core.SBStats.Builds)
 	}
 }

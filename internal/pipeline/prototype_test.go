@@ -52,7 +52,7 @@ func TestPrototypeMatchesNew(t *testing.T) {
 
 // TestPrototypeForeignProgramDetaches: vending a pooled core for a program
 // other than the prototype's must detach it from the program it last ran
-// (no pre-decode entry or superblock of that program may survive Reset),
+// (no decode-cache entry of that program may survive Reset),
 // the core must then run the foreign program exactly like a fresh core, and
 // the prototype must keep vending correct cores for its own program
 // afterwards.
@@ -72,13 +72,13 @@ func TestPrototypeForeignProgramDetaches(t *testing.T) {
 	if c != seeded {
 		t.Fatal("expected the recycled core back from the pool")
 	}
-	if len(c.decoded) != len(foreign.Code) || len(c.sbBlocks) != 0 {
-		t.Fatalf("core reset onto a foreign program kept %d pre-decode entries (want %d) and %d superblocks",
-			len(c.decoded), len(foreign.Code), len(c.sbBlocks))
+	if len(c.sbEntries) != 0 || len(c.sbIndex) != len(foreign.Code) {
+		t.Fatalf("core reset onto a foreign program kept %d decode-cache entries and a %d-offset index (want 0, %d)",
+			len(c.sbEntries), len(c.sbIndex), len(foreign.Code))
 	}
-	for off, d := range c.decoded {
-		if d.size != 0 {
-			t.Fatalf("core reset onto a foreign program still carries a pre-decode entry at offset %d", off)
+	for off, ei := range c.sbIndex {
+		if ei != sbUndecoded {
+			t.Fatalf("core reset onto a foreign program still indexes offset %d (%d)", off, ei)
 		}
 	}
 	rec := armRecorder(c)

@@ -6,9 +6,9 @@ import (
 
 // Reset puts the core into its power-on state for prog on a zeroed memory
 // image, without reallocating any of the core's structures: pipeline rings,
-// ROB, scheduler, completion calendar, uop arena, pre-decode cache,
-// superblock cache, predictors, caches, prefetchers, SPM/jbTable, and the
-// memory image are all recycled in place. New allocates and then calls
+// ROB, scheduler, completion calendar, uop arena, decode cache, predictors,
+// caches, prefetchers, SPM/jbTable, and the memory image are all recycled in
+// place. New allocates and then calls
 // Reset, so Reset is the only initialization path. The attack and experiment
 // drivers pool cores per configuration and Reset them per trial, which
 // removes per-run construction (the dominant flat cost of high-trial
@@ -86,19 +86,16 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.fetchStallUntil = 0
 	c.fetchHalted, c.fetchBroken = false, false
 	c.fe.head, c.fe.nDec, c.fe.nFetch = 0, 0, 0
-	c.decoded = resizeCleared(c.decoded, len(prog.Code))
 
-	// Superblock cache: recycle every block's entry slice through the build
-	// pool so steady-state rebuilds stay allocation-free.
-	for i := range c.sbBlocks {
-		c.sbEntryPool = append(c.sbEntryPool, c.sbBlocks[i].entries[:0])
+	// Decode cache: no entry survives into the next program.
+	c.sbEntries = c.sbEntries[:0]
+	if cap(c.sbIndex) < len(prog.Code) {
+		c.sbIndex = make([]int32, len(prog.Code))
 	}
-	c.sbBlocks = c.sbBlocks[:0]
-	c.sbIndex = resizeCleared(c.sbIndex, len(prog.Code))
+	c.sbIndex = c.sbIndex[:len(prog.Code)]
 	for i := range c.sbIndex {
-		c.sbIndex[i] = -1
+		c.sbIndex[i] = sbUndecoded
 	}
-	c.sbCur, c.sbCurIdx = -1, 0
 	c.sbBuildSeqs = c.sbBuildSeqs[:0]
 	c.SBStats = SuperblockStats{}
 
@@ -128,15 +125,4 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.specPC, c.specSeq = 0, 0
 	c.specEmitted = 0
 	c.specPub = SpecCounters{}
-}
-
-// resizeCleared returns s resized to n elements, all zero, reusing the
-// backing array when capacity allows.
-func resizeCleared[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }

@@ -200,8 +200,8 @@ func TestCoreResetDifferential(t *testing.T) {
 }
 
 // TestCoreResetRepeated: many resets in a row onto the same program must be
-// bit-for-bit deterministic — no drift accumulates in recycled pools, the
-// pre-decode cache, or the superblock arena.
+// bit-for-bit deterministic — no drift accumulates in recycled pools or the
+// decode cache.
 func TestCoreResetRepeated(t *testing.T) {
 	prog := secureBranchProg(1)
 	cfg := SecureConfig()
@@ -250,10 +250,9 @@ func TestCoreResetWithWatchHooksArmed(t *testing.T) {
 	}
 }
 
-// TestCoreResetMidSuperblockTrace: Reset while a superblock replay is in
-// flight (the core stepped mid-run with the trace engine engaged, cursor
-// live) must fully retract the cached traces and replay cursor; the next run
-// must match a fresh core exactly.
+// TestCoreResetMidSuperblockTrace: Reset mid-run (the core stepped with
+// replay engaged and the decode cache warm) must fully retract the cached
+// entries; the next run must match a fresh core exactly.
 func TestCoreResetMidSuperblockTrace(t *testing.T) {
 	prog := storeLoadProg()
 	cfg := DefaultConfig()
@@ -280,7 +279,7 @@ func TestCoreResetMidSuperblockTrace(t *testing.T) {
 }
 
 // TestCoreResetAfterRedirectHeavyRun: a run dominated by branch mispredicts
-// leaves squashed uops, dropped replay cursors, and trained predictor state
+// leaves squashed uops, wrong-path decodes, and trained predictor state
 // behind; Reset must scrub all of it. The dirty run must itself have
 // mispredicted for the test to bite.
 func TestCoreResetAfterRedirectHeavyRun(t *testing.T) {

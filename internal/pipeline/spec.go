@@ -18,7 +18,7 @@ import (
 // recorded stream in one backward pass when it is read.
 //
 // The per-fetch events (SpecFetch, SpecBPLookup, and the IL1 fills a fetch
-// triggers) are emitted by the superblock replay engine itself, so arming a
+// triggers) are emitted by fetch from the decode cache itself, so arming a
 // watch never changes how fetch runs. The emission points are pure
 // observers: TestSpecStreamReplayMatchesWalk pins the stream of the
 // pipeline's test programs, and TestSpecTraceDifferential pins that arming
@@ -274,7 +274,7 @@ func specWatched(u *uop) bool {
 	return u.cl == isa.ClassBranch || u.cl == isa.ClassJump || u.isLoad || u.isStore
 }
 
-// SpecCounters aggregates the process-wide wrong-path and superblock
+// SpecCounters aggregates the process-wide wrong-path and decode-cache
 // accounting published by every Run (and harvested by the obs scrape
 // families and attack.PerfSnapshot). The counters are always on — they are
 // plain Stats and SBStats increments, never dependent on a spec watch being
@@ -286,7 +286,7 @@ type SpecCounters struct {
 	FlushSecRedirects uint64
 	FlushOverflows    uint64
 	SpecEvents        uint64 // SpecEvents delivered to armed watches
-	// The superblock engine's SuperblockStats: traces built, micro-ops
+	// The decode cache's SuperblockStats: instructions decoded, micro-ops
 	// fetched by replay, and the wrong-path slices of both
 	// (SBWrongPathReplays equals WrongPathFetches).
 	SBBuilds           uint64

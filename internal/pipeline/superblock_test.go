@@ -33,7 +33,7 @@ func runGolden(t *testing.T, name string, cfg Config, prog *isa.Program) *Core {
 }
 
 // TestSuperblockSecBlockBoundaryMidTrace: the sJMP and the eosJMP marker sit
-// in the middle of straight-line runs, so superblocks span SecBlock
+// in the middle of straight-line runs, so fetch groups span SecBlock
 // boundaries. Replay must reproduce the drains, the jump-back redirect, and
 // the register restores exactly — for both secret values.
 func TestSuperblockSecBlockBoundaryMidTrace(t *testing.T) {
@@ -50,8 +50,7 @@ func TestSuperblockSecBlockBoundaryMidTrace(t *testing.T) {
 }
 
 // TestSuperblockMispredictHeavy: a data-dependent branch pattern exercises
-// redirects that land mid-superblock, dropping and re-validating the replay
-// cursor continuously.
+// redirects that land in the middle of straight-line code continuously.
 func TestSuperblockMispredictHeavy(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
@@ -79,8 +78,8 @@ func TestSuperblockMispredictHeavy(t *testing.T) {
 
 // TestSuperblockProgramChangeAcrossRuns: two different programs whose
 // instructions occupy the same addresses run back to back on fresh cores.
-// Each pipeline.New starts with an empty superblock cache, so no trace from
-// the first program can replay into the second; both runs must match their
+// Each pipeline.New starts with an empty decode cache, so no entry from the
+// first program can replay into the second; both runs must match their
 // own goldens exactly.
 func TestSuperblockProgramChangeAcrossRuns(t *testing.T) {
 	progA := asm.MustAssemble(`
@@ -153,7 +152,7 @@ func TestSuperblockWatchHooksMidRun(t *testing.T) {
 }
 
 // TestSuperblockRepeatedRunsDeterministic: the same program on consecutive
-// fresh cores (arena pools, trace caches, and predictor state all rebuilt by
+// fresh cores (arena pools, decode caches, and predictor state all rebuilt by
 // pipeline.New) is bit-for-bit deterministic — replay caches carry nothing
 // across constructions.
 func TestSuperblockRepeatedRunsDeterministic(t *testing.T) {
@@ -174,6 +173,54 @@ func TestSuperblockRepeatedRunsDeterministic(t *testing.T) {
 		}
 		if c.SBStats != first.SBStats {
 			t.Fatalf("run %d superblock stats diverged: %+v vs %+v", i, c.SBStats, first.SBStats)
+		}
+	}
+}
+
+// TestFetchGroupsAreContiguous pins what lets the decode cache derive an
+// entry's IL1 line dedup from its address alone: within one fetch group,
+// consecutive instructions are address-contiguous (a predicted-taken
+// transfer, a HALT or an IL1 miss ends the group; sJMP and eosJMP fall
+// through). After every cycle of every spec-stream program under both
+// configurations, the micro-ops fetched in that cycle — still the youngest
+// entries of the fetch buffer, since fetch runs last — must each start at
+// the previous one's npc.
+func TestFetchGroupsAreContiguous(t *testing.T) {
+	for _, cfg := range specStreamCfgs() {
+		for _, p := range specStreamProgs() {
+			t.Run(cfg.name+"/"+p.name, func(t *testing.T) {
+				c := New(cfg.cfg, p.prog)
+				pairs := 0
+				for !c.Halted() {
+					first := c.seq
+					if err := c.StepCycle(); err != nil {
+						t.Fatal(err)
+					}
+					n := int(c.seq - first)
+					if n > c.fe.nFetch {
+						t.Fatalf("cycle %d: fetched %d micro-ops, fetch buffer holds %d", c.Cycles(), n, c.fe.nFetch)
+					}
+					end := c.fe.head + c.fe.nDec + c.fe.nFetch
+					var prev *uop
+					for k := n; k > 0; k-- {
+						u := c.u(c.fe.buf[(end-k)&c.fe.mask])
+						if u.seq != c.seq-uint64(k) {
+							t.Fatalf("cycle %d: fetch buffer holds seq %d, want %d", c.Cycles(), u.seq, c.seq-uint64(k))
+						}
+						if prev != nil {
+							if u.pc != prev.npc {
+								t.Fatalf("cycle %d: seq %d at pc %#x follows seq %d ending at %#x in one fetch group",
+									c.Cycles(), u.seq, u.pc, prev.seq, prev.npc)
+							}
+							pairs++
+						}
+						prev = u
+					}
+				}
+				if pairs == 0 {
+					t.Fatal("no cycle fetched two instructions; contiguity is untested")
+				}
+			})
 		}
 	}
 }

@@ -10,9 +10,8 @@ import "repro/internal/isa"
 // slots to scan and no write barriers on the per-cycle queue traffic, which
 // profiles showed costing ~15% of simulation time.
 // Field order groups same-width fields so the struct packs without padding
-// holes (128 bytes instead of 152 declaration-ordered): superblock replay
-// copies a whole prototype uop per fetched instruction, so struct size is
-// copy cost.
+// holes (128 bytes instead of 152 declaration-ordered): fetch copies a whole
+// prototype uop per fetched instruction, so struct size is copy cost.
 type uop struct {
 	// 8-byte fields.
 	seq          uint64 // global program-order sequence number
@@ -34,10 +33,11 @@ type uop struct {
 	pd            int16 // destination physical register
 	oldPd         int16 // previous mapping of Rd, freed at commit
 
-	// Static per-instruction metadata (1-byte), resolved once per superblock
-	// build (replay copies it with the prototype): functional-unit class,
-	// the architectural source registers rename must map into ps1..ps3
-	// (-1 = unused), the destination-write flag, and the memory-op shape.
+	// Static per-instruction metadata (1-byte), resolved once per static
+	// instruction by the decode cache (fetch copies it with the prototype):
+	// functional-unit class, the architectural source registers rename must
+	// map into ps1..ps3 (-1 = unused), the destination-write flag, and the
+	// memory-op shape.
 	cl               isa.Class
 	sra1, sra2, sra3 int8
 	writesRd         bool
@@ -73,8 +73,8 @@ const uopChunk = 256
 // stay valid across growth (unlike pointers), so every pipeline structure
 // stores uref indices. get returns a fully zeroed uop, so no operand, flag,
 // or squash state can leak from a previous (possibly flushed) use; getRaw
-// skips the zeroing for callers that overwrite the whole struct (superblock
-// replay copies a complete prototype over the slot).
+// skips the zeroing for callers that overwrite the whole struct (fetch copies
+// a complete prototype over the slot).
 //
 // Invariant: no *uop obtained from the arena may be held across a get/getRaw
 // call — growth can move the backing array.

@@ -107,10 +107,9 @@ func wrongPathNestedProg() *isa.Program {
 	`)
 }
 
-// TestWrongPathNestedMispredict: replay through nested wrong-path regions
+// TestWrongPathNestedMispredict: fetch through nested wrong-path regions
 // must match its golden run, while actually exercising the machinery:
-// squashed replayed micro-ops and cursor re-keys onto cached redirect
-// targets must both occur.
+// replayed micro-ops must be squashed.
 func TestWrongPathNestedMispredict(t *testing.T) {
 	on := runGolden(t, "default_nested", DefaultConfig(), wrongPathNestedProg())
 	if on.Stats.BranchMispredicts == 0 {
@@ -119,24 +118,17 @@ func TestWrongPathNestedMispredict(t *testing.T) {
 	if on.SBStats.WrongPathReplays == 0 {
 		t.Error("no replayed micro-op was ever squashed (WrongPathReplays=0)")
 	}
-	if on.SBStats.ReKeys == 0 {
-		t.Error("no redirect ever re-keyed the cursor onto a cached block (ReKeys=0)")
-	}
 }
 
 // TestWrongPathSecureRedirectMidSuperblock: under SeMPE the commit-time
-// eosJMP controller redirects fetch while the replay cursor is mid-block.
-// The redirect must re-key (or drop) the cursor without moving any
-// observable off the golden run — for both secret values — and the secure
-// redirects must actually land on a live cursor.
+// eosJMP controller redirects fetch in the middle of straight-line code.
+// The redirect must not move any observable off the golden run, for both
+// secret values.
 func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 	for _, secret := range []int64{0, 1} {
 		on := runGolden(t, fmt.Sprintf("secure_secure%d", secret), SecureConfig(), secureBranchProg(secret))
 		if on.Stats.EOSJmps == 0 {
 			t.Fatalf("secret=%d: no secure redirects; test needs a SeMPE program", secret)
-		}
-		if on.SBStats.ReKeys+on.SBStats.Invalidate == 0 {
-			t.Errorf("secret=%d: no redirect ever hit a live cursor", secret)
 		}
 	}
 }
@@ -144,10 +136,10 @@ func TestWrongPathSecureRedirectMidSuperblock(t *testing.T) {
 // wrongPathColdTargetProg: the guarded branch is never taken, but the cold
 // predictor guesses taken on its first encounter, so fetch redirects to
 // `never` — code no path ever reaches — while the div feeding the branch
-// resolves. That target is uncached, so the replay engine builds a fresh
-// superblock entirely on the wrong path; the flush must charge it to
-// WrongPathBuilds, and the cached block must persist harmlessly (static
-// traces are path-independent).
+// resolves. That target is uncached, so fetch decodes its instructions
+// entirely on the wrong path; the flush must charge them to WrongPathBuilds,
+// and the cached entries must persist harmlessly (static decodes are
+// path-independent).
 func wrongPathColdTargetProg() *isa.Program {
 	return asm.MustAssemble(`
 		main:
@@ -169,16 +161,16 @@ func wrongPathColdTargetProg() *isa.Program {
 }
 
 // TestWrongPathFlushDuringBuild: flushes that arrive while wrong-path
-// fetch has been building superblocks must truncate the build stamps into
-// WrongPathBuilds without perturbing any observable, and later correct-path
-// fetch must replay the (path-independent) cached blocks.
+// fetch has been decoding new instructions must truncate the decode stamps
+// into WrongPathBuilds without perturbing any observable, and later
+// correct-path fetch must replay the (path-independent) cached entries.
 func TestWrongPathFlushDuringBuild(t *testing.T) {
 	on := runGolden(t, "default_coldtarget", DefaultConfig(), wrongPathColdTargetProg())
 	if on.Stats.BranchMispredicts == 0 {
 		t.Fatal("workload produced no mispredicts; the wrong-path edge is untested")
 	}
 	if on.SBStats.WrongPathBuilds == 0 {
-		t.Error("no superblock build was ever charged to a wrong path (WrongPathBuilds=0)")
+		t.Error("no decode was ever charged to a wrong path (WrongPathBuilds=0)")
 	}
 	if on.SBStats.Replays == 0 {
 		t.Error("engine never replayed")
@@ -187,8 +179,7 @@ func TestWrongPathFlushDuringBuild(t *testing.T) {
 
 // TestWrongPathReplayZeroAlloc: with a mispredict-heavy workload keeping
 // speculative fetch hot, the steady-state cycle loop must stay at 0
-// allocs/op — cursor re-keying, build-stamp truncation, and the bulk squash
-// may not allocate. The core comes from a Prototype, the pool
+// allocs/op — decode-stamp truncation and the bulk squash may not allocate. The core comes from a Prototype, the pool
 // BenchmarkSimulatorSpeed vends its cores from.
 func TestWrongPathReplayZeroAlloc(t *testing.T) {
 	prog := asm.MustAssemble(`

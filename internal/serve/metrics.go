@@ -4,7 +4,7 @@
 // semaphore occupancy) is computed at scrape time via OnScrape collectors
 // so no request-path bookkeeping is added for it. GET /metrics renders
 // this server's registry followed by the process-wide obs.Default()
-// registry (simulator counters: template memo, core pool, superblocks).
+// registry (simulator counters: template memo, core pool, decode cache).
 package serve
 
 import (

@@ -1,16 +1,20 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/scenario"
 )
@@ -351,4 +355,55 @@ func stableString(t *testing.T, res *scenario.Result) string {
 		t.Fatal(err)
 	}
 	return string(out)
+}
+
+// TestQueuedCancelIsCountedAndJournaled: a run canceled while still queued
+// for a simulation slot ends through the same terminal step as a computed
+// run, so it is counted in sempe_runs_finished_total, journals its terminal
+// event and logs its outcome.
+func TestQueuedCancelIsCountedAndJournaled(t *testing.T) {
+	var logs bytes.Buffer
+	srv := heldServer(Options{MaxWorkers: 1, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	view, code := postRun(t, ts, `{"scenario": "fig10a", "spec": {"quick": true}}`)
+	if code != http.StatusAccepted || view.Status != "queued" {
+		t.Fatalf("POST /runs = %d, status %q; want 202 queued behind the held slots", code, view.Status)
+	}
+	resp, err := http.Post(ts.URL+"/runs/"+view.ID+"/cancel", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	srv.mu.Lock()
+	rn := srv.runs[view.ID]
+	srv.mu.Unlock()
+	select {
+	case <-rn.finished:
+	case <-time.After(30 * time.Second):
+		t.Fatal("queued run never finished after cancel")
+	}
+
+	samples, _ := scrape(t, ts.URL+"/metrics")
+	if got := samples[`sempe_runs_finished_total{status="canceled"}`]; got != 1 {
+		t.Errorf(`sempe_runs_finished_total{status="canceled"} = %v, want 1`, got)
+	}
+	var ev eventsView
+	if code := getJSON(t, ts.URL+"/runs/"+view.ID+"/events", &ev); code != http.StatusOK {
+		t.Fatalf("GET /runs/%s/events = %d", view.ID, code)
+	}
+	var names []string
+	for _, e := range ev.Events {
+		names = append(names, e.Name)
+	}
+	if ev.Status != "canceled" || !slices.Equal(names, []string{"created", "canceled"}) {
+		t.Errorf("events of a queued cancel: status %q, %v; want canceled, [created canceled]", ev.Status, names)
+	}
+	if line := logs.String(); !strings.Contains(line, "run finished") || !strings.Contains(line, "status=canceled") {
+		t.Errorf("log = %q, want a run finished line with status=canceled", line)
+	}
+	if computes := srv.metrics.computes.Value(); computes != 0 {
+		t.Errorf("computes = %d, want 0: a queued cancel never simulates", computes)
+	}
 }

@@ -328,8 +328,8 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 	case <-ctx.Done():
 		s.mu.Lock()
 		rn.status = "canceled"
-		close(rn.finished)
 		s.mu.Unlock()
+		s.finishRun(rn, "canceled", nil)
 		return
 	}
 
@@ -406,7 +406,6 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 	status := rn.status
 	s.mu.Unlock()
 	<-s.sem
-	s.metrics.runsFinished.With(status).Inc()
 	specAfter := pipeline.GlobalSpecCounters()
 	rn.journal.Event("spec_summary", obs.Fields{
 		"wrong_path_fetches":      specAfter.WrongPathFetches - specBefore.WrongPathFetches,
@@ -415,16 +414,25 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 		"flushes_secure_redirect": specAfter.FlushSecRedirects - specBefore.FlushSecRedirects,
 		"flushes_overflow":        specAfter.FlushOverflows - specBefore.FlushOverflows,
 	})
+	s.finishRun(rn, status, err)
+}
+
+// finishRun is the terminal step of every run execute ends, computed or
+// canceled while queued: it counts the run as finished, journals its
+// terminal status, wakes its waiters and logs the outcome. err is the
+// run's error when status is "error".
+func (s *Server) finishRun(rn *run, status string, err error) {
+	s.metrics.runsFinished.With(status).Inc()
 	rn.journal.Event(status, nil)
-	// Wake waiters last: a wait:true client must see the run's slot
-	// released, its finished count, and its terminal journal events.
-	close(rn.finished)
-	switch status {
-	case "error":
+	if status == "error" {
 		s.log.Warn("run failed", "run", rn.id, "scenario", rn.scenario, "reason", err.Error())
-	default:
+	} else {
 		s.log.Info("run finished", "run", rn.id, "scenario", rn.scenario, "status", status)
 	}
+	// Wake waiters last: a wait:true client must see the run's slot
+	// released, its finished count, its terminal journal event and its log
+	// line.
+	close(rn.finished)
 }
 
 // handleCancelRun stops an in-flight run between grid points. Cancelling
