@@ -189,30 +189,46 @@ func TestPoolReuseAcrossSecureFlushes(t *testing.T) {
 // the same instruction stream as decoding from bytes every fetch: a program
 // where the same static pc is fetched from both paths of a branch must
 // commit identical instruction counts to the emulator (runBoth asserts
-// that), every cached entry must equal a fresh decode at its offset, and
-// each static instruction must have been decoded once.
+// that), every cached entry must equal a fresh decode at its offset, each
+// static instruction must have been decoded once, and bytes that do not
+// decode must be marked, with no entry. The cold predictor guesses the
+// never-taken beq taken while the div feeding it resolves, so a wrong path
+// fetches `bad`, whose opcode byte is invalid.
 func TestPredecodeCacheConsistency(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
 			li   r8, 10
 			li   r9, 0
+			li   r10, 1
 		loop:
+			div  r11, r8, r10
+			beq  r11, rz, bad
 			add  r9, r9, r8
 			addi r8, r8, -1
 			bne  r8, rz, loop
 			halt
+		bad:
+			halt
 	`)
+	bad := int(prog.Sym("bad") - prog.CodeBase)
+	prog.Code[bad] = byte(isa.OpInvalid)
 	_, core := runBoth(t, prog, false)
 	if core.ArchRegs()[9] != 55 {
 		t.Errorf("sum = %d, want 55", core.ArchRegs()[9])
 	}
+	if ei := core.sbIndex[bad]; ei != sbUndecodable {
+		t.Errorf("index at the invalid opcode = %d, want sbUndecodable (%d)", ei, sbUndecodable)
+	}
 	indexed := 0
 	for off, ei := range core.sbIndex {
+		in, size, err := isa.Decode(core.prog.Code, off)
+		if ei == sbUndecodable && err == nil {
+			t.Errorf("off %d marked undecodable, but decodes to %v", off, in)
+		}
 		if ei < 0 {
 			continue
 		}
 		indexed++
-		in, size, err := isa.Decode(core.prog.Code, off)
 		if err != nil {
 			t.Fatalf("cached entry %d at off %d, but the bytes do not decode: %v", ei, off, err)
 		}
