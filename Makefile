@@ -75,6 +75,16 @@ bench-module:
 # fetched down a mispredicted path is flushed before it renames, so the
 # jbTable and the SPM need no unwind. A run canceled while queued is
 # counted, journaled and logged like a run canceled while running.
+# The fork and idle-skip gates pin the calibration fork and the idle-clock
+# skip as exact: a forked c1 equals its full run for every attacker,
+# victim, architecture, gap and seed (and a core-level pair), the
+# emulator's self-check refuses a pair whose prefixes differ, markers emit
+# no code under any backend and need unique names, the skip equals
+# stepping every stage on the pipeline's programs and on attack trials and
+# honours the cycle budgets, the pooled emulator equals a new one,
+# predictor copy and reset visit only written slots, cache digests
+# allocate nothing, the run counters count a fork's shared prefix once, and
+# /metrics exports them.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -98,6 +108,11 @@ bench-smoke:
 	$(GO) test ./internal/scenario/ ./internal/serve/ -run 'TestJoinedRunSeesProgress|TestJoinedRunReportsProgress'
 	$(GO) test ./internal/pipeline/ -run 'TestMispredictedSJmpNeverRenames|TestFetchGroupsAreContiguous'
 	$(GO) test ./internal/serve/ -run 'TestQueuedCancelIsCountedAndJournaled'
+	$(GO) test ./internal/pipeline/ -run 'TestIdleSkipMatchesEveryStage|TestIdleSkipHonorsBudgets|TestForkMatchesFullRun'
+	$(GO) test ./internal/attack/ -run 'TestForkMatchesFullCalibration|TestForkRefusesDivergedPrefix|TestForkCountsSharedPrefixOnce|TestForkMarksEmitNoCode|TestIdleSkipMatchesEveryStageOnTrials'
+	$(GO) test ./internal/emu/ ./internal/bpred/ ./internal/cache/ -run 'TestPooledResetMatchesNew|TestStoreIntoCodeDropsDecode|TestRunToStopsAtCount|TestUnitCopyAndResetTrackWrites|TestDigestAllocationFreeAndUnchanged'
+	$(GO) test ./internal/lang/ ./internal/compile/ -run 'TestValidateRejectsBadMarkers|TestMarksEmitNoCode'
+	$(GO) test ./internal/serve/ -run 'TestMetricsExportRunCounters'
 
 # bench is the full benchmark suite (paper figures + ablations).
 bench:

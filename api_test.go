@@ -30,7 +30,6 @@ var testOnlyAllowed = map[string]string{
 
 	// Seams that tests in other packages read.
 	"pipeline.SetSpecWatchDefault": "seam: experiments and attack tests arm a spec watch on cores they do not build",
-	"pipeline.Core.SpecWatchArmed": "seam: experiments tests see that the default watch reached a core",
 	"emu.Machine.Halted":           "seam: tests step the emulator to its halt",
 	"pipeline.Core.Halted":         "seam: experiments and root benchmarks step a core to its halt",
 	"bpred.TAGE.BaseCounter":       "seam: attack tests read the counter the victim's branch trained",

@@ -53,7 +53,7 @@ func main() {
 		keyF      = flag.Int64("key", -1, "extraction mode: pin the true key (-1 = derive from seed)")
 		listVics  = flag.Bool("list-victims", false, "list the registered victims and exit")
 		workers   = flag.Int("workers", 1, "trial worker pool size (results are bit-identical at any value)")
-		sbstats   = flag.Bool("sbstats", false, "report throughput-engine counters (template cache, core pool, decode-cache decodes/replays)")
+		sbstats   = flag.Bool("sbstats", false, "report throughput-engine counters (template cache, core pool, decode-cache decodes/replays, calibration forks)")
 		metricsF  = flag.String("metrics", "", "after the run, write the Prometheus text exposition of the process metric families to this file (- for stderr)")
 		format    = flag.String("format", "text", "output encoding: text|json")
 		check     = flag.Bool("check", false, "exit 1 unless every baseline attack leaks (leaky victims: full key) and every SeMPE attack is secure")
@@ -247,6 +247,7 @@ func printPerf(sbstats bool) {
 	fmt.Printf("perf: decoded %d instructions, %d replayed ops\n", p.SBBuilds, p.SBReplays)
 	fmt.Printf("perf: wrong path %d decodes, %d replayed ops squashed\n",
 		p.SBWrongPathBuilds, p.SBWrongPathReplays)
+	fmt.Printf("perf: calibration pairs %d forked / %d unforked\n", p.Forks, p.ForkMisses)
 	if p.TrialSeconds > 0 {
 		fmt.Printf("perf: %d trials in %.3fs (%.0f trials/s)\n",
 			p.Trials, p.TrialSeconds, float64(p.Trials)/p.TrialSeconds)

@@ -89,8 +89,12 @@ func bpProgram(frag victim.Fragment, d draw, gapSeed int64, gap int) *lang.Progr
 		lang.Set("gi", lang.B(lang.Sub, lang.B(lang.Sub, lang.V("gi"), lang.N(1)),
 			lang.B(lang.And, lang.V("nv"), lang.N(0)))),
 	}))
+	// The fork window (forkLo..forkHi): the spin loop's exit flush leaves
+	// the window empty here, before the attacked branch is fetched.
+	iter = append(iter, lang.Mark(forkLo))
 	iter = append(iter, lang.Put(markerArray, lang.N(0), lang.V("i"))) // window start
 	iter = append(iter, noiseOps(d.noiseWin)...)                       // in-window jitter
+	iter = append(iter, lang.Mark(forkHi))
 	iter = append(iter, lang.SecretIf(lang.V("c"), pathBody(3, 1), pathBody(5, 7)))
 	iter = append(iter, lang.Put(markerArray, lang.N(0),
 		lang.B(lang.Add, lang.V("i"), lang.N(4)))) // window end

@@ -85,8 +85,12 @@ func cacheProgram(frag victim.Fragment, d draw, gapSeed int64, gap int) *lang.Pr
 		prime(slot(3)), // R0[lb]
 		prime(slot(4)), // R1[lb]
 	)
+	// The fork window (forkLo..forkHi): the primed loads drain somewhere in
+	// the noise chain, before the victim's access is fetched.
+	body = append(body, lang.Mark(forkLo))
 	body = append(body, noiseOps(d.noisePre)...)
 	body = append(body, lang.Set("vv", lang.N(0)))
+	body = append(body, lang.Mark(forkHi))
 	body = append(body, lang.SecretIf(frag.Cond,
 		[]lang.Stmt{lang.Set("vv", lang.At("parr", dep(slot(2), "acc")))}, // R2[la]
 		[]lang.Stmt{lang.Set("vv", lang.At("parr", dep(slot(5), "acc")))}, // R2[lb]

@@ -1,10 +1,11 @@
 // Attack throughput counters exported as metric families. Registration is
 // scrape-time only: each family is a CounterFunc reading the existing
-// process-wide atomics (template memo, core pool, superblock engine, trial
-// throughput), so importing this package adds zero cost to the simulation
-// and trial hot paths. The same numbers back PerfSnapshot (-sbstats), a
-// /metrics scrape from a serving process, and the -metrics exposition dump
-// of sempe-attack — one snapshot API, three read paths.
+// process-wide atomics (template memo, core pool, calibration forks,
+// simulated work, decode cache, trial throughput), so importing this
+// package adds zero cost to the simulation and trial hot paths. The same
+// numbers back PerfSnapshot (-sbstats), a /metrics scrape from a serving
+// process, and the -metrics exposition dump of sempe-attack — one snapshot
+// API, three read paths.
 package attack
 
 import (
@@ -41,15 +42,35 @@ func init() {
 		"Cumulative wall-clock seconds spent inside trial batches; "+
 			"sempe_attack_trials_total divided by this is trials/s.",
 		func() float64 { return float64(perfCounters.trialNS.Load()) / 1e9 })
+	reg.CounterFunc("sempe_attack_forks_total",
+		"Calibration pairs whose second run continued from a copy of the first's core at the fork window.",
+		u64(&perfCounters.forks))
+	reg.CounterFunc("sempe_attack_fork_misses_total",
+		"Calibration pairs that could have forked but ran their second program in full.",
+		u64(&perfCounters.forkMisses))
 
-	// Decode-cache and speculative-window families: process-wide accounting
-	// published by every completed Run, attack trial or not
-	// (pipeline.GlobalSpecCounters). Like the families above, these are
-	// scrape-time reads of existing atomics; the underlying Stats and
+	// Simulated-work, decode-cache and speculative-window families:
+	// process-wide accounting published by every completed Run, attack trial
+	// or not (pipeline.GlobalSpecCounters). Like the families above, these
+	// are scrape-time reads of existing atomics; the underlying Stats and
 	// SBStats counters are always on, armed tracer or not.
 	spec := func(pick func(pipeline.SpecCounters) uint64) func() float64 {
 		return func() float64 { return float64(pick(pipeline.GlobalSpecCounters())) }
 	}
+	reg.CounterFunc("sempe_pipeline_runs_total",
+		"Simulated core runs finished, every core in the process.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.Runs }))
+	reg.CounterFunc("sempe_pipeline_insts_total",
+		"Instructions committed by simulated cores; a forked run counts only "+
+			"what it simulated after the fork.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.Insts }))
+	reg.CounterFunc("sempe_pipeline_cycles_total",
+		"Clocks simulated, skipped idle clocks included; a forked run counts "+
+			"only the clocks after the fork.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.Cycles }))
+	reg.CounterFunc("sempe_pipeline_skipped_cycles_total",
+		"Idle clocks the cores jumped over because no pipeline stage could act.",
+		spec(func(c pipeline.SpecCounters) uint64 { return c.SkippedCycles }))
 	reg.CounterFunc("sempe_superblock_builds_total",
 		"Static instructions decoded into the front end's decode cache, "+
 			"each at most once per core run.",

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/compile"
+	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/lang"
 	"repro/internal/pipeline"
@@ -33,7 +34,11 @@ import (
 //     a shape the patcher cannot prove data-only, or a trial value with no
 //     patch slot, is a compile.ErrNotPatchable error;
 //   - no digest computation: the runner reads Core.Cycles() directly, which
-//     is exactly Observation.Cycles.
+//     is exactly Observation.Cycles;
+//   - one simulated prefix per calibration pair: c0 stops at a drained cycle
+//     in the program's fork window (forkLo..forkHi, just before the attacked
+//     branch), and c1 continues from a copy of that core with c1's code and
+//     the architectural state the functional emulator reached on c1 (fork).
 //
 // Every random stream (trial draws, secrets) is reproduced exactly — the
 // runner reseeds one owned rand.Rand per trial instead of allocating a new
@@ -90,6 +95,13 @@ type Perf struct {
 	// TrialSeconds is the engine's trials/s.
 	Trials       uint64  `json:"trials"`
 	TrialSeconds float64 `json:"trial_seconds"`
+	// Forks counts calibration pairs whose c1 continued from a copy of c0's
+	// core at the fork window; ForkMisses counts pairs that could have
+	// forked (no spec watch armed) but simulated c1 in full, because c0
+	// never drained inside the window or the emulator's c1 prefix did not
+	// match it.
+	Forks      uint64 `json:"forks"`
+	ForkMisses uint64 `json:"fork_misses"`
 }
 
 var perfCounters struct {
@@ -97,6 +109,8 @@ var perfCounters struct {
 	coreResets atomic.Uint64
 	trials     atomic.Uint64
 	trialNS    atomic.Uint64
+	forks      atomic.Uint64
+	forkMisses atomic.Uint64
 }
 
 // PerfSnapshot returns the cumulative throughput-engine counters.
@@ -115,39 +129,58 @@ func PerfSnapshot() Perf {
 		SBWrongPathReplays: sb.SBWrongPathReplays,
 		Trials:             perfCounters.trials.Load(),
 		TrialSeconds:       float64(perfCounters.trialNS.Load()) / 1e9,
+		Forks:              perfCounters.forks.Load(),
+		ForkMisses:         perfCounters.forkMisses.Load(),
 	}
 }
 
-// runner owns one pooled core and all per-trial scratch. It is not safe for
-// concurrent use; a trial holds its runner from borrow to release. p and v
-// are the current batch's, rebound on every borrow; everything else depends
-// only on the architecture (mode, cfg) or is rewritten per run.
+// runner owns two pooled cores, an emulator and all per-trial scratch. It
+// is not safe for concurrent use; a trial holds its runner from borrow to
+// release. p and v are the current batch's, rebound on every borrow;
+// everything else depends only on the architecture (mode, cfg) or is
+// rewritten per run.
 type runner struct {
 	p    Params
 	v    victim.Victim
 	mode compile.Mode
 	cfg  pipeline.Config
 
-	core *pipeline.Core
-	// prog is the program value the core executes; the fast path points its
-	// Code at codeBuf (the patched copy) while sharing the template's data
-	// segments, which the core only reads at load time.
-	prog    isa.Program
-	codeBuf []byte
-	vals    []int64
-	curTmpl *compile.Template
-	putVal  func(name string, val int64)
-	missing string // a value putVal found no slot for, "" when none
+	// core runs c0, the measurement, and every run that does not fork;
+	// second runs a calibration pair's forked c1; emu runs c1's prefix to
+	// supply its architectural state at the fork.
+	core   *pipeline.Core
+	second *pipeline.Core
+	emu    *emu.Machine
+	// progs are the program values the cores execute: progs[0] for core's
+	// run, progs[1] for the forked c1, which runs alongside c0's rest. Each
+	// points its Code at its own patched copy in codeBufs while sharing the
+	// template's data segments, which a core only reads at load time.
+	progs    [2]isa.Program
+	codeBufs [2][]byte
+	vals     []int64
+	curTmpl  *compile.Template
+	putVal   func(name string, val int64)
+	missing  string // a value putVal found no slot for, "" when none
 
 	rng    *rand.Rand
 	mrk    uint64
 	stamps []uint64
+	// forkStamps are c0's marker stamps at the fork, c1's from there on.
+	forkStamps []uint64
 	// watch, when non-nil, is armed as the core's spec watch when the core
 	// is built (TraceTrial); batch runners never set it.
 	watch func(pipeline.SpecEvent)
 
 	c0buf, c1buf, mbuf []float64
 }
+
+// The fork window's markers. Each attack program opens the window where
+// its pipeline reliably drains (bp: after the spin loop; prime+probe: after
+// the prime loads) and closes it right before the attacked SecretIf.
+const (
+	forkLo = "fork.lo"
+	forkHi = "fork.hi"
+)
 
 func newRunner(p Params) (*runner, error) {
 	v, err := p.victimImpl()
@@ -165,6 +198,7 @@ func newRunner(p Params) (*runner, error) {
 		r.mode, r.cfg = compile.SeMPE, pipeline.SecureConfig()
 	}
 	r.stamps = make([]uint64, 0, 8)
+	r.forkStamps = make([]uint64, 0, 8)
 	// putVal is allocated once so the per-trial KeyInits callback does not
 	// allocate a closure in the hot loop.
 	r.putVal = func(name string, val int64) {
@@ -234,17 +268,89 @@ func (r *runner) trialDraw(t int) draw {
 // noise) with each known value of the attacked bit. Code placement and
 // fetch effects cancel exactly between them, leaving only the
 // microarchitectural signal — or, under SeMPE, nothing, in which case the
-// classifier degenerates to a secret-independent tie. The returned slices
+// classifier degenerates to a secret-independent tie. The two runs are the
+// same machine until the attacked branch, so unless a spec watch is armed
+// (a traced run must see every event of both) c1 forks from c0 there
+// (fork); a pair that cannot fork runs c1 in full. The returned slices
 // alias runner-owned buffers and are valid until the next runner call.
 func (r *runner) calibPair(t int) (d draw, c0, c1 []float64, err error) {
 	d = r.trialDraw(t)
-	if c0, err = r.run(d, d.gapCal, r.p.KeyPrefix, &r.c0buf); err != nil {
+	key1 := r.p.KeyPrefix | 1<<uint(r.p.Bit)
+	want, err := r.load(d, d.gapCal, r.p.KeyPrefix)
+	if err != nil {
 		return d, nil, nil, err
 	}
-	if c1, err = r.run(d, d.gapCal, r.p.KeyPrefix|1<<uint(r.p.Bit), &r.c1buf); err != nil {
+	forked := false
+	if !r.core.SpecWatchArmed() {
+		syms := r.progs[0].Symbols
+		stopped, err := r.core.RunToFork(syms[forkLo], syms[forkHi])
+		if err != nil {
+			return d, nil, nil, err
+		}
+		if stopped {
+			if forked, err = r.fork(d, key1); err != nil {
+				return d, nil, nil, err
+			}
+		}
+		if forked {
+			perfCounters.forks.Add(1)
+		} else {
+			perfCounters.forkMisses.Add(1)
+		}
+	}
+	if err := r.core.Run(); err != nil {
 		return d, nil, nil, err
 	}
-	return d, c0, c1, nil
+	if c0, err = r.observe(r.core, want, &r.c0buf); err != nil {
+		return d, nil, nil, err
+	}
+	if !forked {
+		c1, err = r.run(d, d.gapCal, key1, &r.c1buf)
+		return d, c0, c1, err
+	}
+	r.stamps = append(r.stamps[:0], r.forkStamps...)
+	if err := r.second.Run(); err != nil {
+		return d, nil, nil, err
+	}
+	c1, err = r.observe(r.second, want, &r.c1buf)
+	return d, c0, c1, err
+}
+
+// fork sets c1 (key) up on the second core from r.core, which RunToFork
+// stopped at a drained cycle in the fork window. The emulator runs c1 to
+// the core's committed-instruction count; only if it then stands at the
+// core's fetch PC with the core's commit and memory digests — c1's prefix
+// committed the same instructions and accessed the same addresses — does
+// the second core become a copy of r.core carrying c1's code, registers
+// and memory. It reports whether it forked.
+func (r *runner) fork(d draw, key uint64) (bool, error) {
+	if _, _, err := r.prepare(1, d, d.gapCal, key); err != nil {
+		return false, err
+	}
+	prog, c := &r.progs[1], r.core
+	mode := emu.Legacy
+	if r.p.Secure {
+		mode = emu.SeMPE
+	}
+	if r.emu == nil {
+		r.emu = emu.New(mode, prog)
+	} else {
+		r.emu.Reset(mode, prog)
+	}
+	r.emu.OverflowNonSecure = r.cfg.OverflowNonSecure
+	n := c.Stats.Insts
+	if err := r.emu.RunTo(n); err != nil || r.emu.Insts != n || r.emu.PC != c.FetchPC() ||
+		r.emu.CommitDigest != c.CommitDigest() || r.emu.MemDigest != c.MemDigest() {
+		return false, nil
+	}
+	if r.second == nil {
+		r.second = pipeline.New(r.cfg, prog)
+		r.second.MemWatch = c.MemWatch
+		perfCounters.coreBuilds.Add(1)
+	}
+	r.emu.Mem = r.second.Fork(c, prog, &r.emu.Regs, r.emu.Mem)
+	r.forkStamps = append(r.forkStamps[:0], r.stamps...)
+	return true, nil
 }
 
 // measure runs the live measurement for trial draw d against the true key.
@@ -252,20 +358,34 @@ func (r *runner) measure(d draw, key uint64) ([]float64, error) {
 	return r.run(d, d.gapMeas, key, &r.mbuf)
 }
 
-// run executes one attacker program and fills *buf with the observation
-// vector (reusing its backing array).
+// run executes one attacker program in full on the runner's core and fills
+// *buf with the observation vector (reusing its backing array).
 func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float64, error) {
-	out, wantStamps, err := r.prepare(d, gapSeed, key)
+	want, err := r.load(d, gapSeed, key)
 	if err != nil {
 		return nil, err
 	}
+	if err := r.core.Run(); err != nil {
+		return nil, err
+	}
+	return r.observe(r.core, want, buf)
+}
+
+// load points progs[0] at the program for (d, gapSeed, key) and readies the
+// runner's core to run it from the start, building the core on first use.
+// It returns the number of marker stamps the run must record.
+func (r *runner) load(d draw, gapSeed int64, key uint64) (int, error) {
+	out, wantStamps, err := r.prepare(0, d, gapSeed, key)
+	if err != nil {
+		return 0, err
+	}
 	mrk, ok := out.ArrayAddrs[markerArray]
 	if !ok {
-		return nil, fmt.Errorf("program has no %q marker array", markerArray)
+		return 0, fmt.Errorf("program has no %q marker array", markerArray)
 	}
 	r.mrk = mrk
 	if r.core == nil {
-		r.core = pipeline.New(r.cfg, &r.prog)
+		r.core = pipeline.New(r.cfg, &r.progs[0])
 		r.core.MemWatch = func(addr uint64, write bool, cycle uint64) {
 			if write && addr == r.mrk && len(r.stamps) < cap(r.stamps) {
 				r.stamps = append(r.stamps, cycle)
@@ -276,17 +396,19 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 		}
 		perfCounters.coreBuilds.Add(1)
 	} else {
-		r.core.Reset(&r.prog)
+		r.core.Reset(&r.progs[0])
 		perfCounters.coreResets.Add(1)
 	}
 	r.stamps = r.stamps[:0]
-	if err := r.core.Run(); err != nil {
-		return nil, err
-	}
+	return wantStamps, nil
+}
+
+// observe turns a finished run on core into its observation vector in *buf.
+func (r *runner) observe(core *pipeline.Core, wantStamps int, buf *[]float64) ([]float64, error) {
 	if len(r.stamps) != wantStamps {
 		return nil, fmt.Errorf("got %d marker stamps, want %d", len(r.stamps), wantStamps)
 	}
-	total := float64(r.core.Cycles())
+	total := float64(core.Cycles())
 	switch r.p.Kind {
 	case BPProbe:
 		*buf = append((*buf)[:0], float64(r.stamps[3]-r.stamps[2]), total)
@@ -298,11 +420,11 @@ func (r *runner) run(d draw, gapSeed int64, key uint64, buf *[]float64) ([]float
 	return *buf, nil
 }
 
-// prepare points r.prog at the trial's program: the template for the
+// prepare points progs[i] at the trial's program: the template for the
 // trial's shape, compiled on a memo miss, with this trial's values patched
 // in. A freshly compiled template already holds them, so patching it
 // rewrites every slot with its own value, and every trial takes one path.
-func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, int, error) {
+func (r *runner) prepare(i int, d draw, gapSeed int64, key uint64) (*compile.Output, int, error) {
 	wantStamps := 4
 	if r.p.Kind == PrimeProbe {
 		wantStamps = 3
@@ -327,17 +449,18 @@ func (r *runner) prepare(d draw, gapSeed int64, key uint64) (*compile.Output, in
 		}
 		tmplMemo.Put(k, tmpl)
 	}
-	if err := r.patch(tmpl, d, gapSeed, key); err != nil {
+	if err := r.patch(i, tmpl, d, gapSeed, key); err != nil {
 		return nil, 0, err
 	}
 	return tmpl.Out, wantStamps, nil
 }
 
-// patch points r.prog at a copy of tmpl's code carrying this trial's values:
-// the victim's key and attacked-bit slots (Victim.KeyInits), the noise-chain
-// seed, the prime+probe probed-set offsets and the gap seed. Every other
-// slot keeps the value the template was compiled with.
-func (r *runner) patch(tmpl *compile.Template, d draw, gapSeed int64, key uint64) error {
+// patch points progs[i] at a copy of tmpl's code in codeBufs[i] carrying
+// this trial's values: the victim's key and attacked-bit slots
+// (Victim.KeyInits), the noise-chain seed, the prime+probe probed-set
+// offsets and the gap seed. Every other slot keeps the value the template
+// was compiled with.
+func (r *runner) patch(i int, tmpl *compile.Template, d draw, gapSeed int64, key uint64) error {
 	r.curTmpl = tmpl
 	r.missing = ""
 	r.vals = append(r.vals[:0], tmpl.BaseInits()...)
@@ -356,13 +479,13 @@ func (r *runner) patch(tmpl *compile.Template, d draw, gapSeed int64, key uint64
 		return fmt.Errorf("attack: %s template: %w: no patch slot for %q",
 			r.v.Name(), compile.ErrNotPatchable, r.missing)
 	}
-	code, err := tmpl.Specialize(r.vals, r.codeBuf)
+	code, err := tmpl.Specialize(r.vals, r.codeBufs[i])
 	if err != nil {
 		return fmt.Errorf("attack: %s template: %w", r.v.Name(), err)
 	}
-	r.codeBuf = code
-	r.prog = *tmpl.Out.Prog
-	r.prog.Code = code
+	r.codeBufs[i] = code
+	r.progs[i] = *tmpl.Out.Prog
+	r.progs[i].Code = code
 	return nil
 }
 

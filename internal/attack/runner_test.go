@@ -167,7 +167,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 						for trial := 0; trial < 2; trial++ {
 							d := prod.trialDraw(trial)
 							for _, key := range []uint64{p.KeyPrefix, p.KeyPrefix | 4, 7, 0} {
-								out, _, err := prod.prepare(d, d.gapCal, key)
+								out, _, err := prod.prepare(0, d, d.gapCal, key)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -183,7 +183,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 								if err != nil {
 									t.Fatal(err)
 								}
-								if !reflect.DeepEqual(prod.prog, *want) {
+								if !reflect.DeepEqual(prod.progs[0], *want) {
 									t.Errorf("trial %d key %#x: patched program != fresh compilation", trial, key)
 								}
 							}
@@ -216,7 +216,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 		pairs := [][2]int{{16, 17}, {40, 200}, {77, 33}, {120, 121}, {18, 239}, {90, 16}}
 		for i, pair := range pairs {
 			d := draw{seed0: int64(1000 + i), noisePre: 5, la: pair[0], lb: pair[1]}
-			if _, _, err := r.prepare(d, 0, p.KeyPrefix); err != nil {
+			if _, _, err := r.prepare(0, d, 0, p.KeyPrefix); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -253,7 +253,7 @@ func TestTemplatePatchMatchesFreshCompile(t *testing.T) {
 				h0, m0, e0 := tmplMemo.Counters()
 				for bit := 0; bit < width; bit++ {
 					r.p.Bit = bit
-					if _, _, err := r.prepare(d, 0, key&(uint64(1)<<uint(bit+1)-1)); err != nil {
+					if _, _, err := r.prepare(0, d, 0, key&(uint64(1)<<uint(bit+1)-1)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -302,14 +302,14 @@ func checkCrossBitPatch(t *testing.T, p Params) {
 				r.p.Bit = to
 				low := pattern & (uint64(1)<<uint(to) - 1)
 				for _, key := range []uint64{low, low | 1<<uint(to)} {
-					if err := r.patch(tmpl, d, d.gapCal, key); err != nil {
+					if err := r.patch(0, tmpl, d, d.gapCal, key); err != nil {
 						t.Fatal(err)
 					}
 					want, err := compileFresh(r, d, d.gapCal, key)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(r.prog, *want) {
+					if !reflect.DeepEqual(r.progs[0], *want) {
 						t.Errorf("W=%d: template built at bit %d, patched to bit %d key %#x != fresh compilation",
 							geom.width, from, to, key)
 					}
@@ -411,8 +411,9 @@ func TestParallelMatchesSerial(t *testing.T) {
 // rebound to its batch shows as a changed row or observation vector (the
 // total-cycles column depends on the victim's setup). The 2-worker case
 // runs the pool's concurrent borrow and return; there a runner whose worker
-// claimed no trial of an earlier batch builds its core in a later one, so
-// the gate is one core per worker however many batches run.
+// claimed no trial of an earlier batch builds its cores in a later one, so
+// the gate is one runner's two cores (the measuring core and the one a
+// calibration pair forks into) per worker however many batches run.
 func TestWarmBatchReusesRunners(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		for _, workers := range []int{1, 2} {
@@ -442,8 +443,8 @@ func TestWarmBatchReusesRunners(t *testing.T) {
 				warmKey := mustJSON(t, mustExtract(t, kp))
 				warmBatch := mustJSON(t, mustRunBatch(t, bp))
 				b3 := PerfSnapshot().CoreBuilds
-				if b3-b1 > uint64(workers) {
-					t.Errorf("batches after emptying the pool built %d cores, want at most %d (one per worker)", b3-b1, workers)
+				if b3-b1 > 2*uint64(workers) {
+					t.Errorf("batches after emptying the pool built %d cores, want at most %d (two per worker)", b3-b1, 2*workers)
 				}
 				if workers == 1 && b3 != b2 {
 					t.Errorf("warm batches built %d cores, want 0", b3-b2)

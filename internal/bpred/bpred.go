@@ -99,6 +99,16 @@ func (u *Unit) Reset() {
 	u.Lookups = LookupStats{}
 }
 
+// CopyFrom makes the unit's prediction state and accounting equal to src's.
+// Both units must have the same geometry.
+func (u *Unit) CopyFrom(src *Unit) {
+	u.TAGE.CopyFrom(src.TAGE)
+	u.ITTAGE.CopyFrom(src.ITTAGE)
+	copy(u.ras, src.ras[:src.rasTop])
+	u.rasTop = src.rasTop
+	u.Lookups = src.Lookups
+}
+
 // Digest fingerprints every predictor structure. Under SeMPE the digest
 // after a run must not depend on any secret.
 func (u *Unit) Digest() uint64 {

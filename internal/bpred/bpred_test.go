@@ -204,3 +204,77 @@ func TestFoldedHistoryWindow(t *testing.T) {
 		t.Errorf("folded history not window-consistent: %#x vs %#x", v1, v2)
 	}
 }
+
+// trainUnit drives u with n random conditional branches, indirect jumps
+// and calls from a small PC pool.
+func trainUnit(u *Unit, rng *rand.Rand, n int) {
+	for i := 0; i < n; i++ {
+		pc := uint64(0x1000 + 8*rng.Intn(64))
+		switch rng.Intn(8) {
+		case 0:
+			u.PushReturn(pc + 8)
+		case 1:
+			u.PopReturn()
+		case 2:
+			u.PredictIndirect(pc)
+			u.UpdateIndirect(pc, uint64(0x4000+8*rng.Intn(4)))
+		default:
+			u.PredictBranch(pc)
+			u.UpdateBranch(pc, rng.Intn(3) > 0)
+		}
+	}
+}
+
+// TestUnitCopyAndResetTrackWrites: Reset and CopyFrom visit only the TAGE
+// slots a run wrote. A unit copied from a trained source, whatever it held
+// before, must digest and predict like the source from then on, and a reset
+// one like a new unit; both before and after the periodic useful-bit reset
+// has aged the tables.
+func TestUnitCopyAndResetTrackWrites(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	fresh := NewUnit().Digest()
+	for _, n := range []int{0, 50, 3000} {
+		src, dst := NewUnit(), NewUnit()
+		trainUnit(src, rng, n)
+		trainUnit(dst, rng, 2000) // slots only dst wrote must revert
+		dst.CopyFrom(src)
+		if dst.Digest() != src.Digest() {
+			t.Fatalf("after %d updates: the copy digests differently from its source", n)
+		}
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		trainUnit(src, a, 500)
+		trainUnit(dst, b, 500)
+		if dst.Digest() != src.Digest() || dst.TAGE.Mispredict != src.TAGE.Mispredict {
+			t.Fatalf("after %d updates: the copy and its source diverged on the same stream", n)
+		}
+		dst.Reset()
+		if dst.Digest() != fresh {
+			t.Fatalf("after %d updates: a reset copy digests differently from a new unit", n)
+		}
+	}
+	// Drive the periodic useful-bit reset (every 1<<18 failed allocations):
+	// make every candidate entry of one pc useful so its allocation fails,
+	// with the tick one short of the period.
+	src, dst := NewUnit(), NewUnit()
+	trainUnit(src, rng, 3000)
+	tg := src.TAGE
+	pc := uint64(0x1234)
+	for i := range tg.tables {
+		idx := tg.tables[i].index(pc)
+		tg.mark(tg.entrySlot(i, idx))
+		tg.tables[i].entries[idx] = tageEntry{tag: 1, use: 3, live: true}
+	}
+	tg.uTick = 1<<18 - 1
+	tg.allocate(pc, true, -1)
+	if tg.uTick != 1<<18 {
+		t.Fatal("the allocation did not fail; the periodic reset did not run")
+	}
+	dst.CopyFrom(src)
+	if dst.Digest() != src.Digest() {
+		t.Fatal("after the periodic reset: the copy digests differently")
+	}
+	dst.Reset()
+	if dst.Digest() != fresh {
+		t.Fatal("after the periodic reset: a reset unit digests differently from a new one")
+	}
+}

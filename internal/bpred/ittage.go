@@ -171,6 +171,24 @@ func (it *ITTAGE) Reset() {
 	it.Lookups, it.Mispredict = 0, 0
 }
 
+// CopyFrom makes the predictor's tables, history and statistics equal to
+// src's. Both predictors must have the same geometry.
+func (it *ITTAGE) CopyFrom(src *ITTAGE) {
+	clear(it.base)
+	for k, e := range src.base {
+		it.base[k] = e
+	}
+	for i := range it.tables {
+		tb, sb := &it.tables[i], &src.tables[i]
+		copy(tb.entries, sb.entries)
+		tb.idxFold.value = sb.idxFold.value
+		tb.tagFold.value = sb.tagFold.value
+	}
+	copy(it.hist.bits, src.hist.bits)
+	it.hist.head = src.hist.head
+	it.Lookups, it.Mispredict = src.Lookups, src.Mispredict
+}
+
 // Digest fingerprints all table and history state.
 func (it *ITTAGE) Digest() uint64 {
 	h := newFNV()

@@ -34,6 +34,16 @@ type TAGE struct {
 	// diverge from the cycle-exact result.
 	gen  uint64
 	memo [tageMemoSize]tageMemoEntry
+
+	// Written-slot tracking. A slot numbers a base counter (its index) or a
+	// tagged entry (len(base) + table*entries per table + index). Every slot
+	// not listed in written still holds its fresh zero value, so Reset and
+	// CopyFrom visit only the written slots instead of all ~90 KB of tables;
+	// an attack-trial run writes a few hundred. Update marks a slot before
+	// writing it; aging and the periodic useful-bit reset only decrement
+	// useful bits that are nonzero, which only a written slot can have.
+	written    []uint32
+	writtenBit []uint64 // bit per slot, set while the slot is in written
 }
 
 // tageMemoSize is the direct-mapped memo capacity; a small power of two
@@ -111,7 +121,43 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 		tbl.tagFold2.init(hl, cfg.TagBits-1)
 		t.tables = append(t.tables, tbl)
 	}
+	t.writtenBit = make([]uint64, (len(t.base)+len(cfg.HistLens)<<cfg.TableBits+63)/64)
 	return t
+}
+
+// mark records that slot is about to be written.
+func (t *TAGE) mark(slot uint32) {
+	if w := &t.writtenBit[slot>>6]; *w&(1<<(slot&63)) == 0 {
+		*w |= 1 << (slot & 63)
+		t.written = append(t.written, slot)
+	}
+}
+
+// entrySlot is the slot of entry idx of tagged table i.
+func (t *TAGE) entrySlot(i int, idx uint64) uint32 {
+	return uint32(len(t.base) + i*len(t.tables[i].entries) + int(idx))
+}
+
+// zeroSlot returns slot to its fresh value.
+func (t *TAGE) zeroSlot(slot uint32) {
+	if s := int(slot); s < len(t.base) {
+		t.base[s] = 0
+	} else {
+		s -= len(t.base)
+		n := len(t.tables[0].entries)
+		t.tables[s/n].entries[s%n] = tageEntry{}
+	}
+}
+
+// copySlot sets slot to src's value of it.
+func (t *TAGE) copySlot(src *TAGE, slot uint32) {
+	if s := int(slot); s < len(t.base) {
+		t.base[s] = src.base[s]
+	} else {
+		s -= len(t.base)
+		n := len(t.tables[0].entries)
+		t.tables[s/n].entries[s%n] = src.tables[s/n].entries[s%n]
+	}
 }
 
 func (tb *tageTable) index(pc uint64) uint64 {
@@ -199,7 +245,9 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 
 	if provider >= 0 {
 		tb := &t.tables[provider]
-		e := &tb.entries[tb.index(pc)]
+		idx := tb.index(pc)
+		t.mark(t.entrySlot(provider, idx))
+		e := &tb.entries[idx]
 		// Useful bit: provider disagreed with altpred and was right/wrong.
 		if pred != altPred {
 			if pred == taken {
@@ -220,6 +268,7 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		}
 	} else {
 		i := pc & t.baseMask
+		t.mark(uint32(i))
 		t.base[i] = satUpdate(t.base[i], taken, -2, 1)
 	}
 
@@ -240,8 +289,10 @@ func (t *TAGE) allocate(pc uint64, taken bool, provider int) {
 	// Find a table with a dead or non-useful entry; prefer the shortest.
 	for i := start; i < len(t.tables); i++ {
 		tb := &t.tables[i]
-		e := &tb.entries[tb.index(pc)]
+		idx := tb.index(pc)
+		e := &tb.entries[idx]
 		if !e.live || e.use == 0 {
+			t.mark(t.entrySlot(i, idx))
 			e.live = true
 			e.tag = tb.tag(pc)
 			if taken {
@@ -296,10 +347,13 @@ func (t *TAGE) pushHistory(taken bool) {
 // reset predictor is indistinguishable (per Digest and per prediction
 // stream) from a new one.
 func (t *TAGE) Reset() {
-	clear(t.base)
+	for _, s := range t.written {
+		t.zeroSlot(s)
+		t.writtenBit[s>>6] &^= 1 << (s & 63)
+	}
+	t.written = t.written[:0]
 	for i := range t.tables {
 		tb := &t.tables[i]
-		clear(tb.entries)
 		tb.idxFold.value = 0
 		tb.tagFold1.value = 0
 		tb.tagFold2.value = 0
@@ -310,6 +364,35 @@ func (t *TAGE) Reset() {
 	t.Lookups, t.Mispredict, t.allocs, t.uTick = 0, 0, 0, 0
 	t.gen = 1
 	clear(t.memo[:])
+}
+
+// CopyFrom makes t's tables, history, statistics and memoized fast path
+// equal to src's, so both predict the same stream from here on. Both
+// predictors must have the same geometry.
+func (t *TAGE) CopyFrom(src *TAGE) {
+	// Slots either side wrote take src's value (zero where only t wrote);
+	// every other slot is zero in both.
+	for _, s := range t.written {
+		t.copySlot(src, s)
+		t.writtenBit[s>>6] &^= 1 << (s & 63)
+	}
+	for _, s := range src.written {
+		t.copySlot(src, s)
+		t.writtenBit[s>>6] |= 1 << (s & 63)
+	}
+	t.written = append(t.written[:0], src.written...)
+	for i := range t.tables {
+		tb, sb := &t.tables[i], &src.tables[i]
+		tb.idxFold.value = sb.idxFold.value
+		tb.tagFold1.value = sb.tagFold1.value
+		tb.tagFold2.value = sb.tagFold2.value
+	}
+	copy(t.hist.bits, src.hist.bits)
+	t.hist.head = src.hist.head
+	t.useAltCtr = src.useAltCtr
+	t.Lookups, t.Mispredict, t.allocs, t.uTick = src.Lookups, src.Mispredict, src.allocs, src.uTick
+	t.gen = src.gen
+	t.memo = src.memo
 }
 
 // BaseCounter exposes the bimodal base counter for the branch at pc — the

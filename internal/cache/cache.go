@@ -304,40 +304,47 @@ func (c *Cache) Reset() {
 	c.Stats = Stats{}
 }
 
+// CopyFrom makes c's resident lines, replacement state and stats equal to
+// src's. Both levels must have the same geometry; c keeps its own wiring
+// (next level, observer, FillWatch), like Reset.
+func (c *Cache) CopyFrom(src *Cache) {
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+	copy(c.dirty, src.dirty)
+	copy(c.lruAge, src.lruAge)
+	c.clock = src.clock
+	c.memoLine, c.memoIdx = src.memoLine, src.memoIdx
+	c.Stats = src.Stats
+}
+
 // Digest returns a deterministic fingerprint of the cache's resident-line
 // state (tags and LRU order). The leak checker compares digests produced by
 // runs with different secrets: under SeMPE they must be identical.
 func (c *Cache) Digest() uint64 {
 	var h uint64 = 1469598103934665603 // FNV-64 offset basis
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xFF
-			h *= 1099511628211
-		}
-	}
 	for set := 0; set < c.sets; set++ {
 		base := set * c.ways
-		// Order ways by age so the digest reflects LRU state, not the
-		// arbitrary way index.
-		type entry struct {
-			age, tag uint64
-			valid    bool
-		}
-		var es []entry
-		for w := 0; w < c.ways; w++ {
-			i := base + w
-			es = append(es, entry{c.lruAge[i], c.tags[i], c.valid[i]})
-		}
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j].age < es[j-1].age; j-- {
-				es[j], es[j-1] = es[j-1], es[j]
+		// Visit ways by age so the digest reflects LRU state, not the
+		// arbitrary way index: ascending (age, way), the order a stable
+		// sort by age gives. Each pass selects the next way in that order,
+		// so no per-set buffer is needed.
+		prevAge, prevWay := uint64(0), -1
+		for k := 0; k < c.ways; k++ {
+			next := -1
+			for w := 0; w < c.ways; w++ {
+				a := c.lruAge[base+w]
+				if (a > prevAge || a == prevAge && w > prevWay) && (next < 0 || a < c.lruAge[base+next]) {
+					next = w
+				}
 			}
-		}
-		for _, e := range es {
-			if e.valid {
-				mix(e.tag + 1)
-			} else {
-				mix(0)
+			prevAge, prevWay = c.lruAge[base+next], next
+			v := uint64(0)
+			if i := base + next; c.valid[i] {
+				v = c.tags[i] + 1
+			}
+			for b := 0; b < 8; b++ {
+				h ^= (v >> (8 * b)) & 0xFF
+				h *= 1099511628211
 			}
 		}
 	}
@@ -375,6 +382,14 @@ func (h *Hierarchy) Reset() {
 	h.DL1.Reset()
 	h.L2.Reset()
 	h.Mem.Stats = Stats{}
+}
+
+// CopyFrom makes every level (and the main-memory stats) equal to src's.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	h.IL1.CopyFrom(src.IL1)
+	h.DL1.CopyFrom(src.DL1)
+	h.L2.CopyFrom(src.L2)
+	h.Mem.Stats = src.Mem.Stats
 }
 
 // NewHierarchy wires IL1 and DL1 in front of a shared L2 and main memory.

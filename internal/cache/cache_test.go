@@ -121,6 +121,66 @@ func TestDigestReflectsState(t *testing.T) {
 	}
 }
 
+// sortedDigest is Digest as a per-set sort: copy each set's ways, stable
+// insertion-sort them by age, mix them in that order. Digest must equal it.
+func sortedDigest(c *Cache) uint64 {
+	var h uint64 = 1469598103934665603
+	type entry struct {
+		age, tag uint64
+		valid    bool
+	}
+	for set := 0; set < c.sets; set++ {
+		var es []entry
+		for w := 0; w < c.ways; w++ {
+			i := set*c.ways + w
+			es = append(es, entry{c.lruAge[i], c.tags[i], c.valid[i]})
+		}
+		for i := 1; i < len(es); i++ {
+			for j := i; j > 0 && es[j].age < es[j-1].age; j-- {
+				es[j], es[j-1] = es[j-1], es[j]
+			}
+		}
+		for _, e := range es {
+			v := uint64(0)
+			if e.valid {
+				v = e.tag + 1
+			}
+			for b := 0; b < 8; b++ {
+				h ^= (v >> (8 * b)) & 0xFF
+				h *= 1099511628211
+			}
+		}
+	}
+	return h
+}
+
+// TestDigestAllocationFreeAndUnchanged pins Digest to the per-set sort it
+// replaced, on empty, partly filled (invalid ways tie at age 0) and
+// thrashed caches of 1, 2 and 4 ways, and requires it to allocate nothing:
+// the leak checker takes three digests per observation.
+func TestDigestAllocationFreeAndUnchanged(t *testing.T) {
+	for _, ways := range []int{1, 2, 4} {
+		c, _ := newTestCache(4, ways)
+		rng := rand.New(rand.NewSource(int64(ways)))
+		for _, n := range []int{0, 7, 40, 3000} {
+			for i := 0; i < n; i++ {
+				c.Access(uint64(rng.Intn(1<<16)), rng.Intn(4) == 0)
+			}
+			if got, want := c.Digest(), sortedDigest(c); got != want {
+				t.Errorf("%d ways after %d accesses: Digest %#x, per-set sort %#x", ways, n, got, want)
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { c.Digest() }); a != 0 {
+			t.Errorf("%d ways: Digest allocates %.0f times, want 0", ways, a)
+		}
+	}
+	h := NewHierarchy(DefaultHierarchyConfig())
+	h.L2.Access(0x4000, false)
+	if a := testing.AllocsPerRun(10, func() { h.L2.Digest() }); a != 0 {
+		t.Errorf("L2 Digest allocates %.0f times, want 0", a)
+	}
+}
+
 // TestAccessAlwaysFindsAfterFill: property — any address accessed is
 // resident immediately afterwards.
 func TestAccessAlwaysFindsAfterFill(t *testing.T) {

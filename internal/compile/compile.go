@@ -320,6 +320,9 @@ func (c *compiler) stmt(s lang.Stmt, remap map[string]string) error {
 		return c.plainIf(s, remap)
 	case *lang.While:
 		return c.while(s, remap)
+	case *lang.Marker:
+		c.b.Label(s.Name)
+		return c.b.Err()
 	default:
 		return fmt.Errorf("unknown statement %T", s)
 	}

@@ -437,3 +437,59 @@ func TestSeMPEBinaryRunsOnPipeline(t *testing.T) {
 		t.Errorf("pipeline acc=%d emu acc=%d", g, w)
 	}
 }
+
+// TestMarksEmitNoCode: markers at the top level, in a loop body and in
+// both paths of a secret if compile to code labels and no bytes, under
+// every backend.
+func TestMarksEmitNoCode(t *testing.T) {
+	build := func(marks bool) *lang.Program {
+		m := func(name string) []lang.Stmt {
+			if marks {
+				return []lang.Stmt{lang.Mark(name)}
+			}
+			return nil
+		}
+		cat := func(ss ...[]lang.Stmt) []lang.Stmt {
+			var out []lang.Stmt
+			for _, s := range ss {
+				out = append(out, s...)
+			}
+			return out
+		}
+		return &lang.Program{
+			Name:   "marks",
+			Vars:   []*lang.VarDecl{{Name: "s", Init: 1, Secret: true}, {Name: "i"}, {Name: "x"}},
+			Arrays: []*lang.ArrayDecl{{Name: "a", Len: 4, LiveOut: true}},
+			Body: cat(m("top"),
+				[]lang.Stmt{lang.Loop(lang.B(lang.Lt, lang.V("i"), lang.N(3)), cat(
+					m("loop"),
+					[]lang.Stmt{lang.Set("i", lang.B(lang.Add, lang.V("i"), lang.N(1)))}))},
+				[]lang.Stmt{lang.SecretIf(lang.V("s"),
+					cat(m("then"), []lang.Stmt{lang.Put("a", lang.N(1), lang.N(5))}),
+					cat([]lang.Stmt{lang.Set("x", lang.N(2))}, m("else")))},
+				m("end")),
+		}
+	}
+	for _, mode := range []Mode{Plain, SeMPE, CTE} {
+		marked, err := Compile(build(true), mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		bare, err := Compile(build(false), mode)
+		if err != nil {
+			t.Fatalf("%v without marks: %v", mode, err)
+		}
+		if string(marked.Prog.Code) != string(bare.Prog.Code) {
+			t.Errorf("%v: the markers changed the code", mode)
+		}
+		end := marked.Prog.CodeBase + uint64(len(marked.Prog.Code))
+		for _, name := range []string{"top", "loop", "then", "else", "end"} {
+			if a, ok := marked.Prog.Symbols[name]; !ok || a < marked.Prog.CodeBase || a > end {
+				t.Errorf("%v: marker %q at %#x (present %v), outside the code", mode, name, a, ok)
+			}
+		}
+		if len(marked.Prog.Symbols) != len(bare.Prog.Symbols)+5 {
+			t.Errorf("%v: %d symbols, want the unmarked %d plus five", mode, len(marked.Prog.Symbols), len(bare.Prog.Symbols))
+		}
+	}
+}

@@ -37,7 +37,9 @@ func (m Mode) String() string {
 	return "legacy"
 }
 
-// Machine is a functional processor instance.
+// Machine is a functional processor instance. A machine is reusable:
+// Reset readies it for another program without reallocating its memory
+// image, scratchpad or decode cache.
 type Machine struct {
 	Mode Mode
 	Mem  *mem.Memory
@@ -67,7 +69,30 @@ type Machine struct {
 	EOSJmps  uint64 // eosJMP instructions executed
 	Branches uint64
 
+	// CommitDigest and MemDigest fingerprint the committed-PC stream and the
+	// committed memory-access stream exactly as the pipeline core does
+	// (isa.DigestMix; an access mixes address<<1, plus 1 for a store), so a
+	// prefix of a core's run can be checked against the emulator's.
+	CommitDigest uint64
+	MemDigest    uint64
+
+	// Decode cache: dec[off] holds the decode of the instruction at code
+	// offset off when its gen equals decGen. An instruction is decoded from
+	// memory on first execution, as without the cache; a store that
+	// overlaps a cached instruction's bytes drops it, and Reset drops all
+	// of them by advancing decGen.
+	codeBase uint64
+	dec      []decoded
+	decGen   uint32
+
 	halted bool
+}
+
+// decoded is one decode-cache entry.
+type decoded struct {
+	in   isa.Inst
+	size uint8
+	gen  uint32
 }
 
 // jbEntry mirrors one Jump-Back Table row: the sJMP destination address, the
@@ -88,15 +113,42 @@ var (
 // New creates a machine executing prog in the given mode on a fresh memory.
 func New(mode Mode, prog *isa.Program) *Machine {
 	m := &Machine{
-		Mode:     mode,
-		Mem:      mem.NewMemory(),
-		PC:       prog.Entry,
-		MaxInsts: 1 << 32,
-		spm:      mem.NewSPM(mem.DefaultSPMConfig()),
+		Mem: mem.NewMemory(),
+		spm: mem.NewSPM(mem.DefaultSPMConfig()),
 	}
-	m.Mem.Load(prog)
-	m.Regs[isa.SP] = isa.DefaultStackTop
+	m.Reset(mode, prog)
 	return m
+}
+
+// Reset readies the machine to execute prog in the given mode from its
+// entry point, exactly as New would, but reuses the memory image (zeroed in
+// place and reloaded), the scratchpad and the decode cache. The overflow
+// policy is the caller's and stays as set.
+func (m *Machine) Reset(mode Mode, prog *isa.Program) {
+	m.Mode = mode
+	m.Mem.Reset()
+	m.Mem.Load(prog)
+	m.Regs = [isa.NumArchRegs]uint64{}
+	m.Regs[isa.SP] = isa.DefaultStackTop
+	m.PC = prog.Entry
+	m.NestOverflows, m.ovfDepth = 0, 0
+	m.jb = m.jb[:0]
+	m.spm.Reset()
+	m.MaxInsts = 1 << 32
+	m.Insts, m.SJmps, m.EOSJmps, m.Branches = 0, 0, 0, 0
+	m.CommitDigest, m.MemDigest = isa.DigestSeed, isa.DigestSeed
+	m.codeBase = prog.CodeBase
+	if cap(m.dec) < len(prog.Code) {
+		m.dec = make([]decoded, len(prog.Code))
+		m.decGen = 0
+	}
+	m.dec = m.dec[:len(prog.Code)]
+	m.decGen++
+	if m.decGen == 0 { // wrapped: stale stamps could match again
+		clear(m.dec)
+		m.decGen = 1
+	}
+	m.halted = false
 }
 
 // Halted reports whether the program has executed HALT.
@@ -104,7 +156,12 @@ func (m *Machine) Halted() bool { return m.halted }
 
 // Run executes until HALT or error.
 func (m *Machine) Run() error {
-	for !m.halted {
+	return m.RunTo(^uint64(0))
+}
+
+// RunTo executes until n instructions have committed, HALT, or an error.
+func (m *Machine) RunTo(n uint64) error {
+	for !m.halted && m.Insts < n {
 		if err := m.Step(); err != nil {
 			return err
 		}
@@ -125,6 +182,7 @@ func (m *Machine) Step() error {
 		return err
 	}
 	m.Insts++
+	m.CommitDigest = isa.DigestMix(m.CommitDigest, m.PC)
 	next := m.PC + uint64(size)
 
 	secure := m.Mode == SeMPE
@@ -162,6 +220,7 @@ func (m *Machine) Step() error {
 		return nil
 	case in.Op.ClassOf() == isa.ClassLoad:
 		addr := isa.MemAddr(in, m.Regs[in.Ra])
+		m.MemDigest = isa.DigestMix(m.MemDigest, addr<<1)
 		var v uint64
 		if in.Op == isa.OpLd {
 			v = m.Mem.Read64(addr)
@@ -173,10 +232,15 @@ func (m *Machine) Step() error {
 		return nil
 	case in.Op.ClassOf() == isa.ClassStore:
 		addr := isa.MemAddr(in, m.Regs[in.Ra])
+		m.MemDigest = isa.DigestMix(m.MemDigest, addr<<1|1)
+		width := uint64(isa.MemWidth(in.Op))
 		if in.Op == isa.OpSt {
 			m.Mem.Write64(addr, m.Regs[in.Rd])
 		} else {
 			m.Mem.Write8(addr, byte(m.Regs[in.Rd]))
+		}
+		if addr+width > m.codeBase && addr < m.codeBase+uint64(len(m.dec))+isa.MaxInstLen-1 {
+			m.dropDecodes(addr, width)
 		}
 		m.PC = next
 		return nil
@@ -283,10 +347,18 @@ func (m *Machine) writeReg(r isa.Reg, v uint64) {
 	}
 }
 
+// fetch returns the instruction at PC, from the decode cache when it holds
+// it and otherwise decoded from memory (and cached when PC lies in the
+// code image).
 func (m *Machine) fetch() (isa.Inst, int, error) {
+	off := m.PC - m.codeBase
+	if off < uint64(len(m.dec)) && m.dec[off].gen == m.decGen {
+		e := &m.dec[off]
+		return e.in, int(e.size), nil
+	}
 	// Instructions are read through memory so self-checking programs and the
 	// leak infrastructure see one consistent address space.
-	var buf [12]byte
+	var buf [isa.MaxInstLen]byte
 	for i := range buf {
 		buf[i] = m.Mem.Read8(m.PC + uint64(i))
 	}
@@ -294,5 +366,19 @@ func (m *Machine) fetch() (isa.Inst, int, error) {
 	if err != nil {
 		return in, 0, fmt.Errorf("emu: decode at pc=%#x: %w", m.PC, err)
 	}
+	if off < uint64(len(m.dec)) {
+		m.dec[off] = decoded{in: in, size: uint8(size), gen: m.decGen}
+	}
 	return in, size, nil
+}
+
+// dropDecodes invalidates the cached decodes whose bytes a store to
+// [addr, addr+width) may have changed: every offset whose decode window
+// (isa.MaxInstLen bytes) overlaps the store.
+func (m *Machine) dropDecodes(addr, width uint64) {
+	lo := int64(addr-m.codeBase) - isa.MaxInstLen + 1
+	hi := int64(addr + width - m.codeBase)
+	for o := max(lo, 0); o < min(hi, int64(len(m.dec))); o++ {
+		m.dec[o].gen = 0
+	}
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/compile"
 	"repro/internal/isa"
+	"repro/internal/jpegsim"
+	"repro/internal/workloads"
 )
 
 func TestLegacyIgnoresSecureInstructions(t *testing.T) {
@@ -196,5 +199,140 @@ func TestNestDepthTracking(t *testing.T) {
 	}
 	if len(m.jb) != 0 {
 		t.Errorf("final nest depth = %d, want 0", len(m.jb))
+	}
+}
+
+// pooledPrograms are the programs the pooled machine replays: the Fig. 10
+// harnesses of every kernel, plain (legacy mode) and SeMPE (SeMPE mode),
+// their constant-time variants, and the three djpeg decoders.
+func pooledPrograms(t *testing.T) (progs []*isa.Program, modes []Mode) {
+	t.Helper()
+	for _, k := range workloads.All() {
+		for _, secret := range []uint64{0, 3} {
+			spec := workloads.HarnessSpec{Kind: k, W: 2, I: 2, Secret: secret}
+			p := workloads.Harness(spec)
+			for _, cm := range []compile.Mode{compile.Plain, compile.SeMPE, compile.CTE} {
+				if cm == compile.CTE {
+					p = workloads.HarnessCT(spec)
+				}
+				out, err := compile.Compile(p, cm)
+				if err != nil {
+					t.Fatalf("%s %v: %v", p.Name, cm, err)
+				}
+				mode := Legacy
+				if cm == compile.SeMPE {
+					mode = SeMPE
+				}
+				progs, modes = append(progs, out.Prog), append(modes, mode)
+			}
+		}
+	}
+	for _, f := range jpegsim.Formats() {
+		p := jpegsim.BuildProgram(jpegsim.ImageSpec{Format: f, Blocks: 2, Sparsity: 50, Seed: 7})
+		out, err := compile.Compile(p, compile.SeMPE)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		progs, modes = append(progs, out.Prog), append(modes, SeMPE)
+	}
+	return progs, modes
+}
+
+// TestPooledResetMatchesNew runs every pooled program on one machine that
+// is Reset between programs, and on a New machine per program: registers,
+// PC, counters, both trace digests and memory must agree. Reset must leave
+// nothing of the previous program behind, its decode cache included.
+func TestPooledResetMatchesNew(t *testing.T) {
+	progs, modes := pooledPrograms(t)
+	var pooled *Machine
+	for i, prog := range progs {
+		fresh := New(modes[i], prog)
+		if pooled == nil {
+			pooled = New(modes[i], prog)
+		} else {
+			pooled.Reset(modes[i], prog)
+		}
+		for _, m := range []*Machine{fresh, pooled} {
+			m.MaxInsts = 50_000_000
+			if err := m.Run(); err != nil {
+				t.Fatalf("program %d: %v", i, err)
+			}
+		}
+		if fresh.Regs != pooled.Regs || fresh.PC != pooled.PC || fresh.Insts != pooled.Insts ||
+			fresh.SJmps != pooled.SJmps || fresh.EOSJmps != pooled.EOSJmps || fresh.Branches != pooled.Branches ||
+			fresh.CommitDigest != pooled.CommitDigest || fresh.MemDigest != pooled.MemDigest {
+			t.Fatalf("program %d: pooled machine diverged from a new one", i)
+		}
+		if a, diff := fresh.Mem.FirstDiff(pooled.Mem); diff {
+			t.Fatalf("program %d: memories differ at %#x", i, a)
+		}
+	}
+}
+
+// TestStoreIntoCodeDropsDecode: a store that rewrites an instruction the
+// decode cache holds must be seen by the next execution of it, as when
+// every fetch read memory. The loop's li executes twice, the second time
+// with the immediate the first iteration stored over it.
+func TestStoreIntoCodeDropsDecode(t *testing.T) {
+	prog := asm.MustAssemble(`
+		main:
+			li   r9, 0
+		patch:
+			li   r8, 5
+			add  r10, r10, r8
+			addi r9, r9, 1
+			la   r11, patch
+			li   r12, 7
+			stb  r12, [r11+4]
+			li   r13, 2
+			blt  r9, r13, patch
+			halt
+	`)
+	m := New(Legacy, prog)
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Regs[10] != 12 {
+		t.Errorf("r10 = %d, want 5+7 = 12 (the patched li must be re-decoded)", m.Regs[10])
+	}
+}
+
+// TestRunToStopsAtCount: RunTo stops after exactly n instructions, its
+// commit digest is the digest of the n PCs executed, and both digests
+// equal those of a machine stepped n times.
+func TestRunToStopsAtCount(t *testing.T) {
+	prog := asm.MustAssemble(`
+		.data buf 64
+		main:
+			la   r8, buf
+			li   r9, 0
+		loop:
+			st   r9, [r8+0]
+			ld   r10, [r8+0]
+			addi r9, r9, 1
+			li   r11, 5
+			blt  r9, r11, loop
+			halt
+	`)
+	a, b := New(Legacy, prog), New(Legacy, prog)
+	if err := a.RunTo(9); err != nil {
+		t.Fatal(err)
+	}
+	commits := uint64(isa.DigestSeed) // the committed-PC digest, by hand
+	for i := 0; i < 9; i++ {
+		commits = isa.DigestMix(commits, b.PC)
+		if err := b.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a.CommitDigest != commits {
+		t.Errorf("commit digest %#x, want the PCs' digest %#x", a.CommitDigest, commits)
+	}
+	if a.Insts != 9 || a.PC != b.PC || a.CommitDigest != b.CommitDigest || a.MemDigest != b.MemDigest {
+		t.Errorf("RunTo(9): insts %d pc %#x digests %#x/%#x; stepped: pc %#x digests %#x/%#x",
+			a.Insts, a.PC, a.CommitDigest, a.MemDigest, b.PC, b.CommitDigest, b.MemDigest)
+	}
+	if a.MemDigest == isa.DigestSeed {
+		t.Error("memory digest never moved over two stores and two loads")
 	}
 }

@@ -10,6 +10,11 @@ import (
 // x86 rule that caps legacy prefixes per instruction.
 const maxPrefixes = 4
 
+// MaxInstLen bounds the bytes Decode reads from an offset: the prefixes, the
+// opcode and seven operand bytes. Whether and how the bytes at an offset
+// decode depends on nothing past this window.
+const MaxInstLen = maxPrefixes + 8
+
 // Encoding errors.
 var (
 	ErrTruncated = errors.New("isa: truncated instruction")

@@ -166,10 +166,18 @@ type While struct {
 	Body []Stmt
 }
 
+// Marker names a point in the program: it compiles to no code, only to a
+// code symbol (isa.Program.Symbols) at the address of whatever follows it,
+// so a program compiles to the same bytes with or without its markers.
+type Marker struct {
+	Name string
+}
+
 func (*Assign) isStmt() {}
 func (*Store) isStmt()  {}
 func (*If) isStmt()     {}
 func (*While) isStmt()  {}
+func (*Marker) isStmt() {}
 
 // Convenience constructors keep workload definitions readable.
 
@@ -213,9 +221,12 @@ func PublicIf(cond Expr, then, els []Stmt) Stmt {
 // Loop builds a while loop.
 func Loop(cond Expr, body []Stmt) Stmt { return &While{Cond: cond, Body: body} }
 
-// Validate checks structural well-formedness: unique names, defined
-// references, array bounds on constant indices, and no secret loop
-// conditions.
+// Mark builds a marker: a zero-width named point in the code.
+func Mark(name string) Stmt { return &Marker{Name: name} }
+
+// Validate checks structural well-formedness: unique names (markers
+// included), defined references, array bounds on constant indices, and no
+// secret loop conditions.
 func (p *Program) Validate() error {
 	vars := map[string]bool{}
 	arrays := map[string]int{}
@@ -271,10 +282,22 @@ func (p *Program) Validate() error {
 		}
 		return nil
 	}
+	marks := map[string]bool{}
 	var checkStmts func(ss []Stmt) error
 	checkStmts = func(ss []Stmt) error {
 		for _, s := range ss {
 			switch s := s.(type) {
+			case *Marker:
+				_, isArr := arrays[s.Name]
+				switch {
+				case s.Name == "":
+					return fmt.Errorf("lang: marker without a name")
+				case marks[s.Name]:
+					return fmt.Errorf("lang: duplicate marker %q", s.Name)
+				case vars[s.Name] || isArr:
+					return fmt.Errorf("lang: marker %q collides with a declaration", s.Name)
+				}
+				marks[s.Name] = true
 			case *Assign:
 				if !vars[s.Name] {
 					return fmt.Errorf("lang: assignment to undefined %q", s.Name)

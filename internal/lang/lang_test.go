@@ -161,3 +161,28 @@ func TestTaintSecretLoopAndIndex(t *testing.T) {
 		t.Errorf("indices = %v", rep.SecretIndices)
 	}
 }
+
+// TestValidateRejectsBadMarkers: a marker needs a name no other marker or
+// declaration has, since markers and arrays share the symbol table.
+func TestValidateRejectsBadMarkers(t *testing.T) {
+	decls := func(body ...Stmt) *Program {
+		return &Program{Vars: []*VarDecl{{Name: "x"}}, Arrays: []*ArrayDecl{{Name: "a", Len: 2}}, Body: body}
+	}
+	for _, tc := range []struct {
+		name string
+		p    *Program
+		want string
+	}{
+		{"unnamed", decls(Mark("")), "without a name"},
+		{"duplicate", decls(Mark("m"), Loop(V("x"), []Stmt{Mark("m")})), "duplicate marker"},
+		{"names a variable", decls(Mark("x")), "collides"},
+		{"names an array", decls(PublicIf(V("x"), []Stmt{Mark("a")}, nil)), "collides"},
+	} {
+		if err := tc.p.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want containing %q", tc.name, err, tc.want)
+		}
+	}
+	if err := decls(Mark("m1"), SecretIf(V("x"), []Stmt{Mark("m2")}, nil)).Validate(); err != nil {
+		t.Errorf("distinct markers rejected: %v", err)
+	}
+}

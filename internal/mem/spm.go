@@ -170,6 +170,17 @@ func (s *SPM) EndTPath(taken bool, regs *[isa.NumArchRegs]uint64) (final [isa.Nu
 	return final, mask, stall
 }
 
+// CopyFrom makes the live snapshot slots and statistics equal to src's.
+// Slots above the nesting depth are rewritten before they are read (a push
+// captures its initial state and clears both bit-vectors), so only the live
+// ones are copied. Both scratchpads must have the same geometry.
+func (s *SPM) CopyFrom(src *SPM) {
+	copy(s.slots, src.slots[:src.depth])
+	s.depth = src.depth
+	s.BytesSaved, s.BytesRestored, s.StallCycles = src.BytesSaved, src.BytesRestored, src.StallCycles
+	s.MaxDepth = src.MaxDepth
+}
+
 // Reset clears all snapshot state and statistics.
 func (s *SPM) Reset() {
 	s.depth = 0

@@ -248,6 +248,7 @@ func (c *Core) execute(i uref, u *uop) {
 		b := u.doneCycle & c.calMask
 		c.calNext[i] = c.calBuckets[b]
 		c.calBuckets[b] = i
+		c.calOcc[b>>6] |= 1 << (b & 63)
 	} else {
 		c.calOverflow = append(c.calOverflow, i)
 	}
@@ -346,6 +347,7 @@ func (c *Core) writeback() {
 		return
 	}
 	c.calBuckets[b] = -1
+	c.calOcc[b>>6] &^= 1 << (b & 63)
 	// wbScratch is preallocated at ROBSize (the calendar never holds more
 	// than the in-flight window), so these appends never grow it and the
 	// header need not be stored back — no GC write barrier.

@@ -24,7 +24,7 @@ func (c *Core) retire() error {
 		}
 
 		// Observable commit trace.
-		c.commitDigest = fnvMix(c.commitDigest, u.pc)
+		c.commitDigest = isa.DigestMix(c.commitDigest, u.pc)
 
 		// Architectural register update.
 		if u.hasDest {
@@ -48,14 +48,14 @@ func (c *Core) retire() error {
 				c.specPC, c.specSeq = u.pc, u.seq
 			}
 			c.Hier.DL1.AccessPC(u.pc, u.memAddr, true)
-			c.memDigest = fnvMix(c.memDigest, u.memAddr<<1|1)
+			c.memDigest = isa.DigestMix(c.memDigest, u.memAddr<<1|1)
 			if c.MemWatch != nil {
 				c.MemWatch(u.memAddr, true, c.cycle)
 			}
 			c.sq = removeHead(c.sq, i)
 		}
 		if u.isLoad {
-			c.memDigest = fnvMix(c.memDigest, u.memAddr<<1)
+			c.memDigest = isa.DigestMix(c.memDigest, u.memAddr<<1)
 			if c.MemWatch != nil {
 				c.MemWatch(u.memAddr, false, c.cycle)
 			}

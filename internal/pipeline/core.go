@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
@@ -79,8 +80,9 @@ type Core struct {
 	// to exceed the largest latency execute can produce; calOverflow catches
 	// anything longer (unreachable with sane configs) with a linear scan.
 	// Squashed ops stay filed and are reclaimed when their bucket drains.
-	calBuckets  []int32 // per-slot chain head (uref), -1 empty
-	calNext     []int32 // parallel to pool.arena: next op in the same bucket
+	calBuckets  []int32  // per-slot chain head (uref), -1 empty
+	calOcc      []uint64 // bit b set when bucket b is non-empty (skipIdle's search)
+	calNext     []int32  // parallel to pool.arena: next op in the same bucket
 	calMask     uint64
 	calOverflow []uref
 	execCount   int    // scheduled, not-yet-drained ops (incl. squashed)
@@ -146,6 +148,10 @@ type Core struct {
 	specPC, specSeq uint64
 	specEmitted     uint64
 	specPub         SpecCounters
+
+	// skipped counts the clocks skipIdle jumped over (published as
+	// SpecCounters.SkippedCycles).
+	skipped uint64
 
 	lastCommitCycle uint64
 
@@ -229,11 +235,12 @@ func New(cfg Config, prog *isa.Program) *Core {
 			maxLat = l
 		}
 	}
-	wheel := 1
+	wheel := 64 // at least one calOcc word
 	for wheel < maxLat+2 {
 		wheel <<= 1
 	}
 	c.calBuckets = make([]int32, wheel)
+	c.calOcc = make([]uint64, wheel/64)
 	c.calMask = uint64(wheel - 1)
 	c.Reset(prog)
 	return c
@@ -247,6 +254,10 @@ func (c *Core) ArchRegs() [isa.NumArchRegs]uint64 { return c.archRegs }
 
 // Halted reports whether HALT has committed.
 func (c *Core) Halted() bool { return c.halted }
+
+// FetchPC returns the address fetch reads next. At a drained cycle it is the
+// next instruction to commit.
+func (c *Core) FetchPC() uint64 { return c.fetchPC }
 
 // Cycles returns the current cycle count.
 func (c *Core) Cycles() uint64 { return c.cycle }
@@ -263,52 +274,45 @@ func (c *Core) MemDigest() uint64 { return c.memDigest }
 // exhaustion, deadlock, or a SeMPE protocol violation (e.g. jbTable
 // overflow).
 func (c *Core) Run() error {
-	defer c.publishSpecCounters()
+	_, err := c.run(1, 0)
+	return err
+}
+
+// run is the loop behind Run and RunToFork; an empty window (lo > hi)
+// never stops it.
+func (c *Core) run(lo, hi uint64) (stopped bool, err error) {
+	defer func() { c.publishSpecCounters(!stopped) }()
 	for !c.halted {
 		if err := c.StepCycle(); err != nil {
-			return err
+			return false, err
 		}
 		if c.cfg.MaxCycles > 0 && c.cycle > c.cfg.MaxCycles {
-			return fmt.Errorf("%w (%d)", ErrMaxCycles, c.cfg.MaxCycles)
+			return false, fmt.Errorf("%w (%d)", ErrMaxCycles, c.cfg.MaxCycles)
 		}
 		if c.cfg.WatchdogCycles > 0 && c.cycle-c.lastCommitCycle > c.cfg.WatchdogCycles {
-			return fmt.Errorf("%w at cycle %d (pc=%#x rob=%d)", ErrDeadlock, c.cycle, c.fetchPC, c.robCount)
+			return false, fmt.Errorf("%w at cycle %d (pc=%#x rob=%d)", ErrDeadlock, c.cycle, c.fetchPC, c.robCount)
+		}
+		if c.robCount == 0 && c.fetchPC >= lo && c.fetchPC <= hi && c.drained() {
+			return true, nil
 		}
 	}
-	return nil
+	return false, nil
 }
 
 // StepCycle advances the machine one clock. Stages run in reverse pipeline
-// order so that each consumes state produced in earlier cycles.
+// order so that each consumes state produced in earlier cycles. When no
+// stage can act in the coming clock, it first skips to the last clock
+// before the next event (skipIdle); the early-out keeps busy cycles at one
+// compare.
 func (c *Core) StepCycle() error {
-	// Idle fast-forward: when the whole window is empty and the only pending
-	// event is the front end waking from an IL1-miss stall, every intervening
-	// cycle does exactly one thing — increment FetchStallCycles. Batch those
-	// cycles in one step. This is cycle-exact by construction: no queue holds
-	// work, rename is neither blocked nor SPM-stalled (so no Drain/SPM stall
-	// counters would tick), and fetch cannot run before fetchStallUntil. The
-	// jump is clamped so Run's MaxCycles and watchdog checks fire on the same
-	// cycle they would have.
-	if c.cycle+1 < c.fetchStallUntil &&
-		c.robCount == 0 && c.iqCount == 0 && c.execCount == 0 &&
-		c.fe.empty() &&
-		!c.renameBlocked && c.renameStallUntil <= c.cycle+1 &&
-		!c.fetchHalted && !c.fetchBroken && !c.halted {
-		target := c.fetchStallUntil - 1 // last idle cycle
-		if c.cfg.MaxCycles > 0 && target > c.cfg.MaxCycles {
-			target = c.cfg.MaxCycles // Run errors at MaxCycles+1, reached below
-		}
-		if c.cfg.WatchdogCycles > 0 {
-			if wd := c.lastCommitCycle + c.cfg.WatchdogCycles; target > wd {
-				target = wd // Run's watchdog trips at wd+1, reached below
-			}
-		}
-		if target > c.cycle {
-			skipped := target - c.cycle
-			c.cycle = target
-			c.Stats.FetchStallCycles += skipped
-		}
+	if c.readyCount == 0 {
+		c.skipIdle()
 	}
+	return c.step()
+}
+
+// step runs every stage for one clock.
+func (c *Core) step() error {
 	c.cycle++
 	c.Stats.Cycles = c.cycle
 	if err := c.retire(); err != nil {
@@ -325,22 +329,111 @@ func (c *Core) StepCycle() error {
 	return nil
 }
 
-const (
-	fnvOffset = 1469598103934665603
-	fnvPrime  = 1099511628211
-)
+// skipIdle fast-forwards over clocks in which no stage can change state.
+// That holds for the coming clock n when the ROB head has not completed
+// (retire waits), nothing is ready (issue idles), no completion is due
+// (writeback idles), decode and rename cannot move, and fetch is halted,
+// broken, stalled or full. Nothing but the cycle count and the stall
+// counters then changes until the next of three events: the next non-empty
+// completion-calendar bucket, fetchStallUntil, or renameStallUntil. The
+// skipped clocks are credited exactly as stepping them would have
+// (FetchStallCycles, DrainStallCycles, SPMStallCycles), and the jump is
+// clamped so Run's MaxCycles and watchdog checks fire on the same cycle
+// they would have.
+func (c *Core) skipIdle() {
+	n := c.cycle + 1
+	fetchStalled := !c.fetchHalted && !c.fetchBroken && n < c.fetchStallUntil
+	if c.halted || !c.fetchHalted && !c.fetchBroken && !fetchStalled && !c.fe.fetchFull() {
+		return // fetch can act
+	}
+	if c.execCount > 0 && (len(c.calOverflow) > 0 || c.calBuckets[n&c.calMask] >= 0) {
+		return // a completion is due
+	}
+	arena := c.pool.arena
+	if c.robCount > 0 && arena[c.rob[c.robHead]].completed {
+		return // retire can act
+	}
+	if c.fe.nFetch > 0 && c.fe.nDec < c.fe.decCap && c.cfg.DecodeWidth > 0 {
+		return // decode can move
+	}
+	// Rename: which stall counter each skipped clock credits, if any.
+	drainStall, spmStall := false, false
+	switch {
+	case c.renameBlocked:
+		drainStall = true
+	case n < c.renameStallUntil:
+		spmStall = true
+	case c.fe.nDec > 0 && c.cfg.RenameWidth > 0:
+		u := &arena[c.fe.frontDec()]
+		if c.cfg.SeMPE && (u.isSJmp || u.isEOSJmp) && c.robCount > 0 {
+			drainStall = true
+		} else if c.renameFits(u) {
+			return // rename can move
+		}
+	}
 
-// fnvMix folds v into the FNV-1a digest h, least-significant byte first.
-// Fully unrolled: this runs once per committed op plus once per committed
-// memory access, and the byte loop was a measurable slice of retire.
-func fnvMix(h, v uint64) uint64 {
-	h = (h ^ (v & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 8) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 16) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 24) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 32) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 40) & 0xFF)) * fnvPrime
-	h = (h ^ ((v >> 48) & 0xFF)) * fnvPrime
-	h = (h ^ (v >> 56)) * fnvPrime
-	return h
+	// The next event: the clock at which some stage may act again.
+	next := ^uint64(0)
+	if fetchStalled {
+		next = c.fetchStallUntil
+	}
+	if spmStall && c.renameStallUntil < next {
+		next = c.renameStallUntil
+	}
+	if c.execCount > 0 {
+		d := c.calDueIn()
+		if d == 0 {
+			return // filed ops that no bucket holds: step, do not guess
+		}
+		if c.cycle+d < next {
+			next = c.cycle + d
+		}
+	}
+	if next == ^uint64(0) && c.cfg.MaxCycles == 0 && c.cfg.WatchdogCycles == 0 {
+		return // frozen for good and no budget ends it: step as before
+	}
+	target := next - 1 // last idle clock
+	if c.cfg.MaxCycles > 0 && target > c.cfg.MaxCycles {
+		target = c.cfg.MaxCycles // Run errors at MaxCycles+1, reached by step
+	}
+	if c.cfg.WatchdogCycles > 0 {
+		if wd := c.lastCommitCycle + c.cfg.WatchdogCycles; target > wd {
+			target = wd // Run's watchdog trips at wd+1, reached by step
+		}
+	}
+	if target <= c.cycle {
+		return
+	}
+	skipped := target - c.cycle
+	c.cycle = target
+	c.skipped += skipped
+	if fetchStalled {
+		c.Stats.FetchStallCycles += skipped
+	}
+	if drainStall {
+		c.Stats.DrainStallCycles += skipped
+	}
+	if spmStall {
+		c.Stats.SPMStallCycles += skipped
+	}
+}
+
+// calDueIn returns how many clocks after the current one the next non-empty
+// completion-calendar bucket comes due, from two clocks on (skipIdle has
+// checked the next one) up to one wheel turn, or 0 when no bucket is
+// occupied. It reads calOcc a word at a time; the wheel is a multiple of 64
+// buckets, so a word never wraps.
+func (c *Core) calDueIn() uint64 {
+	wheel := c.calMask + 1
+	for d := uint64(2); d <= wheel; {
+		pos := (c.cycle + d) & c.calMask
+		if w := c.calOcc[pos>>6] >> (pos & 63); w != 0 {
+			if d += uint64(bits.TrailingZeros64(w)); d <= wheel {
+				return d
+			}
+			return 0
+		}
+		d += 64 - pos&63
+	}
+	return 0
 }

@@ -100,29 +100,10 @@ func (c *Core) rename() {
 // is three unconditional rename-map lookups (unused sources read the
 // sraNone/psNone sentinels). u must be c.u(i).
 func (c *Core) renameOne(i uref, u *uop) bool {
-	if c.robCount >= c.cfg.ROBSize {
+	if !c.renameFits(u) {
 		return false
 	}
 	cl := u.cl
-	switch cl {
-	case isa.ClassSys:
-		// NOP, HALT, eosJMP: no issue-queue slot.
-	case isa.ClassLoad:
-		if len(c.lq) >= c.cfg.LQSize || c.iqCount >= c.cfg.IQSize {
-			return false
-		}
-	case isa.ClassStore:
-		if len(c.sq) >= c.cfg.SQSize || c.iqCount >= c.cfg.IQSize {
-			return false
-		}
-	default:
-		if c.iqCount >= c.cfg.IQSize {
-			return false
-		}
-	}
-	if u.writesRd && len(c.freeList) == 0 {
-		return false
-	}
 
 	u.ps1 = c.rat[u.sra1]
 	u.ps2 = c.rat[u.sra2]
@@ -182,6 +163,32 @@ func (c *Core) renameOne(i uref, u *uop) bool {
 		c.readyInsert(i)
 	}
 	return true
+}
+
+// renameFits is rename's structural check, shared with skipIdle: u gets a
+// ROB entry, an issue-queue slot and a load or store queue entry as its
+// class needs, and a free physical register when it writes one.
+func (c *Core) renameFits(u *uop) bool {
+	if c.robCount >= c.cfg.ROBSize {
+		return false
+	}
+	switch u.cl {
+	case isa.ClassSys:
+		// NOP, HALT, eosJMP: no issue-queue slot.
+	case isa.ClassLoad:
+		if len(c.lq) >= c.cfg.LQSize || c.iqCount >= c.cfg.IQSize {
+			return false
+		}
+	case isa.ClassStore:
+		if len(c.sq) >= c.cfg.SQSize || c.iqCount >= c.cfg.IQSize {
+			return false
+		}
+	default:
+		if c.iqCount >= c.cfg.IQSize {
+			return false
+		}
+	}
+	return !u.writesRd || len(c.freeList) > 0
 }
 
 // flushAfter squashes every micro-op younger than u, repairs the rename map
@@ -330,6 +337,9 @@ func (c *Core) calCancelBucket(b uint64) {
 		n = next
 	}
 	c.calBuckets[b] = head
+	if head < 0 {
+		c.calOcc[b>>6] &^= 1 << (b & 63)
+	}
 }
 
 // redirectFrontEnd clears all fetched-but-not-renamed state and restarts

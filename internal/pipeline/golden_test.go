@@ -88,7 +88,7 @@ const specEventFields = 14
 // specStreamHash is an ordered FNV-64 digest over every field of every
 // event: two streams hash equal only if they agree event for event.
 func specStreamHash(events []SpecEvent) uint64 {
-	h := uint64(fnvOffset)
+	h := uint64(isa.DigestSeed)
 	for _, ev := range events {
 		for _, w := range [...]uint64{
 			ev.Cycle, ev.Seq, ev.PC, ev.Addr,
@@ -96,7 +96,7 @@ func specStreamHash(events []SpecEvent) uint64 {
 			uint64(ev.Lat)<<32 | uint64(ev.Kind)<<24 | uint64(ev.Disp)<<16 | uint64(ev.Cause)<<8 | uint64(ev.Level),
 			b2u(ev.Taken)<<2 | b2u(ev.Mispredict)<<1 | b2u(ev.Write),
 		} {
-			h = fnvMix(h, w)
+			h = isa.DigestMix(h, w)
 		}
 	}
 	return h
@@ -134,9 +134,9 @@ type obsStream struct {
 }
 
 func obsStreamOf(s []obs) obsStream {
-	h := uint64(fnvOffset)
+	h := uint64(isa.DigestSeed)
 	for _, o := range s {
-		h = fnvMix(fnvMix(fnvMix(h, o.a), o.b), b2u(o.flag1)<<1|b2u(o.flag2))
+		h = isa.DigestMix(isa.DigestMix(isa.DigestMix(h, o.a), o.b), b2u(o.flag1)<<1|b2u(o.flag2))
 	}
 	return obsStream{Count: len(s), Hash: hex64(h)}
 }

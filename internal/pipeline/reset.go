@@ -77,6 +77,7 @@ func (c *Core) Reset(prog *isa.Program) {
 	for i := range c.calBuckets {
 		c.calBuckets[i] = -1
 	}
+	clear(c.calOcc)
 	c.calOverflow = c.calOverflow[:0]
 	c.execCount = 0
 	c.wbScratch = c.wbScratch[:0]
@@ -109,8 +110,8 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.renameStallUntil = 0
 	c.ovfDepth = 0
 
-	c.commitDigest = fnvOffset
-	c.memDigest = fnvOffset
+	c.commitDigest = isa.DigestSeed
+	c.memDigest = isa.DigestSeed
 	c.lastCommitCycle = 0
 	c.Stats = Stats{}
 
@@ -125,4 +126,5 @@ func (c *Core) Reset(prog *isa.Program) {
 	c.specPC, c.specSeq = 0, 0
 	c.specEmitted = 0
 	c.specPub = SpecCounters{}
+	c.skipped = 0
 }

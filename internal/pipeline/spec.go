@@ -274,12 +274,19 @@ func specWatched(u *uop) bool {
 	return u.cl == isa.ClassBranch || u.cl == isa.ClassJump || u.isLoad || u.isStore
 }
 
-// SpecCounters aggregates the process-wide wrong-path and decode-cache
+// SpecCounters aggregates the process-wide run, wrong-path and decode-cache
 // accounting published by every Run (and harvested by the obs scrape
 // families and attack.PerfSnapshot). The counters are always on — they are
 // plain Stats and SBStats increments, never dependent on a spec watch being
-// armed.
+// armed. They count simulated work: a core Fork copies its source's
+// published base, so a forked run adds only the clocks and instructions it
+// simulated after the fork.
 type SpecCounters struct {
+	Runs          uint64 // Run and RunToFork calls that ended other than at a fork stop
+	Insts         uint64 // committed instructions
+	Cycles        uint64 // simulated clocks, skipped ones included
+	SkippedCycles uint64 // clocks skipIdle jumped over
+
 	WrongPathFetches  uint64 // fetched micro-ops discarded without committing
 	SquashedUops      uint64 // renamed, in-flight micro-ops squashed by flushes
 	FlushMispredicts  uint64
@@ -295,33 +302,41 @@ type SpecCounters struct {
 	SBWrongPathReplays uint64
 }
 
+// specCounterCount is the number of SpecCounters fields.
+const specCounterCount = 14
+
 // values lists the counters in declaration order, the order of specTotals.
-func (s SpecCounters) values() [10]uint64 {
-	return [10]uint64{s.WrongPathFetches, s.SquashedUops, s.FlushMispredicts,
+func (s SpecCounters) values() [specCounterCount]uint64 {
+	return [specCounterCount]uint64{s.Runs, s.Insts, s.Cycles, s.SkippedCycles,
+		s.WrongPathFetches, s.SquashedUops, s.FlushMispredicts,
 		s.FlushSecRedirects, s.FlushOverflows, s.SpecEvents,
 		s.SBBuilds, s.SBReplays, s.SBWrongPathBuilds, s.SBWrongPathReplays}
 }
 
 // specTotals are the process-wide SpecCounters, field by field.
-var specTotals [10]atomic.Uint64
+var specTotals [specCounterCount]atomic.Uint64
 
 // GlobalSpecCounters returns the process-wide totals accumulated across
 // every completed Run (scrape-time read; see internal/attack/obs.go for the
 // metric families built on it).
 func GlobalSpecCounters() SpecCounters {
-	var v [10]uint64
+	var v [specCounterCount]uint64
 	for i := range v {
 		v[i] = specTotals[i].Load()
 	}
-	return SpecCounters{v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9]}
+	return SpecCounters{v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8], v[9], v[10], v[11], v[12], v[13]}
 }
 
 // publishSpecCounters adds this core's not-yet-published deltas to the
-// process-wide totals. Run defers it so partial runs (cycle budget,
-// watchdog) still publish; the delta bookkeeping makes it idempotent and
-// Reset re-bases it with the Stats and SBStats wipe.
-func (c *Core) publishSpecCounters() {
+// process-wide totals; ended reports that the run ended other than at a
+// fork stop, which counts it in Runs. Run defers it so partial runs (cycle
+// budget, watchdog) still publish; the delta bookkeeping makes it
+// idempotent and Reset re-bases it with the Stats and SBStats wipe.
+func (c *Core) publishSpecCounters(ended bool) {
 	cur := SpecCounters{
+		Insts:              c.Stats.Insts,
+		Cycles:             c.Stats.Cycles,
+		SkippedCycles:      c.skipped,
 		WrongPathFetches:   c.Stats.WrongPathFetches,
 		SquashedUops:       c.Stats.SquashedUops,
 		FlushMispredicts:   c.Stats.FlushMispredicts,
@@ -333,10 +348,15 @@ func (c *Core) publishSpecCounters() {
 		SBWrongPathBuilds:  c.SBStats.WrongPathBuilds,
 		SBWrongPathReplays: c.SBStats.WrongPathReplays,
 	}
+	if ended {
+		cur.Runs = 1
+	}
 	if cur != c.specPub {
 		now, pub := cur.values(), c.specPub.values()
 		for i := range now {
-			specTotals[i].Add(now[i] - pub[i])
+			if d := now[i] - pub[i]; d != 0 {
+				specTotals[i].Add(d)
+			}
 		}
 	}
 	c.specPub = cur

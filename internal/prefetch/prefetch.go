@@ -80,6 +80,13 @@ func (s *Stride) Reset() {
 	s.Issued = 0
 }
 
+// CopyFrom makes the prefetcher's table and count equal to src's. Both
+// tables must have the same size.
+func (s *Stride) CopyFrom(src *Stride) {
+	copy(s.entries, src.entries)
+	s.Issued = src.Issued
+}
+
 // Stream is a next-line stream prefetcher: on a demand miss it checks for a
 // recent miss to the previous line and, when found, prefetches the following
 // Depth lines. This is the "stream pref. (L2)" of Table II.
@@ -126,4 +133,12 @@ func (s *Stream) Reset() {
 	clear(s.recent)
 	s.head = 0
 	s.Issued = 0
+}
+
+// CopyFrom makes the prefetcher's miss window and count equal to src's.
+// Both windows must have the same size.
+func (s *Stream) CopyFrom(src *Stream) {
+	copy(s.recent, src.recent)
+	s.head = src.head
+	s.Issued = src.Issued
 }

@@ -108,6 +108,15 @@ func (t *JBTable) SizeBytes() int {
 	return (bits + 7) / 8
 }
 
+// CopyFrom makes the table's live entries and statistics equal to src's.
+// Both tables must have the same capacity.
+func (t *JBTable) CopyFrom(src *JBTable) {
+	copy(t.entries, src.entries[:src.depth])
+	t.depth = src.depth
+	t.Pushes = src.Pushes
+	t.MaxDepth = src.MaxDepth
+}
+
 // Reset clears all entries and statistics.
 func (t *JBTable) Reset() {
 	t.depth = 0

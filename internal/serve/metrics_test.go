@@ -407,3 +407,30 @@ func TestQueuedCancelIsCountedAndJournaled(t *testing.T) {
 		t.Errorf("computes = %d, want 0: a queued cancel never simulates", computes)
 	}
 }
+
+// TestMetricsExportRunCounters: GET /metrics carries the simulator's
+// run-counter families, and one computed run moves the runs, instructions
+// and cycles they count.
+func TestMetricsExportRunCounters(t *testing.T) {
+	_, ts := newTestServer(t)
+	families := []string{
+		"sempe_pipeline_runs_total", "sempe_pipeline_insts_total",
+		"sempe_pipeline_cycles_total", "sempe_pipeline_skipped_cycles_total",
+		"sempe_attack_forks_total", "sempe_attack_fork_misses_total",
+	}
+	before, _ := scrape(t, ts.URL+"/metrics")
+	if view, code := postRun(t, ts, onePointBody); code != http.StatusOK || view.Status != "done" {
+		t.Fatalf("POST /runs = %d, status %q", code, view.Status)
+	}
+	after, body := scrape(t, ts.URL+"/metrics")
+	for _, fam := range families {
+		if !strings.Contains(body, "# TYPE "+fam+" counter") {
+			t.Errorf("exposition missing family %s", fam)
+		}
+	}
+	for _, fam := range families[:3] {
+		if after[fam] <= before[fam] {
+			t.Errorf("%s moved from %v to %v over a computed run, want an increase", fam, before[fam], after[fam])
+		}
+	}
+}
