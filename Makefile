@@ -84,7 +84,11 @@ bench-module:
 # honours the cycle budgets, the pooled emulator equals a new one,
 # predictor copy and reset visit only written slots, cache digests
 # allocate nothing, the run counters count a fork's shared prefix once, and
-# /metrics exports them.
+# /metrics exports them. The emulator gates hold it to the core: both
+# decode the program image, so a store into code changes data only, and
+# both give one answer (halt state, or the same sempe error) on a jump
+# outside the image, an eosJMP without sJMP and overflowing nesting; the
+# completion wheel covers every latency execute can charge.
 bench-smoke:
 	$(GO) test -run=NONE -bench='SteadyState|MemAccess|SimulatorSpeed' -benchmem -benchtime=1000x
 	$(GO) test -run=NONE -bench='AttackTrials' -benchmem -benchtime=1x ./internal/attack
@@ -110,7 +114,8 @@ bench-smoke:
 	$(GO) test ./internal/serve/ -run 'TestQueuedCancelIsCountedAndJournaled'
 	$(GO) test ./internal/pipeline/ -run 'TestIdleSkipMatchesEveryStage|TestIdleSkipHonorsBudgets|TestForkMatchesFullRun'
 	$(GO) test ./internal/attack/ -run 'TestForkMatchesFullCalibration|TestForkRefusesDivergedPrefix|TestForkCountsSharedPrefixOnce|TestForkMarksEmitNoCode|TestIdleSkipMatchesEveryStageOnTrials'
-	$(GO) test ./internal/emu/ ./internal/bpred/ ./internal/cache/ -run 'TestPooledResetMatchesNew|TestStoreIntoCodeDropsDecode|TestRunToStopsAtCount|TestUnitCopyAndResetTrackWrites|TestDigestAllocationFreeAndUnchanged'
+	$(GO) test ./internal/emu/ ./internal/bpred/ ./internal/cache/ -run 'TestPooledResetMatchesNew|TestStoreIntoCodeChangesDataOnly|TestRunToStopsAtCount|TestUnitCopyAndResetTrackWrites|TestDigestAllocationFreeAndUnchanged'
+	$(GO) test ./internal/pipeline/ -run 'TestEmulatorMatchesCoreOnEdgePrograms|TestWheelCoversEveryLatency'
 	$(GO) test ./internal/lang/ ./internal/compile/ -run 'TestValidateRejectsBadMarkers|TestMarksEmitNoCode'
 	$(GO) test ./internal/serve/ -run 'TestMetricsExportRunCounters'
 

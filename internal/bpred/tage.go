@@ -24,17 +24,6 @@ type TAGE struct {
 	allocs     uint64
 	uTick      uint64
 
-	// Memoized fast path. A prediction is a pure function of (pc, predictor
-	// state), and every piece of that state — counters, tags, useful bits,
-	// useAltCtr, folded histories — mutates only inside Update. gen counts
-	// Updates; Predict records its resolved (provider, pred, altPred) tagged
-	// with the current gen, and Update reuses the record instead of re-walking
-	// the tagged tables when the generation (and pc) still match. A stale
-	// generation falls back to predictInternal, so the fast path can never
-	// diverge from the cycle-exact result.
-	gen  uint64
-	memo [tageMemoSize]tageMemoEntry
-
 	// Written-slot tracking. A slot numbers a base counter (its index) or a
 	// tagged entry (len(base) + table*entries per table + index). Every slot
 	// not listed in written still holds its fresh zero value, so Reset and
@@ -44,18 +33,6 @@ type TAGE struct {
 	// useful bits that are nonzero, which only a written slot can have.
 	written    []uint32
 	writtenBit []uint64 // bit per slot, set while the slot is in written
-}
-
-// tageMemoSize is the direct-mapped memo capacity; a small power of two
-// suffices because reuse only ever targets the most recent generation.
-const tageMemoSize = 64
-
-type tageMemoEntry struct {
-	pc       uint64
-	gen      uint64
-	provider int16
-	pred     bool
-	altPred  bool
 }
 
 type tageTable struct {
@@ -100,7 +77,6 @@ func NewTAGE(cfg TAGEConfig) *TAGE {
 	t := &TAGE{
 		base:     make([]int8, 1<<cfg.BaseBits),
 		baseMask: 1<<cfg.BaseBits - 1,
-		gen:      1, // so zero-valued memo entries can never match
 	}
 	maxLen := 0
 	for _, hl := range cfg.HistLens {
@@ -172,18 +148,7 @@ func (tb *tageTable) tag(pc uint64) uint16 {
 
 // Predict returns the predicted direction for the branch at pc.
 func (t *TAGE) Predict(pc uint64) bool {
-	m := &t.memo[pc&(tageMemoSize-1)]
-	if m.pc == pc && m.gen == t.gen {
-		// Re-prediction of a pc already resolved in this generation: tight
-		// loops and wrong-path refetches after a flush re-predict the same
-		// branch before any commit trains the tables, so the recorded result
-		// is still exact. Nothing invalidates the memo on a flush — predictor
-		// state only moves at Update — which is what keeps the fast path live
-		// across wrong-path execution.
-		return m.pred
-	}
-	taken, provider, altPred := t.predictInternal(pc)
-	m.provider, m.pred, m.altPred = int16(provider), taken, altPred
+	taken, _, _ := t.predictInternal(pc)
 	return taken
 }
 
@@ -228,17 +193,7 @@ func (t *TAGE) predictInternal(pc uint64) (bool, int, bool) {
 // program order.
 func (t *TAGE) Update(pc uint64, taken bool) {
 	t.Lookups++
-	var (
-		pred, altPred bool
-		provider      int
-	)
-	if m := &t.memo[pc&(tageMemoSize-1)]; m.pc == pc && m.gen == t.gen {
-		// No state has changed since this branch was predicted: reuse the
-		// resolved provider/altpred instead of re-walking the tagged tables.
-		pred, provider, altPred = m.pred, int(m.provider), m.altPred
-	} else {
-		pred, provider, altPred = t.predictInternal(pc)
-	}
+	pred, provider, altPred := t.predictInternal(pc)
 	if pred != taken {
 		t.Mispredict++
 	}
@@ -277,11 +232,8 @@ func (t *TAGE) Update(pc uint64, taken bool) {
 		t.allocate(pc, taken, provider)
 	}
 
-	// Finally, push the outcome into the global history, and advance the
-	// generation: every mutation above happened inside this Update, so
-	// memo entries recorded before it are now stale.
+	// Finally, push the outcome into the global history.
 	t.pushHistory(taken)
-	t.gen++
 }
 
 func (t *TAGE) allocate(pc uint64, taken bool, provider int) {
@@ -342,10 +294,9 @@ func (t *TAGE) pushHistory(taken bool) {
 }
 
 // Reset restores the predictor to its fresh-construction state without
-// reallocating: tables, history, folded registers, statistics, and the
-// memoized fast path all return to the values NewTAGE left them with, so a
-// reset predictor is indistinguishable (per Digest and per prediction
-// stream) from a new one.
+// reallocating: tables, history, folded registers and statistics all return
+// to the values NewTAGE left them with, so a reset predictor is
+// indistinguishable (per Digest and per prediction stream) from a new one.
 func (t *TAGE) Reset() {
 	for _, s := range t.written {
 		t.zeroSlot(s)
@@ -362,13 +313,11 @@ func (t *TAGE) Reset() {
 	t.hist.head = 0
 	t.useAltCtr = 0
 	t.Lookups, t.Mispredict, t.allocs, t.uTick = 0, 0, 0, 0
-	t.gen = 1
-	clear(t.memo[:])
 }
 
-// CopyFrom makes t's tables, history, statistics and memoized fast path
-// equal to src's, so both predict the same stream from here on. Both
-// predictors must have the same geometry.
+// CopyFrom makes t's tables, history and statistics equal to src's, so both
+// predict the same stream from here on. Both predictors must have the same
+// geometry.
 func (t *TAGE) CopyFrom(src *TAGE) {
 	// Slots either side wrote take src's value (zero where only t wrote);
 	// every other slot is zero in both.
@@ -391,8 +340,6 @@ func (t *TAGE) CopyFrom(src *TAGE) {
 	t.hist.head = src.hist.head
 	t.useAltCtr = src.useAltCtr
 	t.Lookups, t.Mispredict, t.allocs, t.uTick = src.Lookups, src.Mispredict, src.allocs, src.uTick
-	t.gen = src.gen
-	t.memo = src.memo
 }
 
 // BaseCounter exposes the bimodal base counter for the branch at pc — the

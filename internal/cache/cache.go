@@ -31,8 +31,6 @@ type Level interface {
 	// Access looks up the line containing addr, filling on miss, and
 	// returns the total latency in cycles. write marks the line dirty.
 	Access(addr uint64, write bool) (latency int)
-	// Name identifies the level in reports.
-	Name() string
 }
 
 // MainMemory is the terminal level with a fixed access latency.
@@ -47,9 +45,6 @@ func (m *MainMemory) Access(addr uint64, write bool) int {
 	return m.Latency
 }
 
-// Name implements Level.
-func (m *MainMemory) Name() string { return "mem" }
-
 // Observer is notified of every demand access to a cache, letting
 // prefetchers watch the stream. pc is the program counter of the
 // instruction performing the access (0 for fills from lower levels).
@@ -59,7 +54,6 @@ type Observer interface {
 
 // Cache is one set-associative level.
 type Cache struct {
-	name       string
 	sets       int
 	ways       int
 	hitLatency int
@@ -72,16 +66,9 @@ type Cache struct {
 	observer   Observer
 
 	// Set selection is a mask/shift pair (set counts are enforced powers of
-	// two in New), and memoLine/memoIdx remember the slot of the most recent
-	// demand hit. The memo is a pure lookup shortcut: a memoized hit applies
-	// exactly the side effects of the associative search finding the same
-	// slot (access count, LRU clock, dirty bit, observer callback). Any fill
-	// — demand or prefetch — can move or evict lines, so fill() always drops
-	// the memo.
+	// two in New).
 	setMask  uint64
 	setShift uint
-	memoLine uint64
-	memoIdx  int32 // flat tags[] index of the memoized line, -1 = none
 
 	// FillWatch, when non-nil, observes every line installation (demand miss
 	// or prefetch): line is the installed line's address, victim the evicted
@@ -118,7 +105,6 @@ func New(cfg Config, next Level) *Cache {
 	}
 	n := sets * cfg.Ways
 	return &Cache{
-		name:       cfg.Name,
 		sets:       sets,
 		ways:       cfg.Ways,
 		hitLatency: cfg.HitLatency,
@@ -129,18 +115,11 @@ func New(cfg Config, next Level) *Cache {
 		lruAge:     make([]uint64, n),
 		setMask:    uint64(sets - 1),
 		setShift:   shift,
-		memoIdx:    -1,
 	}
 }
 
 // SetObserver registers a demand-stream observer (prefetcher).
 func (c *Cache) SetObserver(o Observer) { c.observer = o }
-
-// Name implements Level.
-func (c *Cache) Name() string { return c.name }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
 	line := addr / LineSize
@@ -156,24 +135,8 @@ func (c *Cache) Access(addr uint64, write bool) int {
 // returning the latency. Misses recurse into the next level and fill.
 func (c *Cache) AccessPC(pc, addr uint64, write bool) int {
 	c.Stats.Accesses++
-	line := addr / LineSize
 	c.clock++
-	// Last-hit memo: repeated accesses to the same line (the common case for
-	// sequential instruction fetch and stack traffic) skip the associative
-	// search. Valid only because fill() drops the memo on every line motion.
-	if line == c.memoLine && c.memoIdx >= 0 {
-		i := c.memoIdx
-		c.lruAge[i] = c.clock
-		if write {
-			c.dirty[i] = true
-		}
-		if c.observer != nil {
-			c.observer.OnAccess(pc, addr, false)
-		}
-		return c.hitLatency
-	}
-	set := int(line & c.setMask)
-	tag := line >> c.setShift
+	set, tag := c.index(addr)
 	base := set * c.ways
 	for w := 0; w < c.ways; w++ {
 		i := base + w
@@ -182,7 +145,6 @@ func (c *Cache) AccessPC(pc, addr uint64, write bool) int {
 			if write {
 				c.dirty[i] = true
 			}
-			c.memoLine, c.memoIdx = line, int32(i)
 			if c.observer != nil {
 				c.observer.OnAccess(pc, addr, false)
 			}
@@ -252,7 +214,6 @@ func (c *Cache) Prefetch(addr uint64) {
 }
 
 func (c *Cache) fill(set int, tag uint64, write bool) {
-	c.memoIdx = -1 // any fill can evict or shadow the memoized slot
 	base := set * c.ways
 	victim := base
 	for w := 1; w < c.ways; w++ {
@@ -300,7 +261,6 @@ func (c *Cache) Reset() {
 	clear(c.dirty)
 	clear(c.lruAge)
 	c.clock = 0
-	c.memoLine, c.memoIdx = 0, -1
 	c.Stats = Stats{}
 }
 
@@ -313,7 +273,6 @@ func (c *Cache) CopyFrom(src *Cache) {
 	copy(c.dirty, src.dirty)
 	copy(c.lruAge, src.lruAge)
 	c.clock = src.clock
-	c.memoLine, c.memoIdx = src.memoLine, src.memoIdx
 	c.Stats = src.Stats
 }
 

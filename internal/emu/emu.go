@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/sempe"
 )
 
 // Mode selects how secure instructions are interpreted.
@@ -55,8 +56,9 @@ type Machine struct {
 	NestOverflows     uint64
 	ovfDepth          int // live downgraded regions (LIFO inside the secure nest)
 
-	// Secure-execution state (SeMPE mode).
-	jb      []jbEntry
+	// Secure-execution state (SeMPE mode): the core's jbTable, with one
+	// entry per SPM snapshot slot.
+	jb      *sempe.JBTable
 	spm     *mem.SPM
 	inTPath []bool // scratch for SPM.MarkModified, indexed by nesting level
 
@@ -77,10 +79,11 @@ type Machine struct {
 	MemDigest    uint64
 
 	// Decode cache: dec[off] holds the decode of the instruction at code
-	// offset off when its gen equals decGen. An instruction is decoded from
-	// memory on first execution, as without the cache; a store that
-	// overlaps a cached instruction's bytes drops it, and Reset drops all
-	// of them by advancing decGen.
+	// offset off when its gen equals decGen. Instructions are decoded from
+	// the program image (code), as the core decodes them, so a store into
+	// the code range changes data memory only and no entry goes stale
+	// within a run; Reset drops all of them by advancing decGen.
+	code     []byte
 	codeBase uint64
 	dec      []decoded
 	decGen   uint32
@@ -95,26 +98,23 @@ type decoded struct {
 	gen  uint32
 }
 
-// jbEntry mirrors one Jump-Back Table row: the sJMP destination address, the
-// real branch outcome (T/NT), and the jump-back bit.
-type jbEntry struct {
-	target uint64
-	taken  bool
-	jb     bool
-}
-
-// Errors reported by Run.
+// Errors reported by Run. A secure-nesting fault wraps sempe.ErrOverflow or
+// sempe.ErrUnderflow, as on the core.
 var (
-	ErrBudget    = errors.New("emu: instruction budget exhausted")
-	ErrJbUnder   = errors.New("emu: eosJMP with empty jbTable")
-	ErrNestDepth = errors.New("emu: secure nesting exceeds SPM slots")
+	ErrBudget = errors.New("emu: instruction budget exhausted")
+	// ErrFetch reports a PC at which the program image holds no instruction:
+	// outside the image, or at bytes that do not decode. The core's fetch
+	// stalls there until its watchdog trips.
+	ErrFetch = errors.New("emu: no instruction at pc")
 )
 
 // New creates a machine executing prog in the given mode on a fresh memory.
 func New(mode Mode, prog *isa.Program) *Machine {
+	spm := mem.DefaultSPMConfig()
 	m := &Machine{
 		Mem: mem.NewMemory(),
-		spm: mem.NewSPM(mem.DefaultSPMConfig()),
+		jb:  sempe.NewJBTable(spm.Slots),
+		spm: mem.NewSPM(spm),
 	}
 	m.Reset(mode, prog)
 	return m
@@ -132,12 +132,12 @@ func (m *Machine) Reset(mode Mode, prog *isa.Program) {
 	m.Regs[isa.SP] = isa.DefaultStackTop
 	m.PC = prog.Entry
 	m.NestOverflows, m.ovfDepth = 0, 0
-	m.jb = m.jb[:0]
+	m.jb.Reset()
 	m.spm.Reset()
 	m.MaxInsts = 1 << 32
 	m.Insts, m.SJmps, m.EOSJmps, m.Branches = 0, 0, 0, 0
 	m.CommitDigest, m.MemDigest = isa.DigestSeed, isa.DigestSeed
-	m.codeBase = prog.CodeBase
+	m.code, m.codeBase = prog.Code, prog.CodeBase
 	if cap(m.dec) < len(prog.Code) {
 		m.dec = make([]decoded, len(prog.Code))
 		m.decGen = 0
@@ -233,14 +233,10 @@ func (m *Machine) Step() error {
 	case in.Op.ClassOf() == isa.ClassStore:
 		addr := isa.MemAddr(in, m.Regs[in.Ra])
 		m.MemDigest = isa.DigestMix(m.MemDigest, addr<<1|1)
-		width := uint64(isa.MemWidth(in.Op))
 		if in.Op == isa.OpSt {
 			m.Mem.Write64(addr, m.Regs[in.Rd])
 		} else {
 			m.Mem.Write8(addr, byte(m.Regs[in.Rd]))
-		}
-		if addr+width > m.codeBase && addr < m.codeBase+uint64(len(m.dec))+isa.MaxInstLen-1 {
-			m.dropDecodes(addr, width)
 		}
 		m.PC = next
 		return nil
@@ -264,13 +260,13 @@ func (m *Machine) stepSJmp(in isa.Inst, next uint64) error {
 	m.Branches++
 	taken := isa.BranchTaken(in.Op, m.Regs[in.Ra], m.Regs[in.Rb])
 	target := m.PC + uint64(in.Imm)
-	if m.ovfDepth > 0 || len(m.jb) >= m.spm.Slots() {
+	if m.ovfDepth > 0 || m.jb.Depth() >= m.jb.Cap() {
 		// Nesting exceeded the SPM slots (or we are already inside a
 		// downgraded region, whose nested secure branches cannot snapshot
 		// either). Either fault or fall back to ordinary single-path
 		// execution, per the configured policy.
 		if !m.OverflowNonSecure {
-			return fmt.Errorf("%w: depth %d", ErrNestDepth, len(m.jb))
+			return fmt.Errorf("emu: at pc=%#x: %w (depth %d)", m.PC, sempe.ErrOverflow, m.jb.Depth())
 		}
 		m.NestOverflows++
 		m.ovfDepth++
@@ -281,10 +277,10 @@ func (m *Machine) stepSJmp(in isa.Inst, next uint64) error {
 		}
 		return nil
 	}
+	_ = m.jb.Push(target, taken) // cannot fail: the depth check above left room
 	if _, err := m.spm.PushInitial(&m.Regs); err != nil {
 		return err
 	}
-	m.jb = append(m.jb, jbEntry{target: target, taken: taken})
 	m.PC = next // NT path always first
 	return nil
 }
@@ -304,20 +300,20 @@ func (m *Machine) stepEOSJmp(next uint64) error {
 		m.PC = next
 		return nil
 	}
-	if len(m.jb) == 0 {
-		return fmt.Errorf("%w at pc=%#x", ErrJbUnder, m.PC)
+	top, err := m.jb.Top()
+	if err != nil {
+		return fmt.Errorf("emu: eosJMP at pc=%#x: %w", m.PC, err)
 	}
-	top := &m.jb[len(m.jb)-1]
-	if !top.jb {
+	if !top.JB {
 		restore, mask, _ := m.spm.EndNTPath(&m.Regs)
 		applyMasked(&m.Regs, &restore, mask)
-		top.jb = true
-		m.PC = top.target
+		top.JB = true
+		m.PC = top.Target
 		return nil
 	}
-	final, mask, _ := m.spm.EndTPath(top.taken, &m.Regs)
+	final, mask, _ := m.spm.EndTPath(top.Taken, &m.Regs)
 	applyMasked(&m.Regs, &final, mask)
-	m.jb = m.jb[:len(m.jb)-1]
+	_ = m.jb.Pop() // cannot fail: Top found the entry
 	m.PC = next
 	return nil
 }
@@ -337,48 +333,26 @@ func (m *Machine) writeReg(r isa.Reg, v uint64) {
 		return
 	}
 	m.Regs[r] = v
-	if m.Mode == SeMPE && len(m.jb) > 0 {
-		m.inTPath = m.inTPath[:0]
-		for i := range m.jb {
-			// jb set => executing the T path of level i.
-			m.inTPath = append(m.inTPath, m.jb[i].jb)
-		}
+	if m.Mode == SeMPE && m.jb.Depth() > 0 {
+		m.inTPath = m.jb.InTPathFlags(m.inTPath)
 		m.spm.MarkModified(r, m.inTPath)
 	}
 }
 
-// fetch returns the instruction at PC, from the decode cache when it holds
-// it and otherwise decoded from memory (and cached when PC lies in the
-// code image).
+// fetch returns the instruction at PC, decoded from the program image as
+// the core decodes it.
 func (m *Machine) fetch() (isa.Inst, int, error) {
 	off := m.PC - m.codeBase
-	if off < uint64(len(m.dec)) && m.dec[off].gen == m.decGen {
-		e := &m.dec[off]
+	if off >= uint64(len(m.dec)) {
+		return isa.Inst{}, 0, fmt.Errorf("%w %#x: outside the code image", ErrFetch, m.PC)
+	}
+	if e := &m.dec[off]; e.gen == m.decGen {
 		return e.in, int(e.size), nil
 	}
-	// Instructions are read through memory so self-checking programs and the
-	// leak infrastructure see one consistent address space.
-	var buf [isa.MaxInstLen]byte
-	for i := range buf {
-		buf[i] = m.Mem.Read8(m.PC + uint64(i))
-	}
-	in, size, err := isa.Decode(buf[:], 0)
+	in, size, err := isa.Decode(m.code, int(off))
 	if err != nil {
-		return in, 0, fmt.Errorf("emu: decode at pc=%#x: %w", m.PC, err)
+		return in, 0, fmt.Errorf("%w %#x: %w", ErrFetch, m.PC, err)
 	}
-	if off < uint64(len(m.dec)) {
-		m.dec[off] = decoded{in: in, size: uint8(size), gen: m.decGen}
-	}
+	m.dec[off] = decoded{in: in, size: uint8(size), gen: m.decGen}
 	return in, size, nil
-}
-
-// dropDecodes invalidates the cached decodes whose bytes a store to
-// [addr, addr+width) may have changed: every offset whose decode window
-// (isa.MaxInstLen bytes) overlaps the store.
-func (m *Machine) dropDecodes(addr, width uint64) {
-	lo := int64(addr-m.codeBase) - isa.MaxInstLen + 1
-	hi := int64(addr + width - m.codeBase)
-	for o := max(lo, 0); o < min(hi, int64(len(m.dec))); o++ {
-		m.dec[o].gen = 0
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"repro/internal/compile"
 	"repro/internal/isa"
 	"repro/internal/jpegsim"
+	"repro/internal/pipeline"
+	"repro/internal/sempe"
 	"repro/internal/workloads"
 )
 
@@ -108,8 +110,8 @@ func TestEOSJmpWithoutSJmpFails(t *testing.T) {
 			halt
 	`)
 	m := New(SeMPE, prog)
-	if err := m.Run(); !errors.Is(err, ErrJbUnder) {
-		t.Errorf("err = %v, want ErrJbUnder", err)
+	if err := m.Run(); !errors.Is(err, sempe.ErrUnderflow) {
+		t.Errorf("err = %v, want sempe.ErrUnderflow", err)
 	}
 	// On a legacy machine the same binary just runs (eosjmp is a NOP).
 	l := New(Legacy, prog)
@@ -150,8 +152,8 @@ func TestDeepNestingOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(SeMPE, prog)
-	if err := m.Run(); !errors.Is(err, ErrNestDepth) {
-		t.Errorf("err = %v, want ErrNestDepth", err)
+	if err := m.Run(); !errors.Is(err, sempe.ErrOverflow) {
+		t.Errorf("err = %v, want sempe.ErrOverflow", err)
 	}
 }
 
@@ -190,15 +192,15 @@ func TestNestDepthTracking(t *testing.T) {
 		if err := m.Step(); err != nil {
 			t.Fatal(err)
 		}
-		if d := len(m.jb); d > maxDepth {
+		if d := m.jb.Depth(); d > maxDepth {
 			maxDepth = d
 		}
 	}
 	if maxDepth != 2 {
 		t.Errorf("max nest depth = %d, want 2", maxDepth)
 	}
-	if len(m.jb) != 0 {
-		t.Errorf("final nest depth = %d, want 0", len(m.jb))
+	if d := m.jb.Depth(); d != 0 {
+		t.Errorf("final nest depth = %d, want 0", d)
 	}
 }
 
@@ -269,11 +271,11 @@ func TestPooledResetMatchesNew(t *testing.T) {
 	}
 }
 
-// TestStoreIntoCodeDropsDecode: a store that rewrites an instruction the
-// decode cache holds must be seen by the next execution of it, as when
-// every fetch read memory. The loop's li executes twice, the second time
-// with the immediate the first iteration stored over it.
-func TestStoreIntoCodeDropsDecode(t *testing.T) {
+// TestStoreIntoCodeChangesDataOnly: a store into the code range changes
+// data memory, not the program image both machines decode from. The loop's
+// li executes twice with the immediate it was assembled with, the stored
+// byte reads back from memory, and the core ends in the emulator's state.
+func TestStoreIntoCodeChangesDataOnly(t *testing.T) {
 	prog := asm.MustAssemble(`
 		main:
 			li   r9, 0
@@ -284,6 +286,7 @@ func TestStoreIntoCodeDropsDecode(t *testing.T) {
 			la   r11, patch
 			li   r12, 7
 			stb  r12, [r11+4]
+			ldb  r14, [r11+4]
 			li   r13, 2
 			blt  r9, r13, patch
 			halt
@@ -292,8 +295,21 @@ func TestStoreIntoCodeDropsDecode(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Regs[10] != 12 {
-		t.Errorf("r10 = %d, want 5+7 = 12 (the patched li must be re-decoded)", m.Regs[10])
+	core := pipeline.New(pipeline.DefaultConfig(), prog)
+	if err := core.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Regs[10] != 10 {
+		t.Errorf("r10 = %d, want 5+5 = 10 (the image's li, not the stored byte)", m.Regs[10])
+	}
+	if m.Regs[14] != 7 {
+		t.Errorf("r14 = %d, want the stored 7 read back", m.Regs[14])
+	}
+	if core.ArchRegs() != m.Regs {
+		t.Errorf("core registers %v, emulator %v", core.ArchRegs(), m.Regs)
+	}
+	if a, diff := core.Mem().FirstDiff(m.Mem); diff {
+		t.Errorf("memories differ at %#x", a)
 	}
 }
 

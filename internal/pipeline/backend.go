@@ -244,14 +244,10 @@ func (c *Core) execute(i uref, u *uop) {
 			c.calNext = append(c.calNext, -1)
 		}
 	}
-	if u.doneCycle-c.cycle <= c.calMask {
-		b := u.doneCycle & c.calMask
-		c.calNext[i] = c.calBuckets[b]
-		c.calBuckets[b] = i
-		c.calOcc[b>>6] |= 1 << (b & 63)
-	} else {
-		c.calOverflow = append(c.calOverflow, i)
-	}
+	slot := u.doneCycle & c.calMask
+	c.calNext[i] = c.calBuckets[slot]
+	c.calBuckets[slot] = i
+	c.calOcc[slot>>6] |= 1 << (slot & 63)
 	c.execCount++
 }
 
@@ -343,7 +339,7 @@ func (c *Core) writeback() {
 	}
 	b := c.cycle & c.calMask
 	n := c.calBuckets[b]
-	if n < 0 && len(c.calOverflow) == 0 {
+	if n < 0 {
 		return
 	}
 	c.calBuckets[b] = -1
@@ -362,20 +358,6 @@ func (c *Core) writeback() {
 	// below sees near-sorted input and runs near-linear instead of quadratic.
 	for l, r := 0, len(due)-1; l < r; l, r = l+1, r-1 {
 		due[l], due[r] = due[r], due[l]
-	}
-	if len(c.calOverflow) > 0 {
-		// Degenerate-config safety net: latencies past the wheel are scanned
-		// linearly. Unreachable with the shipped configurations.
-		keep := c.calOverflow[:0]
-		for _, i := range c.calOverflow {
-			u := &c.pool.arena[i]
-			if u.squashed || u.doneCycle <= c.cycle {
-				due = append(due, i)
-			} else {
-				keep = append(keep, i)
-			}
-		}
-		c.calOverflow = keep
 	}
 	arena := c.pool.arena
 	// Oldest-first: mispredict resolution order must match the full scan's

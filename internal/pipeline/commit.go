@@ -88,7 +88,7 @@ func (c *Core) retire() error {
 		// Pop from the ROB before any controller action so that the
 		// controller sees an empty window (drains guarantee it). Ring
 		// contents beyond the live window are never read, so the vacated
-		// slot needs no nilRef store.
+		// slot needs no clearing.
 		c.robHead++
 		if c.robHead >= c.cfg.ROBSize {
 			c.robHead = 0

@@ -76,17 +76,17 @@ type Core struct {
 	// Completion calendar: executed micro-ops are filed into a time-wheel
 	// bucket keyed by doneCycle, chained through calNext (parallel to the
 	// uop arena), so writeback touches exactly the ops completing this cycle
-	// instead of re-scanning everything in flight. The wheel is sized at New
-	// to exceed the largest latency execute can produce; calOverflow catches
-	// anything longer (unreachable with sane configs) with a linear scan.
-	// Squashed ops stay filed and are reclaimed when their bucket drains.
-	calBuckets  []int32  // per-slot chain head (uref), -1 empty
-	calOcc      []uint64 // bit b set when bucket b is non-empty (skipIdle's search)
-	calNext     []int32  // parallel to pool.arena: next op in the same bucket
-	calMask     uint64
-	calOverflow []uref
-	execCount   int    // scheduled, not-yet-drained ops (incl. squashed)
-	wbScratch   []uref // writeback's per-cycle due list
+	// instead of re-scanning everything in flight. New sizes the wheel past
+	// the largest latency execute can charge, so every op is filed less than
+	// one wheel turn ahead. A flush cancels squashed ops out of their
+	// buckets; one already drained into writeback's due list is reclaimed
+	// there.
+	calBuckets []int32  // per-slot chain head (uref), -1 empty
+	calOcc     []uint64 // bit b set when bucket b is non-empty (skipIdle's search)
+	calNext    []int32  // parallel to pool.arena: next op in the same bucket
+	calMask    uint64
+	execCount  int    // scheduled, not-yet-drained ops (incl. squashed)
+	wbScratch  []uref // writeback's per-cycle due list
 
 	// Front end.
 	fetchPC         uint64
@@ -228,7 +228,9 @@ func New(cfg Config, prog *isa.Program) *Core {
 		c.Hier.L2.SetObserver(c.streamPF)
 	}
 	// Size the completion wheel past the longest latency execute can charge:
-	// a load that misses DL1 and L2 and goes to memory, or the slowest ALU op.
+	// a load that misses DL1 and L2 and goes to memory (DL1.AccessPC charges
+	// at most that sum; a forwarded load charges 1), or the slowest
+	// functional unit.
 	maxLat := cfg.LatAGU + cfg.Caches.DL1.HitLatency + cfg.Caches.L2.HitLatency + cfg.Caches.MemLatency
 	for _, l := range []int{cfg.LatBranch, cfg.LatALU, cfg.LatMul, cfg.LatDiv} {
 		if l > maxLat {
@@ -346,7 +348,7 @@ func (c *Core) skipIdle() {
 	if c.halted || !c.fetchHalted && !c.fetchBroken && !fetchStalled && !c.fe.fetchFull() {
 		return // fetch can act
 	}
-	if c.execCount > 0 && (len(c.calOverflow) > 0 || c.calBuckets[n&c.calMask] >= 0) {
+	if c.execCount > 0 && c.calBuckets[n&c.calMask] >= 0 {
 		return // a completion is due
 	}
 	arena := c.pool.arena
@@ -381,12 +383,8 @@ func (c *Core) skipIdle() {
 		next = c.renameStallUntil
 	}
 	if c.execCount > 0 {
-		d := c.calDueIn()
-		if d == 0 {
-			return // filed ops that no bucket holds: step, do not guess
-		}
-		if c.cycle+d < next {
-			next = c.cycle + d
+		if due := c.cycle + c.calDueIn(); due < next {
+			next = due
 		}
 	}
 	if next == ^uint64(0) && c.cfg.MaxCycles == 0 && c.cfg.WatchdogCycles == 0 {

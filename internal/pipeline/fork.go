@@ -108,7 +108,6 @@ func (c *Core) copyFrom(src *Core) {
 	c.lq, c.sq = c.lq[:0], c.sq[:0]
 	copy(c.calBuckets, src.calBuckets)
 	copy(c.calOcc, src.calOcc)
-	c.calOverflow = c.calOverflow[:0]
 	c.execCount = 0
 	c.wbScratch = c.wbScratch[:0]
 

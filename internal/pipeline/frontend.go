@@ -214,7 +214,7 @@ func (c *Core) flushAfter(u *uop, target uint64, cause FlushCause) {
 	boundary := u.seq
 	arena := c.pool.arena
 	// Walk the ROB backwards, undoing rename state. Ring contents beyond the
-	// live window are never read, so the vacated slots need no nilRef store.
+	// live window are never read, so the vacated slots need no clearing.
 	// Ops not in flight in the calendar lose their last reference here (the
 	// seq-sorted queues are truncated below) and are recycled immediately;
 	// in-flight ops are collected for the calendar cancellation pass.
@@ -258,29 +258,10 @@ func (c *Core) flushAfter(u *uop, target uint64, cause FlushCause) {
 	// drained into writeback's due list this cycle are not in any chain;
 	// writeback reclaims those when the due loop reaches them. Waiter lists
 	// are still cleaned lazily: wakePreg drops squashed entries by seq check.
-	overflowTouched := false
 	for _, yi := range c.squashTmp {
-		y := &arena[yi]
-		if d := y.doneCycle - c.cycle; d <= c.calMask {
-			b := y.doneCycle & c.calMask
-			if c.calBuckets[b] >= 0 {
-				c.calCancelBucket(b)
-			}
-		} else {
-			overflowTouched = true
+		if b := arena[yi].doneCycle & c.calMask; c.calBuckets[b] >= 0 {
+			c.calCancelBucket(b)
 		}
-	}
-	if overflowTouched {
-		keep := c.calOverflow[:0]
-		for _, i := range c.calOverflow {
-			if arena[i].squashed {
-				c.pool.put(i)
-				c.execCount--
-			} else {
-				keep = append(keep, i)
-			}
-		}
-		c.calOverflow = keep
 	}
 	dropped := c.redirectFrontEnd(target)
 	c.sbCountWrongPathBuilds(boundary)

@@ -78,7 +78,6 @@ func (c *Core) Reset(prog *isa.Program) {
 		c.calBuckets[i] = -1
 	}
 	clear(c.calOcc)
-	c.calOverflow = c.calOverflow[:0]
 	c.execCount = 0
 	c.wbScratch = c.wbScratch[:0]
 

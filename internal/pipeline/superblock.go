@@ -30,11 +30,11 @@ import (
 //
 // Entries cache nothing about cache or predictor state, so a redirect, a
 // flush or an IL1-miss retry needs no invalidation: an entry is a static
-// decode of the bytes at its pc, whichever path fetched it. The only way one
-// could go stale is the program's code bytes changing, which cannot happen
-// within a run (the ISA has no stores to the code image); across runs
-// Core.Reset, which New also runs, drops every entry before loading the
-// next program.
+// decode of the program image's bytes at its pc, whichever path fetched it.
+// The image does not change within a run: a store into the code range
+// changes data memory only, here as in the emulator (internal/emu). Across
+// runs Core.Reset, which New also runs, drops every entry before loading the
+// next program, and Fork drops those whose bytes the new program changes.
 
 // sbIndex values for offsets that hold no entry.
 const (
@@ -111,8 +111,9 @@ func (c *Core) fetch() {
 	index, entries, base := c.sbIndex, c.sbEntries, c.prog.CodeBase
 	var lastLine uint64 = ^uint64(0)
 	for n := 0; n < c.cfg.FetchWidth && !c.fe.fetchFull(); n++ {
-		// Only a wrong path leaves the code image or reaches undecodable
-		// bytes; fetch then waits for the flush that redirects it.
+		// Only a wrong path (or a malformed program, until the watchdog
+		// trips) leaves the code image or reaches undecodable bytes; fetch
+		// then waits for the flush that redirects it.
 		off := c.fetchPC - base
 		if off >= uint64(len(index)) {
 			c.fetchBroken = true

@@ -58,10 +58,8 @@ type uop struct {
 	squashed    bool
 }
 
-// uref is an index into the core's uop arena. nilRef means "no micro-op".
+// uref is an index into the core's uop arena.
 type uref = int32
-
-const nilRef uref = -1
 
 // uopChunk is how many micro-ops the arena grows by at a time. One chunk
 // covers a full 192-entry ROB plus front-end buffers, so steady state runs
