@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test bench-module race bench bench-smoke sweep serve smoke-cluster smoke-attack smoke-keyextract obs-smoke clean
+.PHONY: check fmt vet build test bench-module race bench bench-smoke sweep serve smoke-attack smoke-keyextract obs-smoke clean
 
 # check is the tier-1 gate plus formatting, the benchmark module and a
 # benchmark smoke run.
@@ -54,19 +54,19 @@ bench-module:
 # scenario.Grid); the superblock metric families count a sweep's cores. The sweep gates
 # pin the engine's input boundary: every registered parameter is
 # range-checked at both ends before any point runs (the fuzz target's seed
-# corpus included), a grid past scenario.MaxPoints is rejected (engine,
-# serve run, worker shard), a panicking grid point fails its run while the
-# process keeps serving, and the shared row cache keeps a bounded number of
-# specs; the POST /runs and POST /shards seed corpora get a 4xx naming the
-# problem or wait for a slot, never a panic. The attack and CLI gates reject an out-of-range gap, width or bit
+# corpus included), a grid past scenario.MaxPoints is rejected (engine and
+# serve run), a panicking grid point fails its run while the process keeps
+# serving, and the shared row cache keeps a bounded number of specs; the
+# POST /runs seed corpus gets a 4xx naming the problem or waits for a slot,
+# never a panic. The attack and CLI gates reject an out-of-range gap, width or bit
 # and every workload flag that used to panic, exhaust memory or run for
 # hours, with exit 1; the CLIs share one program front end (internal/cli).
 # sempe-bench's store path serves a warm sweep from disk byte-identically,
-# its bad sweep flags exit 1, and a failed coordinated sweep still writes
-# its -events journal. The one-sweep-path gates pin the coordinator as the
-# engine's row source: a grid that several scenarios render is dispatched
-# once, from sempe-bench and from a serve front end, and a coordinated run
-# reports progress as its rows land.
+# its bad sweep flags exit 1, and a failed sweep still writes its -events
+# journal. The one-sweep-path gates pin the store as the engine's row
+# source: a grid that several scenarios render is simulated once, from
+# sempe-bench and from a server, a store-backed run reports progress as its
+# rows land, and every registered sweep's rows round-trip the store.
 # The fuzz seed corpora hold the assembler and the store's entry decoding
 # to an error or a miss, never a panic, and djpeg's wrong-path touch sets
 # do not depend on the image under SeMPE. The API gate fails on an exported
@@ -102,10 +102,10 @@ bench-smoke:
 	$(GO) test ./internal/asm/ ./internal/compile/ -run 'TestDataRegionBound|TestDataReservesWithoutSegment|TestHugeArrayRejected'
 	$(GO) test ./internal/experiments/ -run 'TestEveryParamBoundedAtBothEnds|TestGridBoundedThroughEngine|FuzzScenarioPlan'
 	$(GO) test ./internal/scenario/ -run 'TestRunRecoversPointPanic|TestGridSize|TestRowCacheBounded'
-	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestShardPanicIs500WorkerLives|TestOversizedGridIsBadRequest|FuzzRunRequest|FuzzShardRequest'
+	$(GO) test ./internal/serve/ -run 'TestPointPanicFailsRunServerLives|TestOversizedGridIsBadRequest|FuzzRunRequest'
 	$(GO) test ./internal/attack/ -run 'TestRunRejectsBadParams|TestKeyParamsValidation'
 	$(GO) test ./cmd/sempe-run/ ./cmd/sempe-trace/ ./cmd/sempe-leak/ ./cmd/sempe-attack/ ./cmd/sempe-bench/ ./internal/cli/
-	$(GO) test ./cmd/sempe-bench/ ./internal/serve/ ./internal/cluster/ -run 'TestSharedSweepDispatchedOnce|TestFrontEndDispatchesSharedSweepOnce|TestCoordinatorReportsProgress'
+	$(GO) test ./cmd/sempe-bench/ ./internal/serve/ ./internal/store/ -run 'TestSharedSweepDispatchedOnce|TestFrontEndDispatchesSharedSweepOnce|TestRowsReportProgress|TestStoreRoundTripsEverySweep'
 	$(GO) test ./internal/asm/ ./internal/store/ -run 'FuzzAssemble|FuzzStoreEntry|TestRejectsNonUTF8Key'
 	$(GO) test ./internal/leak/ -run 'TestDjpegWrongPathTouchSets'
 	$(GO) test . -run 'TestNoTestOnlyAPI'
@@ -136,28 +136,24 @@ sweep:
 serve:
 	$(GO) run ./cmd/sempe-serve
 
-# smoke-cluster boots two local workers, shards a quick fig10a sweep
-# across them, and diffs the merged JSON against a serial run (then
-# scrapes /metrics from both live workers and re-runs warm from the
-# on-disk store). CI runs this too.
-smoke-cluster:
-	./scripts/cluster_smoke.sh
-
 # obs-smoke exercises the observability layer end to end: the metrics
 # registry and journal unit tests, the /metrics + /runs/{id}/events serve
-# tests (distributed spans included), the instrumentation-inertness and
-# spec-trace differentials with their zero-alloc gates, then the cluster
-# smoke's live-fleet /metrics scrape.
+# tests, the instrumentation-inertness and spec-trace differentials with
+# their zero-alloc gates, then scripts/obs_smoke.sh: a live server's run
+# journal, /metrics scrape and graceful shutdown, and sempe-bench -store
+# cold and warm runs byte-identical to the run without a store. CI runs
+# this too.
 obs-smoke:
 	$(GO) test ./internal/obs/
-	$(GO) test ./internal/serve/ -run 'TestMetrics|TestRunEvents|TestPprof|TestDistributedRunThroughServe'
+	$(GO) test ./internal/serve/ -run 'TestMetrics|TestRunEvents|TestPprof|TestFrontEndDispatchesSharedSweepOnce'
 	$(GO) test ./internal/experiments/ -run 'TestObservabilityDifferential|TestSteadyStateZeroAllocWithMetrics|TestSpecTraceDifferential|TestSteadyStateZeroAllocSpecDisarmed'
-	./scripts/cluster_smoke.sh
+	./scripts/obs_smoke.sh
 
 # smoke-attack runs the attack lab end to end: the baseline must leak the
 # secret (recovery + TVLA) and extract a 4-bit key from a leaky victim,
-# SeMPE and the constant-time control must not, and the sharded spectre
-# and keyextract sweeps must merge byte-identically to the serial runs.
+# SeMPE and the constant-time control must not, and the spectre and
+# keyextract sweeps must render byte-identically through a cold and a warm
+# result store.
 # CI runs this too; smoke-keyextract is an alias for discoverability.
 smoke-attack smoke-keyextract:
 	./scripts/attack_smoke.sh

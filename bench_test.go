@@ -432,7 +432,7 @@ func BenchmarkEmulatorSpeed(b *testing.B) {
 	var insts uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := emu.New(emu.Legacy, out.Prog)
+		m := emu.New(emu.Legacy, out.Prog, mem.DefaultSPMConfig().Slots)
 		if err := m.Run(); err != nil {
 			b.Fatal(err)
 		}

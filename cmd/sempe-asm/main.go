@@ -14,6 +14,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 		if *secure {
 			mode = emu.SeMPE
 		}
-		m := emu.New(mode, prog)
+		m := emu.New(mode, prog, mem.DefaultSPMConfig().Slots)
 		if err := m.Run(); err != nil {
 			fatal("run: %v", err)
 		}

@@ -22,8 +22,8 @@
 // In extraction mode -check requires every leaky victim to yield its full
 // key on the baseline and every SeMPE (and constant-time) result to stay
 // secure. The grid sweep equivalents are the `spectre`/`tvla` and
-// `keyextract`/`noise` scenarios on sempe-bench, locally or sharded across
-// workers; this binary is for quick interactive runs and the CI
+// `keyextract`/`noise` scenarios on sempe-bench, with or without a
+// result store; this binary is for quick interactive runs and the CI
 // attack-smoke job.
 package main
 

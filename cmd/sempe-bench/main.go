@@ -24,22 +24,19 @@
 // -cpuprofile writes a pprof profile of the whole run for simulator
 // performance work.
 //
-// With -workers or -store set, the cluster coordinator fills each grid:
-// points in the -store are never re-simulated, and the rest are sharded
-// (-shard points each) across the sempe-serve -worker fleet named by
-// -workers, or computed in-process when -workers is empty. Rows merge back
-// in grid order, so -stable output is byte-identical to the local run:
+// With -store set, the result store fills each grid: points it holds are
+// never re-simulated, and the rest are computed in-process and persisted
+// as each completes, so a failed run keeps the rows it finished. Rows land
+// in grid order, so -stable output is byte-identical to the run without a
+// store:
 //
-//	sempe-bench -exp fig10a -quick -stable -format json \
-//	    -workers http://host-a:8080,http://host-b:8080 -store results/
+//	sempe-bench -exp fig10a -quick -stable -format json -store results/
 //
-// A failed shard is re-dispatched to the surviving workers up to -attempts
-// times (-timeout per request). A provenance line per filled grid counts
-// the points served from the store and the shards dispatched and retried;
-// -verbose adds per-shard and per-worker stats. -gc prunes the -store
-// directory of other simulator versions (and entries older than -gc-age)
-// and exits. -events FILE writes the run's span journal as JSON (sweep and
-// point spans; probe, dispatch, retry and merge through the coordinator),
+// A provenance line per filled grid counts the points served from the
+// store ("fig10a: 12 points, 12 from store" when warm). -gc prunes the
+// -store directory of other simulator versions (and entries older than
+// -gc-age) and exits. -events FILE writes the run's span journal as JSON
+// (sweep and point spans, and a store_scan event per grid with -store),
 // also when the run fails.
 //
 // Absolute cycle counts come from this repository's simulator, not the
@@ -60,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -75,16 +71,11 @@ func main() {
 		format     = flag.String("format", "text", "output encoding: text|json|csv")
 		quick      = flag.Bool("quick", false, "reduced sweeps (seconds, not minutes)")
 		stable     = flag.Bool("stable", false, "zero timing and worker-count fields so identical specs diff byte-for-byte (json)")
-		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per sweep, and per worker for a sharded one (1 = serial)")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker goroutines per sweep (1 = serial)")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		workersF   = flag.String("workers", "", "comma-separated sempe-serve -worker base URLs to shard sweeps across")
 		storeDir   = flag.String("store", "", "persistent result-store directory (points found there are not re-simulated)")
-		shardSize  = flag.Int("shard", 8, "grid points per dispatched shard")
-		attempts   = flag.Int("attempts", 3, "dispatch attempts per shard before the sweep fails")
-		timeout    = flag.Duration("timeout", 10*time.Minute, "per-shard request timeout")
 		gc         = flag.Bool("gc", false, "garbage-collect the -store directory (stale code versions; see -gc-age) and exit")
 		gcAge      = flag.Duration("gc-age", 0, "with -gc, also prune entries older than this (0 = version-based pruning only)")
-		verbose    = flag.Bool("verbose", false, "print per-shard timings and per-worker throughput after each coordinated sweep")
 		eventsF    = flag.String("events", "", "write the run's span journal (JSON events) to this file")
 	)
 	flag.Var(params, "param", "scenario parameter key=value (repeatable)")
@@ -95,11 +86,8 @@ func main() {
 		listScenarios()
 		return
 	}
-	workers, err := cluster.ParseWorkers(*workersF)
-	if err != nil {
-		fatal("%v", err)
-	}
 	var st *store.Store
+	var err error
 	if *storeDir != "" {
 		if st, err = store.Open(*storeDir); err != nil {
 			fatal("%v", err)
@@ -146,15 +134,16 @@ func main() {
 
 	// One row cache and one journal for the run: scenarios sharing a sweep
 	// fill their grid once, and attaching the journal changes no result.
-	// With a store or a fleet the coordinator fills each grid and reports
-	// where its points came from.
+	// With a store, the store fills each grid and the run reports how many
+	// of its points came from disk. Scenarios run one at a time, so the
+	// store's hit count across one grid's fill is that grid's.
 	opts := scenario.RunOptions{Rows: scenario.NewRowCache(), Context: ctx, Journal: obs.NewJournal()}
-	if len(workers) > 0 || st != nil {
-		coord := cluster.New(cluster.Options{Workers: workers, ShardSize: *shardSize,
-			MaxAttempts: *attempts, Timeout: *timeout, Store: st})
+	if st != nil {
 		opts.Compute = func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, o scenario.RunOptions) ([]any, error) {
-			rows, rep, err := coord.Rows(sc, spec, plan, o)
-			printReport(sc.Name, rep, *verbose)
+			hits := st.Counters().Hits
+			rows, err := st.Rows(sc, spec, plan, o)
+			fmt.Fprintf(os.Stderr, "%s: %d points, %d from store\n",
+				sc.Name, scenario.GridSize(plan.Axes), st.Counters().Hits-hits)
 			return rows, err
 		}
 	}
@@ -232,33 +221,6 @@ func main() {
 	}
 	flush()
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start))
-}
-
-// printReport writes a coordinated sweep's provenance line — and with
-// verbose its per-shard and per-worker stats — to stderr.
-func printReport(name string, rep *cluster.Report, verbose bool) {
-	fmt.Fprintf(os.Stderr, "%s: %d points, %d from store, %d shards in %d dispatches, %d retries\n",
-		name, rep.Points, rep.StorePoints, rep.Shards, rep.Dispatched, rep.Retries)
-	for _, w := range rep.DroppedWorkers {
-		fmt.Fprintf(os.Stderr, "dropped worker: %s\n", w)
-	}
-	if !verbose {
-		return
-	}
-	for _, ss := range rep.ShardStats {
-		fmt.Fprintf(os.Stderr, "shard %d [%s]: %d points on %s, %d attempt(s), %.1fms\n",
-			ss.Shard, ss.Indices, ss.Points, ss.Worker, ss.Attempts, ss.Millis)
-	}
-	for _, ws := range rep.WorkerStats {
-		state := "healthy"
-		if ws.Dropped {
-			state = "dropped"
-		} else if !ws.Healthy {
-			state = "unreachable"
-		}
-		fmt.Fprintf(os.Stderr, "worker %s: %s, %d shards, %d points, %d failures, %.1fms busy, %.0f points/s\n",
-			ws.URL, state, ws.Shards, ws.Points, ws.Failures, ws.BusyMillis, ws.PointsPerSec)
-	}
 }
 
 func listScenarios() {

@@ -2,16 +2,12 @@ package main
 
 import (
 	"encoding/json"
-	"io"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/clitest"
-	"repro/internal/serve"
 )
 
 func TestMain(m *testing.M) { clitest.Main(m, main) }
@@ -28,29 +24,53 @@ func result(t *testing.T, out string) string {
 	return string(raw)
 }
 
-// eventNames returns the distinct event names of a journal file.
-func eventNames(t *testing.T, path string) map[string]bool {
+// event is one entry of an -events journal.
+type event struct {
+	Name, Phase string
+	Fields      map[string]any
+}
+
+// journal reads an -events file.
+func journal(t *testing.T, path string) []event {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("-events file: %v", err)
 	}
-	var events []struct{ Name string }
+	var events []event
 	if err := json.Unmarshal(raw, &events); err != nil {
 		t.Fatalf("-events file: %v\n%s", err, raw)
 	}
-	names := map[string]bool{}
-	for _, e := range events {
-		names[e.Name] = true
-	}
-	return names
+	return events
 }
 
-// TestStoreRunsWarm: a sweep through a result store prints what the local
-// run prints. A cold store simulates all 12 points of quick fig10a and the
-// one point of table2; a warm one serves every point from disk, table2's
-// nil row included, and dispatches nothing. The local run journals its
-// sweep and point spans with -events.
+// count returns how many events of a journal have the name and phase.
+func count(events []event, name, phase string) int {
+	n := 0
+	for _, e := range events {
+		if e.Name == name && e.Phase == phase {
+			n++
+		}
+	}
+	return n
+}
+
+// provenance returns the store provenance lines of a run's output.
+func provenance(out string) []string {
+	var lines []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasSuffix(line, " from store") {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// TestStoreRunsWarm: a sweep through a result store prints what the run
+// without one prints. A cold store simulates all 12 points of quick fig10a
+// and the one point of table2; a warm one serves every point from disk,
+// table2's nil row included. The run without a store journals its sweep
+// and point spans with -events.
 func TestStoreRunsWarm(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-exp", "fig10a,table2", "-quick", "-stable", "-format", "json", "-parallel", "2"}
@@ -59,16 +79,19 @@ func TestStoreRunsWarm(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("local run: exit %d, output:\n%s", code, local)
 	}
-	if names := eventNames(t, events); !names["sweep"] || !names["point"] {
-		t.Errorf("local journal events %v, want sweep and point spans", names)
+	if j := journal(t, events); count(j, "sweep", "begin") != 2 || count(j, "point", "begin") != 13 {
+		t.Errorf("local journal %v, want 2 sweep and 13 point spans", j)
 	}
-	for _, tc := range []struct{ run, fig10a, table2 string }{
-		{"cold", "fig10a: 12 points, 0 from store, 0 shards in 0 dispatches", "table2: 1 points, 0 from store"},
-		{"warm", "fig10a: 12 points, 12 from store, 0 shards in 0 dispatches", "table2: 1 points, 1 from store"},
+	for _, tc := range []struct {
+		run  string
+		want []string
+	}{
+		{"cold", []string{"fig10a: 12 points, 0 from store", "table2: 1 points, 0 from store"}},
+		{"warm", []string{"fig10a: 12 points, 12 from store", "table2: 1 points, 1 from store"}},
 	} {
 		code, out := clitest.Run(t, append(args, "-store", filepath.Join(dir, "store"))...)
-		if code != 0 || !strings.Contains(out, tc.fig10a) || !strings.Contains(out, tc.table2) {
-			t.Fatalf("%s store: exit %d, output:\n%s\nwant exit 0, %q and %q", tc.run, code, out, tc.fig10a, tc.table2)
+		if got := provenance(out); code != 0 || strings.Join(got, "|") != strings.Join(tc.want, "|") {
+			t.Fatalf("%s store: exit %d, provenance %q, output:\n%s\nwant exit 0 and %q", tc.run, code, got, out, tc.want)
 		}
 		if result(t, out) != result(t, local) {
 			t.Errorf("%s store: result differs from the local run's", tc.run)
@@ -85,7 +108,6 @@ func TestBadSweepFlagsExit1(t *testing.T) {
 	}{
 		{[]string{"-gc"}, "sempe-bench: -gc requires -store"},
 		{[]string{"-exp", "fig11"}, `sempe-bench: unknown experiment "fig11"; registered scenarios: `},
-		{[]string{"-exp", "fig10a", "-workers", "a,,b"}, `sempe-bench: cluster: empty worker entry at position 2 in "a,,b"`},
 		{[]string{"-exp", "fig10a", "-format", "xml"}, `sempe-bench: unknown format "xml"`},
 	} {
 		code, out := clitest.Run(t, tc.args...)
@@ -95,57 +117,45 @@ func TestBadSweepFlagsExit1(t *testing.T) {
 	}
 }
 
-// TestFailedSweepKeepsEvents: a coordinated sweep whose only worker is
-// unreachable exits 1, yet still prints its provenance line and writes the
-// -events journal holding the probe span and the worker_unreachable event
-// that explain the failure.
+// TestFailedSweepKeepsEvents: a run whose second scenario rejects a
+// parameter the first accepts (fig8 has no ws) exits 1 naming the
+// problem, yet still writes the -events journal, holding fig10a's sweep
+// span and its store_scan event.
 func TestFailedSweepKeepsEvents(t *testing.T) {
-	events := filepath.Join(t.TempDir(), "events.json")
-	code, out := clitest.Run(t, "-exp", "fig10a", "-quick",
-		"-workers", "http://127.0.0.1:1", "-events", events)
-	for _, want := range []string{
-		"fig10a: 12 points, 0 from store, 0 shards in 0 dispatches",
-		"sempe-bench: fig10a: cluster: no worker reachable at startup",
-	} {
-		if code != 1 || !strings.Contains(out, want) {
-			t.Errorf("exit %d, output:\n%s\nwant exit 1 and %q", code, out, want)
+	dir := t.TempDir()
+	events := filepath.Join(dir, "events.json")
+	code, out := clitest.Run(t, "-exp", "fig10a,fig8", "-param", "ws=1", "-quick",
+		"-store", filepath.Join(dir, "store"), "-events", events)
+	if want := `sempe-bench: fig8: unknown parameter "ws"`; code != 1 || !strings.Contains(out, want) {
+		t.Fatalf("exit %d, output:\n%s\nwant exit 1 and %q", code, out, want)
+	}
+	var sweeps []any
+	j := journal(t, events)
+	for _, e := range j {
+		if e.Name == "sweep" && e.Phase == "begin" {
+			sweeps = append(sweeps, e.Fields["scenario"])
 		}
 	}
-	if names := eventNames(t, events); !names["probe"] || !names["worker_unreachable"] {
-		t.Errorf("journal events %v, want a probe span and a worker_unreachable event", names)
+	if len(sweeps) != 1 || sweeps[0] != "fig10a" || count(j, "sweep", "end") != 1 || count(j, "store_scan", "") != 1 {
+		t.Errorf("journal %v, want fig10a's sweep span and store_scan event", j)
 	}
 }
 
 // TestSharedSweepDispatchedOnce: fig10a and table1 render one sweep, so a
-// run of both against one worker dispatches that 12-point grid once: the
-// worker counts 12 shard points, and only fig10a prints a dispatch line.
+// store-backed run of both fills that 12-point grid once: only fig10a
+// prints a provenance line, and the journal holds 12 point spans, not 24.
 func TestSharedSweepDispatchedOnce(t *testing.T) {
-	worker := httptest.NewServer(serve.New(serve.Options{MaxWorkers: 2, Worker: true}).Handler())
-	defer worker.Close()
-	code, out := clitest.Run(t, "-exp", "fig10a,table1", "-quick", "-parallel", "2", "-workers", worker.URL)
+	dir := t.TempDir()
+	events := filepath.Join(dir, "events.json")
+	code, out := clitest.Run(t, "-exp", "fig10a,table1", "-quick", "-parallel", "2",
+		"-store", filepath.Join(dir, "store"), "-events", events)
 	if code != 0 {
 		t.Fatalf("exit %d, output:\n%s", code, out)
 	}
-	var provenance []string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, " dispatches, ") {
-			provenance = append(provenance, line)
-		}
+	if got, want := provenance(out), "fig10a: 12 points, 0 from store"; len(got) != 1 || got[0] != want {
+		t.Errorf("provenance lines %q, want only %q", got, want)
 	}
-	if want := "fig10a: 12 points, 0 from store, 2 shards in 2 dispatches, 0 retries"; len(provenance) != 1 || provenance[0] != want {
-		t.Errorf("dispatch lines %q, want only %q", provenance, want)
-	}
-
-	resp, err := http.Get(worker.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := "\nsempe_shard_points_total 12\n"; !strings.Contains(string(metrics), want) {
-		t.Errorf("worker metrics lack %q:\n%s", strings.TrimSpace(want), metrics)
+	if n := count(journal(t, events), "point", "begin"); n != 12 {
+		t.Errorf("journal holds %d point spans, want 12", n)
 	}
 }

@@ -5,14 +5,11 @@
 // keyed by scenario + spec); with -store they are also persisted on disk,
 // so a restarted server answers warm. A -store directory can safely be
 // shared with sempe-bench -store, but neither reuses the other's entries:
-// a local run here reads and writes only whole results, sempe-bench's
-// cluster coordinator only per-point rows, so a store warmed by
-// sempe-bench does not warm this server. (A -cluster-workers front end
-// fills grids through the coordinator, so it does read those rows.)
+// this server reads and writes only whole results, sempe-bench only
+// per-point rows, so a store warmed by sempe-bench does not warm this
+// server.
 //
 //	sempe-serve -addr :8080 -store results/
-//	sempe-serve -addr :8081 -worker        # cluster worker (POST /shards)
-//	sempe-serve -cluster-workers http://a:8081,http://b:8082   # front a fleet
 //
 //	curl localhost:8080/scenarios
 //	curl -X POST localhost:8080/runs -d '{"scenario":"fig10a","spec":{"quick":true},"wait":true}'
@@ -26,7 +23,7 @@
 // (HTTP latency/status, run lifecycle, cache/store effectiveness, semaphore
 // occupancy, simulator counters); -pprof additionally mounts
 // net/http/pprof under /debug/pprof/. Logs go to stderr via log/slog at
-// -log-level (worker drops and shard retries are logged at warn).
+// -log-level (failed runs are logged at warn).
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes, and
 // in-flight HTTP requests get -shutdown-grace to finish before the process
@@ -45,7 +42,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/scenario"
 	"repro/internal/serve"
@@ -54,16 +50,13 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		workers   = flag.Int("max-workers", 0, "cap on per-run worker goroutines (0 = all CPUs)")
-		runs      = flag.Int("max-runs", 2, "sweeps simulating concurrently; further runs queue")
-		storeDir  = flag.String("store", "", "persistent result-store directory (empty = in-memory cache only)")
-		worker    = flag.Bool("worker", false, "enable the cluster shard endpoint (POST /shards) for sempe-bench -workers")
-		clusterF  = flag.String("cluster-workers", "", "comma-separated sempe-serve -worker URLs; runs are dispatched to the fleet instead of computed locally")
-		shardSize = flag.Int("cluster-shard", 0, "grid points per dispatched shard with -cluster-workers (0 = coordinator default)")
-		pprofF    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
-		logLevel  = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
-		grace     = flag.Duration("shutdown-grace", 15*time.Second, "how long in-flight requests get to finish on SIGINT/SIGTERM")
+		addr     = flag.String("addr", ":8080", "listen address")
+		workers  = flag.Int("max-workers", 0, "cap on per-run worker goroutines (0 = all CPUs)")
+		runs     = flag.Int("max-runs", 2, "sweeps simulating concurrently; further runs queue")
+		storeDir = flag.String("store", "", "persistent result-store directory (empty = in-memory cache only)")
+		pprofF   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
+		logLevel = flag.String("log-level", "info", "log verbosity: debug|info|warn|error")
+		grace    = flag.Duration("shutdown-grace", 15*time.Second, "how long in-flight requests get to finish on SIGINT/SIGTERM")
 	)
 	flag.Parse()
 
@@ -76,17 +69,9 @@ func main() {
 	slog.SetDefault(logger)
 	log := logger.With("cmd", "sempe-serve")
 
-	clusterWorkers, err := cluster.ParseWorkers(*clusterF)
-	if err != nil {
-		log.Error("bad -cluster-workers", "err", err)
-		os.Exit(1)
-	}
 	opts := serve.Options{
 		MaxWorkers:        *workers,
 		MaxConcurrentRuns: *runs,
-		Worker:            *worker,
-		ClusterWorkers:    clusterWorkers,
-		ClusterShardSize:  *shardSize,
 		EnablePprof:       *pprofF,
 		Logger:            log,
 	}
@@ -101,14 +86,7 @@ func main() {
 	}
 	srv := serve.New(opts)
 
-	mode := "server"
-	if *worker {
-		mode = "server+worker"
-	}
-	if len(clusterWorkers) > 0 {
-		mode += "+coordinator"
-	}
-	log.Info("listening", "mode", mode, "addr", *addr,
+	log.Info("listening", "addr", *addr,
 		"scenarios", len(scenario.Names()), "pprof", *pprofF)
 	for _, name := range scenario.Names() {
 		fmt.Printf("  %s\n", name)

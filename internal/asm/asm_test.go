@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
 
 func TestAssembleAndRunLoop(t *testing.T) {
@@ -25,7 +26,7 @@ func TestAssembleAndRunLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(emu.Legacy, prog)
+	m := emu.New(emu.Legacy, prog, mem.DefaultSPMConfig().Slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestAssembleDataAndMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(emu.Legacy, prog)
+	m := emu.New(emu.Legacy, prog, mem.DefaultSPMConfig().Slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestAssembleCallRet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(emu.Legacy, prog)
+	m := emu.New(emu.Legacy, prog, mem.DefaultSPMConfig().Slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSecureMnemonics(t *testing.T) {
 		t.Fatalf("CountSecure = %d,%d want 1,1", sjmp, eos)
 	}
 	// Legacy execution takes only the true path.
-	leg := emu.New(emu.Legacy, prog)
+	leg := emu.New(emu.Legacy, prog, mem.DefaultSPMConfig().Slots)
 	if err := leg.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestSecureMnemonics(t *testing.T) {
 	}
 	// SeMPE executes both paths but restores the registers so the final
 	// state matches the true path.
-	sec := emu.New(emu.SeMPE, prog)
+	sec := emu.New(emu.SeMPE, prog, mem.DefaultSPMConfig().Slots)
 	if err := sec.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestBranchOffsetsAccountForPrefix(t *testing.T) {
 			bne r8, rz, loop
 			halt
 	`)
-	m := emu.New(emu.Legacy, prog)
+	m := emu.New(emu.Legacy, prog, mem.DefaultSPMConfig().Slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -243,8 +243,8 @@ func TestWrongBitFailsCheckGate(t *testing.T) {
 }
 
 // TestKeyRecoveryRoundTrip: KeyRecovery is the keyextract sweep's row, so
-// it must survive a JSON round trip exactly (cluster sharding and the
-// on-disk store depend on it).
+// it must survive a JSON round trip exactly (the on-disk store depends on
+// it).
 func TestKeyRecoveryRoundTrip(t *testing.T) {
 	p := DefaultKeyParams(PrimeProbe, false)
 	p.Width = 2

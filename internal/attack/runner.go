@@ -333,7 +333,7 @@ func (r *runner) fork(d draw, key uint64) (bool, error) {
 		mode = emu.SeMPE
 	}
 	if r.emu == nil {
-		r.emu = emu.New(mode, prog)
+		r.emu = emu.New(mode, prog, r.cfg.SPM.Slots)
 	} else {
 		r.emu.Reset(mode, prog)
 	}

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 )
 
@@ -93,7 +94,7 @@ func TestCollapseEnablesDeepPrograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := emu.New(emu.SeMPE, out.Prog)
+	m := emu.New(emu.SeMPE, out.Prog, mem.DefaultSPMConfig().Slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 )
 
@@ -17,7 +18,7 @@ func runOutput(t *testing.T, out *Output, secure bool) map[string]uint64 {
 	if secure {
 		mode = emu.SeMPE
 	}
-	m := emu.New(mode, out.Prog)
+	m := emu.New(mode, out.Prog, mem.DefaultSPMConfig().Slots)
 	m.MaxInsts = 50_000_000
 	if err := m.Run(); err != nil {
 		t.Fatalf("%v run: %v\n%s", out.Mode, err, out.Prog.Disassemble())
@@ -424,7 +425,7 @@ func TestSeMPEBinaryRunsOnPipeline(t *testing.T) {
 	// End-to-end: compiled SeMPE binary on the cycle-level secure core,
 	// compared against the functional machine.
 	out := MustCompile(modexpShape(0b1101), SeMPE)
-	ref := emu.New(emu.SeMPE, out.Prog)
+	ref := emu.New(emu.SeMPE, out.Prog, mem.DefaultSPMConfig().Slots)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}

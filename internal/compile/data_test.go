@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 )
 
@@ -115,7 +116,7 @@ func TestZeroArrayReadBeforeWrite(t *testing.T) {
 			if mode == SeMPE {
 				emuMode, cfg = emu.SeMPE, pipeline.SecureConfig()
 			}
-			ref := emu.New(emuMode, out.Prog)
+			ref := emu.New(emuMode, out.Prog, mem.DefaultSPMConfig().Slots)
 			if err := ref.Run(); err != nil {
 				t.Fatal(err)
 			}

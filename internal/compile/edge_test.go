@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 )
 
 func TestTooManyScalarsRejected(t *testing.T) {
@@ -193,7 +194,7 @@ func TestSelectExpression(t *testing.T) {
 			},
 		}
 		out := MustCompile(p, Plain)
-		m := emu.New(emu.Legacy, out.Prog)
+		m := emu.New(emu.Legacy, out.Prog, mem.DefaultSPMConfig().Slots)
 		if err := m.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -108,12 +108,16 @@ var (
 	ErrFetch = errors.New("emu: no instruction at pc")
 )
 
-// New creates a machine executing prog in the given mode on a fresh memory.
-func New(mode Mode, prog *isa.Program) *Machine {
+// New creates a machine executing prog in the given mode on a fresh memory,
+// with a jbTable and SPM of slots entries: the secure nesting depth of the
+// core it stands for (pipeline.Config.SPM.Slots), past which an sJMP
+// overflows.
+func New(mode Mode, prog *isa.Program, slots int) *Machine {
 	spm := mem.DefaultSPMConfig()
+	spm.Slots = slots
 	m := &Machine{
 		Mem: mem.NewMemory(),
-		jb:  sempe.NewJBTable(spm.Slots),
+		jb:  sempe.NewJBTable(slots),
 		spm: mem.NewSPM(spm),
 	}
 	m.Reset(mode, prog)

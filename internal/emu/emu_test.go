@@ -8,10 +8,15 @@ import (
 	"repro/internal/compile"
 	"repro/internal/isa"
 	"repro/internal/jpegsim"
+	"repro/internal/mem"
 	"repro/internal/pipeline"
 	"repro/internal/sempe"
 	"repro/internal/workloads"
 )
+
+// slots is the jbTable depth of the paper's core, which every test here
+// runs at.
+var slots = mem.DefaultSPMConfig().Slots
 
 func TestLegacyIgnoresSecureInstructions(t *testing.T) {
 	prog := asm.MustAssemble(`
@@ -26,7 +31,7 @@ func TestLegacyIgnoresSecureInstructions(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	m := New(Legacy, prog)
+	m := New(Legacy, prog, slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +64,7 @@ func TestSeMPEExecutesBothPathsNTFirst(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	m := New(SeMPE, prog)
+	m := New(SeMPE, prog, slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +96,7 @@ func TestSeMPERegisterRestoreNotTaken(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	m := New(SeMPE, prog)
+	m := New(SeMPE, prog, slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +114,12 @@ func TestEOSJmpWithoutSJmpFails(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	m := New(SeMPE, prog)
+	m := New(SeMPE, prog, slots)
 	if err := m.Run(); !errors.Is(err, sempe.ErrUnderflow) {
 		t.Errorf("err = %v, want sempe.ErrUnderflow", err)
 	}
 	// On a legacy machine the same binary just runs (eosjmp is a NOP).
-	l := New(Legacy, prog)
+	l := New(Legacy, prog, slots)
 	if err := l.Run(); err != nil {
 		t.Errorf("legacy: %v", err)
 	}
@@ -126,7 +131,7 @@ func TestInstructionBudget(t *testing.T) {
 		loop:
 			jmp loop
 	`)
-	m := New(Legacy, prog)
+	m := New(Legacy, prog, slots)
 	m.MaxInsts = 1000
 	if err := m.Run(); !errors.Is(err, ErrBudget) {
 		t.Errorf("err = %v, want ErrBudget", err)
@@ -151,7 +156,7 @@ func TestDeepNestingOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := New(SeMPE, prog)
+	m := New(SeMPE, prog, slots)
 	if err := m.Run(); !errors.Is(err, sempe.ErrOverflow) {
 		t.Errorf("err = %v, want sempe.ErrOverflow", err)
 	}
@@ -159,7 +164,7 @@ func TestDeepNestingOverflow(t *testing.T) {
 
 func TestStepAfterHaltIsNoop(t *testing.T) {
 	prog := asm.MustAssemble("main:\n halt")
-	m := New(Legacy, prog)
+	m := New(Legacy, prog, slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +191,7 @@ func TestNestDepthTracking(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	m := New(SeMPE, prog)
+	m := New(SeMPE, prog, slots)
 	maxDepth := 0
 	for !m.Halted() {
 		if err := m.Step(); err != nil {
@@ -248,9 +253,9 @@ func TestPooledResetMatchesNew(t *testing.T) {
 	progs, modes := pooledPrograms(t)
 	var pooled *Machine
 	for i, prog := range progs {
-		fresh := New(modes[i], prog)
+		fresh := New(modes[i], prog, slots)
 		if pooled == nil {
-			pooled = New(modes[i], prog)
+			pooled = New(modes[i], prog, slots)
 		} else {
 			pooled.Reset(modes[i], prog)
 		}
@@ -291,7 +296,7 @@ func TestStoreIntoCodeChangesDataOnly(t *testing.T) {
 			blt  r9, r13, patch
 			halt
 	`)
-	m := New(Legacy, prog)
+	m := New(Legacy, prog, slots)
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +335,7 @@ func TestRunToStopsAtCount(t *testing.T) {
 			blt  r9, r11, loop
 			halt
 	`)
-	a, b := New(Legacy, prog), New(Legacy, prog)
+	a, b := New(Legacy, prog, slots), New(Legacy, prog, slots)
 	if err := a.RunTo(9); err != nil {
 		t.Fatal(err)
 	}

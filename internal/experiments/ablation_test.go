@@ -42,8 +42,7 @@ func TestAblationGeometryEffects(t *testing.T) {
 }
 
 // TestAblationRowCodec: the ablation rows round-trip through the sweep's
-// JSON codec bit-identically — the property cluster distribution and the
-// on-disk store rely on.
+// JSON codec bit-identically — the property the on-disk store relies on.
 func TestAblationRowCodec(t *testing.T) {
 	spec := scenario.Spec{Params: map[string]string{
 		"kind": "ones", "w": "2", "iters": "1", "slots": "2", "bws": "32"}}

@@ -12,9 +12,9 @@ import (
 // The attack-lab sweep: run every requested attacker against every
 // requested architecture, each grid point producing one
 // attack.Assessment (TVLA fixed-vs-random batches plus the
-// secret-recovery experiment). The row is a flat struct of primitives, so
-// the sweep is shardable: `spectre` and `tvla` both render it, and the
-// cluster coordinator and result store round-trip it through JSON.
+// secret-recovery experiment). The row is a flat struct of primitives:
+// `spectre` and `tvla` both render it, and the result store round-trips it
+// through JSON.
 
 // AttackSpec parameterizes the attack sweep.
 type AttackSpec struct {

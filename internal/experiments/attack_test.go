@@ -49,9 +49,8 @@ func TestSpectreAcceptance(t *testing.T) {
 	}
 }
 
-// The attack sweep must be shardable: rows survive a JSON round trip
-// exactly, which is what cluster distribution and store persistence rely
-// on.
+// The attack sweep's rows survive a JSON round trip exactly, which is
+// what store persistence relies on.
 func TestAttackRowRoundTrip(t *testing.T) {
 	if attackSweep.DecodeRow == nil {
 		t.Fatal("attack sweep has no row codec")

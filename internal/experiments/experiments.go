@@ -64,8 +64,8 @@ func mustRun(cfg pipeline.Config, p *lang.Program, mode compile.Mode) (*pipeline
 
 // decodeRowAs is the row codec every sweep installs as DecodeRow: it
 // inverts json.Marshal on the sweep's typed row, which is what lets the
-// cluster coordinator and the on-disk store rehydrate rows computed
-// elsewhere. Row types used here must round-trip exactly (primitive
+// on-disk store rehydrate rows an earlier run computed. Row types used
+// here must round-trip exactly (primitive
 // fields only; float64 survives encoding/json bit-for-bit).
 func decodeRowAs[T any](raw json.RawMessage) (any, error) {
 	var row T

@@ -16,7 +16,7 @@ import (
 // Fig8Row is one (format, size) cell of Fig. 8, carrying the Fig. 9 cache
 // statistics from the same pair of runs. Fields are plain values (no live
 // cores), so rows survive a JSON round trip — which is what lets the fig8
-// grid shard across a cluster and persist in the on-disk row store.
+// grid persist in the on-disk row store.
 type Fig8Row struct {
 	Format jpegsim.Format
 	Size   string

@@ -13,8 +13,7 @@ import (
 // The key-extraction sweeps: multi-bit secret recovery over the pluggable
 // victim matrix. Each grid point runs attack.ExtractKey — a full per-bit
 // walk of a W-bit key — and yields one attack.KeyRecovery row, a flat
-// JSON-round-trippable struct, so both sweeps are shardable through the
-// cluster and persistable in the store.
+// JSON-round-trippable struct, so both sweeps persist in the store.
 //
 // Two scenarios render the machinery:
 //

@@ -63,8 +63,8 @@ func TestKeyExtractAcceptance(t *testing.T) {
 	}
 }
 
-// TestKeyExtractRowRoundTrip: both extraction sweeps must be shardable
-// with rows surviving the JSON codec exactly.
+// TestKeyExtractRowRoundTrip: both extraction sweeps' rows must survive
+// the JSON codec exactly.
 func TestKeyExtractRowRoundTrip(t *testing.T) {
 	for _, name := range []string{"keyextract", "noise"} {
 		sw := lookup(t, name).Sweep

@@ -6,6 +6,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 )
 
 func runDecoder(t *testing.T, spec ImageSpec, mode compile.Mode, secure bool) uint64 {
@@ -18,7 +19,7 @@ func runDecoder(t *testing.T, spec ImageSpec, mode compile.Mode, secure bool) ui
 	if secure {
 		m = emu.SeMPE
 	}
-	mach := emu.New(m, out.Prog)
+	mach := emu.New(m, out.Prog, mem.DefaultSPMConfig().Slots)
 	mach.MaxInsts = 100_000_000
 	if err := mach.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -45,7 +46,7 @@ func TestDecoderMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mach := emu.New(emu.Legacy, out.Prog)
+		mach := emu.New(emu.Legacy, out.Prog, mem.DefaultSPMConfig().Slots)
 		if err := mach.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +110,7 @@ func TestSecretBranchPerCoefficient(t *testing.T) {
 		t.Errorf("static secure counts sjmp=%d eos=%d, want 1,1", sjmp, eos)
 	}
 	// Dynamically the branch runs once per block decoding step.
-	mach := emu.New(emu.SeMPE, out.Prog)
+	mach := emu.New(emu.SeMPE, out.Prog, mem.DefaultSPMConfig().Slots)
 	if err := mach.Run(); err != nil {
 		t.Fatal(err)
 	}

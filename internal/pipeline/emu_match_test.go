@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/asm"
@@ -12,10 +13,13 @@ import (
 
 // TestEmulatorMatchesCoreOnEdgePrograms holds the emulator and the core to
 // one answer on programs at the edges of the architecture, in both modes.
-// Where the emulator halts, the core halts with the same registers and
-// memory; where it fails, the core fails with the same sempe error. A PC
-// outside the program image is the emulator's ErrFetch and the core's
-// watchdog, since its fetch waits there for a redirect that never comes.
+// Where the emulator halts, the core halts with the same registers, memory
+// and count of downgraded nesting overflows; where it fails, the core fails
+// with the same sempe error. A PC outside the program image is the
+// emulator's ErrFetch and the core's watchdog, since its fetch waits there
+// for a redirect that never comes. Both take the core's jbTable depth, so a
+// nest two levels deeper than a small table faults on both, or is
+// downgraded on both.
 func TestEmulatorMatchesCoreOnEdgePrograms(t *testing.T) {
 	storeIntoCode := asm.MustAssemble(`
 		main:
@@ -44,17 +48,25 @@ func TestEmulatorMatchesCoreOnEdgePrograms(t *testing.T) {
 			eosjmp
 			halt
 	`)
-	cases := []struct {
+	type edgeCase struct {
 		name              string
 		prog              *isa.Program
+		slots             int // jbTable depth; 0 keeps the config's 30
 		overflowNonSecure bool
 		want              [2]error // emulator's error in Legacy, SeMPE mode
-	}{
-		{"store-into-code", storeIntoCode, false, [2]error{nil, nil}},
-		{"jump-outside-image", jumpOutside, false, [2]error{emu.ErrFetch, emu.ErrFetch}},
-		{"eosjmp-without-sjmp", eosWithoutSJmp, false, [2]error{nil, sempe.ErrUnderflow}},
-		{"nest31-fault", deepNestProg(31), false, [2]error{nil, sempe.ErrOverflow}},
-		{"nest31-downgrade", deepNestProg(31), true, [2]error{nil, nil}},
+	}
+	cases := []edgeCase{
+		{"store-into-code", storeIntoCode, 0, false, [2]error{nil, nil}},
+		{"jump-outside-image", jumpOutside, 0, false, [2]error{emu.ErrFetch, emu.ErrFetch}},
+		{"eosjmp-without-sjmp", eosWithoutSJmp, 0, false, [2]error{nil, sempe.ErrUnderflow}},
+		{"nest31-fault", deepNestProg(31), 0, false, [2]error{nil, sempe.ErrOverflow}},
+		{"nest31-downgrade", deepNestProg(31), 0, true, [2]error{nil, nil}},
+	}
+	for _, slots := range []int{2, 4, 8, 16} {
+		nest := fmt.Sprintf("slots%d/nest%d", slots, slots+2)
+		cases = append(cases,
+			edgeCase{nest + "-fault", deepNestProg(slots + 2), slots, false, [2]error{nil, sempe.ErrOverflow}},
+			edgeCase{nest + "-downgrade", deepNestProg(slots + 2), slots, true, [2]error{nil, nil}})
 	}
 	arches := []struct {
 		name string
@@ -67,11 +79,14 @@ func TestEmulatorMatchesCoreOnEdgePrograms(t *testing.T) {
 	for ai, a := range arches {
 		for _, tc := range cases {
 			t.Run(a.name+"/"+tc.name, func(t *testing.T) {
-				m := emu.New(a.mode, tc.prog)
+				cfg := a.cfg
+				if tc.slots > 0 {
+					cfg.SPM.Slots = tc.slots
+				}
+				cfg.OverflowNonSecure = tc.overflowNonSecure
+				m := emu.New(a.mode, tc.prog, cfg.SPM.Slots)
 				m.OverflowNonSecure = tc.overflowNonSecure
 				emuErr := m.Run()
-				cfg := a.cfg
-				cfg.OverflowNonSecure = tc.overflowNonSecure
 				core := New(cfg, tc.prog)
 				coreErr := core.Run()
 
@@ -95,6 +110,9 @@ func TestEmulatorMatchesCoreOnEdgePrograms(t *testing.T) {
 				}
 				if addr, diff := core.Mem().FirstDiff(m.Mem); diff {
 					t.Errorf("memories differ at %#x", addr)
+				}
+				if core.Stats.NestOverflows != m.NestOverflows {
+					t.Errorf("core downgraded %d nesting overflows, emulator %d", core.Stats.NestOverflows, m.NestOverflows)
 				}
 			})
 		}
@@ -147,7 +165,7 @@ func TestWheelCoversEveryLatency(t *testing.T) {
 			if longest != loadToMemory {
 				t.Errorf("longest load charged %d cycles, want a miss to memory at %d", longest, loadToMemory)
 			}
-			m := emu.New(tc.mode, prog)
+			m := emu.New(tc.mode, prog, cfg.SPM.Slots)
 			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}

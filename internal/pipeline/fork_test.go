@@ -86,7 +86,7 @@ func TestForkMatchesFullRun(t *testing.T) {
 			}
 			prefix := append([]memAccess(nil), seen...)
 
-			m := emu.New(emu.Legacy, p1)
+			m := emu.New(emu.Legacy, p1, cfg.cfg.SPM.Slots)
 			if err := m.RunTo(c0.Stats.Insts); err != nil {
 				t.Fatal(err)
 			}

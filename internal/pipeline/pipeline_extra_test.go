@@ -81,7 +81,7 @@ func TestNestingOverflowDowngrades(t *testing.T) {
 	}
 
 	// The functional machine agrees under the same policy.
-	m := emu.New(emu.SeMPE, deepNestProg(33))
+	m := emu.New(emu.SeMPE, deepNestProg(33), cfg.SPM.Slots)
 	m.OverflowNonSecure = true
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -276,7 +276,7 @@ func TestCoreRandomSecurePrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		prog := randomSecureProgram(rng)
-		ref := emu.New(emu.SeMPE, prog)
+		ref := emu.New(emu.SeMPE, prog, SecureConfig().SPM.Slots)
 		ref.MaxInsts = 500000
 		if err := ref.Run(); err != nil {
 			t.Fatalf("trial %d: emu: %v\n%s", trial, err, prog.Disassemble())

@@ -19,7 +19,7 @@ func runBoth(t *testing.T, prog *isa.Program, secure bool) (*emu.Machine, *Core)
 		mode = emu.SeMPE
 		cfg = SecureConfig()
 	}
-	ref := emu.New(mode, prog)
+	ref := emu.New(mode, prog, cfg.SPM.Slots)
 	if err := ref.Run(); err != nil {
 		t.Fatalf("emu: %v", err)
 	}
@@ -340,7 +340,7 @@ func TestCoreRandomPrograms(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
 		prog := randomProgram(rng)
-		ref := emu.New(emu.Legacy, prog)
+		ref := emu.New(emu.Legacy, prog, DefaultConfig().SPM.Slots)
 		ref.MaxInsts = 200000
 		if err := ref.Run(); err != nil {
 			continue // skip budget-exhausted generations

@@ -68,7 +68,7 @@ func TestMispredictedSJmpNeverRenames(t *testing.T) {
 	if core.JB.Depth() != 0 || core.SPM.Depth() != 0 {
 		t.Errorf("jbTable depth %d, SPM depth %d after the run, want 0, 0", core.JB.Depth(), core.SPM.Depth())
 	}
-	ref := emu.New(emu.SeMPE, prog)
+	ref := emu.New(emu.SeMPE, prog, SecureConfig().SPM.Slots)
 	if err := ref.Run(); err != nil {
 		t.Fatal(err)
 	}

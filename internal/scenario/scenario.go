@@ -16,8 +16,8 @@
 // 10a, Fig. 10b, and Table I are three renderings of the same
 // microbenchmark grid); a RowCache lets one invocation simulate that grid
 // once. Run is the one driver that plans a scenario and renders its
-// Result: a result store or a worker fleet (internal/cluster) plugs in
-// behind the RowCache as RunOptions.Compute, the source of a plan's rows.
+// Result: the on-disk result store (store.Store.Rows) plugs in behind the
+// RowCache as RunOptions.Compute, the source of a plan's rows.
 package scenario
 
 import (
@@ -139,8 +139,8 @@ func GridSize(axes []Axis) int {
 
 // Grid evaluates fn(i) for every i in [0, n), fanning the calls across a
 // bounded pool of worker goroutines that take the indices in order. It is
-// the module's one bounded fan-out: sweep points (Plan.RunPoints), attack
-// trials and the cluster's worker health probes all run on it. The caller
+// the module's one bounded fan-out: sweep points (Plan.RunPoints) and
+// attack trials both run on it. The caller
 // writes results into a pre-sized slice indexed by i, which keeps output
 // order deterministic regardless of scheduling; the returned error is the
 // lowest-indexed failure, so error reporting is deterministic too.
@@ -192,9 +192,8 @@ type Sweep struct {
 	Plan func(Spec) (*Plan, error)
 
 	// DecodeRow decodes one JSON-encoded row back into the sweep's typed
-	// row — the inverse of json.Marshal on Point's result. The cluster
-	// coordinator merges rows computed by remote workers through it, and
-	// the on-disk store rehydrates persisted points; Register requires it.
+	// row — the inverse of json.Marshal on Point's result. The on-disk
+	// store rehydrates persisted points through it; Register requires it.
 	DecodeRow func(json.RawMessage) (any, error)
 }
 
@@ -306,10 +305,10 @@ type Result struct {
 // Stable returns a copy of the result with every nondeterministic field
 // zeroed: wall times, the slowest-point report, the worker count (which
 // never affects rows), and the in-memory Rows. Two runs of the same
-// (scenario, spec) — serial, parallel, or distributed across a cluster —
+// (scenario, spec) — serial, parallel, or served from a result store —
 // encode their stable forms to byte-identical JSON; cmd/sempe-bench
-// -stable (with or without a store or a fleet), the golden tests, and the
-// CI cluster smoke job all diff stable encodings.
+// -stable (with or without a store), the golden tests, and the CI smoke
+// jobs all diff stable encodings.
 func (r *Result) Stable() *Result {
 	out := *r
 	out.ElapsedMillis = 0
@@ -334,8 +333,7 @@ func (r *Result) Stable() *Result {
 // and uninstrumented runs are byte-identical. Compute, when set, fills the
 // plan's rows in place of Plan.RunPoints, behind Rows, and is handed these
 // options so it journals, reports progress and stops as the point loop
-// would; the cluster coordinator plugs in here to serve rows from a store
-// or a worker fleet.
+// would; store.Store.Rows plugs in here to serve rows from disk.
 type RunOptions struct {
 	Progress func(done, total int)
 	Rows     *RowCache

@@ -437,8 +437,8 @@ func TestRegistry(t *testing.T) {
 	if !found {
 		t.Errorf("Names() missing %q: %v", sc.Name, Names())
 	}
-	// A sweep without a row codec could not be filled by a store or a
-	// fleet; registering one is a programmer error.
+	// A sweep without a row codec could not be filled by a store;
+	// registering one is a programmer error.
 	func() {
 		defer func() {
 			if recover() == nil {

@@ -10,8 +10,7 @@ import (
 )
 
 // heldServer returns a server whose every simulation slot is held, so a
-// request that passes validation queues (POST /runs) or waits (POST
-// /shards) and nothing simulates.
+// run that passes validation queues and nothing simulates.
 func heldServer(opts Options) *Server {
 	srv := New(opts)
 	for i := 0; i < cap(srv.sem); i++ {
@@ -81,31 +80,6 @@ func FuzzRunRequest(f *testing.F) {
 			if status != "canceled" {
 				t.Fatalf("body %q: canceled queued run ended %q", body, status)
 			}
-		}
-		requireHealthy(t, h)
-	})
-}
-
-// FuzzShardRequest: any POST /shards body on a worker either gets a 4xx
-// naming the problem, or passes validation and waits for a simulation
-// slot; it never panics, and /healthz answers afterwards. Every slot is
-// held and every request's context has already ended, as when a
-// coordinator gives up, so an accepted shard returns without simulating
-// and without writing a response. The seed corpus
-// (testdata/fuzz/FuzzShardRequest) holds the shards the serve and cluster
-// tests send: the 400s, the 404, the 409s, and accepted shards.
-func FuzzShardRequest(f *testing.F) {
-	srv := heldServer(Options{MaxWorkers: 2, Worker: true})
-	h := srv.Handler()
-	ended, cancel := context.WithCancel(context.Background())
-	cancel()
-	f.Fuzz(func(t *testing.T, body []byte) {
-		accepted := srv.metrics.shardRequests.Value()
-		rec := serveDirect(ended, h, http.MethodPost, "/shards", body)
-		if srv.metrics.shardRequests.Value() == accepted {
-			requireNamedRejection(t, rec, body)
-		} else if rec.Code != http.StatusOK || rec.Body.Len() != 0 {
-			t.Fatalf("body %q: accepted shard answered %d %q without a slot", body, rec.Code, rec.Body)
 		}
 		requireHealthy(t, h)
 	})

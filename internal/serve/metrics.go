@@ -32,9 +32,6 @@ type serverMetrics struct {
 	cacheHits obs.Counter
 	storeHits obs.Counter
 	computes  obs.Counter
-
-	shardRequests obs.Counter
-	shardPoints   obs.Counter
 }
 
 // newServerMetrics registers the server's metric families and the
@@ -58,15 +55,11 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"LRU misses answered from the persistent on-disk store."),
 		computes: reg.Counter("sempe_serve_computes_total",
 			"Runs that paid for an engine execution (cache and store misses)."),
-		shardRequests: reg.Counter("sempe_shard_requests_total",
-			"Cluster shard requests accepted by POST /shards (worker mode)."),
-		shardPoints: reg.Counter("sempe_shard_points_total",
-			"Grid points simulated for cluster shard requests (worker mode)."),
 	}
 	runsGauge := reg.GaugeVec("sempe_runs",
 		"Tracked runs by current status.", "status")
 	semOcc := reg.Gauge("sempe_sim_semaphore_occupancy",
-		"Simulation slots currently in use (runs + shards executing).")
+		"Simulation slots currently in use (runs executing).")
 	semCap := reg.Gauge("sempe_sim_semaphore_capacity",
 		"Total simulation slots (Options.MaxConcurrentRuns).")
 	reg.OnScrape(func() {

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -15,8 +14,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/scenario"
 )
 
 // sampleLine matches one Prometheus text-exposition sample:
@@ -218,143 +215,35 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// TestDistributedRunThroughServe: a server fronting two workers fills a
-// run's grid through the cluster coordinator. The run must match a
-// serial engine run byte-for-byte, carry the provenance report with
-// per-shard and per-worker stats, and stream the coordinator's
-// dispatch/merge spans on the events endpoint.
-func TestDistributedRunThroughServe(t *testing.T) {
-	w1 := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
-	defer w1.Close()
-	w2 := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
-	defer w2.Close()
-
-	front := New(Options{
-		MaxWorkers:       2,
-		ClusterWorkers:   []string{w1.URL, w2.URL},
-		ClusterShardSize: 1, // every point crosses the wire
-	})
-	ts := httptest.NewServer(front.Handler())
-	defer ts.Close()
-
-	body := `{"scenario": "fig10a", "spec": {"params": {"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}}, "wait": true}`
-	view, code := postRun(t, ts, body)
-	if code != http.StatusOK || view.Status != "done" {
-		t.Fatalf("POST /runs = %d, status %q (err %q)", code, view.Status, view.Error)
-	}
-
-	// Byte-identical to the serial engine: the front end is a pure
-	// transport.
-	sc, _ := scenario.Lookup("fig10a")
-	serial, err := scenario.Run(sc, view.Spec, scenario.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := stableString(t, view.Result), stableString(t, serial); got != want {
-		t.Fatalf("distributed stable JSON differs from serial run:\n%s\nvs\n%s", got, want)
-	}
-
-	rep := view.Report
-	if rep == nil {
-		t.Fatal("distributed run has no cluster report")
-	}
-	if rep.Shards != 4 || rep.Points != 4 || rep.Retries != 0 {
-		t.Fatalf("report = %+v", rep)
-	}
-	if len(rep.ShardStats) != 4 {
-		t.Fatalf("ShardStats = %+v, want 4 entries", rep.ShardStats)
-	}
-	for _, ss := range rep.ShardStats {
-		if ss.Attempts != 1 || ss.Points != 1 || ss.Millis <= 0 {
-			t.Errorf("shard stat %+v: want 1 attempt, 1 point, positive duration", ss)
-		}
-		if ss.Worker != w1.URL && ss.Worker != w2.URL {
-			t.Errorf("shard stat %+v: unknown worker", ss)
-		}
-	}
-	if len(rep.WorkerStats) != 2 {
-		t.Fatalf("WorkerStats = %+v, want 2 entries", rep.WorkerStats)
-	}
-	points := 0
-	for _, ws := range rep.WorkerStats {
-		if !ws.Healthy || ws.Dropped || ws.Failures != 0 {
-			t.Errorf("worker stat %+v: want healthy, not dropped, no failures", ws)
-		}
-		if ws.Points > 0 && ws.PointsPerSec <= 0 {
-			t.Errorf("worker stat %+v: busy worker with no throughput", ws)
-		}
-		points += ws.Points
-	}
-	if points != 4 {
-		t.Errorf("worker stats account for %d points, want 4", points)
-	}
-
-	// The coordinator journaled into the run's journal: per-shard dispatch
-	// and merge spans are on the events endpoint.
-	var ev eventsView
-	if code := getJSON(t, ts.URL+"/runs/"+view.ID+"/events", &ev); code != http.StatusOK {
-		t.Fatalf("GET /runs/%s/events = %d", view.ID, code)
-	}
-	counts := map[string]int{}
-	for _, e := range ev.Events {
-		counts[e.Name+"/"+e.Phase]++
-	}
-	for name, want := range map[string]int{
-		"cluster_sweep/begin": 1, "cluster_sweep/end": 1,
-		"probe/begin": 1, "probe/end": 1,
-		"dispatch/begin": 4, "dispatch/end": 4,
-		"merge/begin": 4, "merge/end": 4,
-	} {
-		if counts[name] != want {
-			t.Errorf("journal has %d %q events, want %d (all: %v)", counts[name], name, want, counts)
-		}
-	}
-
-	// Worker-side metrics: the shard endpoint counted the dispatched work.
-	shardReqs, shardPoints := 0.0, 0.0
-	for _, w := range []*httptest.Server{w1, w2} {
-		samples, _ := scrape(t, w.URL+"/metrics")
-		shardReqs += samples["sempe_shard_requests_total"]
-		shardPoints += samples["sempe_shard_points_total"]
-	}
-	if shardReqs != 4 || shardPoints != 4 {
-		t.Errorf("worker shard metrics: %v requests / %v points, want 4 / 4", shardReqs, shardPoints)
-	}
-}
-
 // TestFrontEndDispatchesSharedSweepOnce: fig10a and fig10b render one
-// sweep, so a front end running both on one 4-point spec dispatches that
-// grid once. Its one worker counts 4 shard points, and the second run
-// takes its rows from the front end's row cache.
+// sweep, so a server running both on one 4-point spec simulates that grid
+// once. fig10a's run journals 4 point spans, and fig10b's, which takes its
+// rows from the server's row cache, journals none.
 func TestFrontEndDispatchesSharedSweepOnce(t *testing.T) {
-	w := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
-	defer w.Close()
-	ts := httptest.NewServer(New(Options{MaxWorkers: 2, ClusterWorkers: []string{w.URL}}).Handler())
-	defer ts.Close()
-
+	_, ts := newTestServer(t)
 	spec := `{"params": {"kinds": "fibonacci,ones", "ws": "1,2", "iters": "2"}}`
-	for _, name := range []string{"fig10a", "fig10b"} {
-		view, code := postRun(t, ts, fmt.Sprintf(`{"scenario": %q, "spec": %s, "wait": true}`, name, spec))
+	for _, tc := range []struct {
+		name   string
+		points int
+	}{{"fig10a", 4}, {"fig10b", 0}} {
+		view, code := postRun(t, ts, fmt.Sprintf(`{"scenario": %q, "spec": %s, "wait": true}`, tc.name, spec))
 		if code != http.StatusOK || view.Status != "done" || view.Progress != (progressView{Done: 4, Total: 4}) {
-			t.Fatalf("%s: POST /runs = %d, status %q, progress %+v (err %q)", name, code, view.Status, view.Progress, view.Error)
+			t.Fatalf("%s: POST /runs = %d, status %q, progress %+v (err %q)", tc.name, code, view.Status, view.Progress, view.Error)
+		}
+		var ev eventsView
+		if code := getJSON(t, ts.URL+"/runs/"+view.ID+"/events", &ev); code != http.StatusOK {
+			t.Fatalf("GET /runs/%s/events = %d", view.ID, code)
+		}
+		points := 0
+		for _, e := range ev.Events {
+			if e.Name == "point" && e.Phase == "begin" {
+				points++
+			}
+		}
+		if points != tc.points {
+			t.Errorf("%s journals %d point spans, want %d", tc.name, points, tc.points)
 		}
 	}
-	samples, _ := scrape(t, w.URL+"/metrics")
-	if got := samples["sempe_shard_points_total"]; got != 4 {
-		t.Errorf("worker simulated %v shard points for one shared 4-point grid, want 4", got)
-	}
-}
-
-func stableString(t *testing.T, res *scenario.Result) string {
-	t.Helper()
-	if res == nil {
-		t.Fatal("nil result")
-	}
-	out, err := json.MarshalIndent(res.Stable(), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(out)
 }
 
 // TestQueuedCancelIsCountedAndJournaled: a run canceled while still queued

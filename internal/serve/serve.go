@@ -10,9 +10,8 @@
 //	POST /runs             -> start (or instantly answer from cache) a run
 //	GET  /runs             -> all runs, newest first
 //	GET  /runs/{id}        -> one run: status, progress, and result when done
-//	GET  /runs/{id}/events -> the run's ordered span journal (engine + cluster)
+//	GET  /runs/{id}/events -> the run's ordered span journal
 //	POST /runs/{id}/cancel -> stop an in-flight run between grid points
-//	POST /shards           -> simulate a grid subset (worker mode only)
 //	GET  /metrics          -> Prometheus text exposition (HTTP, runs, caches, simulator counters)
 //	GET  /healthz          -> liveness
 //	/debug/pprof/*         -> pprof profiles (opt-in: Options.EnablePprof)
@@ -36,7 +35,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/scenario"
@@ -53,25 +51,11 @@ type Options struct {
 	// Store, when set, persists completed results on disk and serves LRU
 	// misses from it — warm restarts, shared result directories.
 	Store *store.Store
-	// Worker enables the cluster shard endpoint (POST /shards), making
-	// this process dispatchable by a cluster coordinator (sempe-bench
-	// -workers, or a sempe-serve -cluster-workers front end).
-	Worker bool
-	// ClusterWorkers, when non-empty, turns this server into a cluster
-	// front end: every run's grid is filled by one cluster coordinator,
-	// which dispatches it across these worker base URLs instead of
-	// simulating locally (and reads and writes rows in Store), and the
-	// run's journal records per-shard dispatch/retry/merge spans (GET
-	// /runs/{id}/events).
-	ClusterWorkers []string
-	// ClusterShardSize is the grid points per dispatched shard; 0 means
-	// the coordinator default.
-	ClusterShardSize int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ — opt-in,
 	// because profiles expose internals and cost CPU while sampling.
 	EnablePprof bool
-	// Logger receives structured run-lifecycle and dispatch logs; nil
-	// means slog.Default().
+	// Logger receives structured run-lifecycle logs; nil means
+	// slog.Default().
 	Logger *slog.Logger
 }
 
@@ -88,7 +72,6 @@ type Server struct {
 	nextID int
 	cache  *lruCache
 	rows   *scenario.RowCache
-	coord  *cluster.Coordinator // the runs' row source with ClusterWorkers; nil computes locally
 }
 
 // run is one tracked sweep execution.
@@ -105,11 +88,9 @@ type run struct {
 	result   *scenario.Result
 	finished chan struct{}
 	cancel   context.CancelFunc
-	// journal is the run's event stream: engine sweep/point spans, and for
-	// cluster-dispatched runs the coordinator's dispatch/retry/merge spans.
+	// journal is the run's event stream: lifecycle events and the
+	// engine's sweep and point spans.
 	journal *obs.Journal
-	// report is the cluster provenance report for distributed runs.
-	report *cluster.Report
 }
 
 // New builds a server.
@@ -131,14 +112,6 @@ func New(opts Options) *Server {
 		cache: newLRU(lruEntries),
 		rows:  scenario.NewRowCache(),
 	}
-	if len(opts.ClusterWorkers) > 0 {
-		s.coord = cluster.New(cluster.Options{
-			Workers:   opts.ClusterWorkers,
-			ShardSize: opts.ClusterShardSize,
-			Store:     opts.Store,
-			Logger:    opts.Logger,
-		})
-	}
 	s.metrics = newServerMetrics(s)
 	return s
 }
@@ -154,12 +127,9 @@ func (s *Server) Handler() http.Handler {
 	s.route(mux, "GET /runs/{id}", s.handleGetRun)
 	s.route(mux, "GET /runs/{id}/events", s.handleGetRunEvents)
 	s.route(mux, "POST /runs/{id}/cancel", s.handleCancelRun)
-	if s.opts.Worker {
-		s.route(mux, "POST "+shardPath, s.handleShard)
-	}
 	s.route(mux, "GET /metrics", s.handleMetrics)
 	s.route(mux, "GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "worker": fmt.Sprintf("%t", s.opts.Worker)})
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
 	if s.opts.EnablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -200,8 +170,8 @@ type createRequest struct {
 }
 
 // runView is the wire form of a run. AgeSeconds is time since creation —
-// GET /runs exists so cluster debugging can see every run with its status
-// and age at a glance instead of guessing run IDs.
+// GET /runs lists every run with its status and age at a glance, so no
+// one has to guess run IDs.
 type runView struct {
 	ID         string           `json:"id"`
 	Scenario   string           `json:"scenario"`
@@ -212,13 +182,6 @@ type runView struct {
 	Progress   progressView     `json:"progress"`
 	Error      string           `json:"error,omitempty"`
 	Result     *scenario.Result `json:"result,omitempty"`
-	// Report is the cluster provenance report of a run whose grid the
-	// front end's coordinator filled (Options.ClusterWorkers): per-shard
-	// durations and retry counts, per-worker throughput. It goes only to
-	// the run whose computation filled the grid: a run that joined that
-	// computation in flight has none, though its Progress follows it, and
-	// neither has a run whose rows came from the row cache.
-	Report *cluster.Report `json:"report,omitempty"`
 }
 
 type progressView struct {
@@ -344,8 +307,7 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 	// compute is journaled as a spec_summary event. The counters are
 	// process-wide, so on a server computing runs concurrently the delta can
 	// include overlapping runs' work — it is a profile of the machine while
-	// this run computed, not an exact attribution; cluster-sharded runs
-	// simulate on the workers, so their local delta is near zero by design.
+	// this run computed, not an exact attribution.
 	specBefore := pipeline.GlobalSpecCounters()
 
 	opts := scenario.RunOptions{
@@ -357,18 +319,6 @@ func (s *Server) execute(ctx context.Context, sc *scenario.Scenario, rn *run, ke
 			rn.done, rn.total = done, total
 			s.mu.Unlock()
 		},
-	}
-	if s.coord != nil {
-		// Cluster front end: the coordinator fills the grid from the store
-		// and the worker fleet, journaling its dispatch/retry/merge spans
-		// into the run's journal; its provenance report is kept on the run.
-		opts.Compute = func(sc *scenario.Scenario, spec scenario.Spec, plan *scenario.Plan, o scenario.RunOptions) ([]any, error) {
-			rows, rep, err := s.coord.Rows(sc, spec, plan, o)
-			s.mu.Lock()
-			rn.report = rep
-			s.mu.Unlock()
-			return rows, err
-		}
 	}
 	var res *scenario.Result
 	var err error
@@ -548,7 +498,6 @@ func (rn *run) view() runView {
 		Progress:   progressView{Done: rn.done, Total: rn.total},
 		Error:      rn.errMsg,
 		Result:     rn.result,
-		Report:     rn.report,
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	_ "repro/internal/experiments" // registers the paper's scenarios
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -230,10 +229,9 @@ func TestRunPruningAndOrdering(t *testing.T) {
 }
 
 // TestListRunsStatusAndAge: GET /runs reports every run with its status
-// and age — the cluster-debugging view, so operators never have to guess
-// run IDs. Ages grow monotonically with run age (newest first in the
-// listing, so ages ascend down the list) and the list view stays small
-// (no result payloads).
+// and age, so operators never have to guess run IDs. Ages grow
+// monotonically with run age (newest first in the listing, so ages ascend
+// down the list) and the list view stays small (no result payloads).
 func TestListRunsStatusAndAge(t *testing.T) {
 	_, ts := newTestServer(t)
 	if _, code := postRun(t, ts, `{"scenario": "table2", "spec": {}, "wait": true}`); code != http.StatusOK {
@@ -460,20 +458,6 @@ func TestStoreBackedCacheAcrossRestart(t *testing.T) {
 	storeHits = srv2.metrics.storeHits.Value()
 	if !third.Cached || storeHits != 1 {
 		t.Errorf("third run cached=%t storeHits=%d, want LRU hit without another store read", third.Cached, storeHits)
-	}
-}
-
-// TestShardEndpointDisabledOutsideWorkerMode: /shards exists only when
-// worker mode is on.
-func TestShardEndpointDisabledOutsideWorkerMode(t *testing.T) {
-	_, ts := newTestServer(t) // not a worker
-	resp, err := http.Post(ts.URL+"/shards", "application/json", bytes.NewBufferString(`{}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("POST /shards without worker mode = %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -750,81 +734,13 @@ func TestPointPanicFailsRunServerLives(t *testing.T) {
 	}
 }
 
-// postShard sends one shard request to a worker and returns the status
-// and the error text of a rejected request.
-func postShard(t *testing.T, ts *httptest.Server, req cluster.ShardRequest) (int, string) {
-	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/shards", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var got struct{ Error string }
-	if resp.StatusCode != http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, got.Error
-}
-
-// TestShardPanicIs500WorkerLives: a panicking grid point makes a worker
-// answer POST /shards with 500 naming the point, at 1 and 4 workers, and
-// the worker keeps serving.
-func TestShardPanicIs500WorkerLives(t *testing.T) {
-	registerPanicProbe()
-	ts := httptest.NewServer(New(Options{MaxWorkers: 4, Worker: true}).Handler())
-	t.Cleanup(ts.Close)
-	for _, workers := range []int{1, 4} {
-		code, msg := postShard(t, ts, cluster.ShardRequest{
-			Scenario: "panic-probe", Spec: scenario.Spec{Workers: workers},
-			Indices: []int{0, 1, 2, 3}, Total: 4, Version: store.CodeVersion,
-		})
-		if code != http.StatusInternalServerError || !strings.Contains(msg, "point [2]: panic: simulated bug") {
-			t.Errorf("workers=%d: status %d (%q), want 500 naming point [2] and the panic", workers, code, msg)
-		}
-		if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-			t.Fatalf("workers=%d: healthz after the panic = %d, want 200", workers, code)
-		}
-	}
-}
-
-// TestShardBadParamIsBadRequest: a shard whose spec is out of range is
-// rejected with 400 before any point runs. A two-point fig8 shard at
-// sparsity=-5 used to panic inside the handler and kill the worker.
-func TestShardBadParamIsBadRequest(t *testing.T) {
-	ts := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
-	t.Cleanup(ts.Close)
-	for _, params := range []map[string]string{
-		{"sparsity": "-5"},
-		{"sparsity": "1000"},
-		{"sizes": "tiny:100000000"},
-	} {
-		code, msg := postShard(t, ts, cluster.ShardRequest{
-			Scenario: "fig8", Spec: scenario.Spec{Quick: true, Params: params},
-			Indices: []int{0, 1}, Total: 6, Version: store.CodeVersion,
-		})
-		if code != http.StatusBadRequest || !strings.Contains(msg, "fig8") {
-			t.Errorf("%v: status %d (%q), want 400 naming fig8", params, code, msg)
-		}
-	}
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz = %d, want 200", code)
-	}
-}
-
 // TestOversizedGridIsBadRequest: a spec whose list parameters multiply past
-// scenario.MaxPoints gets 400 naming the scenario and the grid, from
-// POST /runs and from a worker's POST /shards, and the process keeps
-// serving. Three 1000-value lists used to pass the 400 check; the run then
-// asked the engine for a 128 GB grid and the server died out of memory.
+// scenario.MaxPoints gets 400 from POST /runs naming the scenario and the
+// grid, and the process keeps serving. Three 1000-value lists used to pass
+// the 400 check; the run then asked the engine for a 128 GB grid and the
+// server died out of memory.
 func TestOversizedGridIsBadRequest(t *testing.T) {
-	ts := httptest.NewServer(New(Options{MaxWorkers: 2, Worker: true}).Handler())
+	ts := httptest.NewServer(New(Options{MaxWorkers: 2}).Handler())
 	t.Cleanup(ts.Close)
 	list := func(v string) string { return strings.TrimSuffix(strings.Repeat(v+",", 1000), ",") }
 	params := map[string]string{"widths": list("4"), "gaps": list("0"), "victims": list("bit")}
@@ -844,13 +760,6 @@ func TestOversizedGridIsBadRequest(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(got.Error, want) || !strings.Contains(got.Error, "out of range [0,65536]") {
 		t.Errorf("POST /runs: status %d (%q), want 400 naming %q and the bound", resp.StatusCode, got.Error, want)
-	}
-	code, msg := postShard(t, ts, cluster.ShardRequest{
-		Scenario: "keyextract", Spec: scenario.Spec{Params: params},
-		Indices: []int{0}, Total: 4000000000, Version: store.CodeVersion,
-	})
-	if code != http.StatusBadRequest || !strings.Contains(msg, "grid: ") {
-		t.Errorf("POST /shards: status %d (%q), want 400 naming the grid", code, msg)
 	}
 	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
 		t.Fatalf("healthz = %d, want 200", code)

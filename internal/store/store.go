@@ -1,5 +1,5 @@
 // Package store is the persistent on-disk result store behind sempe-serve
-// and the cluster coordinator. Entries are content-addressed: a key names
+// and sempe-bench -store. Entries are content-addressed: a key names
 // what was computed — a whole scenario result or one sweep row — and the
 // entry file's name is the SHA-256 of (code version | key), so different
 // simulator versions never collide and a directory can be shared by many
@@ -27,9 +27,7 @@ import (
 // is folded into every entry's address. Bump it whenever a change moves
 // cycle counts, row shapes, or rendered tables: old entries then miss and
 // everything recomputes, instead of a warm store silently serving results
-// from a previous simulator. The cluster shard protocol carries the same
-// string, so a mixed-version fleet fails loudly instead of merging
-// incompatible rows.
+// from a previous simulator.
 const CodeVersion = "sempe-sim-v4"
 
 // Counters reports store traffic. Corrupt counts entries that failed

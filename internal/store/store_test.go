@@ -177,19 +177,19 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRowKeys: row entries are addressed by (sweep, spec, index) — shard
-// boundaries never appear, so re-chunked sweeps reuse rows.
+// TestRowKeys: row entries are addressed by (sweep, spec, index), so
+// scenarios sharing a sweep share rows and no other sweep reads them.
 func TestRowKeys(t *testing.T) {
 	s := open(t, t.TempDir(), "v1")
 	specKey := (scenario.Spec{Quick: true}).Key()
 	for i := 0; i < 3; i++ {
 		raw, _ := json.Marshal(map[string]int{"i": i})
-		if err := s.PutRow("fig10", specKey, i, raw); err != nil {
+		if err := s.Put(rowKey("fig10", specKey, i), raw); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i := 0; i < 3; i++ {
-		raw, ok := s.GetRow("fig10", specKey, i)
+		raw, ok := s.Get(rowKey("fig10", specKey, i))
 		if !ok {
 			t.Fatalf("row %d missed", i)
 		}
@@ -198,7 +198,7 @@ func TestRowKeys(t *testing.T) {
 			t.Errorf("row %d = %s", i, raw)
 		}
 	}
-	if _, ok := s.GetRow("fig8", specKey, 0); ok {
+	if _, ok := s.Get(rowKey("fig8", specKey, 0)); ok {
 		t.Error("row hit under the wrong sweep")
 	}
 }

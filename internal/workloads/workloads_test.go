@@ -6,6 +6,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/emu"
 	"repro/internal/lang"
+	"repro/internal/mem"
 )
 
 // runCksum compiles and runs a program, returning the final cksum value.
@@ -19,7 +20,7 @@ func runCksum(t *testing.T, p *lang.Program, mode compile.Mode, secure bool) uin
 	if secure {
 		m = emu.SeMPE
 	}
-	mach := emu.New(m, out.Prog)
+	mach := emu.New(m, out.Prog, mem.DefaultSPMConfig().Slots)
 	mach.MaxInsts = 200_000_000
 	if err := mach.Run(); err != nil {
 		t.Fatalf("run %s (%v): %v", p.Name, mode, err)
@@ -165,7 +166,7 @@ func TestDynamicInstructionScaling(t *testing.T) {
 		if secure {
 			m = emu.SeMPE
 		}
-		mach := emu.New(m, out.Prog)
+		mach := emu.New(m, out.Prog, mem.DefaultSPMConfig().Slots)
 		if err := mach.Run(); err != nil {
 			t.Fatal(err)
 		}
